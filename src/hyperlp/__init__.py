@@ -32,7 +32,7 @@ from .heuristics import (
     SCORER_IDS,
     SimRankConvergenceError,
     score,
-    score_all_pairs,
+    score_pairs,
     simrank_matrix,
 )
 from .hypergraph import (

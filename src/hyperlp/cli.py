@@ -8,7 +8,8 @@ results to JSON with an embedded run manifest; a sibling
 version, and input checksums. Reruns with the same manifest produce
 byte-identical CSV.
 
-Exit codes: 0 success, 2 validation error, 3 data error, 4 internal
+Exit codes: 0 success, 2 validation error or resource limit (the
+candidate enumeration cap, ``max_potential``), 3 data error, 4 internal
 error.
 """
 
@@ -18,9 +19,7 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -51,6 +50,7 @@ from .heuristics import SCORER_IDS
 from .hypergraph import Hypergraph, clique_expand, size_distribution
 from .latent import (
     HoffParams,
+    ResourceLimitError,
     build_potential,
     pairwise_distances,
     phi_preset,
@@ -83,26 +83,6 @@ def _algorithms(raw: str) -> list[str]:
             f"valid ids: {', '.join(SCORER_IDS)}"
         )
     return ids
-
-
-def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return args.threads
-    env = os.environ.get("HYPERLP_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"HYPERLP_THREADS must be an integer, got {env!r}")
-    return os.cpu_count() or 1
-
-
-def _thread_map(fn, items, threads: int) -> list:
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _manifest(subcommand: str, params: dict, seeds: list[int], inputs: dict) -> dict:
@@ -331,16 +311,11 @@ def cmd_evaluate(args) -> int:
 
     results = []
     errors = {}
-    for scorer, outcome in zip(
-        args.algorithms,
-        _thread_map(
-            lambda s: _call_safely(one_scorer, s), args.algorithms, _threads(args)
-        ),
-    ):
-        if isinstance(outcome, Exception):
-            errors[scorer] = str(outcome)
-        else:
-            results.append(outcome)
+    for scorer in args.algorithms:
+        try:
+            results.append(one_scorer(scorer))
+        except Exception as exc:  # isolated per-scorer failure
+            errors[scorer] = str(exc)
 
     reversals = []
     if args.runs > 0 and len(results) >= 2:
@@ -407,13 +382,6 @@ def cmd_evaluate(args) -> int:
     if errors and not results:
         raise RuntimeError(f"every scorer failed: {errors}")
     return 0
-
-
-def _call_safely(fn, arg):
-    try:
-        return fn(arg)
-    except Exception as exc:  # isolated per-scorer failure
-        return exc
 
 
 def cmd_scan(args) -> int:
@@ -544,21 +512,15 @@ def cmd_adjust(args) -> int:
     bundle = _load_bundle(args)
     protocol = _protocol_from_args(args)
 
-    def one_scorer(scorer):
-        return adjusted_auc(
-            bundle.hypergraph, scorer, protocol, n_runs=args.runs, seed=args.seed
-        )
-
-    outcomes = _thread_map(
-        lambda s: _call_safely(one_scorer, s), args.algorithms, _threads(args)
-    )
     reports = {}
     errors = {}
-    for scorer, outcome in zip(args.algorithms, outcomes):
-        if isinstance(outcome, Exception):
-            errors[scorer] = str(outcome)
-        else:
-            reports[scorer] = outcome
+    for scorer in args.algorithms:
+        try:
+            reports[scorer] = adjusted_auc(
+                bundle.hypergraph, scorer, protocol, n_runs=args.runs, seed=args.seed
+            )
+        except Exception as exc:  # isolated per-scorer failure
+            errors[scorer] = str(exc)
     if not reports:
         raise RuntimeError(f"every scorer failed: {errors}")
     reversals = performance_reversal_check(reports)
@@ -662,7 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_protocol_args(sp)
     sp.add_argument("--runs", type=int, default=5, help="relocation runs (0 disables)")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=None)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_evaluate)
 
@@ -670,7 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", required=True)
     sp.add_argument("--algorithms", type=_algorithms, default=["cn", "aa"])
     sp.add_argument("--seed", type=int, default=None, help="override config seed")
-    sp.add_argument("--threads", type=int, default=None)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_scan)
 
@@ -686,7 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--data", default=None, help="hypergraph file (relocation-baseline)")
     sp.add_argument("--edges", type=int, default=200, help="random 2-edges when no --data")
     sp.add_argument("--runs", type=int, default=50, help="relocation-baseline runs")
-    sp.add_argument("--threads", type=int, default=None)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_verify)
 
@@ -696,7 +655,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_protocol_args(sp)
     sp.add_argument("--runs", type=int, default=5)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=None)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_adjust)
 
@@ -708,7 +666,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DataFormatError as exc:

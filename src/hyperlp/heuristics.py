@@ -19,15 +19,26 @@ degree >= 2, asserted in the tests).
 
 Scores are raw, not normalized; rank-based evaluation downstream makes
 monotone rescaling irrelevant.
+
+:func:`score_pairs` scores a whole pair set at once from the CSR
+adjacency ``A`` and degrees ``d`` (Lü & Zhou, Physica A 2011): CN is
+``A @ A``, AA is ``A @ diag(1/log(1+d)) @ A`` and RA is
+``A @ diag(1/d) @ A``, each read at ``(u, v)``; PA is ``d_u * d_v``, JC
+is ``CN / (d_u + d_v - CN)`` and SR indexes one :func:`simrank_matrix`.
+The per-pair functions and :func:`score` compute the same definitions
+one pair at a time and serve as the reference. AA and RA sum the same
+terms in ascending common-neighbor order here and in set order there, so
+the two can differ in the last bits.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
+from numpy.typing import ArrayLike
 
 from .hypergraph import SimpleGraph
 
@@ -109,23 +120,11 @@ def simrank_matrix(
     )
 
 
-# One table per graph; graphs are immutable so entries never go stale.
-_simrank_cache: "weakref.WeakKeyDictionary[SimpleGraph, np.ndarray]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _simrank_cached(g: SimpleGraph) -> np.ndarray:
-    table = _simrank_cache.get(g)
-    if table is None:
-        table = simrank_matrix(g)
-        _simrank_cache[g] = table
-    return table
-
-
 def simrank(g: SimpleGraph, u: int, v: int) -> float:
+    """Solves the whole table on every call; :func:`score_pairs` solves
+    it once for a pair set."""
     _check_pair(g, u, v)
-    return float(_simrank_cached(g)[u, v])
+    return float(simrank_matrix(g)[u, v])
 
 
 _SCORERS: dict[str, Callable[[SimpleGraph, int, int], float]] = {
@@ -138,19 +137,46 @@ _SCORERS: dict[str, Callable[[SimpleGraph, int, int], float]] = {
 }
 
 
-def score(scorer: str, g: SimpleGraph, u: int, v: int) -> float:
-    """Score one vertex pair with the scorer named by ``scorer``."""
+def _scorer(scorer: str) -> Callable[[SimpleGraph, int, int], float]:
     try:
-        fn = _SCORERS[scorer]
+        return _SCORERS[scorer]
     except KeyError:
         raise ValueError(
             f"unknown scorer {scorer!r}; valid ids: {', '.join(SCORER_IDS)}"
         ) from None
-    return fn(g, u, v)
 
 
-def score_all_pairs(
-    scorer: str, g: SimpleGraph, pairs: Iterable[Sequence[int]]
-) -> list[float]:
-    """Score a list of pairs, preserving order."""
-    return [score(scorer, g, u, v) for u, v in pairs]
+def score(scorer: str, g: SimpleGraph, u: int, v: int) -> float:
+    """Score one vertex pair with the scorer named by ``scorer``."""
+    return _scorer(scorer)(g, u, v)
+
+
+def score_pairs(scorer: str, g: SimpleGraph, u: ArrayLike, v: ArrayLike) -> np.ndarray:
+    """Score the pairs ``(u[i], v[i])`` at once; same definitions and
+    checks as :func:`score`, returned in input order."""
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    if u.shape != v.shape or u.ndim != 1:
+        raise ValueError("u and v must be 1-d arrays of equal length")
+    _scorer(scorer)  # rejects an unknown id
+    bad = np.flatnonzero((u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= g.n))
+    if len(bad):
+        _check_pair(g, int(u[bad[0]]), int(v[bad[0]]))
+    if len(u) == 0:
+        return np.zeros(0)
+    if scorer == "sr":
+        return simrank_matrix(g)[u, v]
+    a = g.adjacency_csr()
+    d = np.diff(a.indptr).astype(np.float64)
+    if scorer == "pa":
+        return d[u] * d[v]
+    if scorer in ("aa", "ra"):
+        w = np.zeros(g.n)
+        ok = d > 0
+        w[ok] = 1.0 / (np.log1p(d[ok]) if scorer == "aa" else d[ok])
+        return (a @ sp.diags_array(w) @ a)[u, v]
+    cn = (a @ a)[u, v]
+    if scorer == "cn":
+        return cn
+    union = d[u] + d[v] - cn
+    return np.divide(cn, union, out=np.zeros_like(cn), where=union > 0)

@@ -14,6 +14,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class Hypergraph:
@@ -66,7 +67,7 @@ class SimpleGraph:
     derived graphs (e.g. with one edge removed) can share unchanged rows.
     """
 
-    __slots__ = ("n", "_adj", "_edge_count", "_hash", "__weakref__")
+    __slots__ = ("n", "_adj", "_edge_count", "_hash")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -131,13 +132,19 @@ class SimpleGraph:
         rows[v] = rows[v] - {u}
         return SimpleGraph._from_adj(self.n, tuple(rows))
 
+    def adjacency_csr(self) -> sp.csr_array:
+        """0/1 float adjacency in CSR form with sorted column indices, so
+        row-major entry order is ascending ``(u, v)``."""
+        idx = sp.get_index_dtype(maxval=max(self.n, 2 * self._edge_count))
+        indptr = np.zeros(self.n + 1, dtype=idx)
+        np.cumsum([len(row) for row in self._adj], out=indptr[1:])
+        indices = np.fromiter(
+            (v for row in self._adj for v in sorted(row)), dtype=idx, count=indptr[-1]
+        )
+        return sp.csr_array((np.ones(len(indices)), indices, indptr), shape=(self.n, self.n))
+
     def adjacency_matrix(self, dtype=np.float64) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=dtype)
-        for u in range(self.n):
-            idx = list(self._adj[u])
-            if idx:
-                a[u, idx] = 1
-        return a
+        return self.adjacency_csr().toarray().astype(dtype, copy=False)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimpleGraph):

@@ -33,8 +33,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .evaluation import all_pairs, auc, auc_conditional, leave_one_out, model_auc
-from .heuristics import score
+from .evaluation import (
+    _cross_class_counts,
+    _pair_labels,
+    auc,
+    auc_conditional,
+    leave_one_out,
+    model_auc,
+)
+from .heuristics import score_pairs
 from .hypergraph import Hypergraph, SimpleGraph, clique_expand, width
 from .latent import PotentialIndex, sample_hypergraph
 from .relocation import relocate
@@ -297,18 +304,17 @@ def verify_higher_order_auc_lift(
     if trials < batches:
         raise ValueError(f"need trials >= batches, got {trials} < {batches}")
 
-    pairs = all_pairs(pot.n)
-    batch_scores: list[list[float]] = [[] for _ in range(batches)]
-    batch_labels: list[list[bool]] = [[] for _ in range(batches)]
+    iu, iv = np.triu_indices(pot.n, k=1)
+    batch_scores: list[list[np.ndarray]] = [[] for _ in range(batches)]
+    batch_labels: list[list[np.ndarray]] = [[] for _ in range(batches)]
     loo_values: list[float] = []
     model_values: list[float] = []
     seeds = _spawn_seeds(seed, trials)
     for t, ts in enumerate(seeds):
         g = clique_expand(sample_hypergraph(pot, phi, ts))
         b = t % batches
-        for u, v in pairs:
-            batch_scores[b].append(score(scorer, g, u, v))
-            batch_labels[b].append(g.has_edge(u, v))
+        batch_scores[b].append(score_pairs(scorer, g, iu, iv))
+        batch_labels[b].append(_pair_labels(g, iu, iv))
         model_values.append(model_auc(pot, phi, g))
         try:
             lp = leave_one_out(g, scorer)
@@ -318,9 +324,9 @@ def verify_higher_order_auc_lift(
 
     batch_aucs = []
     for bs, bl in zip(batch_scores, batch_labels):
-        labels = np.asarray(bl)
+        labels = np.concatenate(bl)
         if labels.any() and not labels.all():
-            batch_aucs.append(auc(np.asarray(bs), labels))
+            batch_aucs.append(auc(np.concatenate(bs), labels))
     if not batch_aucs:
         return TrialSummary(
             claim_id="cn-lift",
@@ -333,8 +339,8 @@ def verify_higher_order_auc_lift(
         )
     mean, se, lo, hi = _mean_ci(batch_aucs)
 
-    all_scores = np.asarray([x for bs in batch_scores for x in bs])
-    all_labels = np.asarray([x for bl in batch_labels for x in bl])
+    all_scores = np.concatenate([x for bs in batch_scores for x in bs])
+    all_labels = np.concatenate([x for bl in batch_labels for x in bl])
     pooled, conditional = _pooled_rank_stats(all_scores, all_labels)
 
     verdict = "pass" if mean - 0.5 > 3 * se else "fail"
@@ -368,10 +374,10 @@ def exact_ensemble_auc(
     """Exact ensemble AUC by enumerating every candidate subset.
 
     Weights each of the 2^m selection outcomes by its probability, pools
-    the per-pair (score, label) mass, and ranks exactly. Returns the
-    tie-aware AUC and the strict conditional AUC (None when every
-    cross-class comparison ties). Exponential in the candidate count,
-    hence the cap.
+    the per-pair (score, label, weight) observations, and ranks exactly.
+    Returns the tie-aware AUC and the strict conditional AUC (None when
+    every cross-class comparison ties). Time and memory are exponential in
+    the candidate count, hence the cap.
     """
     cands = pot.all_candidates()
     m = len(cands)
@@ -379,43 +385,23 @@ def exact_ensemble_auc(
         raise ValueError(f"{m} candidates exceed the enumeration cap {max_candidates}")
     phi = np.asarray(phi, dtype=np.float64)
     probs = np.array([phi[len(c) - 2] for c in cands])
-    pairs = all_pairs(pot.n)
+    iu, iv = np.triu_indices(pot.n, k=1)
 
-    mass: dict[float, list[float]] = {}
-    w_pos = 0.0
-    w_neg = 0.0
+    scores, labels, weights = [], [], []
     for bits in range(2**m):
-        weight = 1.0
-        chosen = []
-        for idx in range(m):
-            if bits >> idx & 1:
-                weight *= probs[idx]
-                chosen.append(cands[idx])
-            else:
-                weight *= 1.0 - probs[idx]
+        chosen = ((bits >> np.arange(m)) & 1).astype(bool)
+        weight = float(np.prod(np.where(chosen, probs, 1.0 - probs)))
         if weight == 0.0:
             continue
-        g = clique_expand(Hypergraph(pot.n, chosen))
-        for u, v in pairs:
-            s = score(scorer, g, u, v)
-            slot = mass.setdefault(s, [0.0, 0.0])
-            if g.has_edge(u, v):
-                slot[0] += weight
-                w_pos += weight
-            else:
-                slot[1] += weight
-                w_neg += weight
+        g = clique_expand(Hypergraph(pot.n, [c for c, on in zip(cands, chosen) if on]))
+        scores.append(score_pairs(scorer, g, iu, iv))
+        labels.append(_pair_labels(g, iu, iv))
+        weights.append(np.full(len(iu), weight))
+    greater, ties, w_pos, w_neg = _cross_class_counts(
+        np.concatenate(scores), np.concatenate(labels), np.concatenate(weights)
+    )
     if w_pos == 0 or w_neg == 0:
         raise ValueError("ensemble has zero mass in one class")
-
-    greater = 0.0
-    ties = 0.0
-    neg_below = 0.0
-    for s in sorted(mass):
-        mp, mn = mass[s]
-        greater += mp * neg_below
-        ties += mp * mn
-        neg_below += mn
     total = w_pos * w_neg
     tie_aware = (greater + 0.5 * ties) / total
     conditional = greater / (total - ties) if total - ties > 0 else None

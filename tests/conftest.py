@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from hyperlp import Hypergraph
+from hyperlp import Hypergraph, SimpleGraph
 
 
 @pytest.fixture
@@ -25,3 +26,13 @@ def random_hypergraph(rng: np.random.Generator, n: int, m: int, max_size: int = 
         k = int(rng.integers(2, max_size + 1))
         edges.append([int(x) for x in rng.choice(n, size=k, replace=False)])
     return Hypergraph(n, edges)
+
+
+@st.composite
+def graphs(draw, min_n: int = 2, max_n: int = 10):
+    """Hypothesis strategy: a SimpleGraph on min_n..max_n vertices with an
+    arbitrary edge subset."""
+    n = draw(st.integers(min_n, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return SimpleGraph(n, [p for p, k in zip(pairs, keep) if k])

@@ -140,6 +140,12 @@ class TestGenerate:
         bad.write_text("n = 10\npercentiles = 9 5\n")
         assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
 
+    def test_resource_limit_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "capped.cfg"
+        cfg.write_text("n = 30\nmax_potential = 10\n")
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("error: candidate enumeration exceeded")
+
     def test_seed_override(self, cfg_file, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
         main(["generate", "--config", str(cfg_file), "--out", str(out1), "--seed", "99"])
@@ -266,18 +272,6 @@ class TestAdjust:
         assert float(rows[1][1]) == 0.875
         payload = json.loads(out.with_suffix(".json").read_text())
         assert payload["reports"]["cn"]["n_runs"] == 3
-
-    def test_threads_env(self, toy_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("HYPERLP_THREADS", "2")
-        out = tmp_path / "adj"
-        assert main([
-            "adjust", "--data", str(toy_file), "--algorithms", "cn,aa",
-            "--runs", "2", "--out", str(out),
-        ]) == 0
-
-    def test_bad_threads_env(self, toy_file, monkeypatch):
-        monkeypatch.setenv("HYPERLP_THREADS", "lots")
-        assert main(["adjust", "--data", str(toy_file), "--algorithms", "cn"]) == 2
 
 
 def test_version_flag():

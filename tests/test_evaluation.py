@@ -3,8 +3,12 @@ exact-probability ceiling."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from conftest import graphs
 from hyperlp import (
+    SCORER_IDS,
     Hypergraph,
     ScanPoint,
     SimpleGraph,
@@ -16,9 +20,15 @@ from hyperlp import (
     model_auc,
     overestimation_scan,
     potential_from_candidates,
+    score,
     split_evaluate,
 )
-from hyperlp.evaluation import LabeledPairs
+from hyperlp.evaluation import (
+    LabeledPairs,
+    _cross_class_counts,
+    _sample_distance_limited_non_links,
+    all_pairs,
+)
 
 
 def brute_force_auc(scores, labels):
@@ -41,6 +51,44 @@ def brute_force_conditional(scores, labels):
     wins = sum(1 for p in pos for n in neg if p > n)
     informative = sum(1 for p in pos for n in neg if p != n)
     return wins / informative
+
+
+def brute_force_counts(scores, labels, weights):
+    """O(P*N) weighted (greater, ties, P, N)."""
+    pos = [(s, w) for s, l, w in zip(scores, labels, weights) if l]
+    neg = [(s, w) for s, l, w in zip(scores, labels, weights) if not l]
+    greater = sum(wp * wn for sp, wp in pos for sn, wn in neg if sp > sn)
+    ties = sum(wp * wn for sp, wp in pos for sn, wn in neg if sp == sn)
+    return greater, ties, sum(w for _, w in pos), sum(w for _, w in neg)
+
+
+def leave_one_out_oracle(g, scorer):
+    """Per-pair leave-one-out: each edge scored on a copy without it."""
+    pairs = all_pairs(g.n)
+    labels = [g.has_edge(u, v) for u, v in pairs]
+    scores = [
+        score(scorer, g.without_edge(u, v) if edge else g, u, v)
+        for (u, v), edge in zip(pairs, labels)
+    ]
+    return pairs, labels, scores
+
+
+def bfs_non_links(g_full, g_train, d_hop):
+    """Non-links of the full graph at train distance 2..d_hop, by a BFS
+    per source, in (source, target) order."""
+    out = []
+    for src in range(g_train.n):
+        dist = {src: 0}
+        frontier = [src]
+        for depth in range(1, d_hop + 1):
+            frontier = [w for u in frontier for w in sorted(g_train.neighbors(u)) if w not in dist]
+            for w in frontier:
+                dist.setdefault(w, depth)
+        out += [
+            (src, w) for w in sorted(dist)
+            if dist[w] >= 2 and src < w and not g_full.has_edge(src, w)
+        ]
+    return out
 
 
 class TestAuc:
@@ -83,6 +131,21 @@ class TestAuc:
             except ZeroDivisionError:
                 continue
             assert auc_conditional(scores, labels) == pytest.approx(expected, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 5), st.booleans(), st.floats(0.01, 10.0)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_weighted_counts_match_brute_force(self, obs):
+        scores, labels, weights = (np.array(x) for x in zip(*obs))
+        got = _cross_class_counts(scores.astype(float), labels, weights)
+        assert np.allclose(got, brute_force_counts(scores, labels, weights), rtol=1e-12)
+        unit = np.ones(len(scores))
+        assert _cross_class_counts(scores, labels) == brute_force_counts(scores, labels, unit)
 
     def test_complement_identity(self):
         rng = np.random.default_rng(4)
@@ -155,6 +218,20 @@ class TestLeaveOneOut:
         got = dict(zip(lp.pairs, lp.scores))
         assert got[(0, 1)] > got[(3, 4)]  # surviving triangle vs orphaned pair
 
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(min_n=3, max_n=9))
+    def test_matches_per_pair_oracle(self, g):
+        assume(0 < g.edge_count < g.n * (g.n - 1) // 2)
+        for s in SCORER_IDS:
+            pairs, labels, scores = leave_one_out_oracle(g, s)
+            lp = leave_one_out(g, s)
+            assert lp.pairs == pairs
+            assert lp.labels.tolist() == labels
+            if s in ("aa", "ra"):
+                assert np.allclose(lp.scores, scores, rtol=1e-12, atol=0.0), s
+            else:
+                assert lp.scores.tolist() == scores, s
+
 
 class TestSplitEvaluate:
     @staticmethod
@@ -223,6 +300,28 @@ class TestSplitEvaluate:
         assert not (positives & train)
         for pair in positives:
             assert pair in set(edges)
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs(min_n=3, max_n=12), st.data())
+    def test_negative_sampler_matches_bfs(self, g, data):
+        edges = sorted(g.edges())
+        keep = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+        g_train = SimpleGraph(g.n, [e for e, k in zip(edges, keep) if k])
+        d_hop = data.draw(st.integers(2, 4))
+        wanted = data.draw(st.integers(1, 12))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        cands = bfs_non_links(g, g_train, d_hop)
+        if len(cands) < wanted:
+            with pytest.raises(ValueError, match=f"short by {wanted - len(cands)}"):
+                _sample_distance_limited_non_links(
+                    g, g_train, d_hop, wanted, np.random.default_rng(seed)
+                )
+            return
+        chosen = np.sort(np.random.default_rng(seed).choice(len(cands), size=wanted, replace=False))
+        got = _sample_distance_limited_non_links(
+            g, g_train, d_hop, wanted, np.random.default_rng(seed)
+        )
+        assert got == [cands[i] for i in chosen]
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):

@@ -4,9 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from hyperlp import SCORER_IDS, SimpleGraph, score, score_all_pairs, simrank_matrix
+from conftest import graphs
+from hyperlp import SCORER_IDS, SimpleGraph, er_sample, score, score_pairs, simrank_matrix
 from hyperlp.heuristics import SIMRANK_DECAY, SimRankConvergenceError
+
+# AA and RA sum the same terms in another order than the per-pair scorers.
+PARITY_REL = {"aa": 1e-12, "ra": 1e-12}
 
 
 def path_graph(n):
@@ -112,12 +117,23 @@ class TestSharedProperties:
                     score(s, g2, int(perm[u]), int(perm[v])), abs=1e-9
                 )
 
-    def test_score_all_pairs(self):
+    def test_score_pairs(self):
         g = path_graph(4)
-        assert score_all_pairs("cn", g, []) == []
-        out = score_all_pairs("cn", g, [(0, 2), (0, 2), (0, 3)])
-        assert out[0] == out[1]  # duplicates score identically
-        assert len(out) == 3
+        for s in SCORER_IDS:
+            assert len(score_pairs(s, g, [], [])) == 0
+            out = score_pairs(s, g, [0, 0, 0], [2, 2, 3])
+            assert out[0] == out[1]  # duplicates score identically
+            assert len(out) == 3
+
+    def test_score_pairs_checks_pairs(self):
+        g = path_graph(4)
+        for s in SCORER_IDS:
+            with pytest.raises(ValueError, match="itself"):
+                score_pairs(s, g, [0, 1], [2, 1])
+            with pytest.raises(ValueError, match="outside"):
+                score_pairs(s, g, [0], [4])
+        with pytest.raises(ValueError, match="valid ids"):
+            score_pairs("katz", g, [], [])
 
 
 class TestSimRank:
@@ -157,3 +173,61 @@ class TestSimRank:
     def test_disconnected_vertices_score_zero(self):
         g = SimpleGraph(4, [(0, 1)])
         assert score("sr", g, 0, 3) == 0.0
+
+
+class TestScorePairsParity:
+    @settings(max_examples=60, deadline=None)
+    @given(graphs())
+    def test_matches_per_pair_scorers(self, g):
+        # every pair in a shuffled order, each in a random orientation
+        rng = np.random.default_rng(g.n + g.edge_count)
+        iu, iv = np.triu_indices(g.n, k=1)
+        perm = rng.permutation(len(iu))
+        flip = rng.random(len(iu)) < 0.5
+        u, v = np.where(flip, iv, iu)[perm], np.where(flip, iu, iv)[perm]
+        for s in SCORER_IDS:
+            got = score_pairs(s, g, u, v)
+            want = np.array([score(s, g, a, b) for a, b in zip(u.tolist(), v.tolist())])
+            rel = PARITY_REL.get(s, 0.0)
+            assert np.allclose(got, want, rtol=rel, atol=0.0) if rel else np.array_equal(got, want), s
+
+
+def to_networkx(nx, g):
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges())
+    return G
+
+
+class TestNetworkxCrossCheck:
+    """networkx as an independent reference where the definitions agree.
+    Its Adamic/Adar weighs by 1/log(deg), not 1/log(1 + deg), so AA is not
+    compared."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(min_n=3))
+    def test_cn_ra_jc_pa(self, g):
+        nx = pytest.importorskip("networkx")
+        G = to_networkx(nx, g)
+        iu, iv = np.triu_indices(g.n, k=1)
+        ebunch = list(zip(iu.tolist(), iv.tolist()))
+        want = {
+            "cn": [float(len(list(nx.common_neighbors(G, u, v)))) for u, v in ebunch],
+            "ra": [p for _, _, p in nx.resource_allocation_index(G, ebunch)],
+            "jc": [float(p) for _, _, p in nx.jaccard_coefficient(G, ebunch)],
+            "pa": [float(p) for _, _, p in nx.preferential_attachment(G, ebunch)],
+        }
+        for s, values in want.items():
+            got = score_pairs(s, g, iu, iv)
+            if s == "ra":  # networkx sums in set order
+                assert np.allclose(got, values, rtol=PARITY_REL["ra"], atol=0.0)
+            else:
+                assert got.tolist() == values, s
+
+    def test_simrank(self):
+        nx = pytest.importorskip("networkx")
+        for seed in range(20):
+            g = er_sample(15, 0.3, seed)
+            ref = nx.simrank_similarity(to_networkx(nx, g), importance_factor=SIMRANK_DECAY)
+            want = np.array([[ref[u][v] for v in range(g.n)] for u in range(g.n)])
+            assert np.max(np.abs(simrank_matrix(g) - want)) < 5e-4
