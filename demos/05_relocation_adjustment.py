@@ -34,14 +34,17 @@ else:
 
 print(f"dataset: {name} ({h.n} vertices, {len(h)} hyperedges)")
 print(f"{'scorer':<8}{'auc':>8}{'rel mean':>10}{'rel std':>9}{'factor':>8}{'adjusted':>10}")
-reports = {}
-for scorer in ("cn", "aa", "pa", "jc", "ra"):
-    rep = adjusted_auc(h, scorer, protocol="loo", n_runs=5, seed=17)
-    reports[scorer] = rep
+# one call: every scorer is judged on the same relocated graphs and pairs
+reports = adjusted_auc(h, ("cn", "aa", "pa", "jc", "ra"), protocol="loo", n_runs=5, seed=17)
+for scorer, rep in reports.items():
+    if isinstance(rep, Exception):
+        print(f"{scorer:<8}failed: {rep}")
+        continue
     print(
         f"{scorer:<8}{rep.auc_original:>8.3f}{rep.auc_rel_mean:>10.3f}"
         f"{rep.auc_rel_std:>9.3f}{rep.af:>8.3f}{rep.auc_adjusted:>10.3f}"
     )
+reports = {s: rep for s, rep in reports.items() if not isinstance(rep, Exception)}
 
 flips = performance_reversal_check(reports)
 if flips:

@@ -23,6 +23,7 @@ from .evaluation import (
     SplitSpec,
     auc,
     auc_conditional,
+    evaluate_protocol,
     leave_one_out,
     model_auc,
     overestimation_scan,
@@ -67,7 +68,6 @@ from .relocation import (
     AdjustmentReport,
     adjusted_auc,
     assemble_report,
-    evaluate_protocol,
     performance_reversal_check,
     relocate,
 )

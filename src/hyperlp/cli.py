@@ -8,6 +8,10 @@ results to JSON with an embedded run manifest; a sibling
 version, and input checksums. Reruns with the same manifest produce
 byte-identical CSV.
 
+``evaluate`` and ``adjust`` format one ``adjusted_auc`` call (or, for
+``evaluate --runs 0``, one ``evaluate_protocol`` call) that scores every
+scorer on the same graphs and pairs; a failed scorer goes to ``errors``.
+
 Exit codes: 0 success, 2 validation error or resource limit (the
 candidate enumeration cap, ``max_potential``), 3 data error, 4 internal
 error.
@@ -38,13 +42,12 @@ from .datasets import (
     save_plain,
 )
 from .evaluation import (
+    LabeledPairs,
     ScanPoint,
     SplitSpec,
-    auc,
-    auc_conditional,
-    leave_one_out,
+    _auc_pair,
+    evaluate_protocol,
     overestimation_scan,
-    split_evaluate,
 )
 from .heuristics import SCORER_IDS
 from .hypergraph import Hypergraph, clique_expand, size_distribution
@@ -58,7 +61,7 @@ from .latent import (
     sample_hypergraph,
     sample_latents,
 )
-from .relocation import adjusted_auc, performance_reversal_check
+from .relocation import AdjustmentReport, adjusted_auc, performance_reversal_check
 from .verify import (
     verify_er_auc_baseline,
     verify_er_clustering,
@@ -276,55 +279,56 @@ def cmd_fit_sizes(args) -> int:
     return 0
 
 
+_ENTRY_FIELDS = (
+    "n_pos", "n_neg", "auc_conditional",
+    "auc_rel_mean", "auc_rel_std", "af", "auc_adjusted", "n_runs",
+)
+
+
+def _evaluate_entry(scorer: str, result: LabeledPairs | AdjustmentReport | Exception) -> dict:
+    """One ``evaluate`` result, from a scorer's pair set (``--runs 0``) or
+    its adjustment report; a failed scorer's exception is raised."""
+    if isinstance(result, Exception):
+        raise result
+    if isinstance(result, AdjustmentReport):
+        return {"scorer": scorer, "auc": result.auc_original,
+                **{k: getattr(result, k) for k in _ENTRY_FIELDS}}
+    auc, conditional = _auc_pair(result.scores, result.labels)
+    return {"scorer": scorer, "auc": auc, "n_pos": result.n_pos, "n_neg": result.n_neg,
+            "auc_conditional": conditional}
+
+
+def _print_entries(dataset: str, entries: list[dict], reversals) -> None:
+    for r in entries:
+        line = f"{dataset} {r['scorer']}: auc={r['auc']:.4f}"
+        if "auc_adjusted" in r:
+            line += (f" rel={r['auc_rel_mean']:.4f}+-{r['auc_rel_std']:.4f}"
+                     f" af={r['af']:.4f} adj={r['auc_adjusted']:.4f}")
+        print(line)
+    for a, b in reversals:
+        print(f"reversal: {a} vs {b}")
+
+
 def cmd_evaluate(args) -> int:
     bundle = _load_bundle(args)
-    g = clique_expand(bundle.hypergraph)
     protocol = _protocol_from_args(args)
-
-    def one_scorer(scorer: str) -> dict:
-        lp = leave_one_out(g, scorer) if protocol == "loo" else split_evaluate(g, scorer, protocol)
-        entry = {
-            "scorer": scorer,
-            "auc": auc(lp.scores, lp.labels),
-            "n_pos": lp.n_pos,
-            "n_neg": lp.n_neg,
-        }
-        try:
-            entry["auc_conditional"] = auc_conditional(lp.scores, lp.labels)
-        except ValueError:
-            entry["auc_conditional"] = None
-        if args.runs > 0:
-            report = adjusted_auc(
-                bundle.hypergraph, scorer, protocol, n_runs=args.runs, seed=args.seed
-            )
-            entry.update(
-                {
-                    "auc_rel_mean": report.auc_rel_mean,
-                    "auc_rel_std": report.auc_rel_std,
-                    "af": report.af,
-                    "auc_adjusted": report.auc_adjusted,
-                    "n_runs": report.n_runs,
-                    "_report": report,
-                }
-            )
-        return entry
+    if args.runs > 0:
+        outcome = adjusted_auc(
+            bundle.hypergraph, args.algorithms, protocol, n_runs=args.runs, seed=args.seed
+        )
+    else:
+        outcome = evaluate_protocol(clique_expand(bundle.hypergraph), args.algorithms, protocol)
 
     results = []
     errors = {}
     for scorer in args.algorithms:
         try:
-            results.append(one_scorer(scorer))
+            results.append(_evaluate_entry(scorer, outcome[scorer]))
         except Exception as exc:  # isolated per-scorer failure
             errors[scorer] = str(exc)
-
-    reversals = []
-    if args.runs > 0 and len(results) >= 2:
-        reversals = performance_reversal_check(
-            {r["scorer"]: r.pop("_report") for r in results}
-        )
-    else:
-        for r in results:
-            r.pop("_report", None)
+    reversals = performance_reversal_check(
+        {s: r for s, r in outcome.items() if isinstance(r, AdjustmentReport)}
+    )
 
     manifest = _manifest(
         "evaluate",
@@ -346,14 +350,9 @@ def cmd_evaluate(args) -> int:
         "auc_rel_mean", "auc_rel_std", "af", "auc_adjusted", "n_runs", "seed",
     ]
     rows = [
-        [
-            bundle.name, r["scorer"], args.protocol, r["auc"],
-            "" if r.get("auc_conditional") is None else r["auc_conditional"],
-            r["n_pos"], r["n_neg"],
-            r.get("auc_rel_mean", ""), r.get("auc_rel_std", ""),
-            r.get("af", ""), r.get("auc_adjusted", ""), r.get("n_runs", ""),
-            args.seed,
-        ]
+        [bundle.name, r["scorer"], args.protocol]
+        + ["" if r.get(key) is None else r[key] for key in header[3:-1]]
+        + [args.seed]
         for r in results
     ]
     for a, b in reversals:
@@ -368,17 +367,7 @@ def cmd_evaluate(args) -> int:
     }
     _emit(payload, args, csv_header=header, csv_rows=rows)
     if args.out is not None:
-        for r in results:
-            print(f"{bundle.name} {r['scorer']}: auc={r['auc']:.4f}", end="")
-            if "auc_adjusted" in r:
-                print(
-                    f" rel={r['auc_rel_mean']:.4f}+-{r['auc_rel_std']:.4f}"
-                    f" af={r['af']:.4f} adj={r['auc_adjusted']:.4f}"
-                )
-            else:
-                print()
-        for a, b in reversals:
-            print(f"reversal: {a} vs {b}")
+        _print_entries(bundle.name, results, reversals)
     if errors and not results:
         raise RuntimeError(f"every scorer failed: {errors}")
     return 0
@@ -512,15 +501,11 @@ def cmd_adjust(args) -> int:
     bundle = _load_bundle(args)
     protocol = _protocol_from_args(args)
 
-    reports = {}
-    errors = {}
-    for scorer in args.algorithms:
-        try:
-            reports[scorer] = adjusted_auc(
-                bundle.hypergraph, scorer, protocol, n_runs=args.runs, seed=args.seed
-            )
-        except Exception as exc:  # isolated per-scorer failure
-            errors[scorer] = str(exc)
+    outcome = adjusted_auc(
+        bundle.hypergraph, args.algorithms, protocol, n_runs=args.runs, seed=args.seed
+    )
+    reports = {s: r for s, r in outcome.items() if not isinstance(r, Exception)}
+    errors = {s: str(r) for s, r in outcome.items() if isinstance(r, Exception)}
     if not reports:
         raise RuntimeError(f"every scorer failed: {errors}")
     reversals = performance_reversal_check(reports)
@@ -557,14 +542,7 @@ def cmd_adjust(args) -> int:
     }
     _emit(payload, args, csv_header=header, csv_rows=[row])
     if args.out is not None:
-        for scorer, rep in reports.items():
-            print(
-                f"{bundle.name} {scorer}: auc={rep.auc_original:.4f} "
-                f"rel={rep.auc_rel_mean:.4f}+-{rep.auc_rel_std:.4f} "
-                f"af={rep.af:.4f} adj={rep.auc_adjusted:.4f}"
-            )
-        for a, b in reversals:
-            print(f"reversal: {a} vs {b}")
+        _print_entries(bundle.name, [_evaluate_entry(s, r) for s, r in reports.items()], reversals)
     return 0
 
 

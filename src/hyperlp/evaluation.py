@@ -15,20 +15,23 @@ Both count by one sort of the scores: ``_cross_class_counts`` groups
 exactly equal scores and accumulates (optionally weighted) class counts
 per group.
 
-Protocols: ``leave_one_out`` scores every existing edge on the graph with
+Protocols: leave-one-out scores every existing edge on the graph with
 that one edge removed (non-edges are scored on the intact graph) and
-covers all vertex pairs; ``split_evaluate`` removes a test fraction of
-edges, trains on the rest, and samples distance-limited non-links as
-negatives. Both score their whole pair set with one
-:func:`~hyperlp.heuristics.score_pairs` call. Leave-one-out needs no
-per-edge graph copy except for SimRank: removing edge {u, v} changes no
-common neighbor of u and v and no degree of one, so CN, AA and RA keep
-their intact-graph value, PA becomes ``(d_u - 1)(d_v - 1)`` and JC's
-union shrinks by 2.
+covers all vertex pairs; a split (:class:`SplitSpec`) removes a test
+fraction of edges, trains on the rest, and samples distance-limited
+non-links as negatives. :func:`evaluate_protocol` builds a graph's pair
+set, labels and scoring graph once and scores them with every scorer,
+one :func:`~hyperlp.heuristics.score_pairs` call each;
+``leave_one_out`` and ``split_evaluate`` are its one-scorer case.
+Leave-one-out needs no per-edge graph copy except for SimRank: removing
+edge {u, v} changes no common neighbor of u and v and no degree of one,
+so CN, AA and RA keep their intact-graph value, PA becomes
+``(d_u - 1)(d_v - 1)`` and JC's union shrinks by 2.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -126,28 +129,31 @@ def _cross_class_counts(scores, labels, weights=None) -> tuple[float, float, flo
     return float(pos @ neg_below), float(pos @ neg), float(pos.sum()), float(neg.sum())
 
 
-def auc(scores: Sequence[float], labels: Sequence[bool]) -> float:
-    """Tie-aware AUC: probability a random positive outranks a random
-    negative, ties counting one half."""
-    greater, ties, n_pos, n_neg = _cross_class_counts(scores, labels)
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError(
-            f"AUC needs both classes; got {n_pos:g} positives, {n_neg:g} negatives"
-        )
-    return (greater + 0.5 * ties) / (n_pos * n_neg)
-
-
-def auc_conditional(scores: Sequence[float], labels: Sequence[bool]) -> float:
-    """Strict AUC conditioned on non-tied cross-class comparisons."""
+def _auc_pair(scores, labels) -> tuple[float, float | None]:
+    """(tie-aware AUC, strict conditional AUC or None when every
+    cross-class comparison ties), from one count."""
     greater, ties, n_pos, n_neg = _cross_class_counts(scores, labels)
     if n_pos == 0 or n_neg == 0:
         raise ValueError(
             f"AUC needs both classes; got {n_pos:g} positives, {n_neg:g} negatives"
         )
     informative = n_pos * n_neg - ties
-    if informative == 0:
+    conditional = greater / informative if informative else None
+    return (greater + 0.5 * ties) / (n_pos * n_neg), conditional
+
+
+def auc(scores: Sequence[float], labels: Sequence[bool]) -> float:
+    """Tie-aware AUC: probability a random positive outranks a random
+    negative, ties counting one half."""
+    return _auc_pair(scores, labels)[0]
+
+
+def auc_conditional(scores: Sequence[float], labels: Sequence[bool]) -> float:
+    """Strict AUC conditioned on non-tied cross-class comparisons."""
+    conditional = _auc_pair(scores, labels)[1]
+    if conditional is None:
         raise ValueError("all cross-class comparisons are ties")
-    return greater / informative
+    return conditional
 
 
 def all_pairs(n: int) -> list[tuple[int, int]]:
@@ -161,35 +167,44 @@ def _pair_labels(g: SimpleGraph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return g.adjacency_csr()[u, v] > 0
 
 
-def leave_one_out(g: SimpleGraph, scorer: str) -> LabeledPairs:
-    """Score every vertex pair; edges are scored with that single edge
-    removed, non-edges on the intact graph.
+def _scorer_ids(scorers: Sequence[str]) -> list[str]:
+    if isinstance(scorers, str):  # "cn" would read as the scorers "c" and "n"
+        raise TypeError(f"scorers must be a sequence of ids such as [{scorers!r}]")
+    return list(dict.fromkeys(scorers))
 
-    All pairs are scored once on the intact graph, then edge scores are
-    corrected in closed form (see the module docstring). SimRank has no
-    closed form and takes one solve per edge on the graph without it.
-    """
+
+def _unwrap(result: LabeledPairs | Exception) -> LabeledPairs:
+    """A scorer's slot of :func:`evaluate_protocol`, raising its exception."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _loo_pair_set(g: SimpleGraph):
+    """Every vertex pair, labeled by adjacency and scored on ``g``."""
     if g.edge_count == 0:
         raise ValueError("leave-one-out needs at least one edge")
     iu, iv = np.triu_indices(g.n, k=1)
     if g.edge_count == len(iu):
         raise ValueError("leave-one-out needs at least one non-edge")
-    labels = _pair_labels(g, iu, iv)
-    scores = score_pairs(scorer, g, iu, iv)
-    eu, ev = iu[labels], iv[labels]
-    d = np.array([g.degree(w) for w in range(g.n)], dtype=np.float64)
+    return g, iu, iv, _pair_labels(g, iu, iv)
+
+
+def _without_each_edge(scorer: str, g: SimpleGraph, u: np.ndarray, v: np.ndarray):
+    """Scores of the edges ``(u[i], v[i])``, each on ``g`` without it; None
+    where the intact-graph score stands (CN, AA, RA)."""
+    d = np.diff(g.adjacency_csr().indptr).astype(np.float64)
     if scorer == "pa":
-        scores[labels] = (d[eu] - 1) * (d[ev] - 1)
-    elif scorer == "jc":
-        cn = score_pairs("cn", g, eu, ev)
-        union = d[eu] + d[ev] - cn - 2
-        scores[labels] = np.divide(cn, union, out=np.zeros_like(cn), where=union > 0)
-    elif scorer == "sr":
-        scores[labels] = [
-            simrank_matrix(g.without_edge(u, v))[u, v]
-            for u, v in zip(eu.tolist(), ev.tolist())
-        ]
-    return LabeledPairs(pairs=list(zip(iu.tolist(), iv.tolist())), labels=labels, scores=scores)
+        return (d[u] - 1) * (d[v] - 1)
+    if scorer == "jc":
+        cn = score_pairs("cn", g, u, v)
+        union = d[u] + d[v] - cn - 2
+        return np.divide(cn, union, out=np.zeros_like(cn), where=union > 0)
+    if scorer == "sr":
+        return np.array(
+            [simrank_matrix(g.without_edge(a, b))[a, b] for a, b in zip(u.tolist(), v.tolist())]
+        )
+    return None
 
 
 def _sample_distance_limited_non_links(
@@ -227,16 +242,9 @@ def _sample_distance_limited_non_links(
     return list(zip(rows.tolist(), cand.indices[chosen].tolist()))
 
 
-def split_evaluate(g: SimpleGraph, scorer: str, spec: SplitSpec) -> LabeledPairs:
-    """Hold out a test fraction of edges, score held-out positives and
-    sampled non-links on the train graph.
-
-    Negatives are non-links of the original graph whose train-graph
-    shortest-path distance falls in ``[2, d_hop]`` (with
-    ``negative_ratio=None``, every non-link of the original graph is
-    used instead). Deterministic for a fixed ``spec.seed``.
-    """
-    edges = sorted(g.edges())
+def _split_pair_set(g: SimpleGraph, spec: SplitSpec):
+    """Held-out edges and sampled non-links, scored on the train graph."""
+    edges = np.array(sorted(g.edges()), dtype=np.int64).reshape(-1, 2)
     m = len(edges)
     n_test = math.ceil((1.0 - spec.rho) * m)
     if n_test == 0 or n_test == m:
@@ -244,27 +252,70 @@ def split_evaluate(g: SimpleGraph, scorer: str, spec: SplitSpec) -> LabeledPairs
             f"split leaves an empty class: {m} edges, {n_test} test positives"
         )
     rng = np.random.default_rng(spec.seed)
-    test_idx = rng.choice(m, size=n_test, replace=False)
-    test_mask = np.zeros(m, dtype=bool)
-    test_mask[test_idx] = True
-    positives = [edges[i] for i in range(m) if test_mask[i]]
-    train_edges = [edges[i] for i in range(m) if not test_mask[i]]
-    g_train = SimpleGraph(g.n, train_edges)
-
+    test = np.zeros(m, dtype=bool)
+    test[rng.choice(m, size=n_test, replace=False)] = True
+    g_train = SimpleGraph(g.n, edges[~test].tolist())
     if spec.negative_ratio is None:
         negatives = list(g.non_edges())
     else:
         wanted = round(spec.negative_ratio * n_test)
-        negatives = _sample_distance_limited_non_links(
-            g, g_train, spec.d_hop, wanted, rng
-        )
+        negatives = _sample_distance_limited_non_links(g, g_train, spec.d_hop, wanted, rng)
     if not negatives:
         raise ValueError("no negatives available for the split")
+    u, v = np.concatenate([edges[test], np.reshape(negatives, (-1, 2))]).T
+    return g_train, u, v, np.arange(len(u)) < n_test
 
-    pairs = positives + negatives
-    labels = np.array([True] * len(positives) + [False] * len(negatives))
-    u, v = np.array(pairs, dtype=np.int64).T
-    return LabeledPairs(pairs=pairs, labels=labels, scores=score_pairs(scorer, g_train, u, v))
+
+def evaluate_protocol(
+    g: SimpleGraph, scorers: Sequence[str], protocol: str | SplitSpec = "loo"
+) -> dict[str, LabeledPairs | Exception]:
+    """Score one pair set of ``g``, built once under ``protocol`` (``"loo"``
+    or a :class:`SplitSpec`), with every scorer.
+
+    Every result shares one ``pairs`` list and ``labels`` array, checked
+    once. A scorer that raises gets its exception in its own slot; when
+    the pair set cannot be built (no non-edge, too few negatives), its
+    exception fills every slot.
+    """
+    scorers = _scorer_ids(scorers)
+    loo = protocol == "loo"
+    if not (loo or isinstance(protocol, SplitSpec)):
+        raise ValueError(f"unknown protocol {protocol!r}; use 'loo' or a SplitSpec")
+    try:
+        scored_on, u, v, labels = _loo_pair_set(g) if loo else _split_pair_set(g, protocol)
+        base = LabeledPairs(pairs=list(zip(u.tolist(), v.tolist())), labels=labels)
+    except Exception as exc:
+        return dict.fromkeys(scorers, exc)
+    out: dict[str, LabeledPairs | Exception] = {}
+    for scorer in scorers:
+        try:
+            scores = score_pairs(scorer, scored_on, u, v)
+            edge_scores = _without_each_edge(scorer, g, u[labels], v[labels]) if loo else None
+            if edge_scores is not None:
+                scores[labels] = edge_scores
+            out[scorer] = copy.copy(base)  # shares pairs and labels
+            out[scorer].scores = scores
+        except Exception as exc:  # isolated per-scorer failure
+            out[scorer] = exc
+    return out
+
+
+def leave_one_out(g: SimpleGraph, scorer: str) -> LabeledPairs:
+    """Score every vertex pair; edges are scored with that single edge
+    removed (in closed form, except SimRank: one solve per edge), non-edges
+    on the intact graph."""
+    return _unwrap(evaluate_protocol(g, [scorer], "loo")[scorer])
+
+
+def split_evaluate(g: SimpleGraph, scorer: str, spec: SplitSpec) -> LabeledPairs:
+    """Hold out a test fraction of edges, score held-out positives and
+    sampled non-links on the train graph.
+
+    Negatives are non-links of the original graph within ``d_hop``
+    train-graph hops (every non-link with ``negative_ratio=None``).
+    Deterministic for a fixed ``spec.seed``.
+    """
+    return _unwrap(evaluate_protocol(g, [scorer], spec)[scorer])
 
 
 def model_auc(pot: PotentialIndex, phi: Sequence[float], g: SimpleGraph) -> float:
@@ -341,16 +392,13 @@ def overestimation_scan(
                 h = sample_hypergraph(pot, point.phi, rep_seed)
                 g = clique_expand(h)
                 truth = model_auc(pot, point.phi, g)
+                results = evaluate_protocol(g, scorers, "loo")
             except Exception as exc:
-                for scorer in scorers:
-                    rows.append(
-                        ScanRow(point=point, scorer=scorer, seed=rep_seed, error=str(exc))
-                    )
-                continue
+                truth, results = None, dict.fromkeys(scorers, exc)
             for scorer in scorers:
                 row = ScanRow(point=point, scorer=scorer, seed=rep_seed, model_auc=truth)
                 try:
-                    lp = leave_one_out(g, scorer)
+                    lp = _unwrap(results[scorer])
                     row.heuristic_auc = auc(lp.scores, lp.labels)
                     row.overestimated = row.heuristic_auc > truth
                 except Exception as exc:

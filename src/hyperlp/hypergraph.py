@@ -67,7 +67,7 @@ class SimpleGraph:
     derived graphs (e.g. with one edge removed) can share unchanged rows.
     """
 
-    __slots__ = ("n", "_adj", "_edge_count", "_hash")
+    __slots__ = ("n", "_adj", "_edge_count", "_hash", "_csr")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -84,6 +84,7 @@ class SimpleGraph:
         self._adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
         self._edge_count = sum(len(s) for s in self._adj) // 2
         self._hash = None
+        self._csr = None
 
     @classmethod
     def _from_adj(cls, n: int, adj: tuple[frozenset[int], ...]) -> "SimpleGraph":
@@ -93,6 +94,7 @@ class SimpleGraph:
         g._adj = adj
         g._edge_count = sum(len(s) for s in adj) // 2
         g._hash = None
+        g._csr = None
         return g
 
     def neighbors(self, v: int) -> frozenset[int]:
@@ -134,14 +136,17 @@ class SimpleGraph:
 
     def adjacency_csr(self) -> sp.csr_array:
         """0/1 float adjacency in CSR form with sorted column indices, so
-        row-major entry order is ascending ``(u, v)``."""
-        idx = sp.get_index_dtype(maxval=max(self.n, 2 * self._edge_count))
-        indptr = np.zeros(self.n + 1, dtype=idx)
-        np.cumsum([len(row) for row in self._adj], out=indptr[1:])
-        indices = np.fromiter(
-            (v for row in self._adj for v in sorted(row)), dtype=idx, count=indptr[-1]
-        )
-        return sp.csr_array((np.ones(len(indices)), indices, indptr), shape=(self.n, self.n))
+        row-major entry order is ascending ``(u, v)``. Built on first use
+        and kept: callers share it and must not modify it."""
+        if self._csr is None:
+            idx = sp.get_index_dtype(maxval=max(self.n, 2 * self._edge_count))
+            indptr = np.zeros(self.n + 1, dtype=idx)
+            np.cumsum([len(row) for row in self._adj], out=indptr[1:])
+            indices = np.fromiter(
+                (v for row in self._adj for v in sorted(row)), dtype=idx, count=indptr[-1]
+            )
+            self._csr = sp.csr_array((np.ones(len(indices)), indices, indptr), shape=(self.n,) * 2)
+        return self._csr
 
     def adjacency_matrix(self, dtype=np.float64) -> np.ndarray:
         return self.adjacency_csr().toarray().astype(dtype, copy=False)

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .hypergraph import Hypergraph
 
@@ -137,9 +136,22 @@ def sample_latents(n: int, d: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal((n, d))
 
 
+def _distance_matrix(positions: np.ndarray) -> np.ndarray:
+    """Dense n-by-n Euclidean distances, equal bit for bit to
+    ``scipy.spatial.distance.pdist``: squared differences are summed in
+    dimension order (``einsum`` or ``sum(axis=...)`` differ in the last
+    bits). At n=3,000 it takes 0.12-0.18 s against 0.07 s for ``pdist``
+    plus ``squareform`` (2-core Xeon host), but no run pays the 0.14 s
+    import of ``scipy.spatial``."""
+    x = np.asarray(positions, dtype=np.float64)
+    return np.sqrt(sum((x[:, k, None] - x[None, :, k]) ** 2 for k in range(x.shape[1])))
+
+
 def pairwise_distances(positions: np.ndarray) -> np.ndarray:
-    """Condensed vector of all n*(n-1)/2 pairwise Euclidean distances."""
-    return pdist(np.asarray(positions, dtype=np.float64))
+    """Condensed vector of all n*(n-1)/2 pairwise Euclidean distances, in
+    ``pdist`` order (the upper triangle, row by row)."""
+    dist = _distance_matrix(positions)
+    return dist[np.triu_indices(len(dist), k=1)]
 
 
 def radii_from_percentiles(
@@ -214,7 +226,7 @@ def build_potential(
     radii = np.asarray(radii, dtype=np.float64)
     n = positions.shape[0]
     k_max = len(radii) + 1
-    dist = squareform(pairwise_distances(positions)) if n > 1 else np.zeros((1, 1))
+    dist = _distance_matrix(positions)
 
     by_size: dict[int, list[tuple[int, ...]]] = {}
     pair_counts: dict[tuple[int, int], np.ndarray] = {}
@@ -434,7 +446,7 @@ def edge_distance_profile(
     n = model.n
     pot = build_potential(model.positions, model.radii, max_potential=max_potential)
 
-    # Condensed pair indices (pdist ordering) covered by each candidate,
+    # Condensed pair indices (row-major upper triangle) covered by each candidate,
     # one row per candidate: lets a whole trial reduce to array indexing.
     covered_idx: dict[int, np.ndarray] = {}
     for s in pot.sizes:

@@ -15,13 +15,14 @@ report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
-from .evaluation import SplitSpec, auc, leave_one_out, split_evaluate
-from .hypergraph import Hypergraph, SimpleGraph, clique_expand
+from .evaluation import SplitSpec, _auc_pair, _scorer_ids, auc, evaluate_protocol
+from .hypergraph import Hypergraph, clique_expand
 
 
 def relocate(h: Hypergraph, seed: int) -> Hypergraph:
@@ -41,7 +42,9 @@ class AdjustmentReport:
     """Raw AUC, relocated-run AUCs, and the derived adjustment.
 
     Identities maintained exactly: ``af == auc_rel_mean / 0.5`` and
-    ``auc_adjusted == auc_original / af``.
+    ``auc_adjusted == auc_original / af``. ``n_pos``, ``n_neg`` and
+    ``auc_conditional`` describe the original evaluation (0, 0 and None
+    when the report is assembled from bare AUCs).
     """
 
     auc_original: float
@@ -53,59 +56,60 @@ class AdjustmentReport:
     n_runs: int
     seeds: list[int]
     failures: list[str] = field(default_factory=list)
-
-
-def evaluate_protocol(
-    g: SimpleGraph, scorer: str, protocol: str | SplitSpec = "loo"
-) -> float:
-    """AUC of one scorer on one graph under the named protocol
-    (``"loo"`` or a :class:`SplitSpec`)."""
-    if protocol == "loo":
-        lp = leave_one_out(g, scorer)
-    elif isinstance(protocol, SplitSpec):
-        lp = split_evaluate(g, scorer, protocol)
-    else:
-        raise ValueError(f"unknown protocol {protocol!r}; use 'loo' or a SplitSpec")
-    return auc(lp.scores, lp.labels)
+    n_pos: int = 0
+    n_neg: int = 0
+    auc_conditional: float | None = None
 
 
 def adjusted_auc(
     h: Hypergraph,
-    scorer: str,
+    scorers: Sequence[str],
     protocol: str | SplitSpec = "loo",
     n_runs: int = 5,
     seed: int = 0,
-) -> AdjustmentReport:
-    """Evaluate a scorer on the hypergraph's expansion, then on ``n_runs``
-    independent relocations, and assemble the adjusted score.
+) -> dict[str, AdjustmentReport | Exception]:
+    """Evaluate every scorer on the hypergraph's expansion, then on
+    ``n_runs`` independent relocations, and assemble each scorer's
+    adjusted score.
 
-    The same protocol (including any split seed inside it) is applied to
-    the original and to every relocated hypergraph, so only the
-    relocation varies between runs. Failed runs are recorded and skipped;
-    the call fails only when every run fails.
+    Each graph gets one pair set, scored by every scorer (see
+    :func:`~hyperlp.evaluation.evaluate_protocol`); the same protocol,
+    split seed included, is applied to every graph, so only the
+    relocation varies between runs. Failed runs are recorded per scorer
+    and skipped. A scorer whose original evaluation fails, or whose every
+    run fails, gets the exception in its slot instead of a report.
     """
+    scorers = _scorer_ids(scorers)
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    g = clique_expand(h)
-    auc_original = evaluate_protocol(g, scorer, protocol)
-
-    run_seeds = [int(s) for s in np.random.default_rng(seed).integers(0, 2**63 - 1, size=n_runs)]
-    rel_aucs: list[float] = []
-    kept_seeds: list[int] = []
-    failures: list[str] = []
-    for run_seed in run_seeds:
+    outcome = evaluate_protocol(clique_expand(h), scorers, protocol)
+    live = [s for s in scorers if not isinstance(outcome[s], Exception)]
+    runs = {s: ([], [], []) for s in live}  # AUCs, kept seeds, failures
+    run_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=n_runs) if live else ()
+    for run_seed in map(int, run_seeds):
         try:
-            g_rel = clique_expand(relocate(h, run_seed))
-            rel_aucs.append(evaluate_protocol(g_rel, scorer, protocol))
-            kept_seeds.append(run_seed)
+            results = evaluate_protocol(clique_expand(relocate(h, run_seed)), live, protocol)
         except Exception as exc:
-            failures.append(f"seed {run_seed}: {exc}")
-    if not rel_aucs:
-        raise RuntimeError(
-            "every relocation run failed: " + "; ".join(failures)
-        )
+            results = dict.fromkeys(live, exc)
+        for scorer, lp in results.items():
+            rel_aucs, kept_seeds, failures = runs[scorer]
+            if isinstance(lp, Exception):
+                failures.append(f"seed {run_seed}: {lp}")
+            else:
+                rel_aucs.append(auc(lp.scores, lp.labels))
+                kept_seeds.append(run_seed)
 
-    return assemble_report(auc_original, rel_aucs, kept_seeds, failures)
+    for scorer, (rel_aucs, kept_seeds, failures) in runs.items():
+        lp = outcome[scorer]
+        if not rel_aucs:
+            outcome[scorer] = RuntimeError("every relocation run failed: " + "; ".join(failures))
+            continue
+        auc_original, conditional = _auc_pair(lp.scores, lp.labels)
+        report = assemble_report(auc_original, rel_aucs, kept_seeds, failures)
+        outcome[scorer] = replace(
+            report, n_pos=lp.n_pos, n_neg=lp.n_neg, auc_conditional=conditional
+        )
+    return outcome
 
 
 def assemble_report(
@@ -146,8 +150,6 @@ def performance_reversal_check(
     Only strict flips count: both the raw and the adjusted differences
     must be nonzero and of opposite sign.
     """
-    if len(reports) < 2:
-        return []
     flips = []
     for a, b in combinations(sorted(reports), 2):
         raw = reports[a].auc_original - reports[b].auc_original

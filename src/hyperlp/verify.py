@@ -34,10 +34,12 @@ from typing import Sequence
 import numpy as np
 
 from .evaluation import (
+    _auc_pair,
     _cross_class_counts,
     _pair_labels,
+    _unwrap,
     auc,
-    auc_conditional,
+    evaluate_protocol,
     leave_one_out,
     model_auc,
 )
@@ -231,10 +233,10 @@ def verify_er_auc_baseline(
     per_scorer: dict[str, list[float]] = {s: [] for s in scorers}
     skipped: dict[str, int] = {s: 0 for s in scorers}
     for ts in _spawn_seeds(seed, trials):
-        g = er_sample(n, p, ts)
+        results = evaluate_protocol(er_sample(n, p, ts), scorers, "loo")
         for s in scorers:
             try:
-                lp = leave_one_out(g, s)
+                lp = _unwrap(results[s])
                 per_scorer[s].append(auc(lp.scores, lp.labels))
             except ValueError:
                 skipped[s] += 1
@@ -264,18 +266,6 @@ def verify_er_auc_baseline(
             details={"scorer": s, "se": se, "skipped_trials": skipped[s]},
         )
     return out
-
-
-def _pooled_rank_stats(
-    scores: np.ndarray, labels: np.ndarray
-) -> tuple[float, float | None]:
-    """(tie-aware AUC, strict conditional AUC or None) for pooled samples."""
-    pooled = auc(scores, labels)
-    try:
-        conditional = auc_conditional(scores, labels)
-    except ValueError:
-        conditional = None
-    return pooled, conditional
 
 
 def verify_higher_order_auc_lift(
@@ -341,7 +331,7 @@ def verify_higher_order_auc_lift(
 
     all_scores = np.concatenate([x for bs in batch_scores for x in bs])
     all_labels = np.concatenate([x for bl in batch_labels for x in bl])
-    pooled, conditional = _pooled_rank_stats(all_scores, all_labels)
+    pooled, conditional = _auc_pair(all_scores, all_labels)
 
     verdict = "pass" if mean - 0.5 > 3 * se else "fail"
     details = {
@@ -420,10 +410,10 @@ def verify_relocation_baseline(
         raise ValueError(f"baseline check requires width 2, got {width(h)}")
     per_scorer: dict[str, list[float]] = {s: [] for s in scorers}
     for ts in _spawn_seeds(seed, runs):
-        g = clique_expand(relocate(h, ts))
+        results = evaluate_protocol(clique_expand(relocate(h, ts)), scorers, "loo")
         for s in scorers:
             try:
-                lp = leave_one_out(g, s)
+                lp = _unwrap(results[s])
                 per_scorer[s].append(auc(lp.scores, lp.labels))
             except ValueError:
                 pass

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from hyperlp import Hypergraph, SimpleGraph
+from hyperlp import Hypergraph, SimpleGraph, evaluation
 
 
 @pytest.fixture
@@ -10,6 +10,23 @@ def five_vertex():
     """Two hyperedges over five vertices: one triple {0,1,2} and one pair
     {3,4}. Small enough that every score is hand-checkable."""
     return Hypergraph(5, [[0, 1, 2], [3, 4]])
+
+
+@pytest.fixture
+def break_scorer(monkeypatch):
+    """Call ``break_scorer(name, error)`` to make scorer ``name`` raise
+    ``error`` wherever a pair set is scored."""
+    score_pairs = evaluation.score_pairs
+
+    def apply(name: str, error: type[Exception] = RuntimeError) -> None:
+        def broken(scorer, *args):
+            if scorer == name:
+                raise error(f"{name} is broken")
+            return score_pairs(scorer, *args)
+
+        monkeypatch.setattr(evaluation, "score_pairs", broken)
+
+    return apply
 
 
 @pytest.fixture

@@ -254,7 +254,7 @@ def test_criterion_07_relocation_properties():
     identities = True
     for k in range(20):
         h_rel = relocate(base, seed=500 + k)
-        rep = adjusted_auc(h_rel, "cn", "loo", n_runs=5, seed=k)
+        rep = adjusted_auc(h_rel, ["cn"], "loo", n_runs=5, seed=k)["cn"]
         adjusted_values.append(rep.auc_adjusted)
         identities = identities and rep.af == rep.auc_rel_mean / 0.5
         identities = identities and rep.auc_adjusted == rep.auc_original / rep.af
@@ -316,11 +316,7 @@ def test_criterion_10_drug_dataset_adjustment_band():
     nv, sx = dataset_paths("NDC-substances")
     bundle = load_benson(nv, sx, name="NDC-substances")
     protocol = SplitSpec(rho=0.8, d_hop=2, negative_ratio=1.0, seed=41)
-    reports = {}
-    for scorer in ("cn", "aa", "pa"):
-        reports[scorer] = adjusted_auc(
-            bundle.hypergraph, scorer, protocol, n_runs=5, seed=43
-        )
+    reports = adjusted_auc(bundle.hypergraph, ("cn", "aa", "pa"), protocol, n_runs=5, seed=43)
     flips = performance_reversal_check(reports)
     band_ok = all(
         0.50 <= reports[s].auc_adjusted <= 0.60 and reports[s].auc_original > 0.90

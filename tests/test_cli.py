@@ -125,6 +125,20 @@ class TestEvaluate:
         assert int(rows[1][5]) == 8  # 20% of 40 edges held out
 
 
+    @pytest.mark.parametrize("runs", ["0", "2"])
+    def test_failing_scorer_reported_in_errors(self, toy_file, tmp_path, break_scorer, runs):
+        break_scorer("aa")
+        out = tmp_path / "report"
+        assert main([
+            "evaluate", "--data", str(toy_file), "--algorithms", "cn,aa",
+            "--runs", runs, "--out", str(out),
+        ]) == 0
+        payload = json.loads(out.with_suffix(".json").read_text())
+        assert [r["scorer"] for r in payload["results"]] == ["cn"]
+        assert payload["results"][0]["auc"] == 0.875
+        assert payload["errors"] == {"aa": "aa is broken"}
+
+
 class TestGenerate:
     def test_deterministic_outputs(self, cfg_file, tmp_path):
         out1, out2 = tmp_path / "g1", tmp_path / "g2"
@@ -272,6 +286,19 @@ class TestAdjust:
         assert float(rows[1][1]) == 0.875
         payload = json.loads(out.with_suffix(".json").read_text())
         assert payload["reports"]["cn"]["n_runs"] == 3
+
+    def test_failing_scorer_reported_in_errors(self, toy_file, tmp_path, break_scorer):
+        break_scorer("aa")
+        out = tmp_path / "adj"
+        assert main([
+            "adjust", "--data", str(toy_file), "--algorithms", "cn,aa",
+            "--runs", "2", "--out", str(out),
+        ]) == 0
+        rows = read_csv(out.with_suffix(".csv"))
+        assert float(rows[1][1]) == 0.875 and rows[1][6:] == [""] * 5
+        payload = json.loads(out.with_suffix(".json").read_text())
+        assert list(payload["reports"]) == ["cn"]
+        assert payload["errors"] == {"aa": "aa is broken"}
 
 
 def test_version_flag():

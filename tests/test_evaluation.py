@@ -16,6 +16,7 @@ from hyperlp import (
     auc,
     auc_conditional,
     clique_expand,
+    evaluate_protocol,
     leave_one_out,
     model_auc,
     overestimation_scan,
@@ -231,6 +232,35 @@ class TestLeaveOneOut:
                 assert np.allclose(lp.scores, scores, rtol=1e-12, atol=0.0), s
             else:
                 assert lp.scores.tolist() == scores, s
+
+
+class TestEvaluateProtocol:
+    @pytest.mark.parametrize("protocol", ["loo", SplitSpec(seed=3)], ids=["loo", "split"])
+    def test_scorers_share_one_pair_set(self, protocol):
+        g = SimpleGraph(30, [(i, (i + 1) % 30) for i in range(30)] + [(0, 2), (5, 9)])
+        out = evaluate_protocol(g, SCORER_IDS, protocol)
+        assert list(out) == list(SCORER_IDS)
+        first = out["cn"]
+        for lp in out.values():
+            assert lp.pairs is first.pairs and lp.labels is first.labels
+
+    def test_pair_set_failure_fills_every_slot(self):
+        k3 = SimpleGraph(3, [(0, 1), (1, 2), (0, 2)])
+        out = evaluate_protocol(k3, ["cn", "pa"], "loo")
+        assert isinstance(out["cn"], ValueError) and out["pa"] is out["cn"]
+
+    def test_unknown_scorer_fills_its_slot(self):
+        g = SimpleGraph(4, [(0, 1), (1, 2)])
+        out = evaluate_protocol(g, ["cn", "katz"], "loo")
+        assert isinstance(out["katz"], ValueError)
+        assert isinstance(out["cn"], LabeledPairs)
+
+    def test_bad_arguments_raise(self):
+        g = SimpleGraph(4, [(0, 1), (1, 2)])
+        with pytest.raises(TypeError):
+            evaluate_protocol(g, "cn", "loo")
+        with pytest.raises(ValueError, match="unknown protocol"):
+            evaluate_protocol(g, ["cn"], "kfold")
 
 
 class TestSplitEvaluate:

@@ -161,6 +161,14 @@ class TestSimpleGraph:
         with pytest.raises(ValueError, match="not an edge"):
             g.without_edge(0, 3)
 
+    def test_adjacency_csr_built_once(self):
+        g = SimpleGraph(4, [(0, 1), (1, 2), (2, 3)])
+        a = g.adjacency_csr()
+        assert g.adjacency_csr() is a
+        g2 = g.without_edge(1, 2)
+        assert g2.adjacency_csr()[1, 2] == 0 and a[1, 2] == 1
+        assert g2.adjacency_csr().nnz == a.nnz - 2
+
     def test_adjacency_matrix(self):
         g = SimpleGraph(3, [(0, 1), (1, 2)])
         a = g.adjacency_matrix()

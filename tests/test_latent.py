@@ -7,6 +7,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import pdist, squareform
 
 from hyperlp import (
@@ -19,12 +22,14 @@ from hyperlp import (
     hoff_clique_probability,
     hoff_edge_probability,
     link_probability,
+    pairwise_distances,
     phi_preset,
     potential_from_candidates,
     radii_from_percentiles,
     sample_hypergraph,
     sample_latents,
 )
+from hyperlp.latent import _distance_matrix
 
 
 
@@ -78,6 +83,22 @@ class TestSampleLatents:
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
             sample_latents(1, 2, 0)
+
+
+class TestPairwiseDistances:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 10).flatmap(
+            lambda d: arrays(
+                np.float64,
+                st.tuples(st.integers(2, 30), st.just(d)),
+                elements=st.floats(-1e6, 1e6, allow_nan=False),
+            )
+        )
+    )
+    def test_bit_identical_to_scipy(self, x):
+        assert np.array_equal(pairwise_distances(x), pdist(x))
+        assert np.array_equal(_distance_matrix(x), squareform(pdist(x)))
 
 
 class TestRadiiFromPercentiles:

@@ -6,13 +6,20 @@ import numpy as np
 import pytest
 
 from hyperlp import (
+    SCORER_IDS,
     Hypergraph,
+    SplitSpec,
     adjusted_auc,
     assemble_report,
+    auc,
+    clique_expand,
+    leave_one_out,
     performance_reversal_check,
     relocate,
     size_distribution,
+    split_evaluate,
 )
+from hyperlp import evaluation, relocation
 from conftest import random_hypergraph
 
 
@@ -83,7 +90,7 @@ class TestAdjustedAuc:
     def test_default_run_count(self):
         rng = np.random.default_rng(2)
         h = random_hypergraph(rng, 15, 10, max_size=3)
-        report = adjusted_auc(h, "cn", "loo", seed=3)
+        report = adjusted_auc(h, ["cn"], "loo", seed=3)["cn"]
         assert report.n_runs == 5
         assert len(report.auc_rel_runs) == 5
         assert report.af == report.auc_rel_mean / 0.5
@@ -93,7 +100,7 @@ class TestAdjustedAuc:
         # one pair among four vertices: every score is zero everywhere, so
         # the original and every relocated AUC are exactly 0.5
         h = Hypergraph(4, [[0, 1]])
-        report = adjusted_auc(h, "cn", "loo", n_runs=4, seed=0)
+        report = adjusted_auc(h, ["cn"], "loo", n_runs=4, seed=0)["cn"]
         assert report.auc_original == 0.5
         assert report.auc_rel_runs == [0.5] * 4
         assert report.af == 1.0
@@ -102,14 +109,14 @@ class TestAdjustedAuc:
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         h = random_hypergraph(rng, 12, 8, max_size=3)
-        a = adjusted_auc(h, "cn", "loo", n_runs=3, seed=11)
-        b = adjusted_auc(h, "cn", "loo", n_runs=3, seed=11)
+        a = adjusted_auc(h, ["cn"], "loo", n_runs=3, seed=11)["cn"]
+        b = adjusted_auc(h, ["cn"], "loo", n_runs=3, seed=11)["cn"]
         assert a == b
 
     def test_invalid_runs(self):
         h = Hypergraph(4, [[0, 1]])
         with pytest.raises(ValueError):
-            adjusted_auc(h, "cn", "loo", n_runs=0)
+            adjusted_auc(h, ["cn"], "loo", n_runs=0)
 
     def test_self_adjustment_near_half(self):
         # adjusting an already-relocated hypergraph should self-correct to
@@ -119,9 +126,75 @@ class TestAdjustedAuc:
         values = []
         for k in range(12):
             h_rel = relocate(h, seed=1000 + k)
-            report = adjusted_auc(h_rel, "cn", "loo", n_runs=3, seed=k)
+            report = adjusted_auc(h_rel, ["cn"], "loo", n_runs=3, seed=k)["cn"]
             values.append(report.auc_adjusted)
         assert abs(float(np.mean(values)) - 0.5) <= 0.05
+
+
+def counting(monkeypatch, module, name):
+    """Wrap ``module.name`` so that its calls are counted."""
+    calls = []
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestSharedPairSet:
+    SPLIT = SplitSpec(rho=0.8, d_hop=2, seed=4)
+
+    @staticmethod
+    def hypergraph():
+        return random_hypergraph(np.random.default_rng(8), 40, 60, max_size=4)
+
+    def test_one_relocation_expansion_and_sample_per_graph(self, monkeypatch):
+        relocations = counting(monkeypatch, relocation, "relocate")
+        expansions = counting(monkeypatch, relocation, "clique_expand")
+        samples = counting(monkeypatch, evaluation, "_sample_distance_limited_non_links")
+        out = adjusted_auc(self.hypergraph(), ["cn", "aa", "pa"], self.SPLIT, n_runs=2, seed=1)
+        assert all(r.n_runs == 2 for r in out.values())
+        assert (len(relocations), len(expansions), len(samples)) == (2, 3, 3)
+
+    @pytest.mark.parametrize("protocol", ["loo", SPLIT], ids=["loo", "split"])
+    def test_equals_per_scorer_composition(self, protocol):
+        h = self.hypergraph()
+        scorers = [s for s in SCORER_IDS if s != "sr"] if protocol == "loo" else SCORER_IDS
+
+        def one_auc(graph, scorer):
+            lp = (leave_one_out(graph, scorer) if protocol == "loo"
+                  else split_evaluate(graph, scorer, protocol))
+            return auc(lp.scores, lp.labels), lp
+
+        out = adjusted_auc(h, scorers, protocol, n_runs=3, seed=5)
+        assert list(out) == list(scorers)
+        run_seeds = [int(s) for s in np.random.default_rng(5).integers(0, 2**63 - 1, size=3)]
+        for scorer in scorers:
+            original, lp = one_auc(clique_expand(h), scorer)
+            runs = [one_auc(clique_expand(relocate(h, s)), scorer)[0] for s in run_seeds]
+            expected = assemble_report(original, runs, run_seeds)
+            report = out[scorer]
+            assert report.auc_original == expected.auc_original
+            assert report.auc_rel_runs == expected.auc_rel_runs
+            assert report.af == expected.af
+            assert report.auc_adjusted == expected.auc_adjusted
+            assert report.seeds == run_seeds and report.failures == []
+            assert (report.n_pos, report.n_neg) == (lp.n_pos, lp.n_neg)
+
+    def test_failing_scorer_fills_only_its_slot(self, break_scorer):
+        h = self.hypergraph()
+        clean = adjusted_auc(h, ["cn", "aa", "pa"], "loo", n_runs=2, seed=3)
+        break_scorer("aa")
+        out = adjusted_auc(h, ["cn", "aa", "pa"], "loo", n_runs=2, seed=3)
+        assert isinstance(out["aa"], RuntimeError)
+        assert out["cn"] == clean["cn"] and out["pa"] == clean["pa"]
+
+    def test_bare_string_rejected(self):
+        with pytest.raises(TypeError):
+            adjusted_auc(self.hypergraph(), "cn")
 
 
 class TestPerformanceReversal:

@@ -144,6 +144,19 @@ class TestErAucBaseline:
             assert abs(summary.statistic - 0.5) < 0.03
 
 
+    def test_value_error_skips_only_that_scorer(self, break_scorer):
+        break_scorer("pa", ValueError)
+        out = verify_er_auc_baseline(30, 0.2, scorers=("cn", "pa"), trials=30, seed=2)
+        assert out["pa"].verdict == "degenerate"
+        assert out["pa"].details["skipped_trials"] == 30
+        assert out["cn"].details["skipped_trials"] == 0
+
+    def test_other_errors_propagate(self, break_scorer):
+        break_scorer("pa")
+        with pytest.raises(RuntimeError, match="pa is broken"):
+            verify_er_auc_baseline(30, 0.2, scorers=("cn", "pa"), trials=30, seed=2)
+
+
 class TestHigherOrderLift:
     def test_single_triple_perfect_pooled_auc(self):
         pot = potential_from_candidates(3, [(0, 1, 2)], k_max=3)
