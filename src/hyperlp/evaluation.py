@@ -244,7 +244,7 @@ def _sample_distance_limited_non_links(
 
 def _split_pair_set(g: SimpleGraph, spec: SplitSpec):
     """Held-out edges and sampled non-links, scored on the train graph."""
-    edges = np.array(sorted(g.edges()), dtype=np.int64).reshape(-1, 2)
+    edges = g.edge_array()
     m = len(edges)
     n_test = math.ceil((1.0 - spec.rho) * m)
     if n_test == 0 or n_test == m:
@@ -254,13 +254,13 @@ def _split_pair_set(g: SimpleGraph, spec: SplitSpec):
     rng = np.random.default_rng(spec.seed)
     test = np.zeros(m, dtype=bool)
     test[rng.choice(m, size=n_test, replace=False)] = True
-    g_train = SimpleGraph(g.n, edges[~test].tolist())
+    g_train = SimpleGraph(g.n, edges[~test])
     if spec.negative_ratio is None:
-        negatives = list(g.non_edges())
+        negatives = g.non_edge_array()
     else:
         wanted = round(spec.negative_ratio * n_test)
         negatives = _sample_distance_limited_non_links(g, g_train, spec.d_hop, wanted, rng)
-    if not negatives:
+    if not len(negatives):
         raise ValueError("no negatives available for the split")
     u, v = np.concatenate([edges[test], np.reshape(negatives, (-1, 2))]).T
     return g_train, u, v, np.arange(len(u)) < n_test
@@ -327,15 +327,15 @@ def model_auc(pot: PotentialIndex, phi: Sequence[float], g: SimpleGraph) -> floa
     all cross-class comparisons tied) return 0.5: no ranking information
     either way.
     """
+    if g.n != pot.n:
+        raise ValueError(f"graph has {g.n} vertices; the candidate index has {pot.n}")
     prob = link_probability_map(pot, phi)
     iu, iv = np.triu_indices(g.n, k=1)
     labels = _pair_labels(g, iu, iv)
     n_pos = int(labels.sum())
     if n_pos == 0 or n_pos == len(iu):
         return 0.5
-    rows, cols = np.array(list(prob), dtype=np.int64).reshape(-1, 2).T
-    table = sp.csr_array((list(prob.values()), (rows, cols)), shape=(g.n, g.n))
-    return auc(table[iu, iv], labels)
+    return auc(prob[iu, iv], labels)
 
 
 @dataclass

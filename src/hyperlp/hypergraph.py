@@ -4,13 +4,16 @@ structural statistics.
 Vertices are dense integer ids ``0..n-1``. A :class:`Hypergraph` keeps its
 hyperedges as an ordered multiset (duplicates are preserved), so size
 statistics survive randomization exactly. A :class:`SimpleGraph` is an
-immutable undirected graph without self-loops.
+immutable undirected graph without self-loops, stored as one sorted CSR
+adjacency. :func:`pair_cooccurrence` counts, for every vertex pair, the
+groups holding both; clique expansion is the support of those counts, and
+the latent generator's per-size coverage counts are the same product.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -24,7 +27,7 @@ class Hypergraph:
     Duplicate hyperedges are allowed and preserved in order.
     """
 
-    __slots__ = ("n", "hyperedges", "__weakref__")
+    __slots__ = ("n", "hyperedges")
 
     def __init__(self, n: int, hyperedges: Iterable[Iterable[int]]):
         if n < 0:
@@ -63,121 +66,123 @@ class Hypergraph:
 class SimpleGraph:
     """Immutable undirected graph over vertices ``0..n-1``.
 
-    Adjacency is stored as one frozenset of neighbors per vertex, so
-    derived graphs (e.g. with one edge removed) can share unchanged rows.
+    Its only state is the symmetric 0/1 adjacency in CSR form, built once:
+    column indices are sorted, so row-major entry order is ascending
+    ``(u, v)``. Degrees, edge tests and edge lists are array reads;
+    :meth:`neighbors` builds a frozenset on demand for the per-pair
+    reference scorers.
     """
 
-    __slots__ = ("n", "_adj", "_edge_count", "_hash", "_csr")
+    __slots__ = ("n", "_csr")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray = ()):
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u} is not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) outside 0..{n - 1}")
-            adj[u].add(v)
-            adj[v].add(u)
+        pairs = edges if isinstance(edges, np.ndarray) else list(edges)
+        u, v = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2).T
+        bad = np.flatnonzero((u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n))
+        if len(bad):
+            a, b = int(u[bad[0]]), int(v[bad[0]])
+            if a == b:
+                raise ValueError(f"self-loop at vertex {a} is not allowed")
+            raise ValueError(f"edge ({a}, {b}) outside 0..{n - 1}")
+        # Both directions, deduplicated: ascending keys are row-major order.
+        # Sort and mask: np.unique, hash-based in numpy 2.4, is ~20x slower.
+        key = np.sort(np.concatenate([u * n + v, v * n + u]))
+        rows, cols = np.divmod(key[np.diff(key, prepend=-1) != 0], n)
+        idx = sp.get_index_dtype(maxval=max(n, len(rows)))
+        indptr = np.searchsorted(rows, np.arange(n + 1)).astype(idx)
         self.n = n
-        self._adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
-        self._edge_count = sum(len(s) for s in self._adj) // 2
-        self._hash = None
-        self._csr = None
-
-    @classmethod
-    def _from_adj(cls, n: int, adj: tuple[frozenset[int], ...]) -> "SimpleGraph":
-        # Trusted fast path: caller guarantees symmetry and no self-loops.
-        g = cls.__new__(cls)
-        g.n = n
-        g._adj = adj
-        g._edge_count = sum(len(s) for s in adj) // 2
-        g._hash = None
-        g._csr = None
-        return g
+        self._csr = sp.csr_array((np.ones(len(rows)), cols.astype(idx), indptr), shape=(n, n))
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self._adj[v]
+        a = self._csr
+        return frozenset(a.indices[a.indptr[v] : a.indptr[v + 1]].tolist())
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return int(self._csr.indptr[v + 1] - self._csr.indptr[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
+        return bool(self._csr[u, v])
 
     @property
     def edge_count(self) -> int:
-        return self._edge_count
+        return self._csr.nnz // 2
+
+    def edge_array(self) -> np.ndarray:
+        """The edges as an (m, 2) array of rows ``(u, v)``, u < v, in
+        ascending order."""
+        return np.column_stack(sp.triu(self._csr, k=1).nonzero()).astype(np.int64)
+
+    def non_edge_array(self) -> np.ndarray:
+        """The non-adjacent pairs as rows ``(u, v)``, u < v, in ascending
+        order."""
+        return np.argwhere(np.triu(self._csr.toarray() == 0, k=1))
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield each edge once as an ordered pair ``(u, v)`` with u < v."""
-        for u in range(self.n):
-            for v in self._adj[u]:
-                if u < v:
-                    yield (u, v)
+        """Yield each edge once as an ordered pair ``(u, v)`` with u < v,
+        in ascending order."""
+        return map(tuple, self.edge_array().tolist())
 
     def non_edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            row = self._adj[u]
-            for v in range(u + 1, self.n):
-                if v not in row:
-                    yield (u, v)
+        return map(tuple, self.non_edge_array().tolist())
 
     def without_edge(self, u: int, v: int) -> "SimpleGraph":
-        """Copy of the graph with edge ``{u, v}`` removed (rows shared
-        elsewhere)."""
-        if not self.has_edge(u, v):
+        """Copy of the graph with edge ``{u, v}``, its two CSR entries,
+        removed."""
+        a = self._csr.copy()
+        rows = np.repeat(np.arange(self.n), np.diff(a.indptr))
+        hit = ((rows == u) & (a.indices == v)) | ((rows == v) & (a.indices == u))
+        if not hit.any():
             raise ValueError(f"({u}, {v}) is not an edge")
-        rows = list(self._adj)
-        rows[u] = rows[u] - {v}
-        rows[v] = rows[v] - {u}
-        return SimpleGraph._from_adj(self.n, tuple(rows))
+        a.data[hit] = 0.0
+        a.eliminate_zeros()
+        g = SimpleGraph.__new__(SimpleGraph)
+        g.n, g._csr = self.n, a
+        return g
 
     def adjacency_csr(self) -> sp.csr_array:
         """0/1 float adjacency in CSR form with sorted column indices, so
-        row-major entry order is ascending ``(u, v)``. Built on first use
-        and kept: callers share it and must not modify it."""
-        if self._csr is None:
-            idx = sp.get_index_dtype(maxval=max(self.n, 2 * self._edge_count))
-            indptr = np.zeros(self.n + 1, dtype=idx)
-            np.cumsum([len(row) for row in self._adj], out=indptr[1:])
-            indices = np.fromiter(
-                (v for row in self._adj for v in sorted(row)), dtype=idx, count=indptr[-1]
-            )
-            self._csr = sp.csr_array((np.ones(len(indices)), indices, indptr), shape=(self.n,) * 2)
+        row-major entry order is ascending ``(u, v)``. Callers share it and
+        must not modify it."""
         return self._csr
 
     def adjacency_matrix(self, dtype=np.float64) -> np.ndarray:
-        return self.adjacency_csr().toarray().astype(dtype, copy=False)
+        return self._csr.toarray().astype(dtype, copy=False)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimpleGraph):
             return NotImplemented
-        return self.n == other.n and self._adj == other._adj
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.n, self._adj))
-        return self._hash
+        return self.n == other.n and (self._csr != other._csr).nnz == 0
 
     def __repr__(self) -> str:
-        return f"SimpleGraph(n={self.n}, |E|={self._edge_count})"
+        return f"SimpleGraph(n={self.n}, |E|={self.edge_count})"
+
+
+def pair_cooccurrence(n: int, groups: Sequence[Iterable[int]]) -> sp.csr_array:
+    """Pair co-occurrence counts of vertex groups, upper triangle only.
+
+    Entry ``(i, j)``, i < j, counts the groups holding both ``i`` and
+    ``j``: the strict upper triangle of ``H.T @ H`` for the group-by-vertex
+    incidence matrix ``H`` (Zhou, Huang & Schölkopf, NIPS 2006). Each group
+    holds distinct ids below ``n``. Entries are integers with sorted
+    indices; pairs that share no group are not stored.
+    """
+    sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
+    members = np.fromiter(chain.from_iterable(groups), dtype=np.int64, count=int(sizes.sum()))
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    ones = np.ones(len(members), dtype=np.int64)
+    h = sp.csr_array((ones, members, indptr), shape=(len(groups), n))
+    return sp.triu(h.T @ h, k=1, format="csr")
 
 
 def clique_expand(h: Hypergraph) -> SimpleGraph:
     """Expand a hypergraph to the simple graph joining every pair of
-    vertices that co-occur in at least one hyperedge.
-
-    The result is a plain union: duplicate hyperedges and pairs covered by
+    vertices that co-occur in at least one hyperedge: the support of
+    :func:`pair_cooccurrence`. Duplicate hyperedges and pairs covered by
     several hyperedges produce a single edge.
     """
-    adj: list[set[int]] = [set() for _ in range(h.n)]
-    for f in h.hyperedges:
-        for u, v in combinations(f, 2):
-            adj[u].add(v)
-            adj[v].add(u)
-    return SimpleGraph._from_adj(h.n, tuple(frozenset(s) for s in adj))
+    return SimpleGraph(h.n, np.column_stack(pair_cooccurrence(h.n, h.hyperedges).nonzero()))
 
 
 def width(h: Hypergraph) -> int:

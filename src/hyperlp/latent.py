@@ -20,12 +20,14 @@ The sigmoid pairwise model (edge probability ``1 / (1 + exp(alpha *
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, pair_cooccurrence
 
 DEFAULT_MAX_POTENTIAL = 10_000_000
 DEFAULT_HOFF_ALPHA = 10.0
@@ -86,16 +88,21 @@ class PotentialIndex:
     counts.
 
     ``by_size[s]`` lists the size-``s`` candidates as sorted vertex tuples
-    in canonical (lexicographic) order. ``pair_counts[(i, j)]`` (i < j) is
-    an integer vector over sizes ``2..k_max`` counting the candidates of
-    each size that contain both vertices; pairs covered by no candidate are
-    absent.
+    in canonical (lexicographic) order. ``pair_counts`` is derived from
+    them on first use, so sampling alone never pays for it: one sparse
+    n-by-n integer matrix per size ``2..k_max`` (entry 0 is size 2), from
+    :func:`~hyperlp.hypergraph.pair_cooccurrence`. Its entry ``(i, j)``,
+    i < j, counts the candidates of that size containing both vertices;
+    pairs no candidate of that size covers are not stored.
     """
 
     n: int
     k_max: int
     by_size: dict[int, list[tuple[int, ...]]]
-    pair_counts: dict[tuple[int, int], np.ndarray] = field(repr=False)
+
+    @cached_property
+    def pair_counts(self) -> tuple[sp.csr_array, ...]:
+        return tuple(pair_cooccurrence(self.n, self.by_size.get(s, [])) for s in self.sizes)
 
     @property
     def sizes(self) -> range:
@@ -229,7 +236,6 @@ def build_potential(
     dist = _distance_matrix(positions)
 
     by_size: dict[int, list[tuple[int, ...]]] = {}
-    pair_counts: dict[tuple[int, int], np.ndarray] = {}
     remaining = max_potential
     for s_idx, r in enumerate(radii):
         s = s_idx + 2
@@ -241,21 +247,7 @@ def build_potential(
         remaining -= len(cliques)
         cliques.sort()
         by_size[s] = cliques
-        if not cliques:
-            continue
-        arr = np.asarray(cliques, dtype=np.int64)
-        encoded = np.concatenate(
-            [arr[:, a] * n + arr[:, b] for a in range(s) for b in range(a + 1, s)]
-        )
-        uniq, counts = np.unique(encoded, return_counts=True)
-        for key, count in zip(uniq.tolist(), counts.tolist()):
-            pair = (key // n, key % n)
-            vec = pair_counts.get(pair)
-            if vec is None:
-                vec = np.zeros(k_max - 1, dtype=np.int64)
-                pair_counts[pair] = vec
-            vec[s_idx] += count
-    return PotentialIndex(n=n, k_max=k_max, by_size=by_size, pair_counts=pair_counts)
+    return PotentialIndex(n=n, k_max=k_max, by_size=by_size)
 
 
 def potential_from_candidates(
@@ -275,31 +267,24 @@ def potential_from_candidates(
     k_max = top if k_max is None else k_max
     if k_max < top:
         raise ValueError(f"k_max={k_max} below the largest candidate size {top}")
-    by_size: dict[int, list[tuple[int, ...]]] = {s: [] for s in range(2, k_max + 1)}
-    pair_counts: dict[tuple[int, int], np.ndarray] = {}
-    for c in sets:
-        by_size[len(c)].append(c)
-        for a in range(len(c)):
-            for b in range(a + 1, len(c)):
-                key = (c[a], c[b])
-                vec = pair_counts.get(key)
-                if vec is None:
-                    vec = np.zeros(k_max - 1, dtype=np.int64)
-                    pair_counts[key] = vec
-                vec[len(c) - 2] += 1
-    for s in by_size:
-        by_size[s].sort()
-    return PotentialIndex(n=n, k_max=k_max, by_size=by_size, pair_counts=pair_counts)
+    by_size = {s: sorted(c for c in sets if len(c) == s) for s in range(2, k_max + 1)}
+    return PotentialIndex(n=n, k_max=k_max, by_size=by_size)
+
+
+def _checked_phi(pot: PotentialIndex, phi: Sequence[float]) -> np.ndarray:
+    """``phi`` as an array, one entry per size of ``pot``."""
+    phi = np.asarray(phi, dtype=np.float64)
+    if phi.shape != (pot.k_max - 1,):
+        raise ValueError(
+            f"phi has {phi.size} entries; expected {pot.k_max - 1} for sizes 2..{pot.k_max}"
+        )
+    return phi
 
 
 def sample_hypergraph(pot: PotentialIndex, phi: Sequence[float], seed: int) -> Hypergraph:
     """Keep each candidate hyperedge independently with its per-size
     probability. Deterministic for a fixed seed."""
-    phi = np.asarray(phi, dtype=np.float64)
-    if len(phi) != pot.k_max - 1:
-        raise ValueError(
-            f"phi has {len(phi)} entries; expected {pot.k_max - 1} for sizes 2..{pot.k_max}"
-        )
+    phi = _checked_phi(pot, phi)
     rng = np.random.default_rng(seed)
     kept: list[tuple[int, ...]] = []
     for s in pot.sizes:
@@ -359,28 +344,36 @@ def link_probability(
 
     One minus the probability that every candidate covering the pair is
     rejected; candidate selections are independent, so the miss
-    probabilities multiply.
+    probabilities multiply. The per-pair reference for
+    :func:`link_probability_map`.
     """
     if i == j:
         raise ValueError("link probability is undefined for a vertex with itself")
-    phi = np.asarray(phi, dtype=np.float64)
-    key = (i, j) if i < j else (j, i)
-    counts = pot.pair_counts.get(key)
-    if counts is None:
-        return 0.0
-    return float(1.0 - np.prod((1.0 - phi) ** counts))
+    if not (0 <= i < pot.n and 0 <= j < pot.n):
+        raise ValueError(f"pair ({i}, {j}) outside 0..{pot.n - 1}")
+    miss = 1.0 - _checked_phi(pot, phi)
+    i, j = min(i, j), max(i, j)
+    counts = np.array([c[i, j] for c in pot.pair_counts])
+    return float(1.0 - np.prod(miss**counts))
 
 
-def link_probability_map(
-    pot: PotentialIndex, phi: Sequence[float]
-) -> dict[tuple[int, int], float]:
-    """Link probability for every covered pair (uncovered pairs are 0)."""
-    phi = np.asarray(phi, dtype=np.float64)
-    miss = 1.0 - phi
-    return {
-        pair: float(1.0 - np.prod(miss**counts))
-        for pair, counts in pot.pair_counts.items()
-    }
+def link_probability_map(pot: PotentialIndex, phi: Sequence[float]) -> sp.csr_array:
+    """Link probability of every pair covered by a candidate, as a sparse
+    n-by-n matrix with entry ``(i, j)``, i < j; uncovered pairs are not
+    stored (probability 0).
+
+    The miss probabilities multiply in size order, as in
+    :func:`link_probability`.
+    """
+    miss = 1.0 - _checked_phi(pot, phi)
+    counts = [c.tocoo() for c in pot.pair_counts]
+    keys = [c.row.astype(np.int64) * pot.n + c.col for c in counts]
+    covered = np.unique(np.concatenate([np.zeros(0, dtype=np.int64), *keys]))
+    missed = np.ones(len(covered))
+    for m, c, k in zip(miss, counts, keys):
+        missed[np.searchsorted(covered, k)] *= m**c.data
+    rows, cols = np.divmod(covered, pot.n)
+    return sp.csr_array((1.0 - missed, (rows, cols)), shape=(pot.n, pot.n))
 
 
 def hoff_edge_probability(params: HoffParams, dist) -> np.ndarray | float:

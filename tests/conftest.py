@@ -1,5 +1,8 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import strategies as st
 
 from hyperlp import Hypergraph, SimpleGraph, evaluation
@@ -53,3 +56,78 @@ def graphs(draw, min_n: int = 2, max_n: int = 10):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return SimpleGraph(n, [p for p, k in zip(pairs, keep) if k])
+
+
+class OracleGraph:
+    """Reference simple graph: one frozenset of neighbors per vertex, the
+    representation :class:`hyperlp.SimpleGraph` had before it kept only a
+    CSR adjacency. The parity tests hold the array graph to it."""
+
+    def __init__(self, n: int, edges=()):
+        if n < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {n}")
+        adj: list[set[int]] = [set() for _ in range(n)]
+        for u, v in edges:
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u} is not allowed")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) outside 0..{n - 1}")
+            adj[u].add(v)
+            adj[v].add(u)
+        self.n = n
+        self.adj = tuple(frozenset(s) for s in adj)
+
+    def neighbors(self, v: int) -> frozenset[int]:
+        return self.adj[v]
+
+    def degree(self, v: int) -> int:
+        return len(self.adj[v])
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return v in self.adj[u]
+
+    @property
+    def edge_count(self) -> int:
+        return sum(len(s) for s in self.adj) // 2
+
+    def edges(self):
+        for u in range(self.n):
+            for v in self.adj[u]:
+                if u < v:
+                    yield (u, v)
+
+    def non_edges(self):
+        for u in range(self.n):
+            for v in range(u + 1, self.n):
+                if v not in self.adj[u]:
+                    yield (u, v)
+
+    def without_edge(self, u: int, v: int) -> "OracleGraph":
+        if not self.has_edge(u, v):
+            raise ValueError(f"({u}, {v}) is not an edge")
+        return OracleGraph(self.n, [e for e in self.edges() if e != (min(u, v), max(u, v))])
+
+    def adjacency_csr(self) -> sp.csr_array:
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in self.adj], out=indptr[1:])
+        indices = np.array([v for row in self.adj for v in sorted(row)], dtype=np.int64)
+        return sp.csr_array((np.ones(len(indices)), indices, indptr), shape=(self.n,) * 2)
+
+
+def oracle_clique_expand(h: Hypergraph) -> OracleGraph:
+    """Reference clique expansion: one set insertion per vertex pair of
+    every hyperedge."""
+    return OracleGraph(h.n, [pair for f in h.hyperedges for pair in combinations(f, 2)])
+
+
+@st.composite
+def hypergraphs(draw, max_n: int = 8, max_m: int = 8):
+    """Hypothesis strategy: a Hypergraph on 0..max_n vertices (n of 0 or 1
+    has no hyperedges) with up to max_m hyperedges, some repeated."""
+    n = draw(st.integers(0, max_n))
+    if n < 2:
+        return Hypergraph(n, [])
+    edge = st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True)
+    edges = draw(st.lists(edge, max_size=max_m))
+    repeats = draw(st.lists(st.sampled_from(edges), max_size=3)) if edges else []
+    return Hypergraph(n, edges + repeats)

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -305,3 +309,13 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_cli_import_leaves_scipy_spatial_out():
+    # scipy.spatial adds 0.14-0.2 s to every start-up; the tests import it
+    # as an oracle, so only a fresh interpreter can tell.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import hyperlp.cli, sys; sys.exit('scipy.spatial' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr or "hyperlp.cli imports scipy.spatial"

@@ -389,6 +389,16 @@ class TestModelAuc:
         g = SimpleGraph(4, [(0, 1)])
         assert model_auc(pot, [0.7], g) == 1.0
 
+    def test_wrong_phi_length_rejected(self):
+        pot = potential_from_candidates(4, [(0, 1), (1, 2, 3)], k_max=3)
+        with pytest.raises(ValueError, match="expected 2 for sizes 2..3"):
+            model_auc(pot, [0.9], SimpleGraph(4, [(0, 1)]))
+
+    def test_vertex_count_mismatch_rejected(self):
+        pot = potential_from_candidates(4, [(0, 1)], k_max=2)
+        with pytest.raises(ValueError, match="graph has 5 vertices; the candidate index has 4"):
+            model_auc(pot, [0.7], SimpleGraph(5, [(0, 1)]))
+
 
 class TestOverestimationScan:
     def test_empty_grid(self):

@@ -1,9 +1,12 @@
 """Core container and clique-expansion behavior."""
 
+import re
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperlp import (
     Hypergraph,
@@ -13,7 +16,7 @@ from hyperlp import (
     size_distribution,
     width,
 )
-from conftest import random_hypergraph
+from conftest import OracleGraph, hypergraphs, oracle_clique_expand, random_hypergraph
 
 
 class TestHypergraphConstruction:
@@ -175,3 +178,50 @@ class TestSimpleGraph:
         assert np.array_equal(a, a.T)
         assert a.sum() == 4
         assert np.all(np.diag(a) == 0)
+
+
+def assert_same_graph(g: SimpleGraph, ref: OracleGraph) -> None:
+    """Every read of ``g`` equals the frozenset reference exactly."""
+    assert g.n == ref.n and g.edge_count == ref.edge_count
+    assert list(g.edges()) == sorted(ref.edges())
+    assert list(g.non_edges()) == list(ref.non_edges())
+    for u in range(g.n):
+        assert g.degree(u) == ref.degree(u)
+        assert g.neighbors(u) == ref.neighbors(u)
+        for v in range(g.n):
+            assert g.has_edge(u, v) == ref.has_edge(u, v)
+    a, b = g.adjacency_csr(), ref.adjacency_csr()
+    assert a.shape == b.shape
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a, part), getattr(b, part))
+
+
+class TestGraphParity:
+    """The CSR-backed graph against the frozenset reference in conftest."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(hypergraphs())
+    def test_clique_expand_matches_oracle(self, h):
+        g, ref = clique_expand(h), oracle_clique_expand(h)
+        assert_same_graph(g, ref)
+        for u, v in ref.edges():
+            assert_same_graph(g.without_edge(u, v), ref.without_edge(u, v))
+            assert g.without_edge(v, u) == g.without_edge(u, v)
+        assert_same_graph(g, ref)  # the removals left the original intact
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_constructor_matches_oracle(self, data):
+        # duplicate and reversed pairs collapse to one edge; a bad pair
+        # raises the reference's message
+        n = data.draw(st.integers(0, 8))
+        vertex = st.integers(-1, n)
+        edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=20))
+        try:
+            ref = OracleGraph(n, edges)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                SimpleGraph(n, edges)
+            return
+        assert_same_graph(SimpleGraph(n, edges), ref)
+        assert_same_graph(SimpleGraph(n, np.array(edges, dtype=np.int64).reshape(-1, 2)), ref)

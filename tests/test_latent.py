@@ -22,6 +22,7 @@ from hyperlp import (
     hoff_clique_probability,
     hoff_edge_probability,
     link_probability,
+    link_probability_map,
     pairwise_distances,
     phi_preset,
     potential_from_candidates,
@@ -174,15 +175,18 @@ class TestBuildPotential:
         rng = np.random.default_rng(8)
         pts = rng.standard_normal((10, 2))
         pot = build_potential(pts, [0.4, 0.6])
-        for (i, j), vec in pot.pair_counts.items():
+        assert len(pot.pair_counts) == len(pot.sizes)
+        covered = {(int(i), int(j)) for c in pot.pair_counts for i, j in zip(*c.nonzero())}
+        assert all(i < j for i, j in covered)
+        for i, j in covered:
             for s in pot.sizes:
                 recount = sum(1 for f in pot.by_size[s] if i in f and j in f)
-                assert recount == vec[s - 2]
+                assert recount == pot.pair_counts[s - 2][i, j]
         # and no covered pair is missing
         for s in pot.sizes:
             for f in pot.by_size[s]:
                 for a, b in combinations(f, 2):
-                    assert pot.pair_counts[(a, b)][s - 2] >= 1
+                    assert pot.pair_counts[s - 2][a, b] >= 1
 
     def test_growing_radius_grows_candidates(self):
         rng = np.random.default_rng(21)
@@ -306,6 +310,40 @@ class TestLinkProbability:
         pot = potential_from_candidates(3, [(0, 1)], k_max=2)
         with pytest.raises(ValueError):
             link_probability(pot, [0.5], 1, 1)
+
+    def test_out_of_range_vertex_rejected(self):
+        pot = potential_from_candidates(3, [(0, 1)], k_max=2)
+        for j in (3, 10**6, -1):
+            with pytest.raises(ValueError, match="outside 0..2"):
+                link_probability(pot, [0.5], 0, j)
+
+    def test_wrong_phi_length_rejected(self):
+        pot = potential_from_candidates(5, [(0, 1, 2, 3)])  # k_max = 4
+        for phi in ([0.5], [0.5] * 4, 0.5):
+            with pytest.raises(ValueError, match="expected 3 for sizes 2..4"):
+                link_probability(pot, phi, 0, 1)
+            with pytest.raises(ValueError, match="expected 3 for sizes 2..4"):
+                link_probability_map(pot, phi)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_closed_form_is_exact(self, data):
+        # every one of the 2^m selections of up to 10 candidates, weighed
+        n = data.draw(st.integers(2, 6))
+        candidate = st.lists(st.integers(0, n - 1), min_size=2, max_size=min(n, 4), unique=True)
+        candidates = data.draw(st.lists(candidate, min_size=1, max_size=10))
+        k_max = max(len(c) for c in candidates)
+        phi = data.draw(st.lists(st.floats(0, 1), min_size=k_max - 1, max_size=k_max - 1))
+        pot = potential_from_candidates(n, candidates, k_max=k_max)
+        kept = pot.all_candidates()
+        prob = link_probability_map(pot, phi)
+        for i, j in combinations(range(n), 2):
+            p = link_probability(pot, phi, i, j)
+            assert p == pytest.approx(enumerate_link_probability(kept, phi, i, j), abs=1e-12)
+            assert prob[i, j] == p and prob[j, i] == 0.0
+        coo = prob.tocoo()
+        covered = {pair for c in kept for pair in combinations(c, 2)}
+        assert set(zip(coo.row.tolist(), coo.col.tolist())) == covered
 
 
 class TestHoffModel:
