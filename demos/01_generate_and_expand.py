@@ -31,7 +31,7 @@ print(f"radii from the 6th/12th distance percentiles: {np.round(radii, 3)}")
 
 pot = build_potential(positions, radii)
 for s in pot.sizes:
-    print(f"  size-{s} candidates: {pot.by_size[s]}")
+    print(f"  size-{s} candidates: {pot.by_size[s].tolist()}")
 
 phi = [0.5, 0.5]
 h = sample_hypergraph(pot, phi, seed=seed)

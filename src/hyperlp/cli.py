@@ -204,7 +204,7 @@ def cmd_generate(args) -> int:
         "seed": seed,
         "radii": radii.tolist(),
         "phi": np.asarray(phi).tolist(),
-        "candidates_per_size": {s: len(pot.by_size.get(s, [])) for s in pot.sizes},
+        "candidates_per_size": {s: len(pot.by_size[s]) for s in pot.sizes},
         "n_hyperedges": len(h.hyperedges),
         "size_distribution": size_distribution(h) if h.hyperedges else {},
         "hypergraph_file": str(hyg_path),

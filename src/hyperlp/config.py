@@ -6,7 +6,7 @@ whitespace-separated. Example::
     n = 200
     d = 2
     seed = 7
-    percentiles = 1 5 9 13
+    percentiles = 1 2 3 4
     phi = power_law          # or explicit: 0.25 0.11 0.06 0.04
     alpha = 10
     gamma = median

@@ -159,17 +159,21 @@ class SimpleGraph:
         return f"SimpleGraph(n={self.n}, |E|={self.edge_count})"
 
 
-def pair_cooccurrence(n: int, groups: Sequence[Iterable[int]]) -> sp.csr_array:
+def pair_cooccurrence(n: int, groups: Sequence[Iterable[int]] | np.ndarray) -> sp.csr_array:
     """Pair co-occurrence counts of vertex groups, upper triangle only.
 
     Entry ``(i, j)``, i < j, counts the groups holding both ``i`` and
     ``j``: the strict upper triangle of ``H.T @ H`` for the group-by-vertex
     incidence matrix ``H`` (Zhou, Huang & Schölkopf, NIPS 2006). Each group
-    holds distinct ids below ``n``. Entries are integers with sorted
-    indices; pairs that share no group are not stored.
+    holds distinct ids below ``n``; a 2-d array holds one equal-size group
+    per row. Entries are integers with sorted indices; pairs that share no
+    group are not stored.
     """
-    sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
-    members = np.fromiter(chain.from_iterable(groups), dtype=np.int64, count=int(sizes.sum()))
+    if isinstance(groups, np.ndarray):
+        sizes, members = np.full(len(groups), groups.shape[1]), groups.ravel()
+    else:
+        sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
+        members = np.fromiter(chain.from_iterable(groups), dtype=np.int64, count=int(sizes.sum()))
     indptr = np.concatenate(([0], np.cumsum(sizes)))
     ones = np.ones(len(members), dtype=np.int64)
     h = sp.csr_array((ones, members, indptr), shape=(len(groups), n))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,6 +31,8 @@ from .hypergraph import Hypergraph, pair_cooccurrence
 
 DEFAULT_MAX_POTENTIAL = 10_000_000
 DEFAULT_HOFF_ALPHA = 10.0
+# Bytes of extension mask per block of parents in candidate enumeration.
+_MASK_BYTES = 1 << 22
 
 PHI_PRESETS = ("power_law", "hoff_sigmoid", "constant", "empirical")
 
@@ -87,8 +89,10 @@ class PotentialIndex:
     """All candidate hyperedges, grouped by size, plus per-pair coverage
     counts.
 
-    ``by_size[s]`` lists the size-``s`` candidates as sorted vertex tuples
-    in canonical (lexicographic) order. ``pair_counts`` is derived from
+    ``by_size[s]`` holds the size-``s`` candidates as one (m_s, s) int32
+    array, one candidate per row, each row increasing and the rows in
+    lexicographic order; every size ``2..k_max`` has a key, possibly with
+    zero rows. ``pair_counts`` is derived from
     them on first use, so sampling alone never pays for it: one sparse
     n-by-n integer matrix per size ``2..k_max`` (entry 0 is size 2), from
     :func:`~hyperlp.hypergraph.pair_cooccurrence`. Its entry ``(i, j)``,
@@ -98,11 +102,11 @@ class PotentialIndex:
 
     n: int
     k_max: int
-    by_size: dict[int, list[tuple[int, ...]]]
+    by_size: dict[int, np.ndarray]
 
     @cached_property
     def pair_counts(self) -> tuple[sp.csr_array, ...]:
-        return tuple(pair_cooccurrence(self.n, self.by_size.get(s, [])) for s in self.sizes)
+        return tuple(pair_cooccurrence(self.n, self.by_size[s]) for s in self.sizes)
 
     @property
     def sizes(self) -> range:
@@ -114,13 +118,11 @@ class PotentialIndex:
 
     def size_counts(self) -> np.ndarray:
         """Number of candidates per size, aligned to sizes ``2..k_max``."""
-        return np.array([len(self.by_size.get(s, [])) for s in self.sizes])
+        return np.array([len(self.by_size[s]) for s in self.sizes])
 
     def all_candidates(self) -> list[tuple[int, ...]]:
-        out = []
-        for s in self.sizes:
-            out.extend(self.by_size.get(s, []))
-        return out
+        """Every candidate as a vertex tuple, by size, then in row order."""
+        return [tuple(c) for s in self.sizes for c in self.by_size[s].tolist()]
 
 
 @dataclass
@@ -180,41 +182,33 @@ def radii_from_percentiles(
     return np.percentile(pairwise_distances(positions), pct)
 
 
-def _cliques_of_size(
-    n: int,
-    higher_neighbors: list[np.ndarray],
-    neighbor_sets: list[set[int]],
-    s: int,
-    budget: int,
-) -> list[tuple[int, ...]]:
-    """All s-cliques of a threshold graph, each as an increasing tuple.
+def _extend(cliques: np.ndarray, adj: np.ndarray, higher: np.ndarray) -> Iterator[np.ndarray]:
+    """Every one-vertex extension of the k-cliques ``cliques`` (rows in
+    lexicographic order), in blocks whose rows stay in that order.
 
-    Ordered-vertex extension: a partial clique is grown only with vertices
-    greater than its last member that are adjacent to every current member.
-    ``budget`` caps the number of cliques returned across calls.
+    A clique extends by the vertices above its last member that are
+    adjacent to every member: the true entries of its last member's
+    ``higher`` row ANDed with the other members' ``adj`` rows. Row-major
+    ``np.nonzero`` reads the masks parent by parent, vertex by vertex, so
+    the extensions come out lexicographically sorted. A block holds at
+    most ``_MASK_BYTES`` of mask.
     """
-    out: list[tuple[int, ...]] = []
+    k = cliques.shape[1]
+    step = max(1, _MASK_BYTES // max(len(adj), 1))
+    for lo in range(0, len(cliques), step):
+        parents = cliques[lo : lo + step]
+        mask = higher[parents[:, -1]]
+        for col in parents[:, :-1].T:
+            mask &= adj[col]
+        rows, new = np.nonzero(mask)
+        block = np.empty((len(rows), k + 1), dtype=np.int32)
+        block[:, :k] = parents[rows]
+        block[:, k] = new
+        yield block
 
-    def extend(base: list[int], cands: Sequence[int], need: int):
-        if need == 0:
-            out.append(tuple(int(x) for x in base))
-            if len(out) > budget:
-                raise ResourceLimitError(
-                    f"candidate enumeration exceeded the cap of {budget}"
-                )
-            return
-        for idx in range(len(cands)):
-            if len(cands) - idx < need:
-                return
-            v = cands[idx]
-            base.append(v)
-            allowed = neighbor_sets[v]
-            extend(base, [w for w in cands[idx + 1 :] if w in allowed], need - 1)
-            base.pop()
 
-    for v in range(n):
-        extend([v], list(higher_neighbors[v]), s - 1)
-    return out
+def _stack(blocks: Iterable[np.ndarray], width: int) -> np.ndarray:
+    return np.concatenate([np.empty((0, width), dtype=np.int32), *blocks])
 
 
 def build_potential(
@@ -225,29 +219,37 @@ def build_potential(
     """Enumerate the candidate hyperedges for every size.
 
     For size ``s`` these are the ``s``-cliques of the graph linking points
-    within ``2 * radii[s-2]`` of each other. Raises
-    :class:`ResourceLimitError` when the total candidate count would exceed
-    ``max_potential``.
+    within ``2 * radii[s-2]`` of each other, grown level by level from
+    single vertices as int arrays (ordered clique listing, Chiba &
+    Nishizeki, SIAM J. Comput. 1985; see :func:`_extend`). Raises
+    :class:`ResourceLimitError` iff the total candidate count exceeds
+    ``max_potential``; the count is checked block by block, so an
+    over-cap size raises before its array is complete. The smaller
+    cliques grown on the way to size ``s`` are not candidates and do not
+    count.
     """
-    positions = np.asarray(positions, dtype=np.float64)
-    radii = np.asarray(radii, dtype=np.float64)
-    n = positions.shape[0]
-    k_max = len(radii) + 1
     dist = _distance_matrix(positions)
-
-    by_size: dict[int, list[tuple[int, ...]]] = {}
-    remaining = max_potential
-    for s_idx, r in enumerate(radii):
-        s = s_idx + 2
-        threshold = 2.0 * r
-        within = dist <= threshold
-        higher = [np.nonzero(within[v, v + 1 :])[0] + v + 1 for v in range(n)]
-        nbr_sets = [set(np.nonzero(within[v])[0]) - {v} for v in range(n)]
-        cliques = _cliques_of_size(n, higher, nbr_sets, s, remaining)
-        remaining -= len(cliques)
-        cliques.sort()
-        by_size[s] = cliques
-    return PotentialIndex(n=n, k_max=k_max, by_size=by_size)
+    n = len(dist)
+    by_size: dict[int, np.ndarray] = {}
+    total = 0
+    for s, r in enumerate(np.asarray(radii, dtype=np.float64), start=2):
+        adj = dist <= 2.0 * r
+        np.fill_diagonal(adj, False)
+        higher = np.triu(adj)
+        cliques = np.arange(n, dtype=np.int32)[:, None]
+        for k in range(2, s):
+            cliques = _stack(_extend(cliques, adj, higher), k)
+        blocks = []
+        for block in _extend(cliques, adj, higher):
+            total += len(block)
+            if total > max_potential:
+                raise ResourceLimitError(
+                    f"candidate enumeration exceeded the cap of {max_potential}: "
+                    f"{total} candidates by size {s}"
+                )
+            blocks.append(block)
+        by_size[s] = _stack(blocks, s)
+    return PotentialIndex(n=n, k_max=len(radii) + 1, by_size=by_size)
 
 
 def potential_from_candidates(
@@ -267,7 +269,10 @@ def potential_from_candidates(
     k_max = top if k_max is None else k_max
     if k_max < top:
         raise ValueError(f"k_max={k_max} below the largest candidate size {top}")
-    by_size = {s: sorted(c for c in sets if len(c) == s) for s in range(2, k_max + 1)}
+    by_size = {
+        s: np.array(sorted(c for c in sets if len(c) == s), dtype=np.int32).reshape(-1, s)
+        for s in range(2, k_max + 1)
+    }
     return PotentialIndex(n=n, k_max=k_max, by_size=by_size)
 
 
@@ -286,14 +291,10 @@ def sample_hypergraph(pot: PotentialIndex, phi: Sequence[float], seed: int) -> H
     probability. Deterministic for a fixed seed."""
     phi = _checked_phi(pot, phi)
     rng = np.random.default_rng(seed)
-    kept: list[tuple[int, ...]] = []
+    kept: list[list[int]] = []
     for s in pot.sizes:
-        candidates = pot.by_size.get(s, [])
-        if not candidates:
-            continue
-        draws = rng.random(len(candidates))
-        p = phi[s - 2]
-        kept.extend(f for f, x in zip(candidates, draws) if x < p)
+        candidates = pot.by_size[s]
+        kept.extend(candidates[rng.random(len(candidates)) < phi[s - 2]].tolist())
     return Hypergraph(pot.n, kept)
 
 
@@ -439,37 +440,20 @@ def edge_distance_profile(
     n = model.n
     pot = build_potential(model.positions, model.radii, max_potential=max_potential)
 
-    # Condensed pair indices (row-major upper triangle) covered by each candidate,
-    # one row per candidate: lets a whole trial reduce to array indexing.
-    covered_idx: dict[int, np.ndarray] = {}
-    for s in pot.sizes:
-        cands = pot.by_size.get(s, [])
-        if not cands:
-            continue
-        arr = np.asarray(cands, dtype=np.int64)
-        cols = [(a, b) for a in range(s) for b in range(a + 1, s)]
-        ii = arr[:, [a for a, _ in cols]]
-        jj = arr[:, [b for _, b in cols]]
-        covered_idx[s] = n * ii - (ii * (ii + 1)) // 2 + (jj - ii - 1)
-
-    hits = np.zeros(len(dist))
+    hits = np.zeros((n, n), dtype=np.int64)
     seed_rng = np.random.default_rng(model.seed)
     trial_seeds = seed_rng.integers(0, 2**63 - 1, size=n_trials)
     for ts in trial_seeds:
         # Same per-size draw order as sample_hypergraph, so a trial here
         # realizes the same hypergraph that seed would produce there.
         rng = np.random.default_rng(int(ts))
-        parts = []
+        covered = np.zeros((n, n), dtype=bool)
         for s in pot.sizes:
-            cands = pot.by_size.get(s, [])
-            if not cands:
-                continue
-            mask = rng.random(len(cands)) < phi_vec[s - 2]
-            if mask.any():
-                parts.append(covered_idx[s][mask].ravel())
-        if parts:
-            hits[np.unique(np.concatenate(parts))] += 1
-    freq = hits / n_trials
+            kept = pot.by_size[s][rng.random(len(pot.by_size[s])) < phi_vec[s - 2]]
+            a, b = np.triu_indices(s, 1)
+            covered[kept[:, a], kept[:, b]] = True  # rows increase: upper triangle
+        hits += covered
+    freq = hits[np.triu_indices(n, 1)] / n_trials
 
     edges = np.histogram_bin_edges(dist, bins=bins)
     which = np.clip(np.digitize(dist, edges) - 1, 0, len(edges) - 2)

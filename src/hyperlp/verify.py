@@ -289,7 +289,7 @@ def verify_higher_order_auc_lift(
     phi = np.asarray(phi, dtype=np.float64)
     if phi[0] != 0:
         raise ValueError("this check needs the size-2 selection probability to be 0")
-    if not any(len(pot.by_size.get(s, [])) > 0 for s in range(3, pot.k_max + 1)):
+    if not pot.size_counts()[1:].any():
         raise ValueError("need at least one candidate hyperedge of size >= 3")
     if trials < batches:
         raise ValueError(f"need trials >= batches, got {trials} < {batches}")

@@ -8,14 +8,13 @@ from pathlib import Path
 
 import pytest
 
+from hyperlp.cli import main
+
 ROOT = Path(__file__).resolve().parent.parent
 
-# 02_sizes_and_sigmoid_gap.py is left out: it takes 25-30 s, almost all
-# of it enumerating the candidate groups of n=120 points twice (once
-# directly, once inside edge_distance_profile), against about 6 s for the
-# other five together.
 DEMOS = [
     "01_generate_and_expand.py",
+    "02_sizes_and_sigmoid_gap.py",
     "03_auc_inflation_scan.py",
     "04_toy_walkthroughs.py",
     "05_relocation_adjustment.py",
@@ -44,3 +43,12 @@ def test_readme_quickstart_runs(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_generate_config_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    config = re.search(r"Generator configs are plain .*?```ini\n(.*?)```", readme, re.S).group(1)
+    (tmp_path / "model.cfg").write_text(config)
+    out = tmp_path / "out" / "run1"
+    assert main(["generate", "--config", str(tmp_path / "model.cfg"), "--out", str(out)]) == 0
+    assert out.with_suffix(".hyg").read_text().strip()

@@ -30,8 +30,19 @@ from hyperlp import (
     sample_hypergraph,
     sample_latents,
 )
+import hyperlp.latent
 from hyperlp.latent import _distance_matrix
 
+
+def candidate_tuples(pot):
+    """``pot.by_size`` as sorted-tuple lists, after checking that every
+    size has a key holding an (m, s) integer array."""
+    assert set(pot.by_size) == set(pot.sizes)
+    for s in pot.sizes:
+        arr = pot.by_size[s]
+        assert arr.ndim == 2 and arr.shape[1] == s
+        assert np.issubdtype(arr.dtype, np.integer)
+    return {s: [tuple(c) for c in pot.by_size[s].tolist()] for s in pot.sizes}
 
 
 def brute_force_candidates(positions, radii):
@@ -146,8 +157,7 @@ TEN_POINTS = np.array(
 class TestBuildPotential:
     def test_ten_point_scenario(self):
         pot = build_potential(TEN_POINTS, [0.5, 0.8])
-        assert pot.by_size[2] == [(0, 4), (2, 5), (3, 9), (4, 7)]
-        assert pot.by_size[3] == [(0, 1, 4)]
+        assert candidate_tuples(pot) == {2: [(0, 4), (2, 5), (3, 9), (4, 7)], 3: [(0, 1, 4)]}
 
     def test_zero_radii_distinct_points(self):
         pts = sample_latents(8, 2, 1)
@@ -157,8 +167,8 @@ class TestBuildPotential:
     def test_tight_cluster_all_subsets(self):
         pts = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1], [0.1, 0.1]])
         pot = build_potential(pts, [1.0, 1.0])
-        assert len(pot.by_size[2]) == 6
-        assert len(pot.by_size[3]) == 4
+        assert pot.by_size[2].shape == (6, 2)
+        assert pot.by_size[3].shape == (4, 3)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(0)
@@ -167,9 +177,7 @@ class TestBuildPotential:
             pts = rng.standard_normal((n, int(rng.integers(1, 4))))
             radii = np.sort(rng.uniform(0.1, 0.9, size=3))
             pot = build_potential(pts, radii)
-            assert {s: pot.by_size[s] for s in pot.sizes} == brute_force_candidates(
-                pts, radii
-            )
+            assert candidate_tuples(pot) == brute_force_candidates(pts, radii)
 
     def test_pair_counts_match_recount(self):
         rng = np.random.default_rng(8)
@@ -180,27 +188,69 @@ class TestBuildPotential:
         assert all(i < j for i, j in covered)
         for i, j in covered:
             for s in pot.sizes:
-                recount = sum(1 for f in pot.by_size[s] if i in f and j in f)
+                recount = sum(1 for f in pot.by_size[s].tolist() if i in f and j in f)
                 assert recount == pot.pair_counts[s - 2][i, j]
         # and no covered pair is missing
         for s in pot.sizes:
-            for f in pot.by_size[s]:
+            for f in pot.by_size[s].tolist():
                 for a, b in combinations(f, 2):
                     assert pot.pair_counts[s - 2][a, b] >= 1
 
     def test_growing_radius_grows_candidates(self):
         rng = np.random.default_rng(21)
         pts = rng.standard_normal((12, 2))
-        small = build_potential(pts, [0.3, 0.5])
+        small = candidate_tuples(build_potential(pts, [0.3, 0.5]))
         for bumped in ([0.45, 0.5], [0.3, 0.7]):
-            grown = build_potential(pts, bumped)
-            for s in small.sizes:
-                assert set(small.by_size[s]) <= set(grown.by_size[s])
+            grown = candidate_tuples(build_potential(pts, bumped))
+            for s in small:
+                assert set(small[s]) <= set(grown[s])
 
     def test_cap_enforced(self):
         pts = sample_latents(30, 2, 3)
         with pytest.raises(ResourceLimitError, match="cap"):
             build_potential(pts, [5.0, 5.0], max_potential=10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda d: arrays(
+                np.float64,
+                st.tuples(st.integers(1, 9), st.just(d)),
+                # a coarse grid: coincident points and distances tied with 2r
+                elements=st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 1.5]),
+            )
+        ),
+        st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 2.0]), min_size=1, max_size=4),
+    )
+    def test_matches_brute_force_exactly(self, pts, radii):
+        # same candidates in the same order, for every radius (0 included)
+        assert candidate_tuples(build_potential(pts, radii)) == brute_force_candidates(pts, radii)
+
+    def test_many_blocks_same_candidates(self, monkeypatch):
+        pts = sample_latents(30, 2, 4)
+        radii = radii_from_percentiles(pts, [5, 10, 20, 30])
+        expected = build_potential(pts, radii)
+        for mask_bytes in (1, 31, 200):
+            monkeypatch.setattr(hyperlp.latent, "_MASK_BYTES", mask_bytes)
+            got = build_potential(pts, radii)
+            for s in expected.sizes:
+                assert got.by_size[s].dtype == expected.by_size[s].dtype
+                assert np.array_equal(got.by_size[s], expected.by_size[s])
+
+    def test_cap_boundary(self, monkeypatch):
+        pts = sample_latents(30, 2, 5)
+        radii = radii_from_percentiles(pts, [5, 10, 20])
+        total = build_potential(pts, radii).total
+        assert build_potential(pts, radii, max_potential=total).total == total
+        with pytest.raises(ResourceLimitError, match=f"cap of {total - 1}: {total} candidates by size 4"):
+            build_potential(pts, radii, max_potential=total - 1)
+        # checked block by block: with one parent per block, a cap of 0
+        # stops at the first vertex that has a higher neighbour
+        monkeypatch.setattr(hyperlp.latent, "_MASK_BYTES", 1)
+        higher = np.triu(_distance_matrix(pts) <= 2 * radii[0], k=1).sum(axis=1)
+        first = int(higher[higher > 0][0])
+        with pytest.raises(ResourceLimitError, match=f"cap of 0: {first} candidates by size 2"):
+            build_potential(pts, radii, max_potential=0)
 
 
 class TestSampleHypergraph:
