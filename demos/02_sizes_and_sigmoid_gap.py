@@ -49,6 +49,7 @@ profile = edge_distance_profile(
     n_trials=40,
     bins=30,
     hoff=hoff,
+    pot=pot,
 )
 reach = 2 * radii[-1]
 band = (profile.bin_centers >= 2 * radii[0]) & (profile.bin_centers <= reach)

@@ -23,10 +23,18 @@ non-links as negatives. :func:`evaluate_protocol` builds a graph's pair
 set, labels and scoring graph once and scores them with every scorer,
 one :func:`~hyperlp.heuristics.score_pairs` call each;
 ``leave_one_out`` and ``split_evaluate`` are its one-scorer case.
-Leave-one-out needs no per-edge graph copy except for SimRank: removing
-edge {u, v} changes no common neighbor of u and v and no degree of one,
-so CN, AA and RA keep their intact-graph value, PA becomes
-``(d_u - 1)(d_v - 1)`` and JC's union shrinks by 2.
+
+A pair set is one int (m, 2) array with a labels array; neither is
+built pair by pair. The leave-one-out set is every pair u < v in
+``np.triu_indices(n, 1)`` order (the condensed order), and its scores
+and labels are read from each sparse product in one pass
+(:func:`~hyperlp.heuristics.condensed`). Leave-one-out needs no
+per-edge graph copy: removing edge {u, v} changes no common neighbor of
+u and v and no degree of one, so CN, AA and RA keep their intact-graph
+value, PA becomes ``(d_u - 1)(d_v - 1)`` and JC's union shrinks by 2.
+SimRank solves once per edge, from the intact column-normalized
+adjacency ``W`` with the two columns of the edge's endpoints replaced
+(:func:`~hyperlp.heuristics.simrank_without_each_edge`).
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .heuristics import score_pairs, simrank_matrix
+from .heuristics import condensed, score_pairs, simrank_without_each_edge
 from .hypergraph import SimpleGraph, clique_expand
 from .latent import (
     DEFAULT_MAX_POTENTIAL,
@@ -52,24 +60,30 @@ from .latent import (
 )
 
 
-@dataclass
 class LabeledPairs:
     """Vertex pairs with link labels and (optionally) scores, kept in
-    parallel order."""
+    parallel order.
 
-    pairs: list[tuple[int, int]]
-    labels: np.ndarray
-    scores: np.ndarray | None = None
+    ``pairs`` may be a list of ``(u, v)`` tuples or an (m, 2) int array;
+    it is stored as the array ``pair_array``, and :attr:`pairs` reads it
+    back as a list of tuples.
+    """
 
-    def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=bool)
-        if self.scores is not None:
-            self.scores = np.asarray(self.scores, dtype=np.float64)
-            if len(self.scores) != len(self.pairs):
-                raise ValueError("scores and pairs lengths differ")
-        if len(self.labels) != len(self.pairs):
+    def __init__(self, pairs, labels, scores=None):
+        pair_array = np.asarray(pairs, dtype=np.int64)
+        if pair_array.size == 0:
+            pair_array = pair_array.reshape(0, 2)
+        if pair_array.ndim != 2 or pair_array.shape[1] != 2:
+            raise ValueError("pairs must be (u, v) pairs")
+        self.pair_array = pair_array
+        self.labels = np.asarray(labels, dtype=bool)
+        self.scores = None if scores is None else np.asarray(scores, dtype=np.float64)
+        m = len(self.pair_array)
+        if self.scores is not None and len(self.scores) != m:
+            raise ValueError("scores and pairs lengths differ")
+        if len(self.labels) != m:
             raise ValueError("labels and pairs lengths differ")
-        u, v = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2).T
+        u, v = self.pair_array.T
         selfs = np.flatnonzero(u == v)
         if len(selfs):
             raise ValueError(f"self-pair ({u[selfs[0]]}, {v[selfs[0]]}) is not allowed")
@@ -79,6 +93,10 @@ class LabeledPairs:
         if len(dups):
             i = order[dups[0]]
             raise ValueError(f"duplicate pair {(int(lo[i]), int(hi[i]))}")
+
+    @property
+    def pairs(self) -> list[tuple[int, int]]:
+        return list(map(tuple, self.pair_array.tolist()))
 
     @property
     def n_pos(self) -> int:
@@ -160,11 +178,10 @@ def all_pairs(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
-def _pair_labels(g: SimpleGraph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Whether each pair ``(u[i], v[i])`` is an edge of ``g``."""
-    if len(u) == 0:
-        return np.zeros(0, dtype=bool)
-    return g.adjacency_csr()[u, v] > 0
+def _pair_labels(g: SimpleGraph) -> np.ndarray:
+    """Whether each pair u < v, in ``np.triu_indices(g.n, 1)`` order, is
+    an edge of ``g``."""
+    return condensed(g.adjacency_csr()) > 0
 
 
 def _scorer_ids(scorers: Sequence[str]) -> list[str]:
@@ -184,10 +201,9 @@ def _loo_pair_set(g: SimpleGraph):
     """Every vertex pair, labeled by adjacency and scored on ``g``."""
     if g.edge_count == 0:
         raise ValueError("leave-one-out needs at least one edge")
-    iu, iv = np.triu_indices(g.n, k=1)
-    if g.edge_count == len(iu):
+    if g.edge_count == g.n * (g.n - 1) // 2:
         raise ValueError("leave-one-out needs at least one non-edge")
-    return g, iu, iv, _pair_labels(g, iu, iv)
+    return g, np.column_stack(np.triu_indices(g.n, k=1)), _pair_labels(g)
 
 
 def _without_each_edge(scorer: str, g: SimpleGraph, u: np.ndarray, v: np.ndarray):
@@ -201,9 +217,7 @@ def _without_each_edge(scorer: str, g: SimpleGraph, u: np.ndarray, v: np.ndarray
         union = d[u] + d[v] - cn - 2
         return np.divide(cn, union, out=np.zeros_like(cn), where=union > 0)
     if scorer == "sr":
-        return np.array(
-            [simrank_matrix(g.without_edge(a, b))[a, b] for a, b in zip(u.tolist(), v.tolist())]
-        )
+        return simrank_without_each_edge(g, u, v)
     return None
 
 
@@ -213,8 +227,9 @@ def _sample_distance_limited_non_links(
     d_hop: int,
     wanted: int,
     rng: np.random.Generator,
-) -> list[tuple[int, int]]:
-    """Uniform sample (without replacement) of distance-limited non-links.
+) -> np.ndarray:
+    """Uniform sample (without replacement) of distance-limited non-links,
+    as rows ``(u, v)``, u < v.
 
     Candidates are the pairs u < v within ``d_hop`` train-graph hops, the
     upper triangle of the boolean ``A + A^2 + ... + A^d_hop``, minus the
@@ -239,7 +254,7 @@ def _sample_distance_limited_non_links(
         )
     chosen = np.sort(rng.choice(total, size=wanted, replace=False))
     rows = np.searchsorted(cand.indptr, chosen, side="right") - 1
-    return list(zip(rows.tolist(), cand.indices[chosen].tolist()))
+    return np.column_stack((rows, cand.indices[chosen]))
 
 
 def _split_pair_set(g: SimpleGraph, spec: SplitSpec):
@@ -262,8 +277,8 @@ def _split_pair_set(g: SimpleGraph, spec: SplitSpec):
         negatives = _sample_distance_limited_non_links(g, g_train, spec.d_hop, wanted, rng)
     if not len(negatives):
         raise ValueError("no negatives available for the split")
-    u, v = np.concatenate([edges[test], np.reshape(negatives, (-1, 2))]).T
-    return g_train, u, v, np.arange(len(u)) < n_test
+    pairs = np.concatenate([edges[test], negatives])
+    return g_train, pairs, np.arange(len(pairs)) < n_test
 
 
 def evaluate_protocol(
@@ -272,28 +287,31 @@ def evaluate_protocol(
     """Score one pair set of ``g``, built once under ``protocol`` (``"loo"``
     or a :class:`SplitSpec`), with every scorer.
 
-    Every result shares one ``pairs`` list and ``labels`` array, checked
-    once. A scorer that raises gets its exception in its own slot; when
-    the pair set cannot be built (no non-edge, too few negatives), its
-    exception fills every slot.
+    Every result shares one ``pair_array`` and one ``labels`` array,
+    checked once. A scorer that raises gets its exception in its own
+    slot; when the pair set cannot be built (no non-edge, too few
+    negatives), its exception fills every slot.
     """
     scorers = _scorer_ids(scorers)
     loo = protocol == "loo"
     if not (loo or isinstance(protocol, SplitSpec)):
         raise ValueError(f"unknown protocol {protocol!r}; use 'loo' or a SplitSpec")
     try:
-        scored_on, u, v, labels = _loo_pair_set(g) if loo else _split_pair_set(g, protocol)
-        base = LabeledPairs(pairs=list(zip(u.tolist(), v.tolist())), labels=labels)
+        scored_on, pairs, labels = _loo_pair_set(g) if loo else _split_pair_set(g, protocol)
+        base = LabeledPairs(pairs, labels)
     except Exception as exc:
         return dict.fromkeys(scorers, exc)
     out: dict[str, LabeledPairs | Exception] = {}
     for scorer in scorers:
         try:
-            scores = score_pairs(scorer, scored_on, u, v)
-            edge_scores = _without_each_edge(scorer, g, u[labels], v[labels]) if loo else None
+            if loo:  # every pair, in condensed order
+                scores = score_pairs(scorer, scored_on)
+                edge_scores = _without_each_edge(scorer, g, *pairs[labels].T)
+            else:
+                scores, edge_scores = score_pairs(scorer, scored_on, *pairs.T), None
             if edge_scores is not None:
                 scores[labels] = edge_scores
-            out[scorer] = copy.copy(base)  # shares pairs and labels
+            out[scorer] = copy.copy(base)  # shares pair_array and labels
             out[scorer].scores = scores
         except Exception as exc:  # isolated per-scorer failure
             out[scorer] = exc
@@ -330,12 +348,11 @@ def model_auc(pot: PotentialIndex, phi: Sequence[float], g: SimpleGraph) -> floa
     if g.n != pot.n:
         raise ValueError(f"graph has {g.n} vertices; the candidate index has {pot.n}")
     prob = link_probability_map(pot, phi)
-    iu, iv = np.triu_indices(g.n, k=1)
-    labels = _pair_labels(g, iu, iv)
+    labels = _pair_labels(g)
     n_pos = int(labels.sum())
-    if n_pos == 0 or n_pos == len(iu):
+    if n_pos == 0 or n_pos == len(labels):
         return 0.5
-    return auc(prob[iu, iv], labels)
+    return auc(condensed(prob), labels)
 
 
 @dataclass

@@ -103,7 +103,10 @@ class SimpleGraph:
         return int(self._csr.indptr[v + 1] - self._csr.indptr[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self._csr[u, v])
+        a = self._csr
+        row = a.indices[a.indptr[u] : a.indptr[u + 1]]
+        i = np.searchsorted(row, v)
+        return bool(i < len(row) and row[i] == v)
 
     @property
     def edge_count(self) -> int:

@@ -228,7 +228,13 @@ def build_potential(
     cliques grown on the way to size ``s`` are not candidates and do not
     count.
     """
-    dist = _distance_matrix(positions)
+    return _enumerate_candidates(_distance_matrix(positions), radii, max_potential)
+
+
+def _enumerate_candidates(
+    dist: np.ndarray, radii: Sequence[float], max_potential: int
+) -> PotentialIndex:
+    """:func:`build_potential` from the dense distance matrix ``dist``."""
     n = len(dist)
     by_size: dict[int, np.ndarray] = {}
     total = 0
@@ -425,20 +431,31 @@ def edge_distance_profile(
     bins: int = 20,
     hoff: HoffParams | None = None,
     max_potential: int = DEFAULT_MAX_POTENTIAL,
+    pot: PotentialIndex | None = None,
 ) -> DistanceProfile:
     """Empirical probability that a pair at a given distance becomes an
     edge, binned by distance, against the sigmoid baseline at bin centers.
 
+    ``pot`` is the model's candidate index, when the caller already holds
+    it (``build_potential(model.positions, model.radii)``); otherwise it
+    is enumerated here. The distance matrix is computed once either way.
     Pairs farther apart than ``2 * max(radii)`` can never be covered, so
     their frequency is exactly zero by construction.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    phi_vec = model.phi if phi is None else np.asarray(phi, dtype=np.float64)
-    hoff = hoff or default_hoff_params(model.positions)
-    dist = pairwise_distances(model.positions)
     n = model.n
-    pot = build_potential(model.positions, model.radii, max_potential=max_potential)
+    if pot is not None and (pot.n, pot.k_max) != (n, model.k_max):
+        raise ValueError(
+            f"the candidate index has n={pot.n}, k_max={pot.k_max}; "
+            f"the model has n={n}, k_max={model.k_max}"
+        )
+    phi_vec = model.phi if phi is None else np.asarray(phi, dtype=np.float64)
+    dist_matrix = _distance_matrix(model.positions)
+    dist = dist_matrix[np.triu_indices(n, k=1)]
+    hoff = hoff or HoffParams(alpha=DEFAULT_HOFF_ALPHA, gamma=float(np.median(dist)))
+    if pot is None:
+        pot = _enumerate_candidates(dist_matrix, model.radii, max_potential)
 
     hits = np.zeros((n, n), dtype=np.int64)
     seed_rng = np.random.default_rng(model.seed)

@@ -162,21 +162,20 @@ def verify_er_common_neighbors(
     if n < 10 or trials < 30:
         raise ValueError("need n >= 10 and trials >= 30 for a stable check")
     rng = np.random.default_rng(seed)
-    iu, iv = np.triu_indices(n, k=1)
     trial_means = []
     trial_diffs = []
     matched_counts = []
     for ts in _spawn_seeds(seed, trials):
         g = er_sample(n, p, ts)
-        a = g.adjacency_matrix()
-        counts = (a @ a)[iu, iv]
-        flags = a[iu, iv] > 0
+        counts = score_pairs("cn", g)
+        flags = _pair_labels(g)
         trial_means.append(float(counts.mean()))
         if flags.any() and not flags.all():
             trial_diffs.append(float(counts[flags].mean() - counts[~flags].mean()))
         if chi_square:
             order = rng.permutation(n)
-            matched_counts.append((a @ a)[order[0::2][: n // 2], order[1::2][: n // 2]])
+            half = n // 2
+            matched_counts.append(score_pairs("cn", g, order[0::2][:half], order[1::2][:half]))
 
     target = (n - 2) * p * p
     mean, se, lo, hi = _mean_ci(trial_means)
@@ -294,7 +293,6 @@ def verify_higher_order_auc_lift(
     if trials < batches:
         raise ValueError(f"need trials >= batches, got {trials} < {batches}")
 
-    iu, iv = np.triu_indices(pot.n, k=1)
     batch_scores: list[list[np.ndarray]] = [[] for _ in range(batches)]
     batch_labels: list[list[np.ndarray]] = [[] for _ in range(batches)]
     loo_values: list[float] = []
@@ -303,8 +301,8 @@ def verify_higher_order_auc_lift(
     for t, ts in enumerate(seeds):
         g = clique_expand(sample_hypergraph(pot, phi, ts))
         b = t % batches
-        batch_scores[b].append(score_pairs(scorer, g, iu, iv))
-        batch_labels[b].append(_pair_labels(g, iu, iv))
+        batch_scores[b].append(score_pairs(scorer, g))
+        batch_labels[b].append(_pair_labels(g))
         model_values.append(model_auc(pot, phi, g))
         try:
             lp = leave_one_out(g, scorer)
@@ -375,7 +373,6 @@ def exact_ensemble_auc(
         raise ValueError(f"{m} candidates exceed the enumeration cap {max_candidates}")
     phi = np.asarray(phi, dtype=np.float64)
     probs = np.array([phi[len(c) - 2] for c in cands])
-    iu, iv = np.triu_indices(pot.n, k=1)
 
     scores, labels, weights = [], [], []
     for bits in range(2**m):
@@ -384,9 +381,9 @@ def exact_ensemble_auc(
         if weight == 0.0:
             continue
         g = clique_expand(Hypergraph(pot.n, [c for c, on in zip(cands, chosen) if on]))
-        scores.append(score_pairs(scorer, g, iu, iv))
-        labels.append(_pair_labels(g, iu, iv))
-        weights.append(np.full(len(iu), weight))
+        scores.append(score_pairs(scorer, g))
+        labels.append(_pair_labels(g))
+        weights.append(np.full(len(labels[-1]), weight))
     greater, ties, w_pos, w_neg = _cross_class_counts(
         np.concatenate(scores), np.concatenate(labels), np.concatenate(weights)
     )

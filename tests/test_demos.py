@@ -1,7 +1,9 @@
-"""Every demo script and the README quickstart run to completion."""
+"""Every demo script, the README quickstart and the README command-line
+examples run to completion."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -52,3 +54,20 @@ def test_readme_generate_config_runs(tmp_path):
     out = tmp_path / "out" / "run1"
     assert main(["generate", "--config", str(tmp_path / "model.cfg"), "--out", str(out)]) == 0
     assert out.with_suffix(".hyg").read_text().strip()
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    # every `hyperlp ...` line of the README's command-line block, in-process;
+    # its ini block serves as both configs, the toy file as `mydata.hyg`
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Command line\n.*?```bash\n(.*?)```", readme, re.S).group(1)
+    config = re.search(r"Generator configs are plain .*?```ini\n(.*?)```", readme, re.S).group(1)
+    for name in ("scan.cfg", "model.cfg"):
+        (tmp_path / name).write_text(config)
+    toy = str(ROOT / "data" / "toy_five_vertex.hyg")
+    monkeypatch.chdir(tmp_path)
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("hyperlp ")]
+    assert len(commands) == 5
+    for argv in commands:
+        argv = [toy if arg in ("mydata.hyg", "data/toy_five_vertex.hyg") else arg for arg in argv]
+        assert main(argv) == 0, argv

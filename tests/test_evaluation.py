@@ -174,13 +174,38 @@ class TestAuc:
 
 
 class TestLabeledPairs:
+    # every check runs on a list of tuples and on an (m, 2) array alike
+    BOXES = (list, np.array)
+
     def test_duplicate_pair_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            LabeledPairs(pairs=[(0, 1), (1, 0)], labels=[True, False])
+        for box in self.BOXES:
+            for pairs in ([(0, 1), (1, 0)], [(2, 3), (0, 1), (2, 3)], [(0, 5), (1, 2), (5, 0)]):
+                with pytest.raises(ValueError, match="duplicate"):
+                    LabeledPairs(pairs=box(pairs), labels=[True] * len(pairs))
 
     def test_self_pair_rejected(self):
-        with pytest.raises(ValueError, match="self-pair"):
-            LabeledPairs(pairs=[(1, 1)], labels=[True])
+        for box in self.BOXES:
+            with pytest.raises(ValueError, match="self-pair"):
+                LabeledPairs(pairs=box([(1, 1)]), labels=[True])
+            with pytest.raises(ValueError, match="self-pair"):
+                LabeledPairs(pairs=box([(0, 1), (2, 2)]), labels=[True, False])
+
+    def test_length_mismatch_rejected(self):
+        for box in self.BOXES:
+            with pytest.raises(ValueError, match="labels and pairs"):
+                LabeledPairs(pairs=box([(0, 1), (0, 2)]), labels=[True])
+            with pytest.raises(ValueError, match="scores and pairs"):
+                LabeledPairs(pairs=box([(0, 1), (0, 2)]), labels=[True, False], scores=[1.0])
+
+    def test_pairs_read_back_as_tuples(self):
+        for box in self.BOXES:
+            lp = LabeledPairs(pairs=box([(3, 1), (0, 2)]), labels=[True, False])
+            assert lp.pairs == [(3, 1), (0, 2)]
+            assert lp.pair_array.shape == (2, 2) and lp.pair_array.dtype == np.int64
+
+    def test_empty(self):
+        lp = LabeledPairs(pairs=[], labels=[])
+        assert lp.pairs == [] and lp.pair_array.shape == (0, 2)
 
 
 class TestLeaveOneOut:
@@ -198,6 +223,7 @@ class TestLeaveOneOut:
     def test_label_counts(self, five_vertex):
         g = clique_expand(five_vertex)
         lp = leave_one_out(g, "cn")
+        assert lp.pairs == all_pairs(g.n)
         assert lp.n_pos == g.edge_count
         assert lp.n_neg == g.n * (g.n - 1) // 2 - g.edge_count
 
@@ -242,7 +268,9 @@ class TestEvaluateProtocol:
         assert list(out) == list(SCORER_IDS)
         first = out["cn"]
         for lp in out.values():
-            assert lp.pairs is first.pairs and lp.labels is first.labels
+            assert lp.pair_array is first.pair_array and lp.labels is first.labels
+        if protocol == "loo":
+            assert first.pairs == all_pairs(g.n)
 
     def test_pair_set_failure_fills_every_slot(self):
         k3 = SimpleGraph(3, [(0, 1), (1, 2), (0, 2)])
@@ -351,7 +379,8 @@ class TestSplitEvaluate:
         got = _sample_distance_limited_non_links(
             g, g_train, d_hop, wanted, np.random.default_rng(seed)
         )
-        assert got == [cands[i] for i in chosen]
+        assert got.shape == (wanted, 2)
+        assert list(map(tuple, got.tolist())) == [cands[i] for i in chosen]
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):

@@ -5,10 +5,15 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import graphs
 from hyperlp import SCORER_IDS, SimpleGraph, er_sample, score, score_pairs, simrank_matrix
-from hyperlp.heuristics import SIMRANK_DECAY, SimRankConvergenceError
+from hyperlp.heuristics import (
+    SIMRANK_DECAY,
+    SimRankConvergenceError,
+    simrank_without_each_edge,
+)
 
 # AA and RA sum the same terms in another order than the per-pair scorers.
 PARITY_REL = {"aa": 1e-12, "ra": 1e-12}
@@ -175,7 +180,45 @@ class TestSimRank:
         assert score("sr", g, 0, 3) == 0.0
 
 
+class TestSimRankWithoutEachEdge:
+    # triangle 0-1-2, a pendant path 2-3-4 (3-4 has the degree-1 end 4),
+    # an isolated pair 5-6 (both ends degree 1) and an isolated vertex 7
+    GRAPH = SimpleGraph(8, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (5, 6)])
+
+    def test_bit_identical_to_graph_copies(self):
+        g = self.GRAPH
+        edges = g.edge_array()
+        tables = [simrank_matrix(g.without_edge(a, b)) for a, b in edges.tolist()]
+        got = simrank_without_each_edge(g, edges[:, 0], edges[:, 1])
+        assert got.tolist() == [s[a, b] for s, (a, b) in zip(tables, edges.tolist())]
+        flipped = simrank_without_each_edge(g, edges[:, 1], edges[:, 0])
+        assert flipped.tolist() == [s[b, a] for s, (a, b) in zip(tables, edges.tolist())]
+        assert got[0] > 0  # (0, 1) keeps its path through 2
+        assert got[-1] == 0.0  # (5, 6) without its edge: two isolated vertices
+
+    def test_convergence_error(self):
+        g = SimpleGraph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
+        with pytest.raises(SimRankConvergenceError):
+            simrank_without_each_edge(g, [0], [4], tol=1e-12, max_iter=2)
+
+    def test_non_edge_rejected(self):
+        with pytest.raises(ValueError, match="not an edge"):
+            simrank_without_each_edge(self.GRAPH, [0], [3])
+
+
 class TestScorePairsParity:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.one_of(
+            graphs(min_n=0, max_n=12),
+            st.integers(0, 12).map(lambda n: SimpleGraph(n)),  # edgeless
+        )
+    )
+    def test_condensed_read_matches_explicit_pairs(self, g):
+        iu, iv = np.triu_indices(g.n, k=1)
+        for s in SCORER_IDS:
+            assert np.array_equal(score_pairs(s, g), score_pairs(s, g, iu, iv)), s
+
     @settings(max_examples=60, deadline=None)
     @given(graphs())
     def test_matches_per_pair_scorers(self, g):

@@ -459,6 +459,23 @@ class TestEdgeDistanceProfile:
         beyond = prof.bin_edges[:-1] > reach
         assert np.all(prof.model_freq[beyond] == 0)
 
+    def test_given_index_gives_identical_profile(self):
+        pts = sample_latents(40, 2, 3)
+        radii = radii_from_percentiles(pts, [2, 6, 10])
+        model = LatentModel(pts, radii=radii, phi=phi_preset("power_law", k_max=4), seed=3)
+        own = edge_distance_profile(model, n_trials=6, bins=12)
+        reused = edge_distance_profile(model, n_trials=6, bins=12, pot=build_potential(pts, radii))
+        for field in ("bin_edges", "bin_centers", "pair_counts", "model_freq", "hoff_prob"):
+            assert getattr(own, field).tobytes() == getattr(reused, field).tobytes(), field
+        assert own.hoff_params == reused.hoff_params
+
+    def test_mismatched_index_rejected(self):
+        model = LatentModel(TEN_POINTS, radii=[0.5, 0.8], phi=[0.5, 0.5], seed=0)
+        with pytest.raises(ValueError, match="candidate index"):
+            edge_distance_profile(model, pot=build_potential(TEN_POINTS[:9], [0.5, 0.8]))
+        with pytest.raises(ValueError, match="candidate index"):
+            edge_distance_profile(model, pot=build_potential(TEN_POINTS, [0.5]))
+
     def test_generator_exceeds_sigmoid_in_mid_range(self):
         # statistical comparison in the band between the pair and top reach
         rng_pts = sample_latents(120, 2, 33)
