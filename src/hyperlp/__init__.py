@@ -6,6 +6,15 @@ a scorer's AUC is owed to higher-order structure, and correct for it via
 size-preserving relocation baselines.
 """
 
+import os
+
+# numpy's OpenBLAS worker threads busy-wait for about 2**28 cycles (0.1 s)
+# after the library loads before they sleep; with a short import that
+# spin runs alongside the command and doubles its CPU time. Our dense
+# products (SimRank) are too small to miss the wake-up latency. A value
+# the user set wins; it must be in place before numpy is first imported.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 from .datasets import (
     DataFormatError,
     DatasetBundle,

@@ -309,6 +309,14 @@ def _print_entries(dataset: str, entries: list[dict], reversals) -> None:
         print(f"reversal: {a} vs {b}")
 
 
+def _raise_resource_limit(outcome: dict) -> None:
+    """Raise the first resource limit a scorer hit, so the command exits 2
+    instead of writing a result without that scorer."""
+    for result in outcome.values():
+        if isinstance(result, ResourceLimitError):
+            raise result
+
+
 def cmd_evaluate(args) -> int:
     bundle = _load_bundle(args)
     protocol = _protocol_from_args(args)
@@ -318,6 +326,7 @@ def cmd_evaluate(args) -> int:
         )
     else:
         outcome = evaluate_protocol(clique_expand(bundle.hypergraph), args.algorithms, protocol)
+    _raise_resource_limit(outcome)
 
     results = []
     errors = {}
@@ -504,6 +513,7 @@ def cmd_adjust(args) -> int:
     outcome = adjusted_auc(
         bundle.hypergraph, args.algorithms, protocol, n_runs=args.runs, seed=args.seed
     )
+    _raise_resource_limit(outcome)
     reports = {s: r for s, r in outcome.items() if not isinstance(r, Exception)}
     errors = {s: str(r) for s, r in outcome.items() if isinstance(r, Exception)}
     if not reports:

@@ -26,15 +26,18 @@ one :func:`~hyperlp.heuristics.score_pairs` call each;
 
 A pair set is one int (m, 2) array with a labels array; neither is
 built pair by pair. The leave-one-out set is every pair u < v in
-``np.triu_indices(n, 1)`` order (the condensed order), and its scores
-and labels are read from each sparse product in one pass
-(:func:`~hyperlp.heuristics.condensed`). Leave-one-out needs no
+``np.triu_indices(n, 1)`` order (the condensed order): its labels are
+the edges' condensed keys scattered once
+(:func:`~hyperlp.heuristics.condensed`), and CN, AA and RA are summed
+per key over the wedges. Leave-one-out needs no
 per-edge graph copy: removing edge {u, v} changes no common neighbor of
 u and v and no degree of one, so CN, AA and RA keep their intact-graph
 value, PA becomes ``(d_u - 1)(d_v - 1)`` and JC's union shrinks by 2.
 SimRank solves once per edge, from the intact column-normalized
 adjacency ``W`` with the two columns of the edge's endpoints replaced
-(:func:`~hyperlp.heuristics.simrank_without_each_edge`).
+(:func:`~hyperlp.heuristics.simrank_without_each_edge`). Split
+negatives at ``d_hop=2`` are wedge keys too; only ``d_hop >= 3``
+imports ``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -45,10 +48,16 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .heuristics import condensed, score_pairs, simrank_without_each_edge
-from .hypergraph import SimpleGraph, clique_expand
+from .hypergraph import (
+    SimpleGraph,
+    clique_expand,
+    condensed_keys,
+    condensed_pairs,
+    count_keys,
+    wedge_blocks,
+)
 from .latent import (
     DEFAULT_MAX_POTENTIAL,
     PotentialIndex,
@@ -181,7 +190,7 @@ def all_pairs(n: int) -> list[tuple[int, int]]:
 def _pair_labels(g: SimpleGraph) -> np.ndarray:
     """Whether each pair u < v, in ``np.triu_indices(g.n, 1)`` order, is
     an edge of ``g``."""
-    return condensed(g.adjacency_csr()) > 0
+    return condensed(g.n, g.edge_keys(), True)
 
 
 def _scorer_ids(scorers: Sequence[str]) -> list[str]:
@@ -209,7 +218,7 @@ def _loo_pair_set(g: SimpleGraph):
 def _without_each_edge(scorer: str, g: SimpleGraph, u: np.ndarray, v: np.ndarray):
     """Scores of the edges ``(u[i], v[i])``, each on ``g`` without it; None
     where the intact-graph score stands (CN, AA, RA)."""
-    d = np.diff(g.adjacency_csr().indptr).astype(np.float64)
+    d = g.degrees().astype(np.float64)
     if scorer == "pa":
         return (d[u] - 1) * (d[v] - 1)
     if scorer == "jc":
@@ -231,30 +240,39 @@ def _sample_distance_limited_non_links(
     """Uniform sample (without replacement) of distance-limited non-links,
     as rows ``(u, v)``, u < v.
 
-    Candidates are the pairs u < v within ``d_hop`` train-graph hops, the
-    upper triangle of the boolean ``A + A^2 + ... + A^d_hop``, minus the
-    full graph's edges (which include every train edge, so distance 1
-    drops out). In CSR row-major order with sorted columns they are
-    enumerated by source, then target, and ``rng`` picks indices into
-    that order. Memory is O(candidates): at n=5,000 with 139k edges,
-    4.0M candidates peak at about 220 MB.
+    Candidates are the pairs within ``d_hop`` train-graph hops minus the
+    full graph's edges (so distance 1 drops out), as ascending condensed
+    keys, into which ``rng`` picks indices. At ``d_hop=2`` they are the
+    train graph's distinct wedge keys; a larger ``d_hop`` imports
+    ``scipy.sparse`` for ``A + A^2 + ... + A^d_hop``. At n=5,000 a
+    112k-edge train graph (139k full) has 5.3M wedges and 4.0M
+    candidates; the draw peaks at 199 MB (``tracemalloc``; 213 MB with
+    ``scipy.sparse`` powers).
     """
-    a = g_train.adjacency_csr().astype(bool)
-    power = reach = a
-    for _ in range(d_hop - 1):
-        power = power @ a
-        reach = reach + power
-    cand = sp.triu(reach > g_full.adjacency_csr().astype(bool), k=1, format="csr")
-    cand.sort_indices()
-    total = cand.nnz
+    n = g_train.n
+    if d_hop == 2:
+        reach = np.zeros(0, dtype=np.int64)
+        for keys, _ in wedge_blocks(g_train):  # distinct so far, ascending
+            reach = count_keys(np.concatenate((reach, keys)))[0]
+    else:
+        import scipy.sparse as sp
+
+        ones = np.ones(len(g_train.indices), dtype=bool)
+        a = sp.csr_array((ones, g_train.indices, g_train.indptr), shape=(n, n))
+        power = reach = a
+        for _ in range(d_hop - 1):
+            power = power @ a
+            reach = reach + power
+        reach = np.sort(condensed_keys(n, *sp.triu(reach, k=1).nonzero()))
+    cand = np.setdiff1d(reach, g_full.edge_keys(), assume_unique=True)
+    total = len(cand)
     if total < wanted:
         raise ValueError(
             f"only {total} non-links within {d_hop} hops; "
             f"need {wanted} (short by {wanted - total})"
         )
     chosen = np.sort(rng.choice(total, size=wanted, replace=False))
-    rows = np.searchsorted(cand.indptr, chosen, side="right") - 1
-    return np.column_stack((rows, cand.indices[chosen]))
+    return condensed_pairs(n, cand[chosen])
 
 
 def _split_pair_set(g: SimpleGraph, spec: SplitSpec):
@@ -304,9 +322,9 @@ def evaluate_protocol(
     out: dict[str, LabeledPairs | Exception] = {}
     for scorer in scorers:
         try:
-            if loo:  # every pair, in condensed order
-                scores = score_pairs(scorer, scored_on)
+            if loo:  # every pair in condensed order; edges first, for the SimRank budget
                 edge_scores = _without_each_edge(scorer, g, *pairs[labels].T)
+                scores = score_pairs(scorer, scored_on)
             else:
                 scores, edge_scores = score_pairs(scorer, scored_on, *pairs.T), None
             if edge_scores is not None:
@@ -347,12 +365,12 @@ def model_auc(pot: PotentialIndex, phi: Sequence[float], g: SimpleGraph) -> floa
     """
     if g.n != pot.n:
         raise ValueError(f"graph has {g.n} vertices; the candidate index has {pot.n}")
-    prob = link_probability_map(pot, phi)
+    prob = condensed(g.n, *link_probability_map(pot, phi))
     labels = _pair_labels(g)
     n_pos = int(labels.sum())
     if n_pos == 0 or n_pos == len(labels):
         return 0.5
-    return auc(condensed(prob), labels)
+    return auc(prob, labels)
 
 
 @dataclass

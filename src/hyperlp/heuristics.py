@@ -20,19 +20,19 @@ degree >= 2, asserted in the tests).
 Scores are raw, not normalized; rank-based evaluation downstream makes
 monotone rescaling irrelevant.
 
-:func:`score_pairs` scores a whole pair set at once from the CSR
-adjacency ``A`` and degrees ``d`` (Lü & Zhou, Physica A 2011): CN is
-``A @ A``, AA is ``A @ diag(1/log(1+d)) @ A`` and RA is
-``A @ diag(1/d) @ A``, each read at ``(u, v)``; PA is ``d_u * d_v``, JC
-is ``CN / (d_u + d_v - CN)`` and SR indexes one :func:`simrank_matrix`.
-Called without ``u, v`` it scores every pair u < v in
-``np.triu_indices(n, 1)`` order (the condensed order of
-``scipy.spatial.distance.pdist``), reading each sparse product in one
-pass with :func:`condensed` instead of looking up every pair.
-The per-pair functions and :func:`score` compute the same definitions
-one pair at a time and serve as the reference. AA and RA sum the same
-terms in ascending common-neighbor order here and in set order there, so
-the two can differ in the last bits.
+:func:`score_pairs` scores a whole pair set at once, on numpy alone. CN,
+AA and RA sum over wedges, the neighbor pairs of each centre w (Lü &
+Zhou, Physica A 2011; Zhou, Lü & Zhang, EPJ B 2009), with terms 1,
+``1/log(1+d_w)`` and ``1/d_w``, added up per condensed pair key over
+the wedges (:func:`~hyperlp.hypergraph.wedge_blocks`). PA is
+``d_u * d_v``, JC is ``CN / (d_u + d_v - CN)`` and SR indexes one
+:func:`simrank_matrix`. Each pair's AA and RA terms are added in
+ascending order, so the sum depends only on the multiset of
+common-neighbor degrees, not on vertex labels (Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2002, ch. 4). The per-pair functions
+and :func:`score` compute the same definitions one pair at a time as the
+reference; they add AA and RA terms in set order, so the two can differ
+in the last bits.
 
 Leave-one-out SimRank (:func:`simrank_without_each_edge`) never copies
 the graph: removing edge {a, b} changes only columns a and b of the
@@ -47,16 +47,23 @@ import math
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.typing import ArrayLike
 
-from .hypergraph import SimpleGraph
+from .hypergraph import SimpleGraph, condensed_keys, count_keys, wedge_blocks
+from .latent import ResourceLimitError
 
 SCORER_IDS: tuple[str, ...] = ("cn", "aa", "pa", "jc", "ra", "sr")
 
 SIMRANK_DECAY = 0.8
 SIMRANK_TOL = 1e-4
 SIMRANK_MAX_ITER = 100
+# Cap on |E| * n^3 for leave-one-out SimRank, one dense solve per edge:
+# about 2 minutes at 1.2e-8 s per unit (2-vCPU Xeon host).
+SIMRANK_LOO_BUDGET = 10**10
+# Flags per low-bit residue of a wanted pair key: a 1 MB table that
+# passes few unwanted wedges to the binary search (about 1 in 200 for
+# 5,000 wanted pairs) at two array passes each.
+_RESIDUES = 1 << 20
 
 
 class SimRankConvergenceError(RuntimeError):
@@ -159,7 +166,15 @@ def simrank_without_each_edge(
     The intact ``A``, degrees and ``W`` are built once. Removing {a, b}
     changes only columns a and b of ``W``: column x becomes
     ``(A[:, x] - e_y) / (d_x - 1)``, or zero where that degree is 0.
+    Raises :class:`~hyperlp.latent.ResourceLimitError` before any solve if
+    ``len(u) * n**3`` exceeds ``SIMRANK_LOO_BUDGET``.
     """
+    work = len(u) * g.n**3
+    if work > SIMRANK_LOO_BUDGET:
+        raise ResourceLimitError(
+            f"leave-one-out SimRank needs {len(u)} solves on n={g.n} vertices: "
+            f"|E|*n^3 = {work:.3g} exceeds the cap of {SIMRANK_LOO_BUDGET:.3g}"
+        )
     a = g.adjacency_matrix()
     w, deg = _transition(a)
     out = np.empty(len(u))
@@ -206,22 +221,35 @@ def score(scorer: str, g: SimpleGraph, u: int, v: int) -> float:
     return _scorer(scorer)(g, u, v)
 
 
-def condensed(m: sp.sparray) -> np.ndarray:
-    """Entries ``(r, c)``, r < c, of the square sparse ``m`` in
-    ``np.triu_indices(n, 1)`` order; unstored entries read 0.
-
-    One pass over the stored entries, each scattered to its condensed
-    index ``r*n - r*(r+1)/2 + c - r - 1``; the lower triangle and the
-    diagonal are ignored. The values equal ``m[np.triu_indices(n, 1)]``
-    without its per-pair search of unsorted rows.
-    """
-    n = m.shape[0]
-    c = sp.coo_array(m)
-    keep = c.row < c.col
-    r, col = c.row[keep].astype(np.int64), c.col[keep].astype(np.int64)
-    out = np.zeros(n * (n - 1) // 2, dtype=c.data.dtype)
-    out[r * n - r * (r + 1) // 2 + col - r - 1] = c.data[keep]
+def condensed(n: int, keys: np.ndarray, values) -> np.ndarray:
+    """A value for every pair u < v, in ``np.triu_indices(n, 1)`` order:
+    ``values`` at the condensed ``keys``
+    (:func:`~hyperlp.hypergraph.condensed_keys`), zero elsewhere."""
+    out = np.zeros(n * (n - 1) // 2, dtype=np.result_type(values))
+    out[keys] = values
     return out
+
+
+def _wedge_sums(g: SimpleGraph, weight: np.ndarray | None, at: np.ndarray | None) -> np.ndarray:
+    """Sums of ``weight`` (counts when None) over common neighbors, at
+    every pair in condensed order or at the condensed keys ``at``, whose
+    wedges are found by ``searchsorted``. Terms are added one by one in
+    :func:`~hyperlp.hypergraph.wedge_blocks` order either way
+    (``np.add.at``), so neither the blocks nor ``at`` change a sum."""
+    wanted = None if at is None else count_keys(at)[0]
+    size = g.n * (g.n - 1) // 2 if at is None else len(wanted)
+    sums = np.zeros(size, dtype=np.int64 if weight is None else np.float64)
+    if wanted is not None:  # one flag per low-bit residue of a wanted key
+        residue = np.zeros(_RESIDUES, dtype=bool)
+        residue[wanted & (_RESIDUES - 1)] = True
+    for keys, terms in wedge_blocks(g, weight):
+        if wanted is not None:  # search only the wedges whose residue is flagged
+            near = np.flatnonzero(residue[keys & (_RESIDUES - 1)])
+            pos = np.searchsorted(wanted, keys[near])
+            hit = wanted[np.minimum(pos, len(wanted) - 1)] == keys[near]
+            keys, terms = pos[hit], None if terms is None else terms[near[hit]]
+        np.add.at(sums, keys, 1 if terms is None else terms)
+    return sums if at is None else sums[np.searchsorted(wanted, at)]
 
 
 def score_pairs(
@@ -231,8 +259,7 @@ def score_pairs(
     checks as :func:`score`, returned in input order.
 
     Without ``u`` and ``v``, scores every pair u < v in
-    ``np.triu_indices(g.n, 1)`` order, reading each product with
-    :func:`condensed`.
+    ``np.triu_indices(g.n, 1)`` order.
     """
     _scorer(scorer)  # rejects an unknown id
     every = u is None and v is None
@@ -249,18 +276,17 @@ def score_pairs(
         return np.zeros(0)
     if scorer == "sr":
         return simrank_matrix(g)[u, v]
-    a = g.adjacency_csr()
-    d = np.diff(a.indptr).astype(np.float64)
+    d = g.degrees().astype(np.float64)
     if scorer == "pa":
         return d[u] * d[v]
-    read = condensed if every else (lambda m: m[u, v])
+    weight = None
     if scorer in ("aa", "ra"):
-        w = np.zeros(g.n)
+        weight = np.zeros(g.n)
         ok = d > 0
-        w[ok] = 1.0 / (np.log1p(d[ok]) if scorer == "aa" else d[ok])
-        return read(a @ sp.diags_array(w) @ a)
-    cn = read(a @ a)
-    if scorer == "cn":
+        weight[ok] = 1.0 / (np.log1p(d[ok]) if scorer == "aa" else d[ok])
+    sums = _wedge_sums(g, weight, None if every else condensed_keys(g.n, u, v))
+    cn = sums.astype(np.float64, copy=False)
+    if scorer != "jc":
         return cn
     union = d[u] + d[v] - cn
     return np.divide(cn, union, out=np.zeros_like(cn), where=union > 0)

@@ -4,10 +4,13 @@ structural statistics.
 Vertices are dense integer ids ``0..n-1``. A :class:`Hypergraph` keeps its
 hyperedges as an ordered multiset (duplicates are preserved), so size
 statistics survive randomization exactly. A :class:`SimpleGraph` is an
-immutable undirected graph without self-loops, stored as one sorted CSR
-adjacency. :func:`pair_cooccurrence` counts, for every vertex pair, the
-groups holding both; clique expansion is the support of those counts, and
-the latent generator's per-size coverage counts are the same product.
+immutable undirected graph without self-loops, stored as two CSR int
+arrays. Vertex pairs are condensed keys (:func:`condensed_keys`), and pair
+computations are numpy joins over them: :func:`wedge_blocks` lists the
+neighbor pairs of every vertex (common neighbors, two-hop reach), and
+:func:`pair_cooccurrence` counts the pairs inside vertex groups (``H.T @
+H``): clique expansion is its support, and the latent generator's
+coverage counts are the same count.
 """
 
 from __future__ import annotations
@@ -17,7 +20,11 @@ from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-import scipy.sparse as sp
+from numpy.typing import ArrayLike
+
+# Wedges per block of wedge_blocks: each block's int64 arrays take about
+# 16 MB apiece.
+WEDGE_BLOCK = 1 << 21
 
 
 class Hypergraph:
@@ -66,14 +73,16 @@ class Hypergraph:
 class SimpleGraph:
     """Immutable undirected graph over vertices ``0..n-1``.
 
-    Its only state is the symmetric 0/1 adjacency in CSR form, built once:
-    column indices are sorted, so row-major entry order is ascending
-    ``(u, v)``. Degrees, edge tests and edge lists are array reads;
-    :meth:`neighbors` builds a frozenset on demand for the per-pair
-    reference scorers.
+    Its only state is the symmetric adjacency in CSR form, built once as
+    two int arrays: row ``u``'s neighbors are
+    ``indices[indptr[u]:indptr[u + 1]]``, ascending, so row-major entry
+    order is ascending ``(u, v)``. Degrees, edge tests and edge lists are
+    array reads; :meth:`neighbors` builds a frozenset on demand for the
+    per-pair reference scorers. Callers share the arrays and must not
+    modify them.
     """
 
-    __slots__ = ("n", "_csr")
+    __slots__ = ("n", "indptr", "indices")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray = ()):
         if n < 0:
@@ -87,40 +96,51 @@ class SimpleGraph:
                 raise ValueError(f"self-loop at vertex {a} is not allowed")
             raise ValueError(f"edge ({a}, {b}) outside 0..{n - 1}")
         # Both directions, deduplicated: ascending keys are row-major order.
-        # Sort and mask: np.unique, hash-based in numpy 2.4, is ~20x slower.
-        key = np.sort(np.concatenate([u * n + v, v * n + u]))
-        rows, cols = np.divmod(key[np.diff(key, prepend=-1) != 0], n)
-        idx = sp.get_index_dtype(maxval=max(n, len(rows)))
-        indptr = np.searchsorted(rows, np.arange(n + 1)).astype(idx)
+        keys, _ = count_keys(np.concatenate([u * n + v, v * n + u]))
+        rows, cols = np.divmod(keys, n)
         self.n = n
-        self._csr = sp.csr_array((np.ones(len(rows)), cols.astype(idx), indptr), shape=(n, n))
+        self.indptr = np.searchsorted(rows, np.arange(n + 1))
+        self.indices = cols
 
     def neighbors(self, v: int) -> frozenset[int]:
-        a = self._csr
-        return frozenset(a.indices[a.indptr[v] : a.indptr[v + 1]].tolist())
+        return frozenset(self.indices[self.indptr[v] : self.indptr[v + 1]].tolist())
 
     def degree(self, v: int) -> int:
-        return int(self._csr.indptr[v + 1] - self._csr.indptr[v])
+        return int(self.indptr[v + 1] - self.indptr[v])
+
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
+    def _find(self, u: int, v: int) -> int | None:
+        """Position of entry ``(u, v)`` in ``indices``, or None."""
+        lo = self.indptr[u]
+        i = lo + np.searchsorted(self.indices[lo : self.indptr[u + 1]], v)
+        return int(i) if i < self.indptr[u + 1] and self.indices[i] == v else None
 
     def has_edge(self, u: int, v: int) -> bool:
-        a = self._csr
-        row = a.indices[a.indptr[u] : a.indptr[u + 1]]
-        i = np.searchsorted(row, v)
-        return bool(i < len(row) and row[i] == v)
+        return self._find(u, v) is not None
 
     @property
     def edge_count(self) -> int:
-        return self._csr.nnz // 2
+        return len(self.indices) // 2
 
     def edge_array(self) -> np.ndarray:
         """The edges as an (m, 2) array of rows ``(u, v)``, u < v, in
         ascending order."""
-        return np.column_stack(sp.triu(self._csr, k=1).nonzero()).astype(np.int64)
+        rows = np.repeat(np.arange(self.n), self.degrees())
+        upper = rows < self.indices
+        return np.column_stack((rows[upper], self.indices[upper]))
+
+    def edge_keys(self) -> np.ndarray:
+        """Ascending condensed keys of the edges."""
+        return condensed_keys(self.n, *self.edge_array().T)
 
     def non_edge_array(self) -> np.ndarray:
         """The non-adjacent pairs as rows ``(u, v)``, u < v, in ascending
         order."""
-        return np.argwhere(np.triu(self._csr.toarray() == 0, k=1))
+        missing = np.ones(self.n * (self.n - 1) // 2, dtype=bool)
+        missing[self.edge_keys()] = False
+        return condensed_pairs(self.n, np.flatnonzero(missing))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as an ordered pair ``(u, v)`` with u < v,
@@ -133,63 +153,148 @@ class SimpleGraph:
     def without_edge(self, u: int, v: int) -> "SimpleGraph":
         """Copy of the graph with edge ``{u, v}``, its two CSR entries,
         removed."""
-        a = self._csr.copy()
-        rows = np.repeat(np.arange(self.n), np.diff(a.indptr))
-        hit = ((rows == u) & (a.indices == v)) | ((rows == v) & (a.indices == u))
-        if not hit.any():
+        i, j = self._find(u, v), self._find(v, u)
+        if i is None:
             raise ValueError(f"({u}, {v}) is not an edge")
-        a.data[hit] = 0.0
-        a.eliminate_zeros()
         g = SimpleGraph.__new__(SimpleGraph)
-        g.n, g._csr = self.n, a
+        g.n, g.indices = self.n, np.delete(self.indices, [i, j])
+        g.indptr = self.indptr.copy()
+        g.indptr[u + 1 :] -= 1
+        g.indptr[v + 1 :] -= 1
         return g
 
-    def adjacency_csr(self) -> sp.csr_array:
-        """0/1 float adjacency in CSR form with sorted column indices, so
-        row-major entry order is ascending ``(u, v)``. Callers share it and
-        must not modify it."""
-        return self._csr
-
     def adjacency_matrix(self, dtype=np.float64) -> np.ndarray:
-        return self._csr.toarray().astype(dtype, copy=False)
+        a = np.zeros((self.n, self.n), dtype=dtype)
+        a[np.repeat(np.arange(self.n), self.degrees()), self.indices] = 1
+        return a
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimpleGraph):
             return NotImplemented
-        return self.n == other.n and (self._csr != other._csr).nnz == 0
+        eq = np.array_equal  # indptr fixes n
+        return eq(self.indptr, other.indptr) and eq(self.indices, other.indices)
 
     def __repr__(self) -> str:
         return f"SimpleGraph(n={self.n}, |E|={self.edge_count})"
 
 
-def pair_cooccurrence(n: int, groups: Sequence[Iterable[int]] | np.ndarray) -> sp.csr_array:
-    """Pair co-occurrence counts of vertex groups, upper triangle only.
+def count_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of the int array ``keys``, ascending, and their
+    counts, by sort and mask (``np.unique`` hashes int64 in numpy 2.4,
+    ~20x slower)."""
+    keys = np.sort(keys)
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    first = np.flatnonzero(new)
+    return keys[first], np.diff(first, append=len(keys))
 
-    Entry ``(i, j)``, i < j, counts the groups holding both ``i`` and
-    ``j``: the strict upper triangle of ``H.T @ H`` for the group-by-vertex
-    incidence matrix ``H`` (Zhou, Huang & Schölkopf, NIPS 2006). Each group
-    holds distinct ids below ``n``; a 2-d array holds one equal-size group
-    per row. Entries are integers with sorted indices; pairs that share no
-    group are not stored.
+
+def _row_base(n: int) -> np.ndarray:
+    """``base[r]`` such that the condensed key of (r, c), r < c, is
+    ``base[r] + c``."""
+    r = np.arange(n, dtype=np.int64)
+    return r * (2 * n - r - 3) // 2 - 1
+
+
+def condensed_keys(n: int, u: ArrayLike, v: ArrayLike) -> np.ndarray:
+    """Condensed key ``r*n - r*(r+1)/2 + c - r - 1`` of each pair, with
+    ``r = min(u, v)`` and ``c = max(u, v)``: its index in
+    ``np.triu_indices(n, 1)`` order."""
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    return _row_base(n)[np.minimum(u, v)] + np.maximum(u, v)
+
+
+def condensed_pairs(n: int, keys: np.ndarray) -> np.ndarray:
+    """The pairs ``(r, c)``, r < c, of condensed ``keys``, as an (m, 2)
+    int array: the inverse of :func:`condensed_keys`."""
+    base = _row_base(n)
+    r = np.searchsorted(base + np.arange(1, n + 1), keys, side="right") - 1
+    return np.column_stack((r, keys - base[r]))
+
+
+def wedge_blocks(
+    g: SimpleGraph, weight: np.ndarray | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """The wedges of ``g``, each centre's neighbor pairs, so a pair occurs
+    once per common neighbor: their condensed keys and, given a per-vertex
+    ``weight``, each wedge's centre weight.
+
+    Centres come by descending degree, so a weight that falls with degree
+    (AA, RA) reaches each pair in ascending order: equal multisets of
+    terms, added in this order, give bitwise-equal sums whatever the
+    vertex labels. The wedges come in blocks of whole centres, at most
+    ``WEDGE_BLOCK`` per block unless one centre has more, so memory stays
+    bounded on dense graphs, where the wedges (the sum of d(d-1)/2)
+    outnumber the vertex pairs.
     """
+    deg = g.degrees()
+    order = np.argsort(-deg, kind="stable")
+    done = np.cumsum(deg[order] * (deg[order] - 1) // 2)  # wedges through each centre
+    start = 0
+    while start < g.n:
+        before = done[start - 1] if start else 0
+        stop = max(int(np.searchsorted(done, before + WEDGE_BLOCK, side="right")), start + 1)
+        yield _wedges(g, order[start:stop], weight)
+        start = stop
+
+
+def _wedges(g: SimpleGraph, centres: np.ndarray, weight: np.ndarray | None):
+    """The wedges of ``centres``, in that order (see :func:`wedge_blocks`)."""
+    sizes = g.degrees()[centres]
+    ends = np.cumsum(sizes)
+    pos = np.arange(int(sizes.sum()))
+    # the centres' neighbor lists, in that order; each entry opens a wedge
+    # with every later entry of its list
+    members = g.indices[np.repeat(g.indptr[centres] - (ends - sizes), sizes) + pos]
+    after = np.repeat(ends, sizes) - pos - 1
+    # wedge t, opened by entry i, closes at entry i + 1 + (t - first wedge of i)
+    partner = np.arange(int(after.sum()))
+    partner += np.repeat(pos + 1 - (np.cumsum(after) - after), after)
+    keys = np.repeat(_row_base(g.n)[members], after)
+    keys += members[partner]
+    terms = None if weight is None else np.repeat(weight[centres], sizes * (sizes - 1) // 2)
+    return keys, terms
+
+
+def group_pair_keys(n: int, groups: Sequence[Iterable[int]] | np.ndarray) -> np.ndarray:
+    """Condensed keys of every vertex pair inside each group, once per
+    group holding the pair. Each group holds distinct ids below ``n``; a
+    2-d array holds one equal-size group per row."""
     if isinstance(groups, np.ndarray):
-        sizes, members = np.full(len(groups), groups.shape[1]), groups.ravel()
-    else:
+        blocks = [groups]
+    else:  # one 2-d block per group size
         sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
         members = np.fromiter(chain.from_iterable(groups), dtype=np.int64, count=int(sizes.sum()))
-    indptr = np.concatenate(([0], np.cumsum(sizes)))
-    ones = np.ones(len(members), dtype=np.int64)
-    h = sp.csr_array((ones, members, indptr), shape=(len(groups), n))
-    return sp.triu(h.T @ h, k=1, format="csr")
+        starts = np.cumsum(sizes) - sizes
+        blocks = [members[starts[sizes == s, None] + np.arange(s)] for s in set(sizes.tolist())]
+    base = _row_base(n)
+    keys = []
+    for block in blocks:
+        cols = np.sort(block, axis=1).T.astype(np.int64, order="C")  # row a: member a of each
+        a, b = np.triu_indices(len(cols), k=1)
+        pairs = base[cols[a]]
+        pairs += cols[b]
+        keys.append(pairs.ravel())
+    return keys[0] if len(keys) == 1 else np.concatenate([np.zeros(0, dtype=np.int64), *keys])
+
+
+def pair_cooccurrence(
+    n: int, groups: Sequence[Iterable[int]] | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending condensed keys of the pairs some group holds, and how
+    many groups hold each: the stored strict upper triangle of ``H.T @ H``
+    for the group-by-vertex incidence ``H`` (Zhou, Huang & Schölkopf,
+    NIPS 2006)."""
+    return count_keys(group_pair_keys(n, groups))
 
 
 def clique_expand(h: Hypergraph) -> SimpleGraph:
     """Expand a hypergraph to the simple graph joining every pair of
-    vertices that co-occur in at least one hyperedge: the support of
+    vertices that co-occur in at least one hyperedge: the keys of
     :func:`pair_cooccurrence`. Duplicate hyperedges and pairs covered by
     several hyperedges produce a single edge.
     """
-    return SimpleGraph(h.n, np.column_stack(pair_cooccurrence(h.n, h.hyperedges).nonzero()))
+    return SimpleGraph(h.n, condensed_pairs(h.n, pair_cooccurrence(h.n, h.hyperedges)[0]))
 
 
 def width(h: Hypergraph) -> int:

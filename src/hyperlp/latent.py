@@ -14,6 +14,9 @@ the size-``s`` candidates containing both ``i`` and ``j``,
 
     P(i ~ j) = 1 - prod_s (1 - phi_s) ** S_s(i, j).
 
+``S_s`` and the probabilities are kept as condensed pair keys with a
+value array (:func:`~hyperlp.hypergraph.pair_cooccurrence`).
+
 The sigmoid pairwise model (edge probability ``1 / (1 + exp(alpha *
 (dist - gamma)))``) is implemented alongside as the comparison baseline.
 """
@@ -25,9 +28,8 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
-from .hypergraph import Hypergraph, pair_cooccurrence
+from .hypergraph import Hypergraph, condensed_keys, count_keys, group_pair_keys, pair_cooccurrence
 
 DEFAULT_MAX_POTENTIAL = 10_000_000
 DEFAULT_HOFF_ALPHA = 10.0
@@ -92,12 +94,10 @@ class PotentialIndex:
     ``by_size[s]`` holds the size-``s`` candidates as one (m_s, s) int32
     array, one candidate per row, each row increasing and the rows in
     lexicographic order; every size ``2..k_max`` has a key, possibly with
-    zero rows. ``pair_counts`` is derived from
-    them on first use, so sampling alone never pays for it: one sparse
-    n-by-n integer matrix per size ``2..k_max`` (entry 0 is size 2), from
-    :func:`~hyperlp.hypergraph.pair_cooccurrence`. Its entry ``(i, j)``,
-    i < j, counts the candidates of that size containing both vertices;
-    pairs no candidate of that size covers are not stored.
+    zero rows. ``pair_counts`` is derived from them on first use, so
+    sampling alone never pays for it: per size ``2..k_max`` (entry 0 is
+    size 2), :func:`~hyperlp.hypergraph.pair_cooccurrence` of its
+    candidates, the covered pairs' condensed keys and counts.
     """
 
     n: int
@@ -105,7 +105,7 @@ class PotentialIndex:
     by_size: dict[int, np.ndarray]
 
     @cached_property
-    def pair_counts(self) -> tuple[sp.csr_array, ...]:
+    def pair_counts(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         return tuple(pair_cooccurrence(self.n, self.by_size[s]) for s in self.sizes)
 
     @property
@@ -359,28 +359,28 @@ def link_probability(
     if not (0 <= i < pot.n and 0 <= j < pot.n):
         raise ValueError(f"pair ({i}, {j}) outside 0..{pot.n - 1}")
     miss = 1.0 - _checked_phi(pot, phi)
-    i, j = min(i, j), max(i, j)
-    counts = np.array([c[i, j] for c in pot.pair_counts])
+    key = condensed_keys(pot.n, i, j)
+    counts = np.array([c[keys == key].sum() for keys, c in pot.pair_counts])
     return float(1.0 - np.prod(miss**counts))
 
 
-def link_probability_map(pot: PotentialIndex, phi: Sequence[float]) -> sp.csr_array:
-    """Link probability of every pair covered by a candidate, as a sparse
-    n-by-n matrix with entry ``(i, j)``, i < j; uncovered pairs are not
-    stored (probability 0).
+def link_probability_map(
+    pot: PotentialIndex, phi: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Link probability of every pair covered by a candidate: the pairs'
+    ascending condensed keys (:func:`~hyperlp.hypergraph.condensed_keys`)
+    and their probabilities; uncovered pairs are absent (probability 0).
 
     The miss probabilities multiply in size order, as in
     :func:`link_probability`.
     """
     miss = 1.0 - _checked_phi(pot, phi)
-    counts = [c.tocoo() for c in pot.pair_counts]
-    keys = [c.row.astype(np.int64) * pot.n + c.col for c in counts]
-    covered = np.unique(np.concatenate([np.zeros(0, dtype=np.int64), *keys]))
+    keys = [np.zeros(0, dtype=np.int64)] + [k for k, _ in pot.pair_counts]
+    covered, _ = count_keys(np.concatenate(keys))
     missed = np.ones(len(covered))
-    for m, c, k in zip(miss, counts, keys):
-        missed[np.searchsorted(covered, k)] *= m**c.data
-    rows, cols = np.divmod(covered, pot.n)
-    return sp.csr_array((1.0 - missed, (rows, cols)), shape=(pot.n, pot.n))
+    for m, (keys, counts) in zip(miss, pot.pair_counts):
+        missed[np.searchsorted(covered, keys)] *= m**counts
+    return covered, 1.0 - missed
 
 
 def hoff_edge_probability(params: HoffParams, dist) -> np.ndarray | float:
@@ -457,20 +457,17 @@ def edge_distance_profile(
     if pot is None:
         pot = _enumerate_candidates(dist_matrix, model.radii, max_potential)
 
-    hits = np.zeros((n, n), dtype=np.int64)
+    hits = np.zeros(len(dist), dtype=np.int64)
     seed_rng = np.random.default_rng(model.seed)
     trial_seeds = seed_rng.integers(0, 2**63 - 1, size=n_trials)
     for ts in trial_seeds:
         # Same per-size draw order as sample_hypergraph, so a trial here
         # realizes the same hypergraph that seed would produce there.
         rng = np.random.default_rng(int(ts))
-        covered = np.zeros((n, n), dtype=bool)
-        for s in pot.sizes:
-            kept = pot.by_size[s][rng.random(len(pot.by_size[s])) < phi_vec[s - 2]]
-            a, b = np.triu_indices(s, 1)
-            covered[kept[:, a], kept[:, b]] = True  # rows increase: upper triangle
-        hits += covered
-    freq = hits[np.triu_indices(n, 1)] / n_trials
+        by_size = [pot.by_size[s] for s in pot.sizes]
+        keys = [group_pair_keys(n, c[rng.random(len(c)) < p]) for c, p in zip(by_size, phi_vec)]
+        hits[count_keys(np.concatenate(keys))[0]] += 1
+    freq = hits / n_trials
 
     edges = np.histogram_bin_edges(dist, bins=bins)
     which = np.clip(np.digitize(dist, edges) - 1, 0, len(edges) - 2)

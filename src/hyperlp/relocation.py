@@ -23,6 +23,7 @@ import numpy as np
 
 from .evaluation import SplitSpec, _auc_pair, _scorer_ids, auc, evaluate_protocol
 from .hypergraph import Hypergraph, clique_expand
+from .latent import ResourceLimitError
 
 
 def relocate(h: Hypergraph, seed: int) -> Hypergraph:
@@ -77,7 +78,8 @@ def adjusted_auc(
     split seed included, is applied to every graph, so only the
     relocation varies between runs. Failed runs are recorded per scorer
     and skipped. A scorer whose original evaluation fails, or whose every
-    run fails, gets the exception in its slot instead of a report.
+    run fails, gets the exception in its slot instead of a report, as
+    does a scorer that exceeds a resource limit on any run.
     """
     scorers = _scorer_ids(scorers)
     if n_runs < 1:
@@ -85,15 +87,21 @@ def adjusted_auc(
     outcome = evaluate_protocol(clique_expand(h), scorers, protocol)
     live = [s for s in scorers if not isinstance(outcome[s], Exception)]
     runs = {s: ([], [], []) for s in live}  # AUCs, kept seeds, failures
-    run_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=n_runs) if live else ()
+    run_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=n_runs)
     for run_seed in map(int, run_seeds):
+        if not live:
+            break
         try:
             results = evaluate_protocol(clique_expand(relocate(h, run_seed)), live, protocol)
         except Exception as exc:
             results = dict.fromkeys(live, exc)
         for scorer, lp in results.items():
             rel_aucs, kept_seeds, failures = runs[scorer]
-            if isinstance(lp, Exception):
+            if isinstance(lp, ResourceLimitError):  # runs no further
+                outcome[scorer] = lp
+                live.remove(scorer)
+                del runs[scorer]
+            elif isinstance(lp, Exception):
                 failures.append(f"seed {run_seed}: {lp}")
             else:
                 rel_aucs.append(auc(lp.scores, lp.labels))

@@ -2,7 +2,6 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import strategies as st
 
 from hyperlp import Hypergraph, SimpleGraph, evaluation
@@ -107,11 +106,12 @@ class OracleGraph:
             raise ValueError(f"({u}, {v}) is not an edge")
         return OracleGraph(self.n, [e for e in self.edges() if e != (min(u, v), max(u, v))])
 
-    def adjacency_csr(self) -> sp.csr_array:
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)`` of the adjacency, each row ascending."""
         indptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum([len(row) for row in self.adj], out=indptr[1:])
         indices = np.array([v for row in self.adj for v in sorted(row)], dtype=np.int64)
-        return sp.csr_array((np.ones(len(indices)), indices, indptr), shape=(self.n,) * 2)
+        return indptr, indices
 
 
 def oracle_clique_expand(h: Hypergraph) -> OracleGraph:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from hyperlp import heuristics
 from hyperlp.cli import main
 from hyperlp.config import ConfigError, parse_model_config
 
@@ -113,6 +114,23 @@ class TestEvaluate:
             "evaluate", "--data", str(full), "--algorithms", "cn",
             "--protocol", "loo", "--runs", "0",
         ]) == 4
+
+    def test_simrank_budget_exit_2_before_any_solve(self, toy_file, monkeypatch, capsys):
+        # the toy expansion has 4 edges on 5 vertices: 4 * 5**3 = 500 units
+        monkeypatch.setattr(heuristics, "SIMRANK_LOO_BUDGET", 499)
+
+        def solve(*args):
+            raise AssertionError("a SimRank solve ran")
+
+        monkeypatch.setattr(heuristics, "_simrank_iterate", solve)
+        for command, runs in (("evaluate", "0"), ("evaluate", "2"), ("adjust", "2")):
+            assert main([
+                command, "--data", str(toy_file), "--algorithms", "cn,sr",
+                "--protocol", "loo", "--runs", runs,
+            ]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: leave-one-out SimRank needs 4 solves on n=5")
+            assert "cap of 499" in err
 
     def test_split_protocol(self, tmp_path):
         ring = tmp_path / "ring.hyg"
@@ -319,3 +337,60 @@ def test_cli_import_leaves_scipy_spatial_out():
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr or "hyperlp.cli imports scipy.spatial"
+
+
+def test_cli_import_leaves_scipy_sparse_out():
+    # scipy.sparse adds about 0.22 s and 20 MB to every start-up
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import hyperlp.cli, sys; sys.exit('scipy.sparse' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr or "hyperlp.cli imports scipy.sparse"
+
+
+
+def test_import_shortens_openblas_spin_unless_set():
+    # OpenBLAS workers would otherwise spin for ~0.1 s beside every command
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import os, hyperlp; print(os.environ['OPENBLAS_THREAD_TIMEOUT'])"
+    for preset, want in ((None, "4"), ("20", "20")):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+        env["PYTHONPATH"] = str(src)
+        if preset is not None:
+            env["OPENBLAS_THREAD_TIMEOUT"] = preset
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.stdout.strip() == want, proc.stderr
+
+CLI_PATHS = """\
+import sys
+from pathlib import Path
+from hyperlp.cli import main
+
+tmp = Path(sys.argv[1])
+ring = tmp / "ring.hyg"
+ring.write_text("".join(f"v{i} v{(i + 1) % 30} v{(i + 7) % 30}\\n" for i in range(30)))
+cfg = tmp / "scan.cfg"
+cfg.write_text("n = 20\\nd = 2\\nseed = 4\\npercentiles = 6 14\\nphi = 0.3 0.5\\n")
+runs = [
+    ["evaluate", "--data", str(ring), "--protocol", "loo", "--runs", "1"],
+    ["adjust", "--data", str(ring), "--protocol", "split", "--runs", "1"],
+    ["scan", "--config", str(cfg), "--algorithms", "cn,sr"],
+]
+for argv in runs:
+    assert main(argv + ["--out", str(tmp / argv[0])]) == 0, argv
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+# a hop limit above 2 takes the sparse powers, and only then imports scipy
+assert main(runs[1] + ["--d-hop", "3", "--out", str(tmp / "d3")]) == 0
+assert "scipy.sparse" in sys.modules
+"""
+
+
+def test_benchmarked_cli_paths_load_no_scipy(tmp_path):
+    # a lazy import on these paths would move its cost into the run itself
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI_PATHS, str(tmp_path)], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -24,6 +24,7 @@ from hyperlp import (
     score,
     split_evaluate,
 )
+from hyperlp import heuristics, hypergraph
 from hyperlp.evaluation import (
     LabeledPairs,
     _cross_class_counts,
@@ -382,6 +383,46 @@ class TestSplitEvaluate:
         assert got.shape == (wanted, 2)
         assert list(map(tuple, got.tolist())) == [cands[i] for i in chosen]
 
+    @pytest.mark.parametrize("d_hop", [2, 3])
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_negative_sampler_matches_bfs_at_hop(self, d_hop, seed):
+        # the wedge join (d_hop 2) and the sparse powers (d_hop 3) pick the
+        # BFS candidates with the same draws, on graphs of 0..25 vertices
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 26))
+        iu, iv = np.triu_indices(n, k=1)
+        full = rng.random(len(iu)) < rng.random()
+        train = full & (rng.random(len(iu)) < 0.8)
+        g = SimpleGraph(n, np.column_stack((iu[full], iv[full])))
+        g_train = SimpleGraph(n, np.column_stack((iu[train], iv[train])))
+        cands = bfs_non_links(g, g_train, d_hop)
+        wanted = min(len(cands), int(rng.integers(1, 40)))
+        got = _sample_distance_limited_non_links(
+            g, g_train, d_hop, wanted, np.random.default_rng(seed)
+        )
+        chosen = np.sort(np.random.default_rng(seed).choice(len(cands), size=wanted, replace=False))
+        assert got.shape == (wanted, 2)
+        assert list(map(tuple, got.tolist())) == [cands[i] for i in chosen]
+
+    def test_negative_sampler_in_wedge_blocks(self, monkeypatch):
+        # two-hop candidates merged block by block: the same BFS pairs
+        monkeypatch.setattr(hypergraph, "WEDGE_BLOCK", 3)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            iu, iv = np.triu_indices(20, k=1)
+            full = rng.random(len(iu)) < 0.3
+            train = full & (rng.random(len(iu)) < 0.8)
+            g = SimpleGraph(20, np.column_stack((iu[full], iv[full])))
+            g_train = SimpleGraph(20, np.column_stack((iu[train], iv[train])))
+            cands = bfs_non_links(g, g_train, 2)
+            wanted = min(len(cands), 15)
+            got = _sample_distance_limited_non_links(
+                g, g_train, 2, wanted, np.random.default_rng(seed)
+            )
+            chosen = np.sort(np.random.default_rng(seed).choice(len(cands), wanted, replace=False))
+            assert list(map(tuple, got.tolist())) == [cands[i] for i in chosen]
+
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
             SplitSpec(rho=1.0)
@@ -441,6 +482,17 @@ class TestOverestimationScan:
         rows = overestimation_scan(grid, ["cn"], seed=1, max_potential=2)
         assert len(rows) == 2
         assert all(r.error is not None for r in rows)
+
+    def test_simrank_budget_fails_only_sr_rows(self, monkeypatch):
+        grid = [ScanPoint(n=20, d=2, percentiles=(5.0, 15.0), phi=(0.3, 0.3))]
+        clean = overestimation_scan(grid, ["cn"], seed=1, replicates=2)
+        monkeypatch.setattr(heuristics, "SIMRANK_LOO_BUDGET", 10)
+        rows = overestimation_scan(grid, ["cn", "sr"], seed=1, replicates=2)
+        cn = [r for r in rows if r.scorer == "cn"]
+        sr = [r for r in rows if r.scorer == "sr"]
+        assert cn == clean and all(r.error is None for r in cn)
+        assert all(r.heuristic_auc is None and "cap of 10" in r.error for r in sr)
+        assert [r.model_auc for r in sr] == [r.model_auc for r in cn]
 
     def test_higher_order_regime_flags_majority(self):
         # sparse triples with low selection probability: the heuristic

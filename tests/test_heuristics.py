@@ -4,11 +4,23 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graphs
-from hyperlp import SCORER_IDS, SimpleGraph, er_sample, score, score_pairs, simrank_matrix
+from conftest import graphs, random_hypergraph
+from hyperlp import (
+    SCORER_IDS,
+    SimpleGraph,
+    auc,
+    clique_expand,
+    er_sample,
+    leave_one_out,
+    score,
+    score_pairs,
+    simrank_matrix,
+)
+from hyperlp import heuristics, hypergraph
 from hyperlp.heuristics import (
     SIMRANK_DECAY,
     SimRankConvergenceError,
@@ -233,6 +245,102 @@ class TestScorePairsParity:
             want = np.array([score(s, g, a, b) for a, b in zip(u.tolist(), v.tolist())])
             rel = PARITY_REL.get(s, 0.0)
             assert np.allclose(got, want, rtol=rel, atol=0.0) if rel else np.array_equal(got, want), s
+
+
+def complete_graph(n):
+    return SimpleGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def scipy_scores(g, scorer):
+    """Every pair's score from scipy.sparse products of the adjacency, in
+    ``np.triu_indices(g.n, 1)`` order."""
+    e = np.array(list(g.edges()), dtype=np.int64).reshape(-1, 2)
+    rows, cols = np.concatenate([e[:, 0], e[:, 1]]), np.concatenate([e[:, 1], e[:, 0]])
+    a = sp.csr_array((np.ones(len(rows)), (rows, cols)), shape=(g.n, g.n))
+    d = a.sum(axis=1)
+    iu, iv = np.triu_indices(g.n, k=1)
+    if scorer == "pa":
+        return d[iu] * d[iv]
+    w = np.ones(g.n)
+    if scorer in ("aa", "ra"):
+        w = np.zeros(g.n)
+        w[d > 0] = 1.0 / (np.log1p(d[d > 0]) if scorer == "aa" else d[d > 0])
+    prod = (a @ sp.diags_array(w) @ a).toarray()[iu, iv]
+    if scorer != "jc":
+        return prod
+    union = d[iu] + d[iv] - prod
+    return np.divide(prod, union, out=np.zeros_like(prod), where=union > 0)
+
+
+class TestWedgeParity:
+    """The wedge sums against scipy.sparse products: exact for the
+    integer-valued CN, PA and JC, rel 1e-12 for AA and RA, whose terms
+    are added in another order."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(
+            graphs(min_n=0, max_n=12),
+            st.integers(0, 12).map(lambda n: SimpleGraph(n)),  # edgeless
+            st.integers(0, 12).map(complete_graph),
+        ),
+        st.data(),
+    )
+    def test_matches_scipy_products(self, g, data):
+        iu, iv = np.triu_indices(g.n, k=1)
+        # explicit pairs: any of them, repeats allowed, in either orientation
+        picks = st.lists(st.integers(0, len(iu) - 1), max_size=30) if len(iu) else st.just([])
+        idx = np.array(data.draw(picks), dtype=np.int64)
+        flip = np.array(data.draw(st.lists(st.booleans(), min_size=len(idx), max_size=len(idx))))
+        flip = flip.astype(bool)
+        u, v = np.where(flip, iv[idx], iu[idx]), np.where(flip, iu[idx], iv[idx])
+        for s in ("cn", "aa", "ra", "pa", "jc"):
+            want = scipy_scores(g, s)
+            # same terms in the same order at explicit pairs: bit for bit
+            assert np.array_equal(score_pairs(s, g, u, v), score_pairs(s, g)[idx]), s
+            for got, ref in ((score_pairs(s, g), want), (score_pairs(s, g, u, v), want[idx])):
+                if s in PARITY_REL:
+                    assert np.allclose(got, ref, rtol=PARITY_REL[s], atol=0.0), s
+                else:
+                    assert np.array_equal(got, ref), s
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_aa_ra_loo_auc_bit_identical_under_relabeling(self, seed):
+        # equal multisets of terms, added in ascending order, give equal
+        # sums; summing in label-dependent order splits ties instead
+        rng = np.random.default_rng(seed)
+        g = clique_expand(random_hypergraph(rng, 60, 80, max_size=5))
+        perm = rng.permutation(g.n)
+        g2 = SimpleGraph(g.n, perm[g.edge_array()])
+        iu, iv = np.triu_indices(g.n, k=1)
+        for s in ("aa", "ra"):
+            assert np.array_equal(score_pairs(s, g), score_pairs(s, g2, perm[iu], perm[iv])), s
+            lp, lp2 = leave_one_out(g, s), leave_one_out(g2, s)
+            assert auc(lp.scores, lp.labels) == auc(lp2.scores, lp2.labels), s
+
+    @pytest.mark.parametrize("block", [1, 5, 300])
+    def test_blocks_and_residues_change_no_score(self, block, monkeypatch):
+        # terms are added one by one in wedge order, so cutting the wedges
+        # into blocks leaves every score bitwise unchanged, and so does a
+        # residue table small enough that unwanted wedges share residues
+        rng = np.random.default_rng(block)
+        gs = [clique_expand(random_hypergraph(rng, 25, 30, max_size=6)), complete_graph(9)]
+        pairs = [rng.integers(0, g.n, size=(2, 40)) for g in gs]
+        pairs = [(u[u != v], v[u != v]) for u, v in pairs]
+
+        def scores():
+            return [
+                (score_pairs(s, g), score_pairs(s, g, u, v))
+                for g, (u, v) in zip(gs, pairs)
+                for s in ("cn", "aa", "ra", "jc")
+            ]
+
+        want = scores()
+        monkeypatch.setattr(hypergraph, "WEDGE_BLOCK", block)
+        monkeypatch.setattr(heuristics, "_RESIDUES", 4)
+        for (got_all, got_at), (ref_all, ref_at) in zip(scores(), want):
+            assert np.array_equal(got_all, ref_all) and np.array_equal(got_at, ref_at)
 
 
 def to_networkx(nx, g):

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,8 @@ from hyperlp import (
     size_distribution,
     width,
 )
+from hyperlp import hypergraph
+from hyperlp.hypergraph import condensed_keys, condensed_pairs, pair_cooccurrence, wedge_blocks
 from conftest import OracleGraph, hypergraphs, oracle_clique_expand, random_hypergraph
 
 
@@ -165,12 +168,16 @@ class TestSimpleGraph:
             g.without_edge(0, 3)
 
     def test_adjacency_csr_built_once(self):
+        # the CSR arrays are the graph's state: built once, and removing an
+        # edge copies them instead of changing them
         g = SimpleGraph(4, [(0, 1), (1, 2), (2, 3)])
-        a = g.adjacency_csr()
-        assert g.adjacency_csr() is a
+        indptr, indices = g.indptr, g.indices
+        assert indptr.tolist() == [0, 1, 3, 5, 6] and indices.tolist() == [1, 0, 2, 1, 3, 2]
         g2 = g.without_edge(1, 2)
-        assert g2.adjacency_csr()[1, 2] == 0 and a[1, 2] == 1
-        assert g2.adjacency_csr().nnz == a.nnz - 2
+        assert g.indptr is indptr and g.indices is indices
+        assert indptr.tolist() == [0, 1, 3, 5, 6] and indices.tolist() == [1, 0, 2, 1, 3, 2]
+        assert g2.indptr.tolist() == [0, 1, 2, 3, 4] and g2.indices.tolist() == [1, 0, 3, 2]
+        assert not g2.has_edge(1, 2) and g.has_edge(1, 2)
 
     def test_adjacency_matrix(self):
         g = SimpleGraph(3, [(0, 1), (1, 2)])
@@ -190,10 +197,8 @@ def assert_same_graph(g: SimpleGraph, ref: OracleGraph) -> None:
         assert g.neighbors(u) == ref.neighbors(u)
         for v in range(g.n):
             assert g.has_edge(u, v) == ref.has_edge(u, v)
-    a, b = g.adjacency_csr(), ref.adjacency_csr()
-    assert a.shape == b.shape
-    for part in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(a, part), getattr(b, part))
+    indptr, indices = ref.csr()
+    assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
 
 
 class TestGraphParity:
@@ -225,3 +230,72 @@ class TestGraphParity:
             return
         assert_same_graph(SimpleGraph(n, edges), ref)
         assert_same_graph(SimpleGraph(n, np.array(edges, dtype=np.int64).reshape(-1, 2)), ref)
+
+
+class TestPairKeys:
+    @settings(max_examples=100, deadline=None)
+    @given(hypergraphs(max_n=12, max_m=10))
+    def test_pair_cooccurrence_matches_incidence_product(self, h):
+        # the strict upper triangle of H.T @ H, entry by entry, row-major
+        members = [sorted(f) for f in h.hyperedges]
+        sizes = [len(f) for f in members]
+        incidence = sp.csr_array(
+            (
+                np.ones(sum(sizes), dtype=np.int64),
+                np.array([v for f in members for v in f], dtype=np.int64),
+                np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))),
+            ),
+            shape=(len(members), h.n),
+        )
+        ref = sp.triu(incidence.T @ incidence, k=1).toarray()
+        rows, cols = np.nonzero(ref)
+        keys, counts = pair_cooccurrence(h.n, h.hyperedges)
+        assert np.array_equal(keys, condensed_keys(h.n, rows, cols))
+        assert np.array_equal(counts, ref[rows, cols])
+        for s in {len(f) for f in members}:  # equal-size groups as a 2-d array
+            same = [f for f in members if len(f) == s]
+            sub_keys, sub_counts = pair_cooccurrence(h.n, np.array(same)[:, ::-1])
+            want = sorted_pair_counts(h.n, same)
+            assert (sub_keys.tolist(), sub_counts.tolist()) == want
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 15))
+    def test_condensed_keys_round_trip(self, n):
+        iu, iv = np.triu_indices(n, k=1)
+        keys = condensed_keys(n, iv, iu)  # either orientation
+        assert np.array_equal(keys, np.arange(len(iu)))
+        assert np.array_equal(condensed_pairs(n, keys), np.column_stack((iu, iv)))
+
+    @pytest.mark.parametrize("block", [1, 7, 40])
+    def test_wedge_blocks_split_one_wedge_list(self, block, monkeypatch):
+        # one wedge per common neighbor of each pair; blocks hold whole
+        # centres, at most `block` wedges unless one centre has more, and
+        # together give the unblocked list in the same order
+        rng = np.random.default_rng(block)
+        g = clique_expand(random_hypergraph(rng, 30, 25, max_size=6))
+        weight = rng.permutation(g.n) + 1.0  # tells the centres apart
+        want = sorted(
+            condensed_keys(g.n, a, b)
+            for w in range(g.n)
+            for a, b in combinations(sorted(g.neighbors(w)), 2)
+        )
+        [(keys, terms)] = wedge_blocks(g, weight)
+        assert sorted(keys.tolist()) == want
+        monkeypatch.setattr(hypergraph, "WEDGE_BLOCK", block)
+        parts = list(wedge_blocks(g, weight))
+        assert len(parts) > 1
+        for part_keys, part_terms in parts:
+            assert len(part_keys) <= block or len(set(part_terms.tolist())) == 1
+        assert np.array_equal(np.concatenate([k for k, _ in parts]), keys)
+        assert np.array_equal(np.concatenate([t for _, t in parts]), terms)
+
+
+def sorted_pair_counts(n, groups):
+    """(ascending condensed keys, counts) of the pairs inside ``groups``,
+    counted with a Python loop."""
+    counts = {}
+    for f in groups:
+        for a, b in combinations(sorted(f), 2):
+            k = a * n - a * (a + 1) // 2 + b - a - 1
+            counts[k] = counts.get(k, 0) + 1
+    return sorted(counts), [counts[k] for k in sorted(counts)]

@@ -31,6 +31,8 @@ from hyperlp import (
     sample_latents,
 )
 import hyperlp.latent
+from hyperlp.heuristics import condensed
+from hyperlp.hypergraph import condensed_keys, condensed_pairs
 from hyperlp.latent import _distance_matrix
 
 
@@ -184,17 +186,26 @@ class TestBuildPotential:
         pts = rng.standard_normal((10, 2))
         pot = build_potential(pts, [0.4, 0.6])
         assert len(pot.pair_counts) == len(pot.sizes)
-        covered = {(int(i), int(j)) for c in pot.pair_counts for i, j in zip(*c.nonzero())}
+
+        def count(s, i, j):  # a pair the size does not cover counts 0
+            keys, counts = pot.pair_counts[s - 2]
+            return int(counts[keys == condensed_keys(10, i, j)].sum())
+
+        for keys, counts in pot.pair_counts:
+            assert np.all(np.diff(keys) > 0) and np.all(counts >= 1)
+        covered = {
+            tuple(p) for keys, _ in pot.pair_counts for p in condensed_pairs(10, keys).tolist()
+        }
         assert all(i < j for i, j in covered)
         for i, j in covered:
             for s in pot.sizes:
                 recount = sum(1 for f in pot.by_size[s].tolist() if i in f and j in f)
-                assert recount == pot.pair_counts[s - 2][i, j]
+                assert recount == count(s, i, j)
         # and no covered pair is missing
         for s in pot.sizes:
             for f in pot.by_size[s].tolist():
                 for a, b in combinations(f, 2):
-                    assert pot.pair_counts[s - 2][a, b] >= 1
+                    assert count(s, a, b) >= 1
 
     def test_growing_radius_grows_candidates(self):
         rng = np.random.default_rng(21)
@@ -386,14 +397,15 @@ class TestLinkProbability:
         phi = data.draw(st.lists(st.floats(0, 1), min_size=k_max - 1, max_size=k_max - 1))
         pot = potential_from_candidates(n, candidates, k_max=k_max)
         kept = pot.all_candidates()
-        prob = link_probability_map(pot, phi)
+        keys, prob = link_probability_map(pot, phi)
+        assert np.all(np.diff(keys) > 0)  # each pair once
+        every = condensed(n, keys, prob)
         for i, j in combinations(range(n), 2):
             p = link_probability(pot, phi, i, j)
             assert p == pytest.approx(enumerate_link_probability(kept, phi, i, j), abs=1e-12)
-            assert prob[i, j] == p and prob[j, i] == 0.0
-        coo = prob.tocoo()
+            assert every[condensed_keys(n, i, j)] == p
         covered = {pair for c in kept for pair in combinations(c, 2)}
-        assert set(zip(coo.row.tolist(), coo.col.tolist())) == covered
+        assert set(map(tuple, condensed_pairs(n, keys).tolist())) == covered
 
 
 class TestHoffModel:

@@ -20,6 +20,7 @@ from hyperlp import (
     split_evaluate,
 )
 from hyperlp import evaluation, relocation
+from hyperlp.latent import ResourceLimitError
 from conftest import random_hypergraph
 
 
@@ -191,6 +192,27 @@ class TestSharedPairSet:
         out = adjusted_auc(h, ["cn", "aa", "pa"], "loo", n_runs=2, seed=3)
         assert isinstance(out["aa"], RuntimeError)
         assert out["cn"] == clean["cn"] and out["pa"] == clean["pa"]
+
+    def test_resource_limit_on_a_run_ends_that_scorer(self, monkeypatch):
+        # a scorer over a resource limit on a relocated graph keeps that
+        # error and is not run again; the others keep their reports
+        real = relocation.evaluate_protocol
+        calls = []
+
+        def limited(g, scorers, protocol):
+            calls.append(list(scorers))
+            out = real(g, scorers, protocol)
+            if len(calls) == 2:
+                out["aa"] = ResourceLimitError("over the cap")
+            return out
+
+        h = self.hypergraph()
+        clean = adjusted_auc(h, ["cn", "aa"], "loo", n_runs=3, seed=3)
+        monkeypatch.setattr(relocation, "evaluate_protocol", limited)
+        out = adjusted_auc(h, ["cn", "aa"], "loo", n_runs=3, seed=3)
+        assert isinstance(out["aa"], ResourceLimitError)
+        assert out["cn"] == clean["cn"]
+        assert calls == [["cn", "aa"], ["cn", "aa"], ["cn"], ["cn"]]
 
     def test_bare_string_rejected(self):
         with pytest.raises(TypeError):
