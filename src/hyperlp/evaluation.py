@@ -11,33 +11,34 @@ convention reproduces the hand-computable toy value 0.875 on the
 five-vertex two-hyperedge example; the strict variant is what the ideal
 ranking analysis uses, so both are reported throughout.
 
-Both count by one sort of the scores: ``_cross_class_counts`` groups
-exactly equal scores and accumulates (optionally weighted) class counts
-per group.
+Both count by one sort of the negatives (``_cross_class_counts``):
+``searchsorted`` finds where each positive's lower and tied negatives
+end, and those positions are the counts.
 
 Protocols: leave-one-out scores every existing edge on the graph with
 that one edge removed (non-edges are scored on the intact graph) and
 covers all vertex pairs; a split (:class:`SplitSpec`) removes a test
 fraction of edges, trains on the rest, and samples distance-limited
 non-links as negatives. :func:`evaluate_protocol` builds a graph's pair
-set, labels and scoring graph once and scores them with every scorer,
-one :func:`~hyperlp.heuristics.score_pairs` call each;
-``leave_one_out`` and ``split_evaluate`` are its one-scorer case.
+set, labels and scoring graph once and scores them with every scorer in
+one :func:`~hyperlp.heuristics.score_pairs_many` call, one wedge pass
+for CN, AA, RA and JC; ``leave_one_out`` and ``split_evaluate`` are its
+one-scorer case.
 
 A pair set is one int (m, 2) array with a labels array; neither is
 built pair by pair. The leave-one-out set is every pair u < v in
-``np.triu_indices(n, 1)`` order (the condensed order): its labels are
-the edges' condensed keys scattered once
-(:func:`~hyperlp.heuristics.condensed`), and CN, AA and RA are summed
-per key over the wedges. Leave-one-out needs no
-per-edge graph copy: removing edge {u, v} changes no common neighbor of
-u and v and no degree of one, so CN, AA and RA keep their intact-graph
-value, PA becomes ``(d_u - 1)(d_v - 1)`` and JC's union shrinks by 2.
-SimRank solves once per edge, from the intact column-normalized
-adjacency ``W`` with the two columns of the edge's endpoints replaced
-(:func:`~hyperlp.heuristics.simrank_without_each_edge`). Split
-negatives at ``d_hop=2`` are wedge keys too; only ``d_hop >= 3``
-imports ``scipy.sparse``.
+``np.triu_indices(n, 1)`` order (the condensed order), labeled by the
+edges' condensed keys scattered once
+(:func:`~hyperlp.heuristics.condensed`). It needs no per-edge graph
+copy: removing edge {u, v} changes no common neighbor of u and v and no
+degree of one, so CN, AA and RA keep their intact-graph value, PA
+becomes ``(d_u - 1)(d_v - 1)`` and JC's union shrinks by 2. SimRank
+solves once per edge, from the intact column-normalized adjacency ``W``
+with the two columns of the edge's endpoints replaced
+(:func:`~hyperlp.heuristics.simrank_without_each_edge`). Split negatives
+at ``d_hop=2`` are the train graph's wedge keys, and the sampler and the
+scorers share one pass when those wedges fit one block; only
+``d_hop >= 3`` imports ``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -49,13 +50,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .heuristics import condensed, score_pairs, simrank_without_each_edge
+from .heuristics import _unwrap, condensed, score_pairs_many, simrank_without_each_edge
 from .hypergraph import (
     SimpleGraph,
     clique_expand,
     condensed_keys,
     condensed_pairs,
     count_keys,
+    held_wedge_block,
     wedge_blocks,
 )
 from .latent import (
@@ -97,10 +99,12 @@ class LabeledPairs:
         if len(selfs):
             raise ValueError(f"self-pair ({u[selfs[0]]}, {v[selfs[0]]}) is not allowed")
         lo, hi = np.minimum(u, v), np.maximum(u, v)
-        order = np.lexsort((hi, lo))
-        dups = np.flatnonzero((np.diff(lo[order]) == 0) & (np.diff(hi[order]) == 0))
+        base = lo.min(initial=0)  # one int64 key per pair, sorted
+        keys = (lo - base) * (hi.max(initial=0) - base + 1) + hi - base
+        ordered = np.sort(keys)
+        dups = ordered[1:][ordered[1:] == ordered[:-1]]
         if len(dups):
-            i = order[dups[0]]
+            i = np.argmax(keys == dups[0])
             raise ValueError(f"duplicate pair {(int(lo[i]), int(hi[i]))}")
 
     @property
@@ -140,20 +144,31 @@ def _cross_class_counts(scores, labels, weights=None) -> tuple[float, float, flo
     """(#{s_pos > s_neg}, #{s_pos == s_neg}, P, N), each observation
     counted with its weight (default 1).
 
-    Groups exactly equal scores in ascending order; every positive in a
-    group beats all negatives in lower groups and ties with the negatives
-    in its own group.
+    Sorts the negatives; ``searchsorted`` (``left`` and ``right``) finds
+    where each positive's lower and equal negatives end. Unweighted, those
+    positions are the counts, exact integers. Weighted, each run of equal
+    negatives (in a stable ``argsort``) is summed once and a ``cumsum``
+    over the runs gives the weight below each; no count is a difference.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=bool)
-    w = np.ones(len(scores)) if weights is None else np.asarray(weights, dtype=np.float64)
+    w = labels if weights is None else np.asarray(weights, dtype=np.float64)
     if not (scores.ndim == 1 and scores.shape == labels.shape == w.shape):
         raise ValueError("scores and labels must be 1-d arrays of equal length")
-    _, group = np.unique(scores, return_inverse=True)
-    pos = np.bincount(group, weights=np.where(labels, w, 0.0))
-    neg = np.bincount(group, weights=np.where(labels, 0.0, w))
-    neg_below = np.concatenate(([0.0], np.cumsum(neg)[:-1]))
-    return float(pos @ neg_below), float(pos @ neg), float(pos.sum()), float(neg.sum())
+    neg, pos = scores[~labels], scores[labels]
+    if weights is None:
+        neg.sort()
+        pos.sort()  # ascending keys keep the binary searches cache-friendly
+        lo, hi = (np.searchsorted(neg, pos, side=side) for side in ("left", "right"))
+        return float(lo.sum()), float((hi - lo).sum()), float(len(pos)), float(len(neg))
+    order = np.argsort(neg, kind="stable")
+    neg, w_neg, w_pos = neg[order], w[~labels][order], w[labels]
+    starts = np.flatnonzero(np.searchsorted(neg, neg) == np.arange(len(neg)))  # runs
+    run = np.add.reduceat(w_neg, starts) if len(neg) else w_neg
+    below = np.concatenate(([0.0], np.cumsum(run)))
+    lo, hi = (np.searchsorted(neg[starts], pos, side=side) for side in ("left", "right"))
+    tied = np.append(run, 0.0)[lo] * (hi > lo)
+    return float(w_pos @ below[lo]), float(w_pos @ tied), float(w_pos.sum()), float(below[-1])
 
 
 def _auc_pair(scores, labels) -> tuple[float, float | None]:
@@ -199,35 +214,13 @@ def _scorer_ids(scorers: Sequence[str]) -> list[str]:
     return list(dict.fromkeys(scorers))
 
 
-def _unwrap(result: LabeledPairs | Exception) -> LabeledPairs:
-    """A scorer's slot of :func:`evaluate_protocol`, raising its exception."""
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
 def _loo_pair_set(g: SimpleGraph):
     """Every vertex pair, labeled by adjacency and scored on ``g``."""
     if g.edge_count == 0:
         raise ValueError("leave-one-out needs at least one edge")
     if g.edge_count == g.n * (g.n - 1) // 2:
         raise ValueError("leave-one-out needs at least one non-edge")
-    return g, np.column_stack(np.triu_indices(g.n, k=1)), _pair_labels(g)
-
-
-def _without_each_edge(scorer: str, g: SimpleGraph, u: np.ndarray, v: np.ndarray):
-    """Scores of the edges ``(u[i], v[i])``, each on ``g`` without it; None
-    where the intact-graph score stands (CN, AA, RA)."""
-    d = g.degrees().astype(np.float64)
-    if scorer == "pa":
-        return (d[u] - 1) * (d[v] - 1)
-    if scorer == "jc":
-        cn = score_pairs("cn", g, u, v)
-        union = d[u] + d[v] - cn - 2
-        return np.divide(cn, union, out=np.zeros_like(cn), where=union > 0)
-    if scorer == "sr":
-        return simrank_without_each_edge(g, u, v)
-    return None
+    return g, np.column_stack(np.triu_indices(g.n, k=1)), _pair_labels(g), None
 
 
 def _sample_distance_limited_non_links(
@@ -236,6 +229,7 @@ def _sample_distance_limited_non_links(
     d_hop: int,
     wanted: int,
     rng: np.random.Generator,
+    block: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Uniform sample (without replacement) of distance-limited non-links,
     as rows ``(u, v)``, u < v.
@@ -243,16 +237,16 @@ def _sample_distance_limited_non_links(
     Candidates are the pairs within ``d_hop`` train-graph hops minus the
     full graph's edges (so distance 1 drops out), as ascending condensed
     keys, into which ``rng`` picks indices. At ``d_hop=2`` they are the
-    train graph's distinct wedge keys; a larger ``d_hop`` imports
-    ``scipy.sparse`` for ``A + A^2 + ... + A^d_hop``. At n=5,000 a
+    train graph's distinct wedge keys (from ``block`` when held); a larger
+    ``d_hop`` imports ``scipy.sparse`` for ``A + ... + A^d_hop``. At n=5,000 a
     112k-edge train graph (139k full) has 5.3M wedges and 4.0M
-    candidates; the draw peaks at 199 MB (``tracemalloc``; 213 MB with
+    candidates; the draw peaks at 207 MB (``tracemalloc``; 213 MB with
     ``scipy.sparse`` powers).
     """
     n = g_train.n
     if d_hop == 2:
         reach = np.zeros(0, dtype=np.int64)
-        for keys, _ in wedge_blocks(g_train):  # distinct so far, ascending
+        for keys, _ in wedge_blocks(g_train, block):  # distinct so far, ascending
             reach = count_keys(np.concatenate((reach, keys)))[0]
     else:
         import scipy.sparse as sp
@@ -276,7 +270,8 @@ def _sample_distance_limited_non_links(
 
 
 def _split_pair_set(g: SimpleGraph, spec: SplitSpec):
-    """Held-out edges and sampled non-links, scored on the train graph."""
+    """Held-out edges and sampled non-links, scored on the train graph,
+    and its wedge block when the negative sampler held it."""
     edges = g.edge_array()
     m = len(edges)
     n_test = math.ceil((1.0 - spec.rho) * m)
@@ -288,15 +283,18 @@ def _split_pair_set(g: SimpleGraph, spec: SplitSpec):
     test = np.zeros(m, dtype=bool)
     test[rng.choice(m, size=n_test, replace=False)] = True
     g_train = SimpleGraph(g.n, edges[~test])
+    block = None
     if spec.negative_ratio is None:
         negatives = g.non_edge_array()
     else:
         wanted = round(spec.negative_ratio * n_test)
-        negatives = _sample_distance_limited_non_links(g, g_train, spec.d_hop, wanted, rng)
+        if spec.d_hop == 2:  # the sampler's pass over the train wedges serves the scorers too
+            block = held_wedge_block(g_train)
+        negatives = _sample_distance_limited_non_links(g, g_train, spec.d_hop, wanted, rng, block)
     if not len(negatives):
         raise ValueError("no negatives available for the split")
     pairs = np.concatenate([edges[test], negatives])
-    return g_train, pairs, np.arange(len(pairs)) < n_test
+    return g_train, pairs, np.arange(len(pairs)) < n_test, block
 
 
 def evaluate_protocol(
@@ -306,34 +304,49 @@ def evaluate_protocol(
     or a :class:`SplitSpec`), with every scorer.
 
     Every result shares one ``pair_array`` and one ``labels`` array,
-    checked once. A scorer that raises gets its exception in its own
-    slot; when the pair set cannot be built (no non-edge, too few
-    negatives), its exception fills every slot.
+    checked once, and the wedge scorers share one wedge pass (a split's
+    negative sampler too, when the train graph is one block). A scorer
+    that raises gets its exception in its own slot, and an error in the
+    shared pass goes to every wedge scorer; when the pair set cannot be
+    built (no non-edge, too few negatives), its exception fills every slot.
     """
     scorers = _scorer_ids(scorers)
     loo = protocol == "loo"
     if not (loo or isinstance(protocol, SplitSpec)):
         raise ValueError(f"unknown protocol {protocol!r}; use 'loo' or a SplitSpec")
     try:
-        scored_on, pairs, labels = _loo_pair_set(g) if loo else _split_pair_set(g, protocol)
+        scored_on, pairs, labels, block = _loo_pair_set(g) if loo else _split_pair_set(g, protocol)
         base = LabeledPairs(pairs, labels)
     except Exception as exc:
         return dict.fromkeys(scorers, exc)
     out: dict[str, LabeledPairs | Exception] = {}
-    for scorer in scorers:
+    edges = pairs[labels].T
+    if loo and "sr" in scorers:  # edges first, for the SimRank budget
         try:
-            if loo:  # every pair in condensed order; edges first, for the SimRank budget
-                edge_scores = _without_each_edge(scorer, g, *pairs[labels].T)
-                scores = score_pairs(scorer, scored_on)
-            else:
-                scores, edge_scores = score_pairs(scorer, scored_on, *pairs.T), None
-            if edge_scores is not None:
-                scores[labels] = edge_scores
+            sr_edges = simrank_without_each_edge(g, *edges)
+        except Exception as exc:
+            out["sr"] = exc
+    live = [s for s in scorers if s not in out]
+    # leave-one-out scores every pair in condensed order; its JC edges read CN
+    extra = ["cn"] if loo and "jc" in live else []
+    results = score_pairs_many(live + extra, scored_on, *([] if loo else pairs.T), block=block)
+    d = g.degrees()[edges] - 1.0 if loo else None  # endpoint degrees without the edge
+    for scorer in live:
+        try:
+            scores = _unwrap(results[scorer])
+            if loo and scorer == "sr":
+                scores[labels] = sr_edges
+            elif loo and scorer == "pa":  # CN, AA and RA keep their intact value
+                scores[labels] = d[0] * d[1]
+            elif loo and scorer == "jc":
+                cn = _unwrap(results["cn"])[labels]
+                union = d[0] + d[1] - cn
+                scores[labels] = np.divide(cn, union, out=np.zeros_like(cn), where=union > 0)
             out[scorer] = copy.copy(base)  # shares pair_array and labels
             out[scorer].scores = scores
         except Exception as exc:  # isolated per-scorer failure
             out[scorer] = exc
-    return out
+    return {s: out[s] for s in scorers}
 
 
 def leave_one_out(g: SimpleGraph, scorer: str) -> LabeledPairs:

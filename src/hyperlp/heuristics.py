@@ -20,19 +20,19 @@ degree >= 2, asserted in the tests).
 Scores are raw, not normalized; rank-based evaluation downstream makes
 monotone rescaling irrelevant.
 
-:func:`score_pairs` scores a whole pair set at once, on numpy alone. CN,
-AA and RA sum over wedges, the neighbor pairs of each centre w (Lü &
-Zhou, Physica A 2011; Zhou, Lü & Zhang, EPJ B 2009), with terms 1,
-``1/log(1+d_w)`` and ``1/d_w``, added up per condensed pair key over
-the wedges (:func:`~hyperlp.hypergraph.wedge_blocks`). PA is
-``d_u * d_v``, JC is ``CN / (d_u + d_v - CN)`` and SR indexes one
-:func:`simrank_matrix`. Each pair's AA and RA terms are added in
-ascending order, so the sum depends only on the multiset of
+:func:`score_pairs_many` scores a whole pair set at once with several
+scorers, on numpy alone; :func:`score_pairs` is its one-scorer case.
+CN, AA and RA add up terms 1, ``1/log(1+d_w)`` and ``1/d_w`` per
+condensed pair key over the wedges, the neighbor pairs of each centre w
+(Lü & Zhou, Physica A 2011; Zhou, Lü & Zhang, EPJ B 2009). One pass over
+the wedges (:func:`~hyperlp.hypergraph.wedge_blocks`) serves all three
+and JC, which is ``CN / (d_u + d_v - CN)``. PA is ``d_u * d_v`` and SR
+indexes one :func:`simrank_matrix`. Each pair's AA and RA terms are
+added in ascending order, so the sum depends only on the multiset of
 common-neighbor degrees, not on vertex labels (Higham, *Accuracy and
 Stability of Numerical Algorithms*, 2002, ch. 4). The per-pair functions
-and :func:`score` compute the same definitions one pair at a time as the
-reference; they add AA and RA terms in set order, so the two can differ
-in the last bits.
+and :func:`score` are the reference, one pair at a time; they add AA and
+RA terms in set order, so the two can differ in the last bits.
 
 Leave-one-out SimRank (:func:`simrank_without_each_edge`) never copies
 the graph: removing edge {a, b} changes only columns a and b of the
@@ -44,7 +44,7 @@ iteration as :func:`simrank_matrix`.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -191,8 +191,8 @@ def simrank_without_each_edge(
 
 
 def simrank(g: SimpleGraph, u: int, v: int) -> float:
-    """Solves the whole table on every call; :func:`score_pairs` solves
-    it once for a pair set."""
+    """Solves the whole table on every call; :func:`score_pairs_many`
+    solves it once for a pair set."""
     _check_pair(g, u, v)
     return float(simrank_matrix(g)[u, v])
 
@@ -230,38 +230,54 @@ def condensed(n: int, keys: np.ndarray, values) -> np.ndarray:
     return out
 
 
-def _wedge_sums(g: SimpleGraph, weight: np.ndarray | None, at: np.ndarray | None) -> np.ndarray:
-    """Sums of ``weight`` (counts when None) over common neighbors, at
-    every pair in condensed order or at the condensed keys ``at``, whose
-    wedges are found by ``searchsorted``. Terms are added one by one in
-    :func:`~hyperlp.hypergraph.wedge_blocks` order either way
-    (``np.add.at``), so neither the blocks nor ``at`` change a sum."""
+def _wedge_sums(
+    g: SimpleGraph,
+    weights: list[np.ndarray | None],
+    at: np.ndarray | None,
+    block: tuple[np.ndarray, np.ndarray] | None = None,
+) -> list[np.ndarray]:
+    """Sums over common neighbors of each per-vertex weight in ``weights``
+    (counts for None), at every pair in condensed order or at the
+    condensed keys ``at``, whose wedges are found by ``searchsorted``.
+
+    One pass over the wedges (``block``, a held one, or built anew) serves
+    every weight, filtered once per block. Terms are added one by one in
+    :func:`~hyperlp.hypergraph.wedge_blocks` order (``np.add.at``), so
+    neither the blocks nor ``at`` change a sum."""
     wanted = None if at is None else count_keys(at)[0]
     size = g.n * (g.n - 1) // 2 if at is None else len(wanted)
-    sums = np.zeros(size, dtype=np.int64 if weight is None else np.float64)
+    sums = [np.zeros(size, dtype=np.int64 if w is None else np.float64) for w in weights]
     if wanted is not None:  # one flag per low-bit residue of a wanted key
         residue = np.zeros(_RESIDUES, dtype=bool)
         residue[wanted & (_RESIDUES - 1)] = True
-    for keys, terms in wedge_blocks(g, weight):
+    for keys, centres in wedge_blocks(g, block):
         if wanted is not None:  # search only the wedges whose residue is flagged
             near = np.flatnonzero(residue[keys & (_RESIDUES - 1)])
             pos = np.searchsorted(wanted, keys[near])
             hit = wanted[np.minimum(pos, len(wanted) - 1)] == keys[near]
-            keys, terms = pos[hit], None if terms is None else terms[near[hit]]
-        np.add.at(sums, keys, 1 if terms is None else terms)
-    return sums if at is None else sums[np.searchsorted(wanted, at)]
+            keys, centres = pos[hit], centres[near[hit]]
+        for total, w in zip(sums, weights):
+            np.add.at(total, keys, 1 if w is None else w[centres])
+    return sums if at is None else [total[np.searchsorted(wanted, at)] for total in sums]
 
 
-def score_pairs(
-    scorer: str, g: SimpleGraph, u: ArrayLike | None = None, v: ArrayLike | None = None
-) -> np.ndarray:
-    """Score the pairs ``(u[i], v[i])`` at once; same definitions and
-    checks as :func:`score`, returned in input order.
+def score_pairs_many(
+    scorers: Sequence[str],
+    g: SimpleGraph,
+    u: ArrayLike | None = None,
+    v: ArrayLike | None = None,
+    block: tuple[np.ndarray, np.ndarray] | None = None,
+) -> dict[str, np.ndarray | Exception]:
+    """Score the pairs ``(u[i], v[i])`` at once with each scorer; same
+    definitions and checks as :func:`score`, in input order. Without ``u``
+    and ``v``, scores every pair u < v in ``np.triu_indices(g.n, 1)`` order.
 
-    Without ``u`` and ``v``, scores every pair u < v in
-    ``np.triu_indices(g.n, 1)`` order.
+    CN, AA, RA and JC (from the CN sums) share one wedge pass, over the
+    ``block`` a caller holds (:func:`~hyperlp.hypergraph.held_wedge_block`)
+    or built anew. A scorer that raises gets its exception in its slot,
+    and an error in the shared pass goes to every wedge scorer; invalid
+    pairs raise.
     """
-    _scorer(scorer)  # rejects an unknown id
     every = u is None and v is None
     if every:
         u, v = np.triu_indices(g.n, k=1)
@@ -272,21 +288,51 @@ def score_pairs(
     bad = np.flatnonzero((u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= g.n))
     if len(bad):
         _check_pair(g, int(u[bad[0]]), int(v[bad[0]]))
-    if len(u) == 0:
-        return np.zeros(0)
-    if scorer == "sr":
-        return simrank_matrix(g)[u, v]
     d = g.degrees().astype(np.float64)
-    if scorer == "pa":
-        return d[u] * d[v]
-    weight = None
-    if scorer in ("aa", "ra"):
-        weight = np.zeros(g.n)
-        ok = d > 0
-        weight[ok] = 1.0 / (np.log1p(d[ok]) if scorer == "aa" else d[ok])
-    sums = _wedge_sums(g, weight, None if every else condensed_keys(g.n, u, v))
-    cn = sums.astype(np.float64, copy=False)
-    if scorer != "jc":
-        return cn
-    union = d[u] + d[v] - cn
-    return np.divide(cn, union, out=np.zeros_like(cn), where=union > 0)
+    weight = {  # per centre w: a count for CN, 1/log(1+d_w) for AA, 1/d_w for RA
+        "cn": None,
+        "aa": np.divide(1.0, np.log1p(d), out=np.zeros(g.n), where=d > 0),
+        "ra": np.divide(1.0, d, out=np.zeros(g.n), where=d > 0),
+    }
+    summed = [s for s in weight if s in scorers or (s == "cn" and "jc" in scorers)]
+    sums: dict[str, np.ndarray | Exception] = {}
+    try:
+        if summed and len(u):
+            at = None if every else condensed_keys(g.n, u, v)
+            sums = dict(zip(summed, _wedge_sums(g, [weight[s] for s in summed], at, block)))
+    except Exception as exc:  # the shared pass fails every wedge scorer
+        sums = dict.fromkeys(summed, exc)
+    out: dict[str, np.ndarray | Exception] = {}
+    for scorer in scorers:
+        try:
+            _scorer(scorer)  # rejects an unknown id
+            if len(u) == 0:
+                out[scorer] = np.zeros(0)
+            elif scorer == "sr":
+                out[scorer] = simrank_matrix(g)[u, v]
+            elif scorer == "pa":
+                out[scorer] = d[u] * d[v]
+            else:
+                cn = _unwrap(sums["cn" if scorer == "jc" else scorer])
+                cn = cn.astype(np.float64, copy=False)  # AA and RA sums are float64: no copy
+                if scorer == "jc":
+                    union = d[u] + d[v] - cn
+                    cn = np.divide(cn, union, out=np.zeros_like(cn), where=union > 0)
+                out[scorer] = cn
+        except Exception as exc:  # isolated per-scorer failure
+            out[scorer] = exc
+    return out
+
+
+def score_pairs(
+    scorer: str, g: SimpleGraph, u: ArrayLike | None = None, v: ArrayLike | None = None
+) -> np.ndarray:
+    """The one-scorer case of :func:`score_pairs_many`, raising its error."""
+    return _unwrap(score_pairs_many([scorer], g, u, v)[scorer])
+
+
+def _unwrap(result):
+    """One slot of a per-scorer result dict, raising its exception."""
+    if isinstance(result, Exception):
+        raise result
+    return result

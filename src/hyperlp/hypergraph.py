@@ -213,11 +213,11 @@ def condensed_pairs(n: int, keys: np.ndarray) -> np.ndarray:
 
 
 def wedge_blocks(
-    g: SimpleGraph, weight: np.ndarray | None = None
-) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    g: SimpleGraph, held: tuple[np.ndarray, np.ndarray] | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The wedges of ``g``, each centre's neighbor pairs, so a pair occurs
-    once per common neighbor: their condensed keys and, given a per-vertex
-    ``weight``, each wedge's centre weight.
+    once per common neighbor: their condensed keys and centre ids, which
+    serve every per-centre weight (CN, AA, RA) in one pass.
 
     Centres come by descending degree, so a weight that falls with degree
     (AA, RA) reaches each pair in ascending order: equal multisets of
@@ -225,8 +225,12 @@ def wedge_blocks(
     vertex labels. The wedges come in blocks of whole centres, at most
     ``WEDGE_BLOCK`` per block unless one centre has more, so memory stays
     bounded on dense graphs, where the wedges (the sum of d(d-1)/2)
-    outnumber the vertex pairs.
+    outnumber the vertex pairs. ``held``, a block from
+    :func:`held_wedge_block`, is yielded instead of being rebuilt.
     """
+    if held is not None:
+        yield held
+        return
     deg = g.degrees()
     order = np.argsort(-deg, kind="stable")
     done = np.cumsum(deg[order] * (deg[order] - 1) // 2)  # wedges through each centre
@@ -234,11 +238,19 @@ def wedge_blocks(
     while start < g.n:
         before = done[start - 1] if start else 0
         stop = max(int(np.searchsorted(done, before + WEDGE_BLOCK, side="right")), start + 1)
-        yield _wedges(g, order[start:stop], weight)
+        yield _wedges(g, order[start:stop])
         start = stop
 
 
-def _wedges(g: SimpleGraph, centres: np.ndarray, weight: np.ndarray | None):
+def held_wedge_block(g: SimpleGraph) -> tuple[np.ndarray, np.ndarray] | None:
+    """All wedges of ``g`` in one block, for several passes to share, or
+    None when they exceed ``WEDGE_BLOCK`` and each pass builds its own."""
+    deg = g.degrees()
+    fits = g.n and (deg * (deg - 1) // 2).sum() <= WEDGE_BLOCK
+    return next(wedge_blocks(g)) if fits else None
+
+
+def _wedges(g: SimpleGraph, centres: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The wedges of ``centres``, in that order (see :func:`wedge_blocks`)."""
     sizes = g.degrees()[centres]
     ends = np.cumsum(sizes)
@@ -252,8 +264,7 @@ def _wedges(g: SimpleGraph, centres: np.ndarray, weight: np.ndarray | None):
     partner += np.repeat(pos + 1 - (np.cumsum(after) - after), after)
     keys = np.repeat(_row_base(g.n)[members], after)
     keys += members[partner]
-    terms = None if weight is None else np.repeat(weight[centres], sizes * (sizes - 1) // 2)
-    return keys, terms
+    return keys, np.repeat(centres, sizes * (sizes - 1) // 2)
 
 
 def group_pair_keys(n: int, groups: Sequence[Iterable[int]] | np.ndarray) -> np.ndarray:

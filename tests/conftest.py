@@ -17,16 +17,18 @@ def five_vertex():
 @pytest.fixture
 def break_scorer(monkeypatch):
     """Call ``break_scorer(name, error)`` to make scorer ``name`` raise
-    ``error`` wherever a pair set is scored."""
-    score_pairs = evaluation.score_pairs
+    ``error`` wherever :func:`hyperlp.evaluate_protocol` scores a pair
+    set: its slot of the shared scoring call holds that error."""
+    score_pairs_many = evaluation.score_pairs_many
 
     def apply(name: str, error: type[Exception] = RuntimeError) -> None:
-        def broken(scorer, *args):
-            if scorer == name:
-                raise error(f"{name} is broken")
-            return score_pairs(scorer, *args)
+        def broken(scorers, *args, **kwargs):
+            out = score_pairs_many(scorers, *args, **kwargs)
+            if name in out:
+                out[name] = error(f"{name} is broken")
+            return out
 
-        monkeypatch.setattr(evaluation, "score_pairs", broken)
+        monkeypatch.setattr(evaluation, "score_pairs_many", broken)
 
     return apply
 
@@ -36,6 +38,21 @@ def five_vertex_file(tmp_path):
     path = tmp_path / "toy.hyg"
     path.write_text("a b c\nd e\n")
     return path
+
+
+def unique_counts(scores, labels, weights=None):
+    """(#{s_pos > s_neg}, #{s_pos == s_neg}, P, N) by grouping equal scores
+    with ``np.unique``: the count that sorting and ``searchsorted``
+    replaced in :func:`hyperlp.evaluation._cross_class_counts`, kept as
+    its oracle."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=bool)
+    w = np.ones(len(scores)) if weights is None else np.asarray(weights, dtype=np.float64)
+    _, group = np.unique(scores, return_inverse=True)
+    pos = np.bincount(group, weights=np.where(labels, w, 0.0))
+    neg = np.bincount(group, weights=np.where(labels, 0.0, w))
+    neg_below = np.concatenate(([0.0], np.cumsum(neg)[:-1]))
+    return float(pos @ neg_below), float(pos @ neg), float(pos.sum()), float(neg.sum())
 
 
 def random_hypergraph(rng: np.random.Generator, n: int, m: int, max_size: int = 4):

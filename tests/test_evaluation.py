@@ -1,12 +1,15 @@
 """AUC correctness against brute force, protocol behavior, and the
 exact-probability ceiling."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import graphs
+from conftest import graphs, random_hypergraph, unique_counts
 from hyperlp import (
     SCORER_IDS,
     Hypergraph,
@@ -149,6 +152,30 @@ class TestAuc:
         unit = np.ones(len(scores))
         assert _cross_class_counts(scores, labels) == brute_force_counts(scores, labels, unit)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]),
+                    st.floats(width=64),
+                ),
+                st.booleans(),
+                st.floats(1e-3, 1e3),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_sorted_counts_match_unique_grouping(self, obs):
+        # ties, -0.0 against 0.0, infinities and NaN (grouped as one value)
+        scores, labels, weights = (np.array(x) for x in zip(*obs))
+        assert _cross_class_counts(scores, labels) == unique_counts(scores, labels)
+        got = _cross_class_counts(scores, labels, weights)
+        want = unique_counts(scores, labels, weights)
+        for a, b in zip(got, want):
+            assert a == pytest.approx(b, rel=1e-12, abs=0.0)
+
     def test_complement_identity(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
@@ -183,6 +210,12 @@ class TestLabeledPairs:
             for pairs in ([(0, 1), (1, 0)], [(2, 3), (0, 1), (2, 3)], [(0, 5), (1, 2), (5, 0)]):
                 with pytest.raises(ValueError, match="duplicate"):
                     LabeledPairs(pairs=box(pairs), labels=[True] * len(pairs))
+
+    def test_first_duplicate_named(self):
+        # the smallest duplicated pair, in either orientation
+        pairs = [(5, 6), (9, 8), (3, 2), (6, 5), (2, 3), (8, 9)]
+        with pytest.raises(ValueError, match=r"^duplicate pair \(2, 3\)$"):
+            LabeledPairs(pairs=np.array(pairs), labels=[True] * len(pairs))
 
     def test_self_pair_rejected(self):
         for box in self.BOXES:
@@ -283,6 +316,68 @@ class TestEvaluateProtocol:
         out = evaluate_protocol(g, ["cn", "katz"], "loo")
         assert isinstance(out["katz"], ValueError)
         assert isinstance(out["cn"], LabeledPairs)
+
+    @staticmethod
+    def count_passes(monkeypatch, blocks=None):
+        """Centres per call of ``hypergraph._wedges``, which builds each
+        wedge block; ``blocks`` collects weak references to their keys."""
+        calls = []
+        real = hypergraph._wedges
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            block = real(*args)
+            if blocks is not None:
+                blocks.append(weakref.ref(block[0]))
+            return block
+
+        monkeypatch.setattr(hypergraph, "_wedges", counted)
+        return calls
+
+    def test_one_wedge_pass_per_graph(self, monkeypatch):
+        g = clique_expand(random_hypergraph(np.random.default_rng(5), 40, 50, max_size=5))
+        blocks = []
+        calls = self.count_passes(monkeypatch, blocks)
+        evaluate_protocol(g, ["cn", "aa", "ra", "pa", "jc"], "loo")
+        assert calls == [g.n]  # one block, every centre
+        calls.clear()
+        out = evaluate_protocol(g, ["cn", "aa"], SplitSpec(seed=2))  # sampler and scorers
+        assert calls == [g.n]
+        gc.collect()  # no block outlives its call, though the results do
+        assert len(blocks) == 2 and all(ref() is None for ref in blocks) and out
+
+    @pytest.mark.parametrize("protocol", ["loo", SplitSpec(seed=4)], ids=["loo", "split"])
+    def test_wedge_blocks_change_no_score(self, protocol, monkeypatch):
+        # a train graph over one block is read once by the sampler and once
+        # by the scorers, in blocks: the same negatives and the same bits
+        g = clique_expand(random_hypergraph(np.random.default_rng(6), 40, 50, max_size=5))
+        want = evaluate_protocol(g, SCORER_IDS, protocol)
+        monkeypatch.setattr(hypergraph, "WEDGE_BLOCK", 20)
+        calls = self.count_passes(monkeypatch)
+        got = evaluate_protocol(g, SCORER_IDS, protocol)
+        assert len(calls) > (1 if protocol == "loo" else 2)
+        assert sum(calls) == g.n * (1 if protocol == "loo" else 2)  # whole passes
+        for s in SCORER_IDS:
+            assert np.array_equal(got[s].pair_array, want[s].pair_array)
+            assert np.array_equal(got[s].labels, want[s].labels)
+            assert np.array_equal(got[s].scores, want[s].scores), s
+
+    @pytest.mark.parametrize(
+        "protocol", ["loo", SplitSpec(seed=4, negative_ratio=None)], ids=["loo", "split"]
+    )
+    def test_failed_wedge_pass_fails_only_wedge_scorers(self, protocol, monkeypatch):
+        g = clique_expand(random_hypergraph(np.random.default_rng(7), 12, 10, max_size=4))
+        clean = evaluate_protocol(g, SCORER_IDS, protocol)
+
+        def broken(*args):
+            raise MemoryError("no room for the wedges")
+
+        monkeypatch.setattr(hypergraph, "_wedges", broken)
+        out = evaluate_protocol(g, SCORER_IDS, protocol)
+        for s in ("cn", "aa", "ra", "jc"):
+            assert isinstance(out[s], MemoryError) and out[s] is out["cn"], s
+        for s in ("pa", "sr"):
+            assert np.array_equal(out[s].scores, clean[s].scores), s
 
     def test_bad_arguments_raise(self):
         g = SimpleGraph(4, [(0, 1), (1, 2)])

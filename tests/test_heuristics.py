@@ -24,6 +24,7 @@ from hyperlp import heuristics, hypergraph
 from hyperlp.heuristics import (
     SIMRANK_DECAY,
     SimRankConvergenceError,
+    score_pairs_many,
     simrank_without_each_edge,
 )
 
@@ -341,6 +342,23 @@ class TestWedgeParity:
         monkeypatch.setattr(heuristics, "_RESIDUES", 4)
         for (got_all, got_at), (ref_all, ref_at) in zip(scores(), want):
             assert np.array_equal(got_all, ref_all) and np.array_equal(got_at, ref_at)
+
+    def test_shared_pass_changes_no_score(self):
+        # every scorer of one call shares a wedge pass: the same bits as
+        # scoring alone, at every pair and at explicit pairs
+        rng = np.random.default_rng(11)
+        g = clique_expand(random_hypergraph(rng, 25, 30, max_size=6))
+        u, v = rng.integers(0, g.n, size=(2, 60))
+        for pairs in ((), (u[u != v], v[u != v])):
+            many = score_pairs_many(SCORER_IDS, g, *pairs)
+            assert list(many) == list(SCORER_IDS)
+            for s in SCORER_IDS:
+                assert np.array_equal(many[s], score_pairs(s, g, *pairs)), s
+
+    def test_unknown_scorer_fills_its_slot(self):
+        out = score_pairs_many(["cn", "katz"], path_graph(4))
+        assert isinstance(out["katz"], ValueError)
+        assert out["cn"].tolist() == [0.0, 1.0, 0.0, 0.0, 1.0, 0.0]
 
 
 def to_networkx(nx, g):

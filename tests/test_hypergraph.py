@@ -18,7 +18,13 @@ from hyperlp import (
     width,
 )
 from hyperlp import hypergraph
-from hyperlp.hypergraph import condensed_keys, condensed_pairs, pair_cooccurrence, wedge_blocks
+from hyperlp.hypergraph import (
+    condensed_keys,
+    condensed_pairs,
+    held_wedge_block,
+    pair_cooccurrence,
+    wedge_blocks,
+)
 from conftest import OracleGraph, hypergraphs, oracle_clique_expand, random_hypergraph
 
 
@@ -268,26 +274,29 @@ class TestPairKeys:
 
     @pytest.mark.parametrize("block", [1, 7, 40])
     def test_wedge_blocks_split_one_wedge_list(self, block, monkeypatch):
-        # one wedge per common neighbor of each pair; blocks hold whole
-        # centres, at most `block` wedges unless one centre has more, and
-        # together give the unblocked list in the same order
+        # one wedge per common neighbor of each pair, with that centre;
+        # blocks hold whole centres, at most `block` wedges unless one
+        # centre has more, and together give the unblocked list in the
+        # same order; only an unsplit list is held
         rng = np.random.default_rng(block)
         g = clique_expand(random_hypergraph(rng, 30, 25, max_size=6))
-        weight = rng.permutation(g.n) + 1.0  # tells the centres apart
         want = sorted(
-            condensed_keys(g.n, a, b)
+            (int(condensed_keys(g.n, a, b)), w)
             for w in range(g.n)
             for a, b in combinations(sorted(g.neighbors(w)), 2)
         )
-        [(keys, terms)] = wedge_blocks(g, weight)
-        assert sorted(keys.tolist()) == want
+        [(keys, centres)] = wedge_blocks(g)
+        assert sorted(zip(keys.tolist(), centres.tolist())) == want
+        held = held_wedge_block(g)
+        assert np.array_equal(held[0], keys) and np.array_equal(held[1], centres)
+        assert next(wedge_blocks(g, held)) is held
         monkeypatch.setattr(hypergraph, "WEDGE_BLOCK", block)
-        parts = list(wedge_blocks(g, weight))
-        assert len(parts) > 1
-        for part_keys, part_terms in parts:
-            assert len(part_keys) <= block or len(set(part_terms.tolist())) == 1
+        parts = list(wedge_blocks(g))
+        assert len(parts) > 1 and held_wedge_block(g) is None
+        for part_keys, part_centres in parts:
+            assert len(part_keys) <= block or len(set(part_centres.tolist())) == 1
         assert np.array_equal(np.concatenate([k for k, _ in parts]), keys)
-        assert np.array_equal(np.concatenate([t for _, t in parts]), terms)
+        assert np.array_equal(np.concatenate([c for _, c in parts]), centres)
 
 
 def sorted_pair_counts(n, groups):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import unique_counts
 from hyperlp import (
     Hypergraph,
     clique_expand,
@@ -19,6 +20,7 @@ from hyperlp import (
     verify_higher_order_auc_lift,
     verify_relocation_baseline,
 )
+from hyperlp import verify
 from hyperlp.evaluation import all_pairs
 from hyperlp.heuristics import score
 from hyperlp.verify import TrialSummary
@@ -222,6 +224,30 @@ class TestExactEnsemble:
             expected = enumerate_ensemble_auc(kept, phi, n)
             got, _ = exact_ensemble_auc(pot, phi)
             assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_sorted_counts_keep_the_ensemble_auc(self, monkeypatch):
+        # the same values as with the np.unique grouping it replaced
+        rng = np.random.default_rng(13)
+        cases = [
+            (potential_from_candidates(6, [(0, 1, 2), (2, 3, 4)], k_max=3), [0.0, 0.5]),
+            (potential_from_candidates(3, [(0, 1, 2)], k_max=3), [0.0, 0.6]),
+        ]
+        for _ in range(5):
+            candidates = [
+                tuple(int(x) for x in rng.choice(5, size=int(rng.integers(2, 4)), replace=False))
+                for _ in range(int(rng.integers(2, 6)))
+            ]
+            phi = [float(rng.uniform(0.1, 0.9)), float(rng.uniform(0.1, 0.9))]
+            cases.append((potential_from_candidates(5, candidates, k_max=3), phi))
+        for pot, phi in cases:
+            got = exact_ensemble_auc(pot, phi)
+            with monkeypatch.context() as patch:
+                patch.setattr(verify, "_cross_class_counts", unique_counts)
+                want = exact_ensemble_auc(pot, phi)
+            assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
+            assert (got[1] is None) == (want[1] is None)
+            if want[1] is not None:
+                assert got[1] == pytest.approx(want[1], rel=1e-12, abs=0.0)
 
 
 class TestRelocationBaseline:
