@@ -118,12 +118,13 @@ def _simrank_iterate(w: np.ndarray, decay: float, tol: float, max_iter: int) -> 
     """SimRank table for the column-normalized ``w``: see
     :func:`simrank_matrix`."""
     n = len(w)
-    s = np.eye(n)
+    s, nxt, tmp = np.eye(n), np.empty((n, n)), np.empty((n, n))
     for _ in range(max_iter):
-        s_next = decay * (w.T @ s @ w)
-        np.fill_diagonal(s_next, 1.0)
-        delta = np.max(np.abs(s_next - s)) if n else 0.0
-        s = s_next
+        np.matmul(np.matmul(w.T, s, out=tmp), w, out=nxt)
+        np.multiply(decay, nxt, out=nxt)
+        nxt.reshape(-1)[:: n + 1] = 1.0  # the diagonal
+        delta = np.abs(np.subtract(nxt, s, out=tmp), out=tmp).max() if n else 0.0
+        s, nxt = nxt, s
         if delta < tol:
             return s
     raise SimRankConvergenceError(

@@ -384,14 +384,14 @@ def exact_ensemble_auc(
         scores.append(score_pairs(scorer, g))
         labels.append(_pair_labels(g))
         weights.append(np.full(len(labels[-1]), weight))
-    greater, ties, w_pos, w_neg = _cross_class_counts(
-        np.concatenate(scores), np.concatenate(labels), np.concatenate(weights)
-    )
+    scores, labels, weights = map(np.concatenate, (scores, labels, weights))
+    greater, ties, w_pos, w_neg = _cross_class_counts(scores, labels, weights)
     if w_pos == 0 or w_neg == 0:
         raise ValueError("ensemble has zero mass in one class")
-    total = w_pos * w_neg
-    tie_aware = (greater + 0.5 * ties) / total
-    conditional = greater / (total - ties) if total - ties > 0 else None
+    tie_aware = (greater + 0.5 * ties) / (w_pos * w_neg)
+    # Both strict masses are sums, so the ratio stays within [0, 1].
+    less = _cross_class_counts(-scores, labels, weights)[0]
+    conditional = greater / (greater + less) if greater + less > 0 else None
     return tie_aware, conditional
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from hyperlp import Hypergraph, SimpleGraph, evaluation
+from hyperlp.heuristics import SimRankConvergenceError
 
 
 @pytest.fixture
@@ -62,6 +63,36 @@ def random_hypergraph(rng: np.random.Generator, n: int, m: int, max_size: int = 
         k = int(rng.integers(2, max_size + 1))
         edges.append([int(x) for x in rng.choice(n, size=k, replace=False)])
     return Hypergraph(n, edges)
+
+
+def oracle_relocate(h: Hypergraph, seed: int) -> Hypergraph:
+    """Reference relocation: one ``rng.choice(n, k, replace=False)`` call
+    per hyperedge, the loop :func:`hyperlp.relocate` reproduces in one
+    array draw."""
+    rng = np.random.default_rng(seed)
+    moved = []
+    for f in h.hyperedges:
+        if len(f) > h.n:
+            raise ValueError(f"hyperedge of size {len(f)} cannot fit in {h.n} vertices")
+        moved.append([int(x) for x in rng.choice(h.n, size=len(f), replace=False)])
+    return Hypergraph(h.n, moved)
+
+
+def oracle_simrank_iterate(w: np.ndarray, decay: float, tol: float, max_iter: int) -> np.ndarray:
+    """Reference SimRank iteration, allocating every iterate: the loop
+    :func:`hyperlp.heuristics._simrank_iterate` runs in two buffers."""
+    n = len(w)
+    s = np.eye(n)
+    for _ in range(max_iter):
+        s_next = decay * (w.T @ s @ w)
+        np.fill_diagonal(s_next, 1.0)
+        delta = np.max(np.abs(s_next - s)) if n else 0.0
+        s = s_next
+        if delta < tol:
+            return s
+    raise SimRankConvergenceError(
+        f"SimRank not within {tol} after {max_iter} iterations (last delta {delta:.3g})"
+    )
 
 
 @st.composite

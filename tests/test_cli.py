@@ -7,9 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from hyperlp import heuristics
+from conftest import oracle_relocate, random_hypergraph
+from hyperlp import heuristics, relocation
+from hyperlp.datasets import save_plain
 from hyperlp.cli import main
 from hyperlp.config import ConfigError, parse_model_config
 
@@ -321,6 +324,30 @@ class TestAdjust:
         payload = json.loads(out.with_suffix(".json").read_text())
         assert list(payload["reports"]) == ["cn"]
         assert payload["errors"] == {"aa": "aa is broken"}
+
+
+def test_relocation_draw_keeps_outputs_byte_identical(tmp_path, monkeypatch):
+    # evaluate and adjust write the same bytes with the per-hyperedge
+    # rng.choice loop in place of relocate
+    data = tmp_path / "small.hyg"
+    save_plain(random_hypergraph(np.random.default_rng(21), 40, 60, max_size=5), data)
+    commands = (["evaluate", "--protocol", "loo"], ["adjust", "--protocol", "split"])
+    outputs = {}
+    for draw in ("arrays", "oracle"):
+        with monkeypatch.context() as patch:
+            if draw == "oracle":
+                patch.setattr(relocation, "relocate", oracle_relocate)
+            for argv in commands:
+                out = tmp_path / f"{argv[0]}-{draw}"
+                assert main(argv + [
+                    "--data", str(data), "--algorithms", "cn,aa,pa",
+                    "--runs", "2", "--out", str(out),
+                ]) == 0
+                payload = json.loads(out.with_suffix(".json").read_text())
+                del payload["manifest"]
+                outputs[argv[0], draw] = out.with_suffix(".csv").read_bytes(), payload
+    for command in ("evaluate", "adjust"):
+        assert outputs[command, "arrays"] == outputs[command, "oracle"]
 
 
 def test_version_flag():

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graphs, random_hypergraph
+from conftest import graphs, oracle_simrank_iterate, random_hypergraph
 from hyperlp import (
     SCORER_IDS,
     SimpleGraph,
@@ -191,6 +191,28 @@ class TestSimRank:
     def test_disconnected_vertices_score_zero(self):
         g = SimpleGraph(4, [(0, 1)])
         assert score("sr", g, 0, 3) == 0.0
+
+
+class TestSimRankBuffers:
+    @given(graphs(min_n=0, max_n=12))
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_allocating_loop(self, g):
+        edges = g.edge_array()
+        got = simrank_matrix(g), simrank_without_each_edge(g, edges[:, 0], edges[:, 1])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(heuristics, "_simrank_iterate", oracle_simrank_iterate)
+            want = simrank_matrix(g), simrank_without_each_edge(g, edges[:, 0], edges[:, 1])
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_convergence_error_matches(self):
+        w = np.full((3, 3), 0.5)
+        messages = []
+        for solve in (heuristics._simrank_iterate, oracle_simrank_iterate):
+            with pytest.raises(SimRankConvergenceError, match="after 2 iterations") as exc:
+                solve(w, SIMRANK_DECAY, 1e-12, 2)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
 
 
 class TestSimRankWithoutEachEdge:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperlp import (
     SCORER_IDS,
@@ -21,7 +23,7 @@ from hyperlp import (
 )
 from hyperlp import evaluation, relocation
 from hyperlp.latent import ResourceLimitError
-from conftest import random_hypergraph
+from conftest import oracle_relocate, random_hypergraph
 
 
 class TestRelocate:
@@ -56,6 +58,76 @@ class TestRelocate:
         rng = np.random.default_rng(5)
         h = random_hypergraph(rng, 12, 6)
         assert relocate(h, 99).hyperedges == relocate(h, 99).hyperedges
+
+
+def same_draw(h: Hypergraph, seed: int) -> None:
+    """``relocate`` returns the per-hyperedge ``rng.choice`` loop's
+    hyperedges, each with the same vertices in the same order."""
+    got, want = relocate(h, seed), oracle_relocate(h, seed)
+    assert got.n == want.n
+    assert [list(f) for f in got.hyperedges] == [list(f) for f in want.hyperedges]
+
+
+@st.composite
+def relocation_inputs(draw):
+    """(hypergraph, seed): n small (k == n reachable), on the Floyd
+    branch, above 2**31 (a quarter to a half of the draws reject) or
+    above 2**32 (64-bit draws); hyperedges of sizes 2..12."""
+    n = draw(st.one_of(
+        st.integers(2, 12),
+        st.integers(13, 10**6),
+        st.integers(2**31, 3 * 2**30),
+        st.integers(2**32 - 2, 2**40),
+    ))
+    sizes = draw(st.lists(st.integers(2, min(n, 12)), max_size=20))
+    return Hypergraph(n, [range(k) for k in sizes]), draw(st.integers(0, 2**63 - 1))
+
+
+class TestRelocateDraw:
+    @given(relocation_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_choice_loop(self, case):
+        same_draw(*case)
+
+    @pytest.mark.parametrize("n, k", [
+        (20_000, 400),  # Floyd: k == n // 50
+        (20_000, 401),  # tail shuffle
+        (10_000, 201),  # Floyd: n not above 10,000
+        (10_001, 200),
+        (10_001, 201),
+        (10_001, 10_001),  # tail shuffle over the whole range
+    ])
+    def test_both_branches_of_choice(self, n, k):
+        h = Hypergraph(n, [range(k), range(2), range(k), range(3)])
+        for seed in range(3):
+            same_draw(h, seed)
+
+    @pytest.mark.parametrize("n, m", [
+        (5 * 10**6, 2000),  # about one rejection per thousand draws
+        (10**9, 1000),  # about one in fifteen draws rejects
+    ])
+    def test_rejections_across_many_draws(self, n, m):
+        sizes = np.random.default_rng(n).integers(2, 7, size=m)
+        same_draw(Hypergraph(n, [range(k) for k in sizes.tolist()]), seed=7)
+
+    def test_empty_hypergraph(self):
+        assert relocate(Hypergraph(0, []), 3) == Hypergraph(0, [])
+        assert relocate(Hypergraph(9, []), 3) == Hypergraph(9, [])
+
+    def test_oversized_hyperedge_raises_before_any_draw(self, monkeypatch):
+        h = Hypergraph(6, [[0, 1], [0, 1, 2, 3, 4], [0, 1, 2, 3, 4, 5]])
+        h.n = 4  # a hyperedge of 5 and one of 6 no longer fit
+        with pytest.raises(ValueError) as want:
+            oracle_relocate(h, 0)
+        assert str(want.value) == "hyperedge of size 5 cannot fit in 4 vertices"
+
+        def no_draw(*args):
+            raise AssertionError("drew before the size check")
+
+        monkeypatch.setattr(relocation, "_bounded_draws", no_draw)
+        with pytest.raises(ValueError) as got:
+            relocate(h, 0)
+        assert str(got.value) == str(want.value)
 
 
 class TestAssembleReport:

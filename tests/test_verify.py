@@ -225,6 +225,15 @@ class TestExactEnsemble:
             got, _ = exact_ensemble_auc(pot, phi)
             assert got == pytest.approx(expected, abs=1e-12)
 
+    def test_conditional_auc_within_unit_interval(self):
+        # the fifth case of test_sorted_counts_keep_the_ensemble_auc: every
+        # cross-class comparison is won or tied, and dividing by the
+        # difference of two float sums gave 1.0000000000000007
+        pot = potential_from_candidates(5, [(4, 1, 2), (0, 3, 4)], k_max=3)
+        _, conditional = exact_ensemble_auc(pot, [0.15916949903312416, 0.8667746555301177])
+        assert 0.0 <= conditional <= 1.0
+        assert conditional == 1.0
+
     def test_sorted_counts_keep_the_ensemble_auc(self, monkeypatch):
         # the same values as with the np.unique grouping it replaced
         rng = np.random.default_rng(13)
