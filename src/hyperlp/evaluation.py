@@ -36,9 +36,11 @@ becomes ``(d_u - 1)(d_v - 1)`` and JC's union shrinks by 2. SimRank
 solves once per edge, from the intact column-normalized adjacency ``W``
 with the two columns of the edge's endpoints replaced
 (:func:`~hyperlp.heuristics.simrank_without_each_edge`). Split negatives
-at ``d_hop=2`` are the train graph's wedge keys, and the sampler and the
-scorers share one pass when those wedges fit one block; only
-``d_hop >= 3`` imports ``scipy.sparse``.
+at ``d_hop=2`` are the train graph's distinct wedge keys minus the full
+graph's edges: marked in one ``bool`` array over the condensed pairs when
+its n(n-1)/2 bytes are no more than the wedges' int64 keys, else sorted
+block by block. The sampler and the scorers share one wedge pass when
+those wedges fit one block; only ``d_hop >= 3`` imports ``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from .hypergraph import (
     count_keys,
     held_wedge_block,
     wedge_blocks,
+    wedge_count,
 )
 from .latent import (
     DEFAULT_MAX_POTENTIAL,
@@ -237,28 +240,41 @@ def _sample_distance_limited_non_links(
     Candidates are the pairs within ``d_hop`` train-graph hops minus the
     full graph's edges (so distance 1 drops out), as ascending condensed
     keys, into which ``rng`` picks indices. At ``d_hop=2`` they are the
-    train graph's distinct wedge keys (from ``block`` when held); a larger
-    ``d_hop`` imports ``scipy.sparse`` for ``A + ... + A^d_hop``. At n=5,000 a
-    112k-edge train graph (139k full) has 5.3M wedges and 4.0M
-    candidates; the draw peaks at 207 MB (``tracemalloc``; 213 MB with
-    ``scipy.sparse`` powers).
+    train graph's distinct wedge keys (from ``block`` when held). When the
+    n(n-1)/2 bytes of one ``bool`` mark per pair are no more than the
+    8 bytes per wedge key that a sort would hold, the wedge keys are
+    marked, the full graph's edges cleared, and the marked keys read in
+    order; otherwise (large sparse graphs) each wedge block is sorted to
+    its distinct keys and their union once. A larger ``d_hop`` imports
+    ``scipy.sparse`` for ``A + ... + A^d_hop``. At n=5,000 a 112k-edge
+    train graph (139k full) has 5.3M wedges and 4.0M candidates; the
+    draw takes the mark and peaks at 99 MB (``tracemalloc``; 213 MB by
+    the sort), and at ``d_hop=3`` the ``scipy.sparse`` powers peak at
+    975 MB.
     """
     n = g_train.n
-    if d_hop == 2:
-        reach = np.zeros(0, dtype=np.int64)
-        for keys, _ in wedge_blocks(g_train, block):  # distinct so far, ascending
-            reach = count_keys(np.concatenate((reach, keys)))[0]
+    size = n * (n - 1) // 2
+    if d_hop == 2 and size <= 8 * wedge_count(g_train):  # the mark is no bigger than the keys
+        mark = np.zeros(size, dtype=bool)
+        for keys, _ in wedge_blocks(g_train, block):
+            mark[keys] = True
+        mark[g_full.edge_keys()] = False
+        cand = np.flatnonzero(mark)
     else:
-        import scipy.sparse as sp
+        if d_hop == 2:  # each block's distinct keys, then their union
+            parts = [count_keys(keys)[0] for keys, _ in wedge_blocks(g_train, block)]
+            reach = parts[0] if len(parts) == 1 else count_keys(np.concatenate(parts))[0]
+        else:
+            import scipy.sparse as sp
 
-        ones = np.ones(len(g_train.indices), dtype=bool)
-        a = sp.csr_array((ones, g_train.indices, g_train.indptr), shape=(n, n))
-        power = reach = a
-        for _ in range(d_hop - 1):
-            power = power @ a
-            reach = reach + power
-        reach = np.sort(condensed_keys(n, *sp.triu(reach, k=1).nonzero()))
-    cand = np.setdiff1d(reach, g_full.edge_keys(), assume_unique=True)
+            ones = np.ones(len(g_train.indices), dtype=bool)
+            a = sp.csr_array((ones, g_train.indices, g_train.indptr), shape=(n, n))
+            power = reach = a
+            for _ in range(d_hop - 1):
+                power = power @ a
+                reach = reach + power
+            reach = np.sort(condensed_keys(n, *sp.triu(reach, k=1).nonzero()))
+        cand = np.setdiff1d(reach, g_full.edge_keys(), assume_unique=True)
     total = len(cand)
     if total < wanted:
         raise ValueError(
@@ -329,7 +345,7 @@ def evaluate_protocol(
     live = [s for s in scorers if s not in out]
     # leave-one-out scores every pair in condensed order; its JC edges read CN
     extra = ["cn"] if loo and "jc" in live else []
-    results = score_pairs_many(live + extra, scored_on, *([] if loo else pairs.T), block=block)
+    results = score_pairs_many(live + extra, scored_on, *pairs.T, block=block, every=loo)
     d = g.degrees()[edges] - 1.0 if loo else None  # endpoint degrees without the edge
     for scorer in live:
         try:

@@ -242,11 +242,16 @@ def wedge_blocks(
         start = stop
 
 
+def wedge_count(g: SimpleGraph) -> int:
+    """The number of wedges of ``g``, the sum of d(d-1)/2."""
+    deg = g.degrees()
+    return int((deg * (deg - 1) // 2).sum())
+
+
 def held_wedge_block(g: SimpleGraph) -> tuple[np.ndarray, np.ndarray] | None:
     """All wedges of ``g`` in one block, for several passes to share, or
     None when they exceed ``WEDGE_BLOCK`` and each pass builds its own."""
-    deg = g.degrees()
-    fits = g.n and (deg * (deg - 1) // 2).sum() <= WEDGE_BLOCK
+    fits = g.n and wedge_count(g) <= WEDGE_BLOCK
     return next(wedge_blocks(g)) if fits else None
 
 

@@ -27,13 +27,14 @@ from hyperlp import (
     score,
     split_evaluate,
 )
-from hyperlp import heuristics, hypergraph
+from hyperlp import evaluation, heuristics, hypergraph
 from hyperlp.evaluation import (
     LabeledPairs,
     _cross_class_counts,
     _sample_distance_limited_non_links,
     all_pairs,
 )
+from hyperlp.hypergraph import count_keys
 
 
 def brute_force_auc(scores, labels):
@@ -517,6 +518,78 @@ class TestSplitEvaluate:
             )
             chosen = np.sort(np.random.default_rng(seed).choice(len(cands), wanted, replace=False))
             assert list(map(tuple, got.tolist())) == [cands[i] for i in chosen]
+
+    @staticmethod
+    def two_hop_graphs(side, seed):
+        """A full graph and its train graph, either dense (n(n-1)/2 mark
+        bytes within the 8 bytes per wedge key) or mostly isolated
+        vertices (the mark would outgrow the keys)."""
+        rng = np.random.default_rng(seed)
+        n, active = (30, 30) if side == "mark" else (200, 20)
+        pairs = np.column_stack(np.triu_indices(active, k=1))
+        full = rng.random(len(pairs)) < 0.3
+        train = full & (rng.random(len(pairs)) < 0.8)
+        return SimpleGraph(n, pairs[full]), SimpleGraph(n, pairs[train])
+
+    @staticmethod
+    def spy_on_sorts(monkeypatch):
+        """The lengths of the key arrays the sampler sorts, as it sorts them."""
+        sorted_keys = []
+        monkeypatch.setattr(
+            evaluation, "count_keys", lambda keys: sorted_keys.append(len(keys)) or count_keys(keys)
+        )
+        return sorted_keys
+
+    @pytest.mark.parametrize("block", [None, 3], ids=["one-block", "blocks"])
+    @pytest.mark.parametrize("side", ["mark", "sort"])
+    def test_negative_sampler_sides_match_bfs(self, side, block, monkeypatch):
+        # the boolean mark and the per-block sort pick the same BFS pairs
+        if block is not None:
+            monkeypatch.setattr(hypergraph, "WEDGE_BLOCK", block)
+        sorted_keys = self.spy_on_sorts(monkeypatch)
+        for seed in range(5):
+            g, g_train = self.two_hop_graphs(side, seed)
+            marks = g.n * (g.n - 1) // 2 <= 8 * hypergraph.wedge_count(g_train)
+            assert marks == (side == "mark")
+            blocks = len(list(hypergraph.wedge_blocks(g_train)))
+            assert blocks > 1 if block else blocks == 1
+            cands = bfs_non_links(g, g_train, 2)
+            wanted = min(len(cands), 25)
+            sorted_keys.clear()
+            got = _sample_distance_limited_non_links(
+                g, g_train, 2, wanted, np.random.default_rng(seed)
+            )
+            chosen = np.sort(np.random.default_rng(seed).choice(len(cands), wanted, replace=False))
+            assert wanted and list(map(tuple, got.tolist())) == [cands[i] for i in chosen]
+            # the sort dedupes each block, then their union once
+            assert len(sorted_keys) == (0 if marks else blocks + (blocks > 1))
+
+    @pytest.mark.parametrize("n, marks", [(16, True), (17, False)])
+    def test_negative_sampler_mark_rule_at_its_bound(self, n, marks, monkeypatch):
+        # a 6-leaf star has 15 wedges, 120 bytes of keys: 120 pairs at
+        # n=16 take the mark, 136 at n=17 the sort
+        sorted_keys = self.spy_on_sorts(monkeypatch)
+        g = SimpleGraph(n, [(0, leaf) for leaf in range(1, 7)])
+        got = _sample_distance_limited_non_links(g, g, 2, 15, np.random.default_rng(0))
+        assert got.tolist() == [[a, b] for a in range(1, 7) for b in range(a + 1, 7)]
+        assert bool(sorted_keys) != marks
+
+    @pytest.mark.parametrize(
+        "n, full, train",
+        [
+            (0, [], []),
+            (1, [], []),
+            (2, [], []),
+            (2, [(0, 1)], [(0, 1)]),
+            (6, [(0, 1), (2, 3), (4, 5)], [(0, 1), (2, 3)]),
+            (4, [(0, 1), (1, 2), (2, 3)], [(0, 1), (2, 3)]),
+        ],
+    )
+    def test_negative_sampler_without_wedges_is_short(self, n, full, train):
+        g, g_train = SimpleGraph(n, full), SimpleGraph(n, train)
+        assert hypergraph.wedge_count(g_train) == 0
+        with pytest.raises(ValueError, match="short by 1"):
+            _sample_distance_limited_non_links(g, g_train, 2, 1, np.random.default_rng(0))
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
