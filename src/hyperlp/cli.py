@@ -78,7 +78,8 @@ def _sha256_file(path: Path) -> str:
 
 
 def _algorithms(raw: str) -> list[str]:
-    ids = [tok.strip().lower() for tok in raw.split(",") if tok.strip()]
+    # repeats dropped, first-seen order kept
+    ids = list(dict.fromkeys(tok.strip().lower() for tok in raw.split(",") if tok.strip()))
     bad = [tok for tok in ids if tok not in SCORER_IDS]
     if bad or not ids:
         raise argparse.ArgumentTypeError(
@@ -205,8 +206,8 @@ def cmd_generate(args) -> int:
         "radii": radii.tolist(),
         "phi": np.asarray(phi).tolist(),
         "candidates_per_size": {s: len(pot.by_size[s]) for s in pot.sizes},
-        "n_hyperedges": len(h.hyperedges),
-        "size_distribution": size_distribution(h) if h.hyperedges else {},
+        "n_hyperedges": len(h),
+        "size_distribution": size_distribution(h),
         "hypergraph_file": str(hyg_path),
         "manifest": manifest,
     }
@@ -214,7 +215,7 @@ def cmd_generate(args) -> int:
         json.dumps(summary, indent=2, default=str) + "\n"
     )
     out.with_suffix(".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    print(f"wrote {hyg_path} ({len(h.hyperedges)} hyperedges over {cfg.n} vertices)")
+    print(f"wrote {hyg_path} ({len(h)} hyperedges over {cfg.n} vertices)")
     return 0
 
 
@@ -318,6 +319,8 @@ def _raise_resource_limit(outcome: dict) -> None:
 
 
 def cmd_evaluate(args) -> int:
+    if args.runs < 0:
+        raise ConfigError(f"--runs must be >= 0, got {args.runs}")
     bundle = _load_bundle(args)
     protocol = _protocol_from_args(args)
     if args.runs > 0:

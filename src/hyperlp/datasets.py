@@ -88,13 +88,16 @@ def _read_ints(path: Path, what: str) -> list[int]:
 def load_benson(path_nverts, path_simplices, name: str | None = None) -> DatasetBundle:
     """Load the paired sizes/vertex-stream format.
 
-    Line ``i`` of the sizes file gives hyperedge ``i``'s vertex count; the
-    stream file supplies that many ids. The two files must account for
-    exactly the same number of ids.
+    Line ``i`` of the sizes file gives hyperedge ``i``'s vertex count, a
+    nonnegative integer; the stream file supplies that many ids. The two
+    files must account for exactly the same number of ids.
     """
     path_nverts = Path(path_nverts)
     path_simplices = Path(path_simplices)
     sizes = _read_ints(path_nverts, "sizes")
+    negative = [k for k in sizes if k < 0]
+    if negative:
+        raise DataFormatError(f"{path_nverts}: negative hyperedge size {negative[0]}")
     stream = _read_ints(path_simplices, "vertex stream")
     total = sum(sizes)
     if total != len(stream):
@@ -162,13 +165,9 @@ def load_plain(path, name: str | None = None) -> DatasetBundle:
 def save_plain(h: Hypergraph, path, labels: Sequence[str] | None = None) -> None:
     """Write one hyperedge per line; ``labels`` maps vertex ids back to
     external names (defaults to the ids themselves)."""
-    path = Path(path)
-    lines = []
-    for f in h.hyperedges:
-        verts = sorted(f)
-        names = [labels[v] if labels is not None else str(v) for v in verts]
-        lines.append(" ".join(names))
-    path.write_text("\n".join(lines) + "\n")
+    name = str if labels is None else labels.__getitem__
+    lines = [" ".join(map(name, row)) for row in h.rows()]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _truncated_powerlaw_nll(
@@ -250,9 +249,9 @@ def dataset_stats(bundle: DatasetBundle) -> dict:
     return {
         "name": bundle.name,
         "n_vertices": h.n,
-        "n_hyperedges": len(h.hyperedges),
+        "n_hyperedges": len(h),
         "n_edges": g.edge_count,
-        "width": width(h) if h.hyperedges else 0,
-        "size_distribution": dict(sorted(size_distribution(h).items())),
+        "width": width(h) if len(h) else 0,
+        "size_distribution": size_distribution(h),
         "dropped_small": bundle.dropped_small,
     }

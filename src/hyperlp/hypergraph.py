@@ -3,7 +3,9 @@ structural statistics.
 
 Vertices are dense integer ids ``0..n-1``. A :class:`Hypergraph` keeps its
 hyperedges as an ordered multiset (duplicates are preserved), so size
-statistics survive randomization exactly. A :class:`SimpleGraph` is an
+statistics survive randomization exactly; it is one CSR pair of int
+arrays, a row of ascending ids per hyperedge, built and validated from
+lists or from (sizes, members) arrays. A :class:`SimpleGraph` is an
 immutable undirected graph without self-loops, stored as two CSR int
 arrays. Vertex pairs are condensed keys (:func:`condensed_keys`), and pair
 computations are numpy joins over them: :func:`wedge_blocks` lists the
@@ -15,7 +17,6 @@ coverage counts are the same count.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
@@ -28,46 +29,110 @@ WEDGE_BLOCK = 1 << 21
 
 
 class Hypergraph:
-    """A vertex count plus an ordered multiset of hyperedges.
+    """A vertex count plus an ordered multiset of hyperedges, stored as one
+    CSR pair: hyperedge ``i`` is ``members[indptr[i]:indptr[i + 1]]``.
 
-    Each hyperedge is a set of at least two distinct vertex ids below ``n``.
-    Duplicate hyperedges are allowed and preserved in order.
+    Each hyperedge is a set of at least two distinct vertex ids below
+    ``n``: its row is ascending, and an id repeated within one hyperedge
+    is kept once. Duplicate hyperedges are allowed and preserved in
+    order. Iterating yields each hyperedge as a frozenset, built on
+    demand. Callers share the arrays and must not modify them.
     """
 
-    __slots__ = ("n", "hyperedges")
+    __slots__ = ("n", "indptr", "members")
 
     def __init__(self, n: int, hyperedges: Iterable[Iterable[int]]):
+        rows = [list(f) for f in hyperedges]
+        sizes = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        self._store(n, sizes, np.array(list(chain.from_iterable(rows))))
+
+    @classmethod
+    def from_arrays(cls, n: int, sizes: ArrayLike, members: ArrayLike) -> Hypergraph:
+        """The hypergraph whose hyperedge ``i`` is the next ``sizes[i]``
+        ids of ``members``, validated as the list constructor is."""
+        h = cls.__new__(cls)
+        h._store(n, sizes, members)
+        return h
+
+    def _store(self, n: int, sizes: ArrayLike, members: ArrayLike) -> None:
+        """Validate, sort and deduplicate each row, and keep the CSR pair.
+        The first invalid hyperedge raises: fewer than two distinct ids,
+        else an id outside ``0..n-1`` (the smallest)."""
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        edges = []
-        for pos, raw in enumerate(hyperedges):
-            f = frozenset(raw)
-            if len(f) < 2:
+        members = np.asarray(members)
+        if members.size and members.dtype.kind not in "biu":
+            raise ValueError(f"vertex ids must be integers, got {members.dtype} ids")
+        members = members.astype(np.int64)  # a copy, sorted in place below
+        sizes = np.asarray(sizes, dtype=np.int64)
+        indptr = np.concatenate(([0], np.cumsum(sizes)))
+        rows = np.repeat(np.arange(len(sizes)), sizes)
+        same_row = rows[1:] == rows[:-1]
+        if (members[1:] <= members[:-1])[same_row].any():  # some row not ascending
+            for at in _rows_by_size(indptr):
+                members[at] = np.sort(members[at], axis=1)
+        dup = np.zeros(len(members), dtype=bool)
+        dup[1:] = (members[1:] == members[:-1]) & same_row
+        distinct = sizes - np.bincount(rows[dup], minlength=len(sizes))
+        outside = (members < 0) | (members >= n)
+        bad = distinct < 2
+        bad[rows[outside]] = True
+        if bad.any():
+            pos = int(np.argmax(bad))
+            if distinct[pos] < 2:
                 raise ValueError(
-                    f"hyperedge #{pos} has {len(f)} distinct vertices; need >= 2"
+                    f"hyperedge #{pos} has {distinct[pos]} distinct vertices; need >= 2"
                 )
-            for v in f:
-                if not (0 <= v < n):
-                    raise ValueError(
-                        f"hyperedge #{pos} contains vertex {v}, outside 0..{n - 1}"
-                    )
-            edges.append(f)
-        self.n = n
-        self.hyperedges: tuple[frozenset[int], ...] = tuple(edges)
+            row = slice(indptr[pos], indptr[pos + 1])
+            v = members[row][outside[row]][0]
+            raise ValueError(f"hyperedge #{pos} contains vertex {v}, outside 0..{n - 1}")
+        if dup.any():
+            members = members[~dup]
+            indptr = np.concatenate(([0], np.cumsum(distinct)))
+        self.n, self.indptr, self.members = n, indptr, members
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Each hyperedge's cardinality, in order."""
+        return np.diff(self.indptr)
+
+    def blocks(self) -> list[np.ndarray]:
+        """The hyperedges as one (m_s, s) array per size s, ascending in
+        s; rows keep their hyperedge order."""
+        return [self.members[at] for at in _rows_by_size(self.indptr)]
+
+    def rows(self) -> list[list[int]]:
+        """Each hyperedge's ids as an ascending list, in order."""
+        ids, bounds = self.members.tolist(), self.indptr.tolist()
+        return [ids[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    @property
+    def hyperedges(self) -> tuple[frozenset[int], ...]:
+        """Every hyperedge as a frozenset, in order."""
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.hyperedges)
+        return len(self.indptr) - 1
 
     def __iter__(self) -> Iterator[frozenset[int]]:
-        return iter(self.hyperedges)
+        return map(frozenset, self.rows())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hypergraph):
             return NotImplemented
-        return self.n == other.n and self.hyperedges == other.hyperedges
+        eq = np.array_equal
+        return self.n == other.n and eq(self.indptr, other.indptr) and eq(self.members, other.members)
 
     def __repr__(self) -> str:
-        return f"Hypergraph(n={self.n}, |F|={len(self.hyperedges)})"
+        return f"Hypergraph(n={self.n}, |F|={len(self)})"
+
+
+def _rows_by_size(indptr: np.ndarray) -> Iterator[np.ndarray]:
+    """Per distinct row size s of the CSR ``indptr``, ascending: the
+    (m_s, s) positions of those rows' entries, rows in order."""
+    sizes = np.diff(indptr)
+    for s in count_keys(sizes)[0].tolist():
+        yield indptr[:-1][sizes == s, None] + np.arange(s)
 
 
 class SimpleGraph:
@@ -272,21 +337,17 @@ def _wedges(g: SimpleGraph, centres: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return keys, np.repeat(centres, sizes * (sizes - 1) // 2)
 
 
-def group_pair_keys(n: int, groups: Sequence[Iterable[int]] | np.ndarray) -> np.ndarray:
+def group_pair_keys(n: int, groups: Hypergraph | np.ndarray) -> np.ndarray:
     """Condensed keys of every vertex pair inside each group, once per
-    group holding the pair. Each group holds distinct ids below ``n``; a
-    2-d array holds one equal-size group per row."""
-    if isinstance(groups, np.ndarray):
-        blocks = [groups]
-    else:  # one 2-d block per group size
-        sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
-        members = np.fromiter(chain.from_iterable(groups), dtype=np.int64, count=int(sizes.sum()))
-        starts = np.cumsum(sizes) - sizes
-        blocks = [members[starts[sizes == s, None] + np.arange(s)] for s in set(sizes.tolist())]
+    group holding the pair: the hyperedges of a :class:`Hypergraph`, or
+    the rows of a 2-d array of equal-size groups, each of distinct ids
+    below ``n``."""
+    # rows ascending: a Hypergraph's already are
+    blocks = groups.blocks() if isinstance(groups, Hypergraph) else [np.sort(groups, axis=1)]
     base = _row_base(n)
     keys = []
     for block in blocks:
-        cols = np.sort(block, axis=1).T.astype(np.int64, order="C")  # row a: member a of each
+        cols = block.T.astype(np.int64, order="C")  # row a: member a of each
         a, b = np.triu_indices(len(cols), k=1)
         pairs = base[cols[a]]
         pairs += cols[b]
@@ -294,9 +355,7 @@ def group_pair_keys(n: int, groups: Sequence[Iterable[int]] | np.ndarray) -> np.
     return keys[0] if len(keys) == 1 else np.concatenate([np.zeros(0, dtype=np.int64), *keys])
 
 
-def pair_cooccurrence(
-    n: int, groups: Sequence[Iterable[int]] | np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def pair_cooccurrence(n: int, groups: Hypergraph | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending condensed keys of the pairs some group holds, and how
     many groups hold each: the stored strict upper triangle of ``H.T @ H``
     for the group-by-vertex incidence ``H`` (Zhou, Huang & Schölkopf,
@@ -310,21 +369,22 @@ def clique_expand(h: Hypergraph) -> SimpleGraph:
     :func:`pair_cooccurrence`. Duplicate hyperedges and pairs covered by
     several hyperedges produce a single edge.
     """
-    return SimpleGraph(h.n, condensed_pairs(h.n, pair_cooccurrence(h.n, h.hyperedges)[0]))
+    return SimpleGraph(h.n, condensed_pairs(h.n, pair_cooccurrence(h.n, h)[0]))
 
 
 def width(h: Hypergraph) -> int:
     """Largest hyperedge cardinality. Widths above 2 are what distinguish
     genuinely higher-order structure from an edge list."""
-    if not h.hyperedges:
+    if not len(h):
         raise ValueError("width is undefined for a hypergraph with no hyperedges")
-    return max(len(f) for f in h.hyperedges)
+    return int(h.sizes.max())
 
 
 def size_distribution(h: Hypergraph) -> dict[int, int]:
     """Map hyperedge cardinality -> number of hyperedges of that size
-    (duplicates counted)."""
-    return dict(Counter(len(f) for f in h.hyperedges))
+    (duplicates counted), by ascending size."""
+    sizes, counts = count_keys(h.sizes)
+    return dict(zip(sizes.tolist(), counts.tolist()))
 
 
 def common_neighbors_count(g: SimpleGraph, u: int, v: int) -> int:
@@ -335,23 +395,16 @@ def common_neighbors_count(g: SimpleGraph, u: int, v: int) -> int:
 
 
 def hypergraph_from_labels(
-    rows: Iterable[Sequence[str]],
+    rows: Sequence[Sequence[str]],
 ) -> tuple[Hypergraph, list[str]]:
     """Build a dense-id hypergraph from rows of arbitrary vertex labels.
 
     Returns the hypergraph plus the label list indexed by dense id (first
     appearance order). Rows are assumed pre-validated (>= 2 distinct labels).
     """
-    label_to_id: dict[str, int] = {}
-    edges = []
-    for row in rows:
-        ids = []
-        for label in row:
-            if label not in label_to_id:
-                label_to_id[label] = len(label_to_id)
-            ids.append(label_to_id[label])
-        edges.append(ids)
-    labels = [None] * len(label_to_id)
-    for label, i in label_to_id.items():
-        labels[i] = label
-    return Hypergraph(len(label_to_id), edges), labels
+    flat = list(chain.from_iterable(rows))
+    labels = list(dict.fromkeys(flat))
+    index = dict(zip(labels, range(len(labels))))
+    ids = np.fromiter(map(index.__getitem__, flat), dtype=np.int64, count=len(flat))
+    sizes = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    return Hypergraph.from_arrays(len(labels), sizes, ids), labels

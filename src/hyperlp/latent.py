@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .hypergraph import Hypergraph, condensed_keys, count_keys, group_pair_keys, pair_cooccurrence
+from .hypergraph import Hypergraph, condensed_keys, count_keys, pair_cooccurrence
 
 DEFAULT_MAX_POTENTIAL = 10_000_000
 DEFAULT_HOFF_ALPHA = 10.0
@@ -297,11 +297,9 @@ def sample_hypergraph(pot: PotentialIndex, phi: Sequence[float], seed: int) -> H
     probability. Deterministic for a fixed seed."""
     phi = _checked_phi(pot, phi)
     rng = np.random.default_rng(seed)
-    kept: list[list[int]] = []
-    for s in pot.sizes:
-        candidates = pot.by_size[s]
-        kept.extend(candidates[rng.random(len(candidates)) < phi[s - 2]].tolist())
-    return Hypergraph(pot.n, kept)
+    kept = [pot.by_size[s][rng.random(len(pot.by_size[s])) < phi[s - 2]] for s in pot.sizes]
+    sizes = np.repeat(pot.sizes, [len(block) for block in kept])
+    return Hypergraph.from_arrays(pot.n, sizes, np.concatenate([b.ravel() for b in kept]))
 
 
 def phi_preset(
@@ -450,7 +448,7 @@ def edge_distance_profile(
             f"the candidate index has n={pot.n}, k_max={pot.k_max}; "
             f"the model has n={n}, k_max={model.k_max}"
         )
-    phi_vec = model.phi if phi is None else np.asarray(phi, dtype=np.float64)
+    phi_vec = model.phi if phi is None else phi
     dist_matrix = _distance_matrix(model.positions)
     dist = dist_matrix[np.triu_indices(n, k=1)]
     hoff = hoff or HoffParams(alpha=DEFAULT_HOFF_ALPHA, gamma=float(np.median(dist)))
@@ -461,12 +459,7 @@ def edge_distance_profile(
     seed_rng = np.random.default_rng(model.seed)
     trial_seeds = seed_rng.integers(0, 2**63 - 1, size=n_trials)
     for ts in trial_seeds:
-        # Same per-size draw order as sample_hypergraph, so a trial here
-        # realizes the same hypergraph that seed would produce there.
-        rng = np.random.default_rng(int(ts))
-        by_size = [pot.by_size[s] for s in pot.sizes]
-        keys = [group_pair_keys(n, c[rng.random(len(c)) < p]) for c, p in zip(by_size, phi_vec)]
-        hits[count_keys(np.concatenate(keys))[0]] += 1
+        hits[pair_cooccurrence(n, sample_hypergraph(pot, phi_vec, int(ts)))[0]] += 1
     freq = hits / n_trials
 
     edges = np.histogram_bin_edges(dist, bins=bins)

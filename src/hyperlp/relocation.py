@@ -32,9 +32,6 @@ from .hypergraph import Hypergraph, clique_expand
 from .latent import ResourceLimitError
 
 
-_M32 = 0xFFFFFFFF
-
-
 def relocate(h: Hypergraph, seed: int) -> Hypergraph:
     """Replace every hyperedge with a uniform random same-size subset of
     the vertex set. Deterministic for a fixed seed.
@@ -43,11 +40,12 @@ def relocate(h: Hypergraph, seed: int) -> Hypergraph:
     ``np.random.default_rng(seed).choice(h.n, k, replace=False)`` called
     once per hyperedge: Floyd's algorithm followed by a shuffle of its
     ``k`` picks, or, for ``h.n > 10,000`` and ``k > h.n // 50``, the tail
-    of a partial shuffle of ``arange(h.n)``. All hyperedges are drawn in
-    one pass (see :func:`_bounded_draws`), each size class as one array.
+    of a partial shuffle of ``arange(h.n)``. The bounded integers those
+    calls draw (Lemire's method, numpy's ``random_bounded_uint64``) come
+    from one ``Generator.integers`` call over an array of bounds, which
+    draws them in the same order; each size class is then one array.
     """
-    n = h.n
-    sizes = np.fromiter(map(len, h.hyperedges), dtype=np.int64, count=len(h))
+    n, sizes = h.n, h.sizes
     over = np.flatnonzero(sizes > n)
     if len(over):
         raise ValueError(f"hyperedge of size {sizes[over[0]]} cannot fit in {n} vertices")
@@ -62,18 +60,16 @@ def relocate(h: Hypergraph, seed: int) -> Hypergraph:
         at = starts[edges, None] + np.arange(len(plan))
         bounds[at] = plan
         slots.append((edges, at))
-    values = np.zeros_like(bounds)  # a bound of 0 (k == n) draws nothing
-    live = bounds > 0
-    values[live] = _bounded_draws(np.random.default_rng(seed).bit_generator, bounds[live])
-    rows: list = [None] * len(sizes)
+    # a bound of 0 (k == n) draws nothing, as in choice
+    values = np.random.default_rng(seed).integers(0, bounds, endpoint=True, dtype=np.uint64)
+    members = np.empty(len(h.members), dtype=np.int64)
     for k, (edges, at) in zip(classes.tolist(), slots):
         if _shuffles_tail(n, k):
             picked = [_tail_of_shuffle(n, k, v) for v in values[at].tolist()]
         else:
-            picked = _floyd(n, k, values[at].astype(np.int64)).tolist()
-        for e, row in zip(edges.tolist(), picked):
-            rows[e] = row
-    return Hypergraph(n, rows)
+            picked = _floyd(n, k, values[at].astype(np.int64))
+        members[h.indptr[edges, None] + np.arange(k)] = picked
+    return Hypergraph.from_arrays(n, sizes, members)
 
 
 def _shuffles_tail(n: int, k: int) -> bool:
@@ -113,69 +109,6 @@ def _tail_of_shuffle(n: int, k: int, values: list[int]) -> list[int]:
     for i, j in zip(range(n - 1, 0, -1), values):
         slot[i], slot[j] = slot.get(j, j), slot.get(i, i)
     return [slot.get(i, i) for i in range(n - k, n)]
-
-
-def _bounded_draws(bitgen: np.random.BitGenerator, bounds: np.ndarray) -> np.ndarray:
-    """What numpy's ``random_bounded_uint64(0, b)`` returns for each
-    bound ``b > 0`` of ``bounds`` in turn, read from ``bitgen``'s raw
-    64-bit words (Lemire, ACM TOMACS 2019).
-
-    A bound below 2**32 takes the next 32-bit half (a word's low half
-    first; its high half is kept for the next such draw): with ``m = half
-    * (b + 1)`` the draw is ``m >> 32``, unless ``m mod 2**32 < 2**32 mod
-    (b + 1)``, which rejects the half and takes another. A larger bound
-    does the same with whole words at 64 bits. The draws are computed
-    as if no half were rejected; from the first rejected (or 64-bit) draw
-    the stream advances one draw at a time, then the array pass resumes.
-    """
-    n_draws = len(bounds)
-    out = np.empty(n_draws, dtype=np.uint64)
-    words = np.empty(0, dtype=np.uint64)
-    pos, spare = 0, None  # next unread word; a high half kept for the next draw
-
-    def peek(count: int) -> np.ndarray:
-        nonlocal words
-        if pos + count > len(words):
-            words = np.concatenate((words, bitgen.random_raw(pos + count - len(words))))
-        return words[pos : pos + count]
-
-    i, window = 0, n_draws
-    while i < n_draws:
-        b = bounds[i : i + window]
-        lead = int(spare is not None)
-        w = peek((len(b) - lead + 1) // 2)
-        halves = np.column_stack((w & _M32, w >> 32)).ravel()
-        if lead:
-            halves = np.insert(halves, 0, spare)
-        excl = b + np.uint64(1)
-        m = halves[: len(b)] * excl
-        ok = (b <= _M32) & (m & _M32 >= np.uint64(1 << 32) % excl)
-        take = len(b) if ok.all() else int(np.argmin(ok))
-        out[i : i + take] = m[:take] >> 32
-        i, window = i + take, 2 * max(take, 128)
-        if take:
-            used, spare = take - lead, None  # halves taken from words
-            pos += used // 2
-            if used % 2:
-                spare, pos = int(words[pos]) >> 32, pos + 1
-        if take == len(b):
-            continue
-        bound = int(bounds[i])  # rejected its first half, or a 64-bit draw
-        bits = 64 if bound > _M32 else 32
-        threshold = (1 << bits) % (bound + 1)
-        while True:
-            if bits == 32 and spare is not None:
-                x, spare = spare, None
-            else:
-                x, pos = int(peek(1)[0]), pos + 1
-                if bits == 32:
-                    x, spare = x & _M32, x >> 32
-            m = x * (bound + 1)
-            if m & ((1 << bits) - 1) >= threshold:
-                break
-        out[i] = m >> bits
-        i += 1
-    return out
 
 
 @dataclass

@@ -101,6 +101,23 @@ class TestEvaluate:
             ])
         assert out1.with_suffix(".csv").read_bytes() == out2.with_suffix(".csv").read_bytes()
 
+    def test_repeated_algorithm_runs_once(self, toy_file, tmp_path):
+        for command in ("evaluate", "adjust"):
+            out = tmp_path / command
+            assert main([
+                command, "--data", str(toy_file), "--algorithms", "cn,aa,cn",
+                "--runs", "1", "--out", str(out),
+            ]) == 0
+            rows = read_csv(out.with_suffix(".csv"))
+            if command == "evaluate":
+                assert [row[1] for row in rows[1:]] == ["cn", "aa"]
+            else:
+                assert rows[0][1::5] == ["cn_auc", "aa_auc"] and len(rows[0]) == 11
+
+    def test_negative_runs_exit_2(self, toy_file, capsys):
+        assert main(["evaluate", "--data", str(toy_file), "--runs", "-2"]) == 2
+        assert "--runs must be >= 0" in capsys.readouterr().err
+
     def test_unknown_algorithm_usage_error(self, toy_file):
         with pytest.raises(SystemExit) as exc:
             main(["evaluate", "--data", str(toy_file), "--algorithms", "katz"])
@@ -219,6 +236,16 @@ class TestStatsAndFits:
             "stats", "--nverts", str(tmp_path / "nv.txt"),
             "--simplices", str(tmp_path / "sx.txt"),
         ]) == 3
+
+    def test_benson_negative_size_exit_3(self, tmp_path, capsys):
+        # sizes 2 -1 2 over three ids sum right, but name no real hyperedge
+        (tmp_path / "nv.txt").write_text("2\n-1\n2\n")
+        (tmp_path / "sx.txt").write_text("10\n20\n30\n")
+        assert main([
+            "expand", "--nverts", str(tmp_path / "nv.txt"),
+            "--simplices", str(tmp_path / "sx.txt"),
+        ]) == 3
+        assert "negative hyperedge size -1" in capsys.readouterr().err
 
     def test_fit_sizes(self, tmp_path):
         lines = []
@@ -374,6 +401,20 @@ def test_cli_import_leaves_scipy_sparse_out():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr or "hyperlp.cli imports scipy.sparse"
 
+
+def test_evaluate_leaves_numpy_ma_out(tmp_path):
+    # a plain np.unique imports numpy.ma, 12-15 ms in a fresh interpreter
+    # (2-vCPU host); np.unique with return_inverse or return_counts does not
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import sys; from hyperlp import cli; "
+        f"assert cli.main(['evaluate', '--data', {str(root / 'data' / 'toy_five_vertex.hyg')!r}, "
+        f"'--runs', '1', '--out', {str(tmp_path / 'eval')!r}]) == 0; "
+        "sys.exit('numpy.ma' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr or "evaluate imports numpy.ma"
 
 
 def test_import_shortens_openblas_spin_unless_set():

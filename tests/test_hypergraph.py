@@ -46,6 +46,55 @@ class TestHypergraphConstruction:
         assert len(h) == 3
         assert h.hyperedges[0] == h.hyperedges[2]
 
+    def test_rows_ascending_without_repeats(self):
+        h = Hypergraph(6, [[4, 1, 1, 3], [5, 0]])
+        assert h.indptr.tolist() == [0, 3, 5] and h.members.tolist() == [1, 3, 4, 0, 5]
+        assert list(h) == [frozenset({1, 3, 4}), frozenset({0, 5})]
+        assert h.sizes.tolist() == [3, 2]
+
+    @pytest.mark.parametrize("ids", [[0, 1.5], [0.0, 1.0], ["0", "1"], [None, 1]])
+    def test_non_integer_id_raises(self, ids):
+        with pytest.raises(ValueError, match="vertex ids must be integers"):
+            Hypergraph(3, [ids])
+        with pytest.raises(ValueError, match="vertex ids must be integers"):
+            Hypergraph.from_arrays(3, [2], np.array(ids))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 8),
+        st.lists(st.lists(st.integers(-2, 10), max_size=5), max_size=6),
+    )
+    def test_both_constructors_match_frozensets(self, n, rows):
+        # the same hyperedges, or the same first error, as one frozenset
+        # per row checked in order
+        sizes = [len(row) for row in rows]
+        flat = np.array([v for row in rows for v in row], dtype=np.int64)
+        try:
+            want = oracle_hyperedges(n, rows)
+        except ValueError as exc:
+            for build in (lambda: Hypergraph(n, rows), lambda: Hypergraph.from_arrays(n, sizes, flat)):
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    build()
+            return
+        h = Hypergraph(n, rows)
+        assert h.hyperedges == want
+        assert h == Hypergraph.from_arrays(n, sizes, flat)
+        for row in h.rows():
+            assert row == sorted(set(row))
+
+
+def oracle_hyperedges(n, rows):
+    """The hyperedges as one frozenset per row, or the first row's error:
+    fewer than two distinct ids, else the smallest id outside 0..n-1."""
+    for pos, row in enumerate(rows):
+        f = frozenset(row)
+        if len(f) < 2:
+            raise ValueError(f"hyperedge #{pos} has {len(f)} distinct vertices; need >= 2")
+        outside = sorted(v for v in f if not 0 <= v < n)
+        if outside:
+            raise ValueError(f"hyperedge #{pos} contains vertex {outside[0]}, outside 0..{n - 1}")
+    return tuple(map(frozenset, rows))
+
 
 class TestCliqueExpand:
     def test_five_vertex(self, five_vertex):
@@ -255,7 +304,7 @@ class TestPairKeys:
         )
         ref = sp.triu(incidence.T @ incidence, k=1).toarray()
         rows, cols = np.nonzero(ref)
-        keys, counts = pair_cooccurrence(h.n, h.hyperedges)
+        keys, counts = pair_cooccurrence(h.n, h)
         assert np.array_equal(keys, condensed_keys(h.n, rows, cols))
         assert np.array_equal(counts, ref[rows, cols])
         for s in {len(f) for f in members}:  # equal-size groups as a 2-d array

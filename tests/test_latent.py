@@ -17,6 +17,7 @@ from hyperlp import (
     LatentModel,
     ResourceLimitError,
     build_potential,
+    clique_expand,
     default_hoff_params,
     edge_distance_profile,
     hoff_clique_probability,
@@ -480,6 +481,31 @@ class TestEdgeDistanceProfile:
         for field in ("bin_edges", "bin_centers", "pair_counts", "model_freq", "hoff_prob"):
             assert getattr(own, field).tobytes() == getattr(reused, field).tobytes(), field
         assert own.hoff_params == reused.hoff_params
+
+    def test_hits_are_expansions_of_sampled_hypergraphs(self):
+        # each trial counts the edges of clique_expand(sample_hypergraph)
+        # on its trial seed; with many bins, the per-bin means pin the
+        # per-pair hit counts
+        pts = sample_latents(30, 2, 5)
+        radii = radii_from_percentiles(pts, [4, 10, 16])
+        phi = phi_preset("power_law", k_max=4)
+        model = LatentModel(pts, radii=radii, phi=phi, seed=5)
+        prof = edge_distance_profile(model, n_trials=8, bins=300)
+        pot = build_potential(pts, radii)
+        hits = np.zeros(30 * 29 // 2, dtype=np.int64)
+        for ts in np.random.default_rng(5).integers(0, 2**63 - 1, size=8):
+            hits[clique_expand(sample_hypergraph(pot, phi, int(ts))).edge_keys()] += 1
+        assert hits.any() and not (hits == 8).all()
+        which = np.clip(np.digitize(pdist(pts), prof.bin_edges) - 1, 0, 299)
+        sums = np.bincount(which, weights=hits / 8, minlength=300)
+        want = np.divide(sums, prof.pair_counts, out=np.zeros(300), where=prof.pair_counts > 0)
+        assert np.array_equal(prof.model_freq, want)
+
+    def test_wrong_phi_length_rejected(self):
+        model = LatentModel(TEN_POINTS, radii=[0.5, 0.8], phi=[0.5, 0.5], seed=0)
+        for phi in ([0.5], [0.5, 0.5, 0.5]):
+            with pytest.raises(ValueError, match="phi has"):
+                edge_distance_profile(model, phi=phi, n_trials=2)
 
     def test_mismatched_index_rejected(self):
         model = LatentModel(TEN_POINTS, radii=[0.5, 0.8], phi=[0.5, 0.5], seed=0)

@@ -124,7 +124,7 @@ class TestRelocateDraw:
         def no_draw(*args):
             raise AssertionError("drew before the size check")
 
-        monkeypatch.setattr(relocation, "_bounded_draws", no_draw)
+        monkeypatch.setattr(relocation.np.random, "default_rng", no_draw)
         with pytest.raises(ValueError) as got:
             relocate(h, 0)
         assert str(got.value) == str(want.value)
