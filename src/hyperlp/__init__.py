@@ -26,6 +26,7 @@ from .datasets import (
     save_plain,
 )
 from .evaluation import (
+    AucCount,
     LabeledPairs,
     ScanPoint,
     ScanRow,

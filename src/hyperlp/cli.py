@@ -10,11 +10,15 @@ byte-identical CSV.
 
 ``evaluate`` and ``adjust`` format one ``adjusted_auc`` call (or, for
 ``evaluate --runs 0``, one ``evaluate_protocol`` call) that scores every
-scorer on the same graphs and pairs; a failed scorer goes to ``errors``.
+scorer on the same graphs and pairs; they read each scorer's AUC count
+or report, never a per-pair score. A failed scorer goes to ``errors``;
+when every scorer failed, the first scorer's error is raised, so a
+property of the data (a ``ValueError``, such as a graph with no
+non-edge) exits 2 and names the reason.
 
-Exit codes: 0 success, 2 validation error or resource limit (the
-candidate enumeration cap, ``max_potential``), 3 data error, 4 internal
-error.
+Exit codes: 0 success, 2 validation error, resource limit (the
+candidate enumeration cap, ``max_potential``) or a graph no protocol can
+be evaluated on, 3 data error, 4 internal error.
 """
 
 from __future__ import annotations
@@ -42,10 +46,9 @@ from .datasets import (
     save_plain,
 )
 from .evaluation import (
-    LabeledPairs,
+    AucCount,
     ScanPoint,
     SplitSpec,
-    _auc_pair,
     evaluate_protocol,
     overestimation_scan,
 )
@@ -280,23 +283,18 @@ def cmd_fit_sizes(args) -> int:
     return 0
 
 
-_ENTRY_FIELDS = (
-    "n_pos", "n_neg", "auc_conditional",
-    "auc_rel_mean", "auc_rel_std", "af", "auc_adjusted", "n_runs",
-)
+_ENTRY_FIELDS = ("n_pos", "n_neg", "auc_conditional")  # an AucCount's and a report's
+_REPORT_FIELDS = ("auc_rel_mean", "auc_rel_std", "af", "auc_adjusted", "n_runs")
 
 
-def _evaluate_entry(scorer: str, result: LabeledPairs | AdjustmentReport | Exception) -> dict:
-    """One ``evaluate`` result, from a scorer's pair set (``--runs 0``) or
-    its adjustment report; a failed scorer's exception is raised."""
-    if isinstance(result, Exception):
-        raise result
+def _evaluate_entry(scorer: str, result: AucCount | AdjustmentReport) -> dict:
+    """One ``evaluate`` result, from a scorer's AUC count (``--runs 0``)
+    or its adjustment report."""
     if isinstance(result, AdjustmentReport):
-        return {"scorer": scorer, "auc": result.auc_original,
-                **{k: getattr(result, k) for k in _ENTRY_FIELDS}}
-    auc, conditional = _auc_pair(result.scores, result.labels)
-    return {"scorer": scorer, "auc": auc, "n_pos": result.n_pos, "n_neg": result.n_neg,
-            "auc_conditional": conditional}
+        fields, auc = _ENTRY_FIELDS + _REPORT_FIELDS, result.auc_original
+    else:
+        fields, auc = _ENTRY_FIELDS, result.auc
+    return {"scorer": scorer, "auc": auc, **{k: getattr(result, k) for k in fields}}
 
 
 def _print_entries(dataset: str, entries: list[dict], reversals) -> None:
@@ -331,13 +329,8 @@ def cmd_evaluate(args) -> int:
         outcome = evaluate_protocol(clique_expand(bundle.hypergraph), args.algorithms, protocol)
     _raise_resource_limit(outcome)
 
-    results = []
-    errors = {}
-    for scorer in args.algorithms:
-        try:
-            results.append(_evaluate_entry(scorer, outcome[scorer]))
-        except Exception as exc:  # isolated per-scorer failure
-            errors[scorer] = str(exc)
+    errors = {s: str(r) for s, r in outcome.items() if isinstance(r, Exception)}
+    results = [_evaluate_entry(s, r) for s, r in outcome.items() if s not in errors]
     reversals = performance_reversal_check(
         {s: r for s, r in outcome.items() if isinstance(r, AdjustmentReport)}
     )
@@ -380,8 +373,8 @@ def cmd_evaluate(args) -> int:
     _emit(payload, args, csv_header=header, csv_rows=rows)
     if args.out is not None:
         _print_entries(bundle.name, results, reversals)
-    if errors and not results:
-        raise RuntimeError(f"every scorer failed: {errors}")
+    if errors and not results:  # the first scorer's error says why
+        raise outcome[args.algorithms[0]]
     return 0
 
 
@@ -519,8 +512,8 @@ def cmd_adjust(args) -> int:
     _raise_resource_limit(outcome)
     reports = {s: r for s, r in outcome.items() if not isinstance(r, Exception)}
     errors = {s: str(r) for s, r in outcome.items() if isinstance(r, Exception)}
-    if not reports:
-        raise RuntimeError(f"every scorer failed: {errors}")
+    if not reports:  # the first scorer's error says why
+        raise outcome[args.algorithms[0]]
     reversals = performance_reversal_check(reports)
 
     manifest = _manifest(

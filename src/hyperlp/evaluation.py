@@ -11,24 +11,25 @@ convention reproduces the hand-computable toy value 0.875 on the
 five-vertex two-hyperedge example; the strict variant is what the ideal
 ranking analysis uses, so both are reported throughout.
 
-Both count by one sort of the negatives (``_cross_class_counts``):
-``searchsorted`` finds where each positive's lower and tied negatives
-end, and those positions are the counts.
+Both read one :class:`AucCount`, counted by one sort of the negatives
+(``_cross_class_counts``): ``searchsorted`` finds where each positive's
+lower and tied negatives end, and those positions are the counts.
 
 Protocols: leave-one-out scores every existing edge on the graph with
 that one edge removed (non-edges are scored on the intact graph) and
 covers all vertex pairs; a split (:class:`SplitSpec`) removes a test
 fraction of edges, trains on the rest, and samples distance-limited
 non-links as negatives. :func:`evaluate_protocol` builds a graph's pair
-set, labels and scoring graph once and scores them with every scorer in
-one :func:`~hyperlp.heuristics.score_pairs_many` call, one wedge pass
-for CN, AA, RA and JC; ``leave_one_out`` and ``split_evaluate`` are its
-one-scorer case.
+set, labels and scoring graph once, scores them with every scorer in
+one :func:`~hyperlp.heuristics.score_pairs_many` call (one wedge pass
+for CN, AA, RA and JC), and returns each scorer's :class:`AucCount`;
+``leave_one_out`` and ``split_evaluate`` return one scorer's scores
+from the same step as a :class:`LabeledPairs`.
 
-A pair set is one int (m, 2) array with a labels array; neither is
+A split's pairs are one int (m, 2) array with a labels array; neither is
 built pair by pair. The leave-one-out set is every pair u < v in
-``np.triu_indices(n, 1)`` order (the condensed order), labeled by the
-edges' condensed keys scattered once
+``np.triu_indices(n, 1)`` order (the condensed order), so it is only a
+labels array: the edges' condensed keys scattered once
 (:func:`~hyperlp.heuristics.condensed`). It needs no per-edge graph
 copy: removing edge {u, v} changes no common neighbor of u and v and no
 degree of one, so CN, AA and RA keep their intact-graph value, PA
@@ -45,7 +46,6 @@ those wedges fit one block; only ``d_hop >= 3`` imports ``scipy.sparse``.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -149,7 +149,7 @@ def _cross_class_counts(scores, labels, weights=None) -> tuple[float, float, flo
 
     Sorts the negatives; ``searchsorted`` (``left`` and ``right``) finds
     where each positive's lower and equal negatives end. Unweighted, those
-    positions are the counts, exact integers. Weighted, each run of equal
+    positions are the counts, as ints. Weighted, each run of equal
     negatives (in a stable ``argsort``) is summed once and a ``cumsum``
     over the runs gives the weight below each; no count is a difference.
     """
@@ -163,7 +163,7 @@ def _cross_class_counts(scores, labels, weights=None) -> tuple[float, float, flo
         neg.sort()
         pos.sort()  # ascending keys keep the binary searches cache-friendly
         lo, hi = (np.searchsorted(neg, pos, side=side) for side in ("left", "right"))
-        return float(lo.sum()), float((hi - lo).sum()), float(len(pos)), float(len(neg))
+        return int(lo.sum()), int((hi - lo).sum()), len(pos), len(neg)
     order = np.argsort(neg, kind="stable")
     neg, w_neg, w_pos = neg[order], w[~labels][order], w[labels]
     starts = np.flatnonzero(np.searchsorted(neg, neg) == np.arange(len(neg)))  # runs
@@ -174,28 +174,50 @@ def _cross_class_counts(scores, labels, weights=None) -> tuple[float, float, flo
     return float(w_pos @ below[lo]), float(w_pos @ tied), float(w_pos.sum()), float(below[-1])
 
 
-def _auc_pair(scores, labels) -> tuple[float, float | None]:
-    """(tie-aware AUC, strict conditional AUC or None when every
-    cross-class comparison ties), from one count."""
-    greater, ties, n_pos, n_neg = _cross_class_counts(scores, labels)
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError(
-            f"AUC needs both classes; got {n_pos:g} positives, {n_neg:g} negatives"
-        )
-    informative = n_pos * n_neg - ties
-    conditional = greater / informative if informative else None
-    return (greater + 0.5 * ties) / (n_pos * n_neg), conditional
+@dataclass(frozen=True)
+class AucCount:
+    """The Mann-Whitney count of one scored pair set (Hanley & McNeil,
+    Radiology 1982): positives scored above a negative, cross-class ties,
+    and the two class sizes. Both AUC variants are reads of it."""
+
+    greater: int
+    ties: int
+    n_pos: int
+    n_neg: int
+
+    def __post_init__(self):
+        if self.n_pos == 0 or self.n_neg == 0:
+            raise ValueError(
+                f"AUC needs both classes; got {self.n_pos:g} positives, {self.n_neg:g} negatives"
+            )
+
+    @classmethod
+    def of(cls, scores: Sequence[float], labels: Sequence[bool]) -> AucCount:
+        """Count ``scores`` against ``labels`` (see :func:`_cross_class_counts`)."""
+        return cls(*_cross_class_counts(scores, labels))
+
+    @property
+    def auc(self) -> float:
+        """Tie-aware AUC, ties counting one half."""
+        return (self.greater + 0.5 * self.ties) / (self.n_pos * self.n_neg)
+
+    @property
+    def auc_conditional(self) -> float | None:
+        """Strict AUC over the non-tied comparisons; None when every
+        cross-class comparison ties."""
+        informative = self.n_pos * self.n_neg - self.ties
+        return self.greater / informative if informative else None
 
 
 def auc(scores: Sequence[float], labels: Sequence[bool]) -> float:
     """Tie-aware AUC: probability a random positive outranks a random
     negative, ties counting one half."""
-    return _auc_pair(scores, labels)[0]
+    return AucCount.of(scores, labels).auc
 
 
 def auc_conditional(scores: Sequence[float], labels: Sequence[bool]) -> float:
     """Strict AUC conditioned on non-tied cross-class comparisons."""
-    conditional = _auc_pair(scores, labels)[1]
+    conditional = AucCount.of(scores, labels).auc_conditional
     if conditional is None:
         raise ValueError("all cross-class comparisons are ties")
     return conditional
@@ -218,12 +240,13 @@ def _scorer_ids(scorers: Sequence[str]) -> list[str]:
 
 
 def _loo_pair_set(g: SimpleGraph):
-    """Every vertex pair, labeled by adjacency and scored on ``g``."""
+    """Every vertex pair, in condensed order (no pair array), labeled by
+    adjacency and scored on ``g``."""
     if g.edge_count == 0:
         raise ValueError("leave-one-out needs at least one edge")
     if g.edge_count == g.n * (g.n - 1) // 2:
         raise ValueError("leave-one-out needs at least one non-edge")
-    return g, np.column_stack(np.triu_indices(g.n, k=1)), _pair_labels(g), None
+    return g, None, _pair_labels(g), None
 
 
 def _sample_distance_limited_non_links(
@@ -313,18 +336,18 @@ def _split_pair_set(g: SimpleGraph, spec: SplitSpec):
     return g_train, pairs, np.arange(len(pairs)) < n_test, block
 
 
-def evaluate_protocol(
-    g: SimpleGraph, scorers: Sequence[str], protocol: str | SplitSpec = "loo"
-) -> dict[str, LabeledPairs | Exception]:
-    """Score one pair set of ``g``, built once under ``protocol`` (``"loo"``
-    or a :class:`SplitSpec`), with every scorer.
+def _protocol_scores(
+    g: SimpleGraph, scorers: Sequence[str], protocol: str | SplitSpec
+) -> tuple[np.ndarray | None, np.ndarray | None, dict[str, np.ndarray | Exception]]:
+    """The (m, 2) pairs of one pair set of ``g`` under ``protocol`` (None
+    for leave-one-out: every u < v in condensed order), their labels, and
+    every scorer's scores of them.
 
-    Every result shares one ``pair_array`` and one ``labels`` array,
-    checked once, and the wedge scorers share one wedge pass (a split's
-    negative sampler too, when the train graph is one block). A scorer
-    that raises gets its exception in its own slot, and an error in the
-    shared pass goes to every wedge scorer; when the pair set cannot be
-    built (no non-edge, too few negatives), its exception fills every slot.
+    The wedge scorers share one wedge pass (a split's negative sampler
+    too, when the train graph is one block). A scorer that raises gets
+    its exception in its own slot, and an error in the shared pass goes
+    to every wedge scorer; when the pair set cannot be built (no
+    non-edge, too few negatives), its exception fills every slot.
     """
     scorers = _scorer_ids(scorers)
     loo = protocol == "loo"
@@ -332,21 +355,22 @@ def evaluate_protocol(
         raise ValueError(f"unknown protocol {protocol!r}; use 'loo' or a SplitSpec")
     try:
         scored_on, pairs, labels, block = _loo_pair_set(g) if loo else _split_pair_set(g, protocol)
-        base = LabeledPairs(pairs, labels)
     except Exception as exc:
-        return dict.fromkeys(scorers, exc)
-    out: dict[str, LabeledPairs | Exception] = {}
-    edges = pairs[labels].T
-    if loo and "sr" in scorers:  # edges first, for the SimRank budget
-        try:
-            sr_edges = simrank_without_each_edge(g, *edges)
-        except Exception as exc:
-            out["sr"] = exc
+        return None, None, dict.fromkeys(scorers, exc)
+    out: dict[str, np.ndarray | Exception] = {}
+    if loo:
+        edges = g.edge_array().T  # in label order: ascending condensed keys
+        d = g.degrees()[edges] - 1.0  # endpoint degrees without the edge
+        if "sr" in scorers:  # edges first, for the SimRank budget
+            try:
+                sr_edges = simrank_without_each_edge(g, *edges)
+            except Exception as exc:
+                out["sr"] = exc
     live = [s for s in scorers if s not in out]
     # leave-one-out scores every pair in condensed order; its JC edges read CN
     extra = ["cn"] if loo and "jc" in live else []
-    results = score_pairs_many(live + extra, scored_on, *pairs.T, block=block, every=loo)
-    d = g.degrees()[edges] - 1.0 if loo else None  # endpoint degrees without the edge
+    uv = () if loo else pairs.T
+    results = score_pairs_many(live + extra, scored_on, *uv, block=block)
     for scorer in live:
         try:
             scores = _unwrap(results[scorer])
@@ -358,18 +382,41 @@ def evaluate_protocol(
                 cn = _unwrap(results["cn"])[labels]
                 union = d[0] + d[1] - cn
                 scores[labels] = np.divide(cn, union, out=np.zeros_like(cn), where=union > 0)
-            out[scorer] = copy.copy(base)  # shares pair_array and labels
-            out[scorer].scores = scores
+            out[scorer] = scores
         except Exception as exc:  # isolated per-scorer failure
             out[scorer] = exc
-    return {s: out[s] for s in scorers}
+    return pairs, labels, {s: out[s] for s in scorers}
+
+
+def evaluate_protocol(
+    g: SimpleGraph, scorers: Sequence[str], protocol: str | SplitSpec = "loo"
+) -> dict[str, AucCount | Exception]:
+    """The :class:`AucCount` of every scorer on one pair set of ``g``,
+    built once under ``protocol`` (``"loo"`` or a :class:`SplitSpec`);
+    a failed scorer's slot holds its exception (see
+    :func:`_protocol_scores`). Each score array is dropped once counted.
+    """
+    _, labels, results = _protocol_scores(g, scorers, protocol)
+    for scorer, scores in results.items():
+        if not isinstance(scores, Exception):
+            results[scorer] = AucCount.of(scores, labels)
+    return results
+
+
+def _labeled_pairs(g: SimpleGraph, scorer: str, protocol: str | SplitSpec) -> LabeledPairs:
+    """One scorer's scores, as :func:`evaluate_protocol` counts them."""
+    pairs, labels, results = _protocol_scores(g, [scorer], protocol)
+    scores = _unwrap(results[scorer])
+    if pairs is None:
+        pairs = np.column_stack(np.triu_indices(g.n, k=1))
+    return LabeledPairs(pairs, labels, scores)
 
 
 def leave_one_out(g: SimpleGraph, scorer: str) -> LabeledPairs:
     """Score every vertex pair; edges are scored with that single edge
     removed (in closed form, except SimRank: one solve per edge), non-edges
     on the intact graph."""
-    return _unwrap(evaluate_protocol(g, [scorer], "loo")[scorer])
+    return _labeled_pairs(g, scorer, "loo")
 
 
 def split_evaluate(g: SimpleGraph, scorer: str, spec: SplitSpec) -> LabeledPairs:
@@ -380,7 +427,7 @@ def split_evaluate(g: SimpleGraph, scorer: str, spec: SplitSpec) -> LabeledPairs
     train-graph hops (every non-link with ``negative_ratio=None``).
     Deterministic for a fixed ``spec.seed``.
     """
-    return _unwrap(evaluate_protocol(g, [scorer], spec)[scorer])
+    return _labeled_pairs(g, scorer, spec)
 
 
 def model_auc(pot: PotentialIndex, phi: Sequence[float], g: SimpleGraph) -> float:
@@ -462,8 +509,7 @@ def overestimation_scan(
             for scorer in scorers:
                 row = ScanRow(point=point, scorer=scorer, seed=rep_seed, model_auc=truth)
                 try:
-                    lp = _unwrap(results[scorer])
-                    row.heuristic_auc = auc(lp.scores, lp.labels)
+                    row.heuristic_auc = _unwrap(results[scorer]).auc
                     row.overestimated = row.heuristic_auc > truth
                 except Exception as exc:
                     row.error = str(exc)

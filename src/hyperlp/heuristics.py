@@ -268,13 +268,10 @@ def score_pairs_many(
     u: ArrayLike | None = None,
     v: ArrayLike | None = None,
     block: tuple[np.ndarray, np.ndarray] | None = None,
-    every: bool = False,
 ) -> dict[str, np.ndarray | Exception]:
     """Score the pairs ``(u[i], v[i])`` at once with each scorer; same
     definitions and checks as :func:`score`, in input order. Without ``u``
-    and ``v``, scores every pair u < v in ``np.triu_indices(g.n, 1)`` order;
-    ``every`` says that ``u`` and ``v`` are already those pairs, in that
-    order, so a caller that holds them need not have them built again.
+    and ``v``, scores every pair u < v in ``np.triu_indices(g.n, 1)`` order.
 
     CN, AA, RA and JC (from the CN sums) share one wedge pass, over the
     ``block`` a caller holds (:func:`~hyperlp.hypergraph.held_wedge_block`)
@@ -282,9 +279,9 @@ def score_pairs_many(
     and an error in the shared pass goes to every wedge scorer; invalid
     pairs raise.
     """
-    if u is None and v is None:
+    every = u is None and v is None
+    if every:
         u, v = np.triu_indices(g.n, k=1)
-        every = True
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
     if u.shape != v.shape or u.ndim != 1:

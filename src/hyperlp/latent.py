@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .hypergraph import Hypergraph, condensed_keys, count_keys, pair_cooccurrence
+from .hypergraph import Hypergraph, condensed_keys, count_keys, group_pair_keys, pair_cooccurrence
 
 DEFAULT_MAX_POTENTIAL = 10_000_000
 DEFAULT_HOFF_ALPHA = 10.0
@@ -292,12 +292,19 @@ def _checked_phi(pot: PotentialIndex, phi: Sequence[float]) -> np.ndarray:
     return phi
 
 
+def _kept_blocks(pot: PotentialIndex, phi: Sequence[float], seed: int) -> list[np.ndarray]:
+    """The candidates kept by one draw, one (m_s, s) array per size of
+    ``pot.sizes``: each is kept independently with its size's
+    probability."""
+    phi = _checked_phi(pot, phi)
+    rng = np.random.default_rng(seed)
+    return [pot.by_size[s][rng.random(len(pot.by_size[s])) < phi[s - 2]] for s in pot.sizes]
+
+
 def sample_hypergraph(pot: PotentialIndex, phi: Sequence[float], seed: int) -> Hypergraph:
     """Keep each candidate hyperedge independently with its per-size
     probability. Deterministic for a fixed seed."""
-    phi = _checked_phi(pot, phi)
-    rng = np.random.default_rng(seed)
-    kept = [pot.by_size[s][rng.random(len(pot.by_size[s])) < phi[s - 2]] for s in pot.sizes]
+    kept = _kept_blocks(pot, phi, seed)
     sizes = np.repeat(pot.sizes, [len(block) for block in kept])
     return Hypergraph.from_arrays(pot.n, sizes, np.concatenate([b.ravel() for b in kept]))
 
@@ -458,8 +465,9 @@ def edge_distance_profile(
     hits = np.zeros(len(dist), dtype=np.int64)
     seed_rng = np.random.default_rng(model.seed)
     trial_seeds = seed_rng.integers(0, 2**63 - 1, size=n_trials)
-    for ts in trial_seeds:
-        hits[pair_cooccurrence(n, sample_hypergraph(pot, phi_vec, int(ts)))[0]] += 1
+    for ts in trial_seeds:  # each draw's covered pairs, with no Hypergraph built
+        keys = [group_pair_keys(n, block) for block in _kept_blocks(pot, phi_vec, int(ts))]
+        hits[count_keys(np.concatenate(keys))[0]] += 1
     freq = hits / n_trials
 
     edges = np.histogram_bin_edges(dist, bins=bins)

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .evaluation import SplitSpec, _auc_pair, _scorer_ids, auc, evaluate_protocol
+from .evaluation import SplitSpec, _scorer_ids, evaluate_protocol
 from .hypergraph import Hypergraph, clique_expand
 from .latent import ResourceLimitError
 
@@ -146,20 +146,24 @@ def adjusted_auc(
     ``n_runs`` independent relocations, and assemble each scorer's
     adjusted score.
 
-    Each graph gets one pair set, scored by every scorer (see
-    :func:`~hyperlp.evaluation.evaluate_protocol`); the same protocol,
-    split seed included, is applied to every graph, so only the
+    Each graph gets one pair set, scored by every scorer and counted
+    (see :func:`~hyperlp.evaluation.evaluate_protocol`); the same
+    protocol, split seed included, is applied to every graph, so only the
     relocation varies between runs. Failed runs are recorded per scorer
     and skipped. A scorer whose original evaluation fails, or whose every
     run fails, gets the exception in its slot instead of a report, as
-    does a scorer that exceeds a resource limit on any run.
+    does a scorer that exceeds a resource limit on any run. Every run
+    failing is a ``ValueError`` when each run's error was one (the data,
+    such as relocations with no non-edge), else a ``RuntimeError``.
     """
     scorers = _scorer_ids(scorers)
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     outcome = evaluate_protocol(clique_expand(h), scorers, protocol)
     live = [s for s in scorers if not isinstance(outcome[s], Exception)]
-    runs = {s: ([], [], []) for s in live}  # AUCs, kept seeds, failures
+    # AUCs, kept seeds, failures (message, is a ValueError): a kept
+    # exception's traceback would hold the run's arrays
+    runs = {s: ([], [], []) for s in live}
     run_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=n_runs)
     for run_seed in map(int, run_seeds):
         if not live:
@@ -168,27 +172,28 @@ def adjusted_auc(
             results = evaluate_protocol(clique_expand(relocate(h, run_seed)), live, protocol)
         except Exception as exc:
             results = dict.fromkeys(live, exc)
-        for scorer, lp in results.items():
+        for scorer, count in results.items():
             rel_aucs, kept_seeds, failures = runs[scorer]
-            if isinstance(lp, ResourceLimitError):  # runs no further
-                outcome[scorer] = lp
+            if isinstance(count, ResourceLimitError):  # runs no further
+                outcome[scorer] = count
                 live.remove(scorer)
                 del runs[scorer]
-            elif isinstance(lp, Exception):
-                failures.append(f"seed {run_seed}: {lp}")
+            elif isinstance(count, Exception):
+                failures.append((f"seed {run_seed}: {count}", isinstance(count, ValueError)))
             else:
-                rel_aucs.append(auc(lp.scores, lp.labels))
+                rel_aucs.append(count.auc)
                 kept_seeds.append(run_seed)
 
     for scorer, (rel_aucs, kept_seeds, failures) in runs.items():
-        lp = outcome[scorer]
+        count = outcome[scorer]
+        failed = [message for message, _ in failures]
         if not rel_aucs:
-            outcome[scorer] = RuntimeError("every relocation run failed: " + "; ".join(failures))
+            error = ValueError if all(data for _, data in failures) else RuntimeError
+            outcome[scorer] = error("every relocation run failed: " + "; ".join(failed))
             continue
-        auc_original, conditional = _auc_pair(lp.scores, lp.labels)
-        report = assemble_report(auc_original, rel_aucs, kept_seeds, failures)
+        report = assemble_report(count.auc, rel_aucs, kept_seeds, failed)
         outcome[scorer] = replace(
-            report, n_pos=lp.n_pos, n_neg=lp.n_neg, auc_conditional=conditional
+            report, n_pos=count.n_pos, n_neg=count.n_neg, auc_conditional=count.auc_conditional
         )
     return outcome
 

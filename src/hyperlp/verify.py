@@ -29,18 +29,17 @@ are computable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .evaluation import (
-    _auc_pair,
+    AucCount,
     _cross_class_counts,
     _pair_labels,
     _unwrap,
     auc,
     evaluate_protocol,
-    leave_one_out,
     model_auc,
 )
 from .heuristics import score_pairs
@@ -68,6 +67,24 @@ class TrialSummary:
             self.statistic
         ):
             raise ValueError("confidence interval must bracket the statistic")
+
+
+def _degenerate(claim_id: str, n_trials: int, **details) -> TrialSummary:
+    """A check with nothing to estimate: NaN statistic and interval."""
+    nan = float("nan")
+    return TrialSummary(claim_id, n_trials, nan, nan, nan, verdict="degenerate", details=details)
+
+
+def _loo_aucs(graphs: Iterable[SimpleGraph], scorers: Sequence[str]) -> dict[str, list[float]]:
+    """Each scorer's leave-one-out AUC on each graph where it could be
+    evaluated; a graph that fails with a ``ValueError`` (no edge, or no
+    non-edge) is skipped, and any other error raises."""
+    values: dict[str, list[float]] = {s: [] for s in scorers}
+    for g in graphs:
+        for s, count in evaluate_protocol(g, scorers, "loo").items():
+            if not isinstance(count, ValueError):
+                values[s].append(_unwrap(count).auc)
+    return values
 
 
 def _spawn_seeds(seed: int, count: int) -> list[int]:
@@ -120,26 +137,11 @@ def verify_er_clustering(n: int, p: float, trials: int = 100, seed: int = 0) -> 
         else:
             values.append(cc)
     if not values:
-        return TrialSummary(
-            claim_id="er-clustering",
-            n_trials=trials,
-            statistic=float("nan"),
-            ci_low=float("nan"),
-            ci_high=float("nan"),
-            verdict="degenerate",
-            details={"degenerate_trials": degenerate, "target": p},
-        )
+        return _degenerate("er-clustering", trials, degenerate_trials=degenerate, target=p)
     mean, se, lo, hi = _mean_ci(values)
     verdict = "pass" if lo <= p <= hi else "fail"
-    return TrialSummary(
-        claim_id="er-clustering",
-        n_trials=trials,
-        statistic=mean,
-        ci_low=lo,
-        ci_high=hi,
-        verdict=verdict,
-        details={"target": p, "se": se, "degenerate_trials": degenerate},
-    )
+    details = {"target": p, "se": se, "degenerate_trials": degenerate}
+    return TrialSummary("er-clustering", trials, mean, lo, hi, verdict, details)
 
 
 def verify_er_common_neighbors(
@@ -207,15 +209,7 @@ def verify_er_common_neighbors(
         details.update({"chi2": float(chi2), "chi2_pvalue": float(pval)})
 
     verdict = "pass" if (mean_ok and independent_ok) else "fail"
-    return TrialSummary(
-        claim_id="er-cn",
-        n_trials=trials,
-        statistic=mean,
-        ci_low=lo,
-        ci_high=hi,
-        verdict=verdict,
-        details=details,
-    )
+    return TrialSummary("er-cn", trials, mean, lo, hi, verdict, details)
 
 
 def verify_er_auc_baseline(
@@ -229,41 +223,17 @@ def verify_er_auc_baseline(
     0.5 within three standard errors."""
     if n < 10 or trials < 30:
         raise ValueError("need n >= 10 and trials >= 30 for a stable check")
-    per_scorer: dict[str, list[float]] = {s: [] for s in scorers}
-    skipped: dict[str, int] = {s: 0 for s in scorers}
-    for ts in _spawn_seeds(seed, trials):
-        results = evaluate_protocol(er_sample(n, p, ts), scorers, "loo")
-        for s in scorers:
-            try:
-                lp = _unwrap(results[s])
-                per_scorer[s].append(auc(lp.scores, lp.labels))
-            except ValueError:
-                skipped[s] += 1
+    per_scorer = _loo_aucs((er_sample(n, p, ts) for ts in _spawn_seeds(seed, trials)), scorers)
     out = {}
     for s in scorers:
         values = per_scorer[s]
         if not values:
-            out[s] = TrialSummary(
-                claim_id="er-auc",
-                n_trials=trials,
-                statistic=float("nan"),
-                ci_low=float("nan"),
-                ci_high=float("nan"),
-                verdict="degenerate",
-                details={"scorer": s, "skipped_trials": skipped[s]},
-            )
+            out[s] = _degenerate("er-auc", trials, scorer=s, skipped_trials=trials)
             continue
         mean, se, lo, hi = _mean_ci(values)
         ok = abs(mean - 0.5) <= 3 * se if se > 0 else mean == 0.5
-        out[s] = TrialSummary(
-            claim_id="er-auc",
-            n_trials=trials,
-            statistic=mean,
-            ci_low=lo,
-            ci_high=hi,
-            verdict="pass" if ok else "fail",
-            details={"scorer": s, "se": se, "skipped_trials": skipped[s]},
-        )
+        details = {"scorer": s, "se": se, "skipped_trials": trials - len(values)}
+        out[s] = TrialSummary("er-auc", trials, mean, lo, hi, "pass" if ok else "fail", details)
     return out
 
 
@@ -304,11 +274,7 @@ def verify_higher_order_auc_lift(
         batch_scores[b].append(score_pairs(scorer, g))
         batch_labels[b].append(_pair_labels(g))
         model_values.append(model_auc(pot, phi, g))
-        try:
-            lp = leave_one_out(g, scorer)
-            loo_values.append(auc(lp.scores, lp.labels))
-        except ValueError:
-            pass
+        loo_values += _loo_aucs([g], [scorer])[scorer]
 
     batch_aucs = []
     for bs, bl in zip(batch_scores, batch_labels):
@@ -316,41 +282,25 @@ def verify_higher_order_auc_lift(
         if labels.any() and not labels.all():
             batch_aucs.append(auc(np.concatenate(bs), labels))
     if not batch_aucs:
-        return TrialSummary(
-            claim_id="cn-lift",
-            n_trials=trials,
-            statistic=float("nan"),
-            ci_low=float("nan"),
-            ci_high=float("nan"),
-            verdict="degenerate",
-            details={"scorer": scorer},
-        )
+        return _degenerate("cn-lift", trials, scorer=scorer)
     mean, se, lo, hi = _mean_ci(batch_aucs)
 
     all_scores = np.concatenate([x for bs in batch_scores for x in bs])
     all_labels = np.concatenate([x for bl in batch_labels for x in bl])
-    pooled, conditional = _auc_pair(all_scores, all_labels)
+    pooled = AucCount.of(all_scores, all_labels)
 
     verdict = "pass" if mean - 0.5 > 3 * se else "fail"
     details = {
         "scorer": scorer,
         "se": se,
         "batches_used": len(batch_aucs),
-        "pooled_auc": pooled,
-        "pooled_auc_conditional": conditional,
+        "pooled_auc": pooled.auc,
+        "pooled_auc_conditional": pooled.auc_conditional,
         "model_auc_mean": float(np.mean(model_values)),
         "loo_mean": float(np.mean(loo_values)) if loo_values else None,
         "loo_trials": len(loo_values),
     }
-    return TrialSummary(
-        claim_id="cn-lift",
-        n_trials=trials,
-        statistic=mean,
-        ci_low=lo,
-        ci_high=hi,
-        verdict=verdict,
-        details=details,
-    )
+    return TrialSummary("cn-lift", trials, mean, lo, hi, verdict, details)
 
 
 def exact_ensemble_auc(
@@ -405,41 +355,19 @@ def verify_relocation_baseline(
     leave-one-out AUC within 0.05 of 0.5."""
     if width(h) != 2:
         raise ValueError(f"baseline check requires width 2, got {width(h)}")
-    per_scorer: dict[str, list[float]] = {s: [] for s in scorers}
-    for ts in _spawn_seeds(seed, runs):
-        results = evaluate_protocol(clique_expand(relocate(h, ts)), scorers, "loo")
-        for s in scorers:
-            try:
-                lp = _unwrap(results[s])
-                per_scorer[s].append(auc(lp.scores, lp.labels))
-            except ValueError:
-                pass
+    relocated = (clique_expand(relocate(h, ts)) for ts in _spawn_seeds(seed, runs))
+    per_scorer = _loo_aucs(relocated, scorers)
     out = {}
     for s in scorers:
         values = per_scorer[s]
         if not values:
-            out[s] = TrialSummary(
-                claim_id="relocation-baseline",
-                n_trials=runs,
-                statistic=float("nan"),
-                ci_low=float("nan"),
-                ci_high=float("nan"),
-                verdict="degenerate",
-                details={"scorer": s},
-            )
+            out[s] = _degenerate("relocation-baseline", runs, scorer=s)
             continue
         mean, se, lo, hi = _mean_ci(values)
         if len(values) == 1:
             verdict = "indeterminate"
         else:
             verdict = "pass" if abs(mean - 0.5) <= 0.05 else "fail"
-        out[s] = TrialSummary(
-            claim_id="relocation-baseline",
-            n_trials=runs,
-            statistic=mean,
-            ci_low=lo,
-            ci_high=hi,
-            verdict=verdict,
-            details={"scorer": s, "se": se, "runs_used": len(values)},
-        )
+        details = {"scorer": s, "se": se, "runs_used": len(values)}
+        out[s] = TrialSummary("relocation-baseline", runs, mean, lo, hi, verdict, details)
     return out

@@ -1,6 +1,7 @@
 """End-to-end subcommand behavior, exit codes, and output determinism."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import oracle_relocate, random_hypergraph
-from hyperlp import heuristics, relocation
+from hyperlp import evaluation, heuristics, relocation
 from hyperlp.datasets import save_plain
 from hyperlp.cli import main
 from hyperlp.config import ConfigError, parse_model_config
@@ -126,14 +127,37 @@ class TestEvaluate:
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["evaluate", "--data", str(tmp_path / "nope.hyg")]) == 3
 
-    def test_all_scorers_failing_is_internal_error(self, tmp_path):
+    def test_all_scorers_failing_for_the_data_exit_2(self, tmp_path, capsys):
         # complete expansion leaves no negatives, so every scorer fails
         full = tmp_path / "complete.hyg"
         full.write_text("a b c\n")
         assert main([
             "evaluate", "--data", str(full), "--algorithms", "cn",
             "--protocol", "loo", "--runs", "0",
+        ]) == 2
+        assert capsys.readouterr().err == "error: leave-one-out needs at least one non-edge\n"
+
+    @pytest.mark.parametrize("command", ["evaluate", "adjust"])
+    def test_every_relocation_complete_exit_2(self, tmp_path, capsys, command):
+        # 40 size-4 hyperedges over 5 vertices: the expansion misses only
+        # {0, 1}, but every relocation expands to the complete graph
+        dense = tmp_path / "dense.hyg"
+        dense.write_text("v0 v2 v3 v4\n" * 20 + "v1 v2 v3 v4\n" * 20)
+        assert main([
+            command, "--data", str(dense), "--algorithms", "cn,aa",
+            "--protocol", "loo", "--runs", "2",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: every relocation run failed: seed ")
+        assert err.count("leave-one-out needs at least one non-edge") == 2
+
+    @pytest.mark.parametrize("command", ["evaluate", "adjust"])
+    def test_all_scorers_failing_internally_exit_4(self, toy_file, break_scorer, capsys, command):
+        break_scorer("cn")
+        assert main([
+            command, "--data", str(toy_file), "--algorithms", "cn", "--runs", "2",
         ]) == 4
+        assert "internal error: " in capsys.readouterr().err
 
     def test_simrank_budget_exit_2_before_any_solve(self, toy_file, monkeypatch, capsys):
         # the toy expansion has 4 edges on 5 vertices: 4 * 5**3 = 500 units
@@ -375,6 +399,60 @@ def test_relocation_draw_keeps_outputs_byte_identical(tmp_path, monkeypatch):
                 outputs[argv[0], draw] = out.with_suffix(".csv").read_bytes(), payload
     for command in ("evaluate", "adjust"):
         assert outputs[command, "arrays"] == outputs[command, "oracle"]
+
+
+def test_commands_build_no_labeled_pairs(tmp_path, monkeypatch):
+    # every command reads AUC counts; no per-pair score set is built
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a LabeledPairs was built")
+
+    monkeypatch.setattr(evaluation.LabeledPairs, "__init__", refuse)
+    data = tmp_path / "small.hyg"
+    save_plain(random_hypergraph(np.random.default_rng(8), 30, 40, max_size=4), data)
+    config = tmp_path / "scan.cfg"
+    config.write_text("n = 20\nd = 2\nseed = 1\npercentiles = 5 10\nphi = power_law\n")
+    commands = (
+        ["evaluate", "--data", str(data), "--runs", "1", "--algorithms", "cn,aa,ra,pa,jc,sr"],
+        ["adjust", "--data", str(data), "--protocol", "split", "--runs", "2"],
+        ["scan", "--config", str(config), "--algorithms", "cn,sr"],
+        ["verify", "--claim", "er-auc", "--n", "20", "--trials", "30"],
+    )
+    for argv in commands:
+        out = tmp_path / argv[0]
+        assert main(argv + ["--out", str(out)]) == 0, argv[0]
+        if argv[0] in ("evaluate", "adjust"):
+            assert json.loads(out.with_suffix(".json").read_text())["errors"] == {}
+    assert all(row[-1] == "" for row in read_csv(tmp_path / "scan.csv")[1:])
+
+
+# sha256 of the CSV each command wrote before the protocols returned AUC
+# counts instead of score arrays; a pipeline change that moves one output
+# byte fails here
+PINNED_CSV = {
+    "evaluate": "16eb463cdf4909cea7a30c94386fb586b59a9e0221576df5271c91bde513fcf2",
+    "adjust": "75f0b2423ecd202f5b446a6c12f9e9289d7ca3bb1dd7b83f0eb2caad3c9c08c7",
+    "scan": "9c77ab8dec3d4b9ef68d8f7d7addb8c3e56fb58f773fba2d738480d10a9d0642",
+}
+
+
+def test_csv_bytes_pinned(tmp_path):
+    data = tmp_path / "pinned.hyg"
+    save_plain(random_hypergraph(np.random.default_rng(33), 50, 80, max_size=5), data)
+    config = tmp_path / "pinned.cfg"
+    config.write_text(
+        "n = 30\nd = 2\nseed = 4\npercentiles = 5 10 15\nphi = power_law\nreplicates = 2\n"
+    )
+    scorers = ["--algorithms", "cn,ra,pa,jc", "--seed", "7"]  # no BLAS or libm in the scores
+    commands = {
+        "evaluate": ["evaluate", "--data", str(data), "--protocol", "loo", "--runs", "1", *scorers],
+        "adjust": ["adjust", "--data", str(data), "--protocol", "split", "--runs", "2", *scorers],
+        "scan": ["scan", "--config", str(config), "--algorithms", "cn,jc"],
+    }
+    for name, argv in commands.items():
+        out = tmp_path / name
+        assert main(argv + ["--out", str(out)]) == 0, name
+        digest = hashlib.sha256(out.with_suffix(".csv").read_bytes()).hexdigest()
+        assert digest == PINNED_CSV[name], name
 
 
 def test_version_flag():

@@ -29,8 +29,10 @@ from hyperlp import (
 )
 from hyperlp import evaluation, heuristics, hypergraph
 from hyperlp.evaluation import (
+    AucCount,
     LabeledPairs,
     _cross_class_counts,
+    _protocol_scores,
     _sample_distance_limited_non_links,
     all_pairs,
 )
@@ -299,13 +301,18 @@ class TestEvaluateProtocol:
     @pytest.mark.parametrize("protocol", ["loo", SplitSpec(seed=3)], ids=["loo", "split"])
     def test_scorers_share_one_pair_set(self, protocol):
         g = SimpleGraph(30, [(i, (i + 1) % 30) for i in range(30)] + [(0, 2), (5, 9)])
+        pairs, labels, scores = _protocol_scores(g, SCORER_IDS, protocol)
+        assert list(scores) == list(SCORER_IDS)
+        for s in SCORER_IDS:
+            assert scores[s].shape == labels.shape, s
+        if protocol == "loo":  # every pair, in condensed order: no pair array
+            assert pairs is None and len(labels) == g.n * (g.n - 1) // 2
+        else:
+            assert pairs.shape == (len(labels), 2)
         out = evaluate_protocol(g, SCORER_IDS, protocol)
         assert list(out) == list(SCORER_IDS)
-        first = out["cn"]
-        for lp in out.values():
-            assert lp.pair_array is first.pair_array and lp.labels is first.labels
-        if protocol == "loo":
-            assert first.pairs == all_pairs(g.n)
+        n_pos = int(labels.sum())
+        assert {(c.n_pos, c.n_neg) for c in out.values()} == {(n_pos, len(labels) - n_pos)}
 
     def test_pair_set_failure_fills_every_slot(self):
         k3 = SimpleGraph(3, [(0, 1), (1, 2), (0, 2)])
@@ -316,7 +323,7 @@ class TestEvaluateProtocol:
         g = SimpleGraph(4, [(0, 1), (1, 2)])
         out = evaluate_protocol(g, ["cn", "katz"], "loo")
         assert isinstance(out["katz"], ValueError)
-        assert isinstance(out["cn"], LabeledPairs)
+        assert isinstance(out["cn"], AucCount)
 
     @staticmethod
     def count_passes(monkeypatch, blocks=None):
@@ -352,33 +359,56 @@ class TestEvaluateProtocol:
         # a train graph over one block is read once by the sampler and once
         # by the scorers, in blocks: the same negatives and the same bits
         g = clique_expand(random_hypergraph(np.random.default_rng(6), 40, 50, max_size=5))
-        want = evaluate_protocol(g, SCORER_IDS, protocol)
+        want_pairs, want_labels, want = _protocol_scores(g, SCORER_IDS, protocol)
         monkeypatch.setattr(hypergraph, "WEDGE_BLOCK", 20)
         calls = self.count_passes(monkeypatch)
-        got = evaluate_protocol(g, SCORER_IDS, protocol)
+        got_pairs, got_labels, got = _protocol_scores(g, SCORER_IDS, protocol)
         assert len(calls) > (1 if protocol == "loo" else 2)
         assert sum(calls) == g.n * (1 if protocol == "loo" else 2)  # whole passes
+        if protocol == "loo":
+            assert got_pairs is None and want_pairs is None
+        else:
+            assert np.array_equal(got_pairs, want_pairs)
+        assert np.array_equal(got_labels, want_labels)
         for s in SCORER_IDS:
-            assert np.array_equal(got[s].pair_array, want[s].pair_array)
-            assert np.array_equal(got[s].labels, want[s].labels)
-            assert np.array_equal(got[s].scores, want[s].scores), s
+            assert np.array_equal(got[s], want[s]), s
 
     @pytest.mark.parametrize(
         "protocol", ["loo", SplitSpec(seed=4, negative_ratio=None)], ids=["loo", "split"]
     )
     def test_failed_wedge_pass_fails_only_wedge_scorers(self, protocol, monkeypatch):
         g = clique_expand(random_hypergraph(np.random.default_rng(7), 12, 10, max_size=4))
-        clean = evaluate_protocol(g, SCORER_IDS, protocol)
+        clean = _protocol_scores(g, SCORER_IDS, protocol)[2]
 
         def broken(*args):
             raise MemoryError("no room for the wedges")
 
         monkeypatch.setattr(hypergraph, "_wedges", broken)
-        out = evaluate_protocol(g, SCORER_IDS, protocol)
+        out = _protocol_scores(g, SCORER_IDS, protocol)[2]
         for s in ("cn", "aa", "ra", "jc"):
             assert isinstance(out[s], MemoryError) and out[s] is out["cn"], s
         for s in ("pa", "sr"):
-            assert np.array_equal(out[s].scores, clean[s].scores), s
+            assert np.array_equal(out[s], clean[s]), s
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_records_match_labeled_pairs(self, seed):
+        # the count of each scorer's record is the count of the scores the
+        # library functions return, exactly, or both carry the same error
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 16))
+        g = clique_expand(random_hypergraph(rng, n, int(rng.integers(1, n + 1)), max_size=4))
+        for protocol in ("loo", SplitSpec(rho=0.6, seed=seed)):
+            out = evaluate_protocol(g, SCORER_IDS, protocol)
+            for s in SCORER_IDS:
+                try:
+                    lp = leave_one_out(g, s) if protocol == "loo" else split_evaluate(g, s, protocol)
+                except Exception as exc:
+                    assert type(out[s]) is type(exc) and str(out[s]) == str(exc), s
+                    continue
+                assert out[s] == AucCount.of(lp.scores, lp.labels), s
+                counts = (out[s].greater, out[s].ties, out[s].n_pos, out[s].n_neg)
+                assert counts == unique_counts(lp.scores, lp.labels), s
 
     def test_bad_arguments_raise(self):
         g = SimpleGraph(4, [(0, 1), (1, 2)])

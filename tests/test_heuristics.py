@@ -253,10 +253,6 @@ class TestScorePairsParity:
         iu, iv = np.triu_indices(g.n, k=1)
         for s in SCORER_IDS:
             assert np.array_equal(score_pairs(s, g), score_pairs(s, g, iu, iv)), s
-        # a caller that holds the condensed pairs passes them with every=True
-        held = score_pairs_many(SCORER_IDS, g, iu, iv, every=True)
-        for s, want in score_pairs_many(SCORER_IDS, g).items():
-            assert np.array_equal(held[s], want), s
 
     @settings(max_examples=60, deadline=None)
     @given(graphs())
