@@ -5,16 +5,20 @@ Subcommands: ``generate``, ``expand``, ``stats``, ``fit-sizes``,
 (RFC-4180 quoting, LF line endings, deterministic row order), structured
 results to JSON with an embedded run manifest; a sibling
 ``<out>.manifest.json`` records the full parameter set, seeds, tool
-version, and input checksums. Reruns with the same manifest produce
-byte-identical CSV.
+version, and input checksums (a dataset's from its loader, a config
+file's when the manifest is built). Reruns with the same manifest
+produce byte-identical CSV. Commands return their :class:`Output`;
+:func:`main` writes it once the command has returned, so a command that
+fails writes no file, whatever its exit code.
 
-``evaluate`` and ``adjust`` format one ``adjusted_auc`` call (or, for
-``evaluate --runs 0``, one ``evaluate_protocol`` call) that scores every
-scorer on the same graphs and pairs; they read each scorer's AUC count
-or report, never a per-pair score. A failed scorer goes to ``errors``;
-when every scorer failed, the first scorer's error is raised, so a
-property of the data (a ``ValueError``, such as a graph with no
-non-edge) exits 2 and names the reason.
+``evaluate`` and ``adjust`` lay out one scoring step (:func:`_scored`):
+one ``adjusted_auc`` call (or, for ``evaluate --runs 0``, one
+``evaluate_protocol`` call) that scores every scorer on the same graphs
+and pairs; they read each scorer's AUC count or report, never a per-pair
+score. A failed scorer goes to ``errors``; when every scorer failed, the
+first scorer's error is raised, so a property of the data (a
+``ValueError``, such as a graph with no non-edge) exits 2 and names the
+reason.
 
 Exit codes: 0 success, 2 validation error, resource limit (the
 candidate enumeration cap, ``max_potential``) or a graph no protocol can
@@ -28,9 +32,11 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -76,6 +82,45 @@ from .verify import (
 VERIFY_CLAIMS = ("cc", "cn-dist", "cn-lift", "er-auc", "relocation-baseline")
 
 
+@dataclass
+class Output:
+    """What a command produced, for :func:`main` to write: the JSON
+    ``payload`` with its ``manifest``, a CSV table if ``header`` is set,
+    extra files (suffix -> writer), and summary lines."""
+
+    payload: dict
+    header: list[str] | None = None
+    rows: list[list] = field(default_factory=list)
+    files: dict[str, Callable[[Path], None]] = field(default_factory=dict)
+    json_suffix: str = ".json"
+    lines: list[str] = field(default_factory=list)
+
+
+def _write(result: Output, out: str | None) -> None:
+    """Write a command's files next to ``out``, then print its summary
+    lines; without ``out``, print its payload as JSON."""
+    if out is None:
+        json.dump(result.payload, sys.stdout, indent=2, default=str)
+        sys.stdout.write("\n")
+        return
+    out = Path(out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    if result.header is not None:
+        with open(out.with_suffix(".csv"), "w", newline="") as fh:
+            writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
+            writer.writerow(result.header)
+            writer.writerows(result.rows)
+    for suffix, write in result.files.items():
+        write(out.with_suffix(suffix))
+    out.with_suffix(result.json_suffix).write_text(
+        json.dumps(result.payload, indent=2, default=str) + "\n"
+    )
+    manifest = json.dumps(result.payload["manifest"], indent=2)
+    out.with_suffix(".manifest.json").write_text(manifest + "\n")
+    for line in result.lines:
+        print(line)
+
+
 def _sha256_file(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -92,59 +137,36 @@ def _algorithms(raw: str) -> list[str]:
     return ids
 
 
-def _manifest(subcommand: str, params: dict, seeds: list[int], inputs: dict) -> dict:
+def _manifest(subcommand: str, params: dict, seeds: list[int], checksums: dict) -> dict:
     return {
         "subcommand": subcommand,
         "version": __version__,
         "params": params,
         "seeds": seeds,
-        "input_checksums": {str(k): _sha256_file(v) for k, v in inputs.items()},
+        "input_checksums": checksums,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _emit(payload: dict, args, csv_header=None, csv_rows=None) -> None:
-    """Write CSV/JSON/manifest next to --out, or JSON to stdout."""
-    out = getattr(args, "out", None)
-    if out is None:
-        json.dump(payload, sys.stdout, indent=2, default=str)
-        sys.stdout.write("\n")
-        return
-    out = Path(out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    if csv_header is not None:
-        _write_csv(out.with_suffix(".csv"), csv_header, csv_rows or [])
-    out.with_suffix(".json").write_text(json.dumps(payload, indent=2, default=str) + "\n")
-    manifest_path = out.with_suffix(".manifest.json")
-    manifest_path.write_text(json.dumps(payload.get("manifest", {}), indent=2) + "\n")
+def _checksums(bundle: DatasetBundle) -> dict[str, str]:
+    """The loader's checksums of a dataset's files, by the flag that
+    named each file."""
+    p = bundle.provenance
+    if "sha256" in p:  # load_plain
+        return {"data": p["sha256"]}
+    return {"nverts": p["nverts_sha256"], "simplices": p["simplices_sha256"]}
 
 
 def _load_bundle(args) -> DatasetBundle:
-    if getattr(args, "nverts", None) or getattr(args, "simplices", None):
+    if args.nverts or args.simplices:
+        if args.data:
+            raise ConfigError("give either --data or --nverts/--simplices, not both")
         if not (args.nverts and args.simplices):
             raise ConfigError("the paired format needs both --nverts and --simplices")
         return load_benson(args.nverts, args.simplices)
-    if not getattr(args, "data", None):
+    if not args.data:
         raise ConfigError("no dataset given; use --data or --nverts/--simplices")
     return load_plain(args.data)
-
-
-def _dataset_inputs(args) -> dict:
-    inputs = {}
-    if getattr(args, "data", None):
-        inputs["data"] = args.data
-    if getattr(args, "nverts", None):
-        inputs["nverts"] = args.nverts
-    if getattr(args, "simplices", None):
-        inputs["simplices"] = args.simplices
-    return inputs
 
 
 def _resolve_model(cfg: ModelConfig, seed: int):
@@ -175,17 +197,13 @@ def _protocol_from_args(args):
     )
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> Output:
     cfg = load_model_config(args.config)
     seed = cfg.seed if args.seed is None else args.seed
     positions, radii, pot, phi, hoff = _resolve_model(cfg, seed)
     h = sample_hypergraph(pot, phi, seed)
 
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    hyg_path = out.with_suffix(".hyg")
-    save_plain(h, hyg_path)
-
+    hyg_path = Path(args.out).with_suffix(".hyg")
     manifest = _manifest(
         "generate",
         {
@@ -200,7 +218,7 @@ def cmd_generate(args) -> int:
             "hypergraph": str(hyg_path),
         },
         [seed],
-        {"config": args.config},
+        {"config": _sha256_file(args.config)},
     )
     summary = {
         "n": cfg.n,
@@ -214,21 +232,21 @@ def cmd_generate(args) -> int:
         "hypergraph_file": str(hyg_path),
         "manifest": manifest,
     }
-    out.with_suffix(".summary.json").write_text(
-        json.dumps(summary, indent=2, default=str) + "\n"
+    return Output(
+        summary,
+        files={".hyg": partial(save_plain, h)},
+        json_suffix=".summary.json",
+        lines=[f"wrote {hyg_path} ({len(h)} hyperedges over {cfg.n} vertices)"],
     )
-    out.with_suffix(".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    print(f"wrote {hyg_path} ({len(h)} hyperedges over {cfg.n} vertices)")
-    return 0
 
 
-def cmd_expand(args) -> int:
+def cmd_expand(args) -> Output:
     bundle = _load_bundle(args)
     g = clique_expand(bundle.hypergraph)
     rows = sorted(
         [bundle.label_of(u), bundle.label_of(v)] for u, v in g.edges()
     )
-    manifest = _manifest("expand", {"dataset": bundle.name}, [], _dataset_inputs(args))
+    manifest = _manifest("expand", {"dataset": bundle.name}, [], _checksums(bundle))
     payload = {
         "dataset": bundle.name,
         "n_vertices": g.n,
@@ -237,14 +255,13 @@ def cmd_expand(args) -> int:
     }
     if args.out is None:
         payload["edges"] = rows
-    _emit(payload, args, csv_header=["u", "v"], csv_rows=rows)
-    return 0
+    return Output(payload, ["u", "v"], rows)
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args) -> Output:
     bundle = _load_bundle(args)
     stats = dataset_stats(bundle)
-    manifest = _manifest("stats", {"dataset": bundle.name}, [], _dataset_inputs(args))
+    manifest = _manifest("stats", {"dataset": bundle.name}, [], _checksums(bundle))
     row = [
         stats["name"],
         stats["n_vertices"],
@@ -253,17 +270,14 @@ def cmd_stats(args) -> int:
         stats["width"],
         json.dumps(stats["size_distribution"]),
     ]
-    payload = {**stats, "manifest": manifest}
-    _emit(
-        payload,
-        args,
-        csv_header=["dataset", "n_vertices", "n_hyperedges", "n_edges", "width", "size_distribution"],
-        csv_rows=[row],
+    return Output(
+        {**stats, "manifest": manifest},
+        ["dataset", "n_vertices", "n_hyperedges", "n_edges", "width", "size_distribution"],
+        [row],
     )
-    return 0
 
 
-def cmd_fit_sizes(args) -> int:
+def cmd_fit_sizes(args) -> Output:
     bundle = _load_bundle(args)
     dist = size_distribution(bundle.hypergraph)
     fit = fit_power_law(dist, k_min=args.k_min, k_max=args.k_max, method=args.method)
@@ -271,16 +285,13 @@ def cmd_fit_sizes(args) -> int:
         "fit-sizes",
         {"dataset": bundle.name, "k_min": args.k_min, "k_max": args.k_max, "method": args.method},
         [],
-        _dataset_inputs(args),
+        _checksums(bundle),
     )
-    payload = {"dataset": bundle.name, **asdict(fit), "manifest": manifest}
-    _emit(
-        payload,
-        args,
-        csv_header=["dataset", "zeta", "k_min", "k_max", "goodness", "method"],
-        csv_rows=[[bundle.name, fit.zeta, fit.k_min, fit.k_max, fit.goodness, fit.method]],
+    return Output(
+        {"dataset": bundle.name, **asdict(fit), "manifest": manifest},
+        ["dataset", "zeta", "k_min", "k_max", "goodness", "method"],
+        [[bundle.name, fit.zeta, fit.k_min, fit.k_max, fit.goodness, fit.method]],
     )
-    return 0
 
 
 _ENTRY_FIELDS = ("n_pos", "n_neg", "auc_conditional")  # an AucCount's and a report's
@@ -297,44 +308,47 @@ def _evaluate_entry(scorer: str, result: AucCount | AdjustmentReport) -> dict:
     return {"scorer": scorer, "auc": auc, **{k: getattr(result, k) for k in fields}}
 
 
-def _print_entries(dataset: str, entries: list[dict], reversals) -> None:
+def _entry_lines(dataset: str, entries: list[dict], reversals) -> list[str]:
+    lines = []
     for r in entries:
         line = f"{dataset} {r['scorer']}: auc={r['auc']:.4f}"
         if "auc_adjusted" in r:
             line += (f" rel={r['auc_rel_mean']:.4f}+-{r['auc_rel_std']:.4f}"
                      f" af={r['af']:.4f} adj={r['auc_adjusted']:.4f}")
-        print(line)
-    for a, b in reversals:
-        print(f"reversal: {a} vs {b}")
+        lines.append(line)
+    return lines + [f"reversal: {a} vs {b}" for a, b in reversals]
 
 
-def _raise_resource_limit(outcome: dict) -> None:
-    """Raise the first resource limit a scorer hit, so the command exits 2
-    instead of writing a result without that scorer."""
-    for result in outcome.values():
-        if isinstance(result, ResourceLimitError):
-            raise result
-
-
-def cmd_evaluate(args) -> int:
-    if args.runs < 0:
-        raise ConfigError(f"--runs must be >= 0, got {args.runs}")
+def _scored(args, relocate: bool):
+    """``evaluate``'s and ``adjust``'s scoring: the bundle, each scorer's
+    report (``args.runs`` relocations if ``relocate``) or AUC count, the
+    failed scorers' errors, and the reversals. Raises a resource limit
+    any scorer hit (exit 2, not a result without that scorer), and the
+    first scorer's error when every scorer failed."""
     bundle = _load_bundle(args)
     protocol = _protocol_from_args(args)
-    if args.runs > 0:
+    if relocate:
         outcome = adjusted_auc(
             bundle.hypergraph, args.algorithms, protocol, n_runs=args.runs, seed=args.seed
         )
     else:
         outcome = evaluate_protocol(clique_expand(bundle.hypergraph), args.algorithms, protocol)
-    _raise_resource_limit(outcome)
+    for result in outcome.values():
+        if isinstance(result, ResourceLimitError):
+            raise result
+    done = {s: r for s, r in outcome.items() if not isinstance(r, Exception)}
+    if not done:
+        raise outcome[args.algorithms[0]]
+    errors = {s: str(r) for s, r in outcome.items() if s not in done}
+    reversals = performance_reversal_check(done) if relocate else []
+    return bundle, done, errors, reversals
 
-    errors = {s: str(r) for s, r in outcome.items() if isinstance(r, Exception)}
-    results = [_evaluate_entry(s, r) for s, r in outcome.items() if s not in errors]
-    reversals = performance_reversal_check(
-        {s: r for s, r in outcome.items() if isinstance(r, AdjustmentReport)}
-    )
 
+def cmd_evaluate(args) -> Output:
+    if args.runs < 0:
+        raise ConfigError(f"--runs must be >= 0, got {args.runs}")
+    bundle, done, errors, reversals = _scored(args, relocate=args.runs > 0)
+    results = [_evaluate_entry(s, r) for s, r in done.items()]
     manifest = _manifest(
         "evaluate",
         {
@@ -348,7 +362,7 @@ def cmd_evaluate(args) -> int:
             "negative_ratio": args.negative_ratio,
         },
         [args.seed],
-        _dataset_inputs(args),
+        _checksums(bundle),
     )
     header = [
         "dataset", "scorer", "protocol", "auc", "auc_conditional", "n_pos", "n_neg",
@@ -370,15 +384,10 @@ def cmd_evaluate(args) -> int:
         "errors": errors,
         "manifest": manifest,
     }
-    _emit(payload, args, csv_header=header, csv_rows=rows)
-    if args.out is not None:
-        _print_entries(bundle.name, results, reversals)
-    if errors and not results:  # the first scorer's error says why
-        raise outcome[args.algorithms[0]]
-    return 0
+    return Output(payload, header, rows, lines=_entry_lines(bundle.name, results, reversals))
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> Output:
     cfg = load_model_config(args.config)
     if isinstance(cfg.phi, str):
         if cfg.phi in ("power_law", "constant"):
@@ -414,7 +423,7 @@ def cmd_scan(args) -> int:
             "algorithms": args.algorithms,
         },
         [seed],
-        {"config": args.config},
+        {"config": _sha256_file(args.config)},
     )
     header = [
         "n", "d", "percentiles", "phi", "scorer", "seed",
@@ -439,14 +448,14 @@ def cmd_scan(args) -> int:
         "flagged": n_flagged,
         "manifest": manifest,
     }
-    _emit(payload, args, csv_header=header, csv_rows=csv_rows)
-    if args.out is not None:
-        print(f"{len(rows)} rows, {n_flagged} flagged as overestimated")
-    return 0
+    return Output(
+        payload, header, csv_rows, lines=[f"{len(rows)} rows, {n_flagged} flagged as overestimated"]
+    )
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Output:
     seed = args.seed if args.seed is not None else 0
+    checksums = {}
     if args.claim == "cc":
         summaries = {"cc": verify_er_clustering(args.n, args.p, args.trials, seed)}
     elif args.claim == "cn-dist":
@@ -469,7 +478,9 @@ def cmd_verify(args) -> int:
         }
     elif args.claim == "relocation-baseline":
         if args.data:
-            h = load_plain(args.data).hypergraph
+            bundle = load_plain(args.data)
+            h = bundle.hypergraph
+            checksums = _checksums(bundle)
         else:
             rng = np.random.default_rng(seed)
             pairs = [
@@ -483,39 +494,23 @@ def cmd_verify(args) -> int:
     else:
         raise ConfigError(f"unknown claim {args.claim!r}; valid: {', '.join(VERIFY_CLAIMS)}")
 
-    manifest = _manifest(
-        "verify",
-        {"claim": args.claim, "trials": getattr(args, "trials", None)},
-        [seed],
-        {"config": args.config} if getattr(args, "config", None) else {},
-    )
+    if args.config:
+        checksums = {"config": _sha256_file(args.config), **checksums}
+    manifest = _manifest("verify", {"claim": args.claim, "trials": args.trials}, [seed], checksums)
     payload = {
         "claim": args.claim,
         "summaries": {k: asdict(v) for k, v in summaries.items()},
         "all_pass": all(v.verdict == "pass" for v in summaries.values()),
         "manifest": manifest,
     }
-    _emit(payload, args)
-    if args.out is not None:
-        for key, summary in summaries.items():
-            print(f"{key}: {summary.verdict} (statistic {summary.statistic:.4f})")
-    return 0
+    return Output(payload, lines=[
+        f"{key}: {summary.verdict} (statistic {summary.statistic:.4f})"
+        for key, summary in summaries.items()
+    ])
 
 
-def cmd_adjust(args) -> int:
-    bundle = _load_bundle(args)
-    protocol = _protocol_from_args(args)
-
-    outcome = adjusted_auc(
-        bundle.hypergraph, args.algorithms, protocol, n_runs=args.runs, seed=args.seed
-    )
-    _raise_resource_limit(outcome)
-    reports = {s: r for s, r in outcome.items() if not isinstance(r, Exception)}
-    errors = {s: str(r) for s, r in outcome.items() if isinstance(r, Exception)}
-    if not reports:  # the first scorer's error says why
-        raise outcome[args.algorithms[0]]
-    reversals = performance_reversal_check(reports)
-
+def cmd_adjust(args) -> Output:
+    bundle, reports, errors, reversals = _scored(args, relocate=True)
     manifest = _manifest(
         "adjust",
         {
@@ -525,7 +520,7 @@ def cmd_adjust(args) -> int:
             "runs": args.runs,
         },
         [args.seed],
-        _dataset_inputs(args),
+        _checksums(bundle),
     )
     header = ["dataset"]
     row = [bundle.name]
@@ -546,10 +541,8 @@ def cmd_adjust(args) -> int:
         "errors": errors,
         "manifest": manifest,
     }
-    _emit(payload, args, csv_header=header, csv_rows=[row])
-    if args.out is not None:
-        _print_entries(bundle.name, [_evaluate_entry(s, r) for s, r in reports.items()], reversals)
-    return 0
+    entries = [_evaluate_entry(s, r) for s, r in reports.items()]
+    return Output(payload, header, [row], lines=_entry_lines(bundle.name, entries, reversals))
 
 
 def _add_dataset_args(sp):
@@ -646,17 +639,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _write(args.func(args), args.out)
     except (ConfigError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DataFormatError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as exc:
+    except (DataFormatError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
@@ -665,6 +654,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # internal failure
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
+    return 0
 
 
 if __name__ == "__main__":

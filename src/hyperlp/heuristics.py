@@ -280,15 +280,19 @@ def score_pairs_many(
     pairs raise.
     """
     every = u is None and v is None
-    if every:
-        u, v = np.triu_indices(g.n, k=1)
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
-    if u.shape != v.shape or u.ndim != 1:
-        raise ValueError("u and v must be 1-d arrays of equal length")
-    bad = np.flatnonzero((u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= g.n))
-    if len(bad):
-        _check_pair(g, int(u[bad[0]]), int(v[bad[0]]))
+    if every:  # valid by construction; only PA, JC and SR read u and v
+        size = g.n * (g.n - 1) // 2
+        if {"pa", "jc", "sr"} & set(scorers):
+            u, v = np.triu_indices(g.n, k=1)
+    else:
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        if u.shape != v.shape or u.ndim != 1:
+            raise ValueError("u and v must be 1-d arrays of equal length")
+        bad = np.flatnonzero((u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= g.n))
+        if len(bad):
+            _check_pair(g, int(u[bad[0]]), int(v[bad[0]]))
+        size = len(u)
     d = g.degrees().astype(np.float64)
     weight = {  # per centre w: a count for CN, 1/log(1+d_w) for AA, 1/d_w for RA
         "cn": None,
@@ -298,7 +302,7 @@ def score_pairs_many(
     summed = [s for s in weight if s in scorers or (s == "cn" and "jc" in scorers)]
     sums: dict[str, np.ndarray | Exception] = {}
     try:
-        if summed and len(u):
+        if summed and size:
             at = None if every else condensed_keys(g.n, u, v)
             sums = dict(zip(summed, _wedge_sums(g, [weight[s] for s in summed], at, block)))
     except Exception as exc:  # the shared pass fails every wedge scorer
@@ -307,7 +311,7 @@ def score_pairs_many(
     for scorer in scorers:
         try:
             _scorer(scorer)  # rejects an unknown id
-            if len(u) == 0:
+            if size == 0:
                 out[scorer] = np.zeros(0)
             elif scorer == "sr":
                 out[scorer] = simrank_matrix(g)[u, v]

@@ -20,7 +20,7 @@ from hyperlp import (
     score_pairs,
     simrank_matrix,
 )
-from hyperlp import heuristics, hypergraph
+from hyperlp import evaluation, heuristics, hypergraph
 from hyperlp.heuristics import (
     SIMRANK_DECAY,
     SimRankConvergenceError,
@@ -381,6 +381,26 @@ class TestWedgeParity:
         out = score_pairs_many(["cn", "katz"], path_graph(4))
         assert isinstance(out["katz"], ValueError)
         assert out["cn"].tolist() == [0.0, 1.0, 0.0, 0.0, 1.0, 0.0]
+
+    def test_all_pairs_index_built_only_for_pa_jc_sr(self, monkeypatch):
+        # CN, AA and RA over every pair (each leave-one-out graph) read no
+        # u/v, so no np.triu_indices pair index is built for them
+        rng = np.random.default_rng(4)
+        g = clique_expand(random_hypergraph(rng, 30, 40, max_size=5))
+        iu, iv = np.triu_indices(g.n, k=1)
+        want = score_pairs_many(["cn", "aa", "ra"], g, iu, iv)
+        loo = evaluation.evaluate_protocol(g, ["cn", "aa", "ra"], "loo")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.triu_indices called")
+
+        monkeypatch.setattr(np, "triu_indices", refuse)
+        got = score_pairs_many(["cn", "aa", "ra"], g)
+        for s in ("cn", "aa", "ra"):
+            assert got[s].dtype == want[s].dtype and np.array_equal(got[s], want[s]), s
+        assert evaluation.evaluate_protocol(g, ["cn", "aa", "ra"], "loo") == loo
+        with pytest.raises(AssertionError, match="triu_indices"):
+            score_pairs_many(["cn", "pa"], g)
 
 
 def to_networkx(nx, g):
