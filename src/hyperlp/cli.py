@@ -23,14 +23,21 @@ reason.
 Exit codes: 0 success, 2 validation error, resource limit (the
 candidate enumeration cap, ``max_potential``) or a graph no protocol can
 be evaluated on, 3 data error, 4 internal error.
+
+Allocator policy: on glibc, :func:`main` first pins malloc's mmap and
+trim thresholds (:func:`_keep_freed_pages`), so freed numpy temporaries
+stay in the process instead of being faulted in afresh by the next one.
+Importing this module changes nothing; only a call of :func:`main` does.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import hashlib
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -454,6 +461,11 @@ def cmd_scan(args) -> Output:
 
 
 def cmd_verify(args) -> Output:
+    # a file the claim never reads is refused before any trial runs
+    if args.config and args.claim != "cn-lift":
+        raise ConfigError(f"--config is read by cn-lift only, not by {args.claim}")
+    if args.data and args.claim != "relocation-baseline":
+        raise ConfigError(f"--data is read by relocation-baseline only, not by {args.claim}")
     seed = args.seed if args.seed is not None else 0
     checksums = {}
     if args.claim == "cc":
@@ -472,6 +484,7 @@ def cmd_verify(args) -> Output:
         if not args.config:
             raise ConfigError("cn-lift needs --config with a generator model")
         cfg = load_model_config(args.config)
+        checksums = {"config": _sha256_file(args.config)}
         _, _, pot, phi, _ = _resolve_model(cfg, cfg.seed)
         summaries = {
             "cn-lift": verify_higher_order_auc_lift(pot, phi, args.trials, seed)
@@ -494,8 +507,6 @@ def cmd_verify(args) -> Output:
     else:
         raise ConfigError(f"unknown claim {args.claim!r}; valid: {', '.join(VERIFY_CLAIMS)}")
 
-    if args.config:
-        checksums = {"config": _sha256_file(args.config), **checksums}
     manifest = _manifest("verify", {"claim": args.claim, "trials": args.trials}, [seed], checksums)
     payload = {
         "claim": args.claim,
@@ -619,8 +630,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, default=0.1)
     sp.add_argument("--chi-square", action="store_true", dest="chi_square")
     sp.add_argument("--algorithms", type=_algorithms, default=["cn", "aa", "pa", "jc", "ra"])
-    sp.add_argument("--config", default=None, help="generator config (cn-lift)")
-    sp.add_argument("--data", default=None, help="hypergraph file (relocation-baseline)")
+    sp.add_argument("--config", default=None, help="generator config (cn-lift only)")
+    sp.add_argument("--data", default=None, help="hypergraph file (relocation-baseline only)")
     sp.add_argument("--edges", type=int, default=200, help="random 2-edges when no --data")
     sp.add_argument("--runs", type=int, default=50, help="relocation-baseline runs")
     sp.add_argument("--out", default=None)
@@ -638,7 +649,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# mallopt parameters, and glibc's own ceilings for its dynamic thresholds on
+# 64-bit
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD, _TRIM_THRESHOLD = 32 << 20, 64 << 20
+
+
+def _keep_freed_pages() -> None:
+    """Make glibc keep freed heap pages in this process: pin the mmap
+    threshold at 32 MiB and the trim threshold at 64 MiB. Otherwise each
+    freed multi-MB numpy temporary goes back to the kernel, and the next
+    one faults in fresh zeroed pages. Both are set, because setting either
+    one stops glibc adjusting the other. Does nothing on another libc."""
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        return
+    if not libc or not libc.startswith("glibc"):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # a threshold glibc refuses (a 32-bit build) returns 0; trim alone would
+    # then fault more than the default
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD):
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def main(argv=None) -> int:
+    _keep_freed_pages()
     args = build_parser().parse_args(argv)
     try:
         _write(args.func(args), args.out)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import oracle_relocate, random_hypergraph
-from hyperlp import evaluation, heuristics, relocation
+from hyperlp import cli, evaluation, heuristics, relocation
 from hyperlp.datasets import load_benson, load_plain, save_plain
 from hyperlp.cli import main
 from hyperlp.config import ConfigError, parse_model_config
@@ -400,6 +400,39 @@ class TestVerify:
     def test_lift_claim_needs_config(self):
         assert main(["verify", "--claim", "cn-lift"]) == 2
 
+    @pytest.mark.parametrize("claim, flag, check", [
+        ("cc", "--config", "verify_er_clustering"),
+        ("relocation-baseline", "--config", "verify_relocation_baseline"),
+        ("er-auc", "--data", "verify_er_auc_baseline"),
+        ("cn-lift", "--data", "verify_higher_order_auc_lift"),
+    ])
+    def test_unread_file_flag_exit_2_before_any_trial(
+        self, tmp_path, monkeypatch, capsys, claim, flag, check
+    ):
+        def no_trial(*args, **kwargs):
+            raise AssertionError(f"{check} ran")
+
+        monkeypatch.setattr(cli, check, no_trial)
+        args = ["verify", "--claim", claim, flag, str(tmp_path / "missing"), "--trials", "10"]
+        if claim == "cn-lift":
+            args += ["--config", str(tmp_path / "also-missing.cfg")]
+        assert main(args + ["--out", str(tmp_path / "v")]) == 2
+        assert f"{flag} is read by" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_lift_manifest_carries_config_checksum(self, tmp_path):
+        cfg = tmp_path / "lift.cfg"
+        cfg.write_text("n = 25\nd = 2\nseed = 11\npercentiles = 10 20\nphi = 0 0.5\n")
+        out = tmp_path / "lift"
+        assert main([
+            "verify", "--claim", "cn-lift", "--config", str(cfg), "--trials", "10",
+            "--out", str(out),
+        ]) == 0
+        manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+        assert manifest["input_checksums"] == {
+            "config": hashlib.sha256(cfg.read_bytes()).hexdigest()
+        }
+
 
 class TestAdjust:
     def test_wide_csv_shape(self, toy_file, tmp_path):
@@ -562,6 +595,74 @@ def test_import_shortens_openblas_spin_unless_set():
             env["OPENBLAS_THREAD_TIMEOUT"] = preset
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.stdout.strip() == want, proc.stderr
+
+
+ALLOCATOR_ROUNDS = """\
+import resource, sys
+import numpy as np
+from hyperlp.cli import main
+
+if sys.argv[1] == "main":
+    assert main(["stats", "--data", sys.argv[2], "--out", sys.argv[3]]) == 0
+faults = []
+for _ in range(5):  # about what one wedge pass holds
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    arrays = [np.ones(3 << 20, dtype=np.uint8) for _ in range(4)]
+    del arrays
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(*faults)
+"""
+
+OTHER_LIBC = """\
+import ctypes, os, sys
+from hyperlp import cli
+
+def confstr(name):
+    if sys.argv[1] == "raise":
+        raise ValueError("unrecognized configuration name")
+    return "musl 1.2.4"
+
+loads = []
+os.confstr = confstr
+ctypes.CDLL = lambda *args, **kwargs: loads.append(args)
+print(cli.main(["stats", "--data", sys.argv[2], "--out", sys.argv[3]]), len(loads))
+"""
+
+
+def _on_glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+def _run_script(script: str, *args) -> str:
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split("\n")[-2]
+
+
+@pytest.mark.skipif(not _on_glibc(), reason="the allocator policy is glibc's mallopt")
+def test_main_keeps_freed_pages(tmp_path):
+    # after main, freed multi-MB arrays are reused, not faulted in afresh;
+    # importing hyperlp alone leaves glibc's defaults, which fault about
+    # 3,000 pages (12 MB) every round
+    toy = Path(__file__).resolve().parent.parent / "data" / "toy_five_vertex.hyg"
+    after_main = [int(x) for x in _run_script(ALLOCATOR_ROUNDS, "main", toy, tmp_path / "s").split()]
+    imported = [int(x) for x in _run_script(ALLOCATOR_ROUNDS, "import").split()]
+    assert max(after_main[1:]) < 100, after_main
+    assert min(imported[1:]) > 1500, imported
+
+
+@pytest.mark.parametrize("confstr", ["raise", "musl"])
+def test_allocator_policy_skipped_off_glibc(tmp_path, confstr):
+    toy = Path(__file__).resolve().parent.parent / "data" / "toy_five_vertex.hyg"
+    assert _run_script(OTHER_LIBC, confstr, toy, tmp_path / "s") == "0 0"
+
 
 CLI_PATHS = """\
 import sys

@@ -21,6 +21,7 @@ from hyperlp import (
     clique_expand,
     evaluate_protocol,
     leave_one_out,
+    link_probability,
     model_auc,
     overestimation_scan,
     potential_from_candidates,
@@ -666,6 +667,25 @@ class TestModelAuc:
         pot = potential_from_candidates(4, [(0, 1)], k_max=2)
         with pytest.raises(ValueError, match="graph has 5 vertices; the candidate index has 4"):
             model_auc(pot, [0.7], SimpleGraph(5, [(0, 1)]))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_pair_oracle(self, data):
+        # every pair's exact link_probability, counted against g's adjacency
+        n = data.draw(st.integers(2, 8))
+        subsets = st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True)
+        candidates = data.draw(st.lists(subsets, max_size=10))
+        k_max = max((len(c) for c in candidates), default=2)
+        pot = potential_from_candidates(n, candidates, k_max=k_max)
+        phi = data.draw(st.lists(
+            st.floats(0.0, 1.0), min_size=k_max - 1, max_size=k_max - 1
+        ))
+        g = data.draw(graphs(min_n=n, max_n=n))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        prob = [link_probability(pot, phi, u, v) for u, v in pairs]
+        labels = np.array([g.has_edge(u, v) for u, v in pairs])
+        want = AucCount.of(prob, labels).auc if 0 < labels.sum() < len(pairs) else 0.5
+        assert model_auc(pot, phi, g) == want
 
 
 class TestOverestimationScan:
