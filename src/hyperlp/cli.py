@@ -87,6 +87,21 @@ from .verify import (
 )
 
 VERIFY_CLAIMS = ("cc", "cn-dist", "cn-lift", "er-auc", "relocation-baseline")
+# The flags each claim reads, in manifest order; relocation-baseline reads
+# --n and --edges only without --data. The parser leaves each of them None
+# when not given, so that a flag the claim does not read can be refused;
+# they are checked in _VERIFY_DEFAULTS order, the files first.
+_VERIFY_FLAGS = {
+    "cc": ("trials", "n", "p"),
+    "cn-dist": ("trials", "n", "p", "chi_square"),
+    "cn-lift": ("config", "trials"),
+    "er-auc": ("trials", "n", "p", "algorithms"),
+    "relocation-baseline": ("data", "n", "edges", "algorithms", "runs"),
+}
+_VERIFY_DEFAULTS = {
+    "config": None, "data": None, "trials": 100, "n": 100, "p": 0.1, "chi_square": False,
+    "algorithms": ["cn", "aa", "pa", "jc", "ra"], "edges": 200, "runs": 50,
+}
 
 
 @dataclass
@@ -460,36 +475,48 @@ def cmd_scan(args) -> Output:
     )
 
 
+def _verify_params(args) -> dict:
+    """Every flag ``args.claim`` reads, given or default. A flag given to
+    a claim that does not read it is refused before any trial runs."""
+    reads = _VERIFY_FLAGS[args.claim]
+    if "data" in reads and args.data is not None:
+        reads = tuple(f for f in reads if f not in ("n", "edges"))
+    for flag in _VERIFY_DEFAULTS:
+        if getattr(args, flag) is not None and flag not in reads:
+            name = "--" + flag.replace("_", "-")
+            readers = [claim for claim, flags in _VERIFY_FLAGS.items() if flag in flags]
+            if args.claim in readers:
+                raise ConfigError(f"{name} is not read by {args.claim} with --data")
+            raise ConfigError(f"{name} is read by {', '.join(readers)} only, not by {args.claim}")
+    return {
+        flag: _VERIFY_DEFAULTS[flag] if getattr(args, flag) is None else getattr(args, flag)
+        for flag in reads
+    }
+
+
 def cmd_verify(args) -> Output:
-    # a file the claim never reads is refused before any trial runs
-    if args.config and args.claim != "cn-lift":
-        raise ConfigError(f"--config is read by cn-lift only, not by {args.claim}")
-    if args.data and args.claim != "relocation-baseline":
-        raise ConfigError(f"--data is read by relocation-baseline only, not by {args.claim}")
+    params = _verify_params(args)
     seed = args.seed if args.seed is not None else 0
+    n, p, trials, algorithms = (params.get(k) for k in ("n", "p", "trials", "algorithms"))
     checksums = {}
     if args.claim == "cc":
-        summaries = {"cc": verify_er_clustering(args.n, args.p, args.trials, seed)}
+        summaries = {"cc": verify_er_clustering(n, p, trials, seed)}
     elif args.claim == "cn-dist":
         summaries = {
             "cn-dist": verify_er_common_neighbors(
-                args.n, args.p, args.trials, seed, chi_square=args.chi_square
+                n, p, trials, seed, chi_square=params["chi_square"]
             )
         }
     elif args.claim == "er-auc":
-        summaries = verify_er_auc_baseline(
-            args.n, args.p, args.algorithms, args.trials, seed
-        )
+        summaries = verify_er_auc_baseline(n, p, algorithms, trials, seed)
     elif args.claim == "cn-lift":
         if not args.config:
             raise ConfigError("cn-lift needs --config with a generator model")
         cfg = load_model_config(args.config)
         checksums = {"config": _sha256_file(args.config)}
         _, _, pot, phi, _ = _resolve_model(cfg, cfg.seed)
-        summaries = {
-            "cn-lift": verify_higher_order_auc_lift(pot, phi, args.trials, seed)
-        }
-    elif args.claim == "relocation-baseline":
+        summaries = {"cn-lift": verify_higher_order_auc_lift(pot, phi, trials, seed)}
+    else:  # relocation-baseline
         if args.data:
             bundle = load_plain(args.data)
             h = bundle.hypergraph
@@ -498,16 +525,12 @@ def cmd_verify(args) -> Output:
             rng = np.random.default_rng(seed)
             pairs = [
                 [int(a), int(b)]
-                for a, b in (
-                    rng.choice(args.n, size=2, replace=False) for _ in range(args.edges)
-                )
+                for a, b in (rng.choice(n, size=2, replace=False) for _ in range(params["edges"]))
             ]
-            h = Hypergraph(args.n, pairs)
-        summaries = verify_relocation_baseline(h, args.algorithms, args.runs, seed)
-    else:
-        raise ConfigError(f"unknown claim {args.claim!r}; valid: {', '.join(VERIFY_CLAIMS)}")
+            h = Hypergraph(n, pairs)
+        summaries = verify_relocation_baseline(h, algorithms, params["runs"], seed)
 
-    manifest = _manifest("verify", {"claim": args.claim, "trials": args.trials}, [seed], checksums)
+    manifest = _manifest("verify", {"claim": args.claim, **params}, [seed], checksums)
     payload = {
         "claim": args.claim,
         "summaries": {k: asdict(v) for k, v in summaries.items()},
@@ -624,16 +647,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="Monte-Carlo claim checks")
     sp.add_argument("--claim", required=True, choices=VERIFY_CLAIMS)
-    sp.add_argument("--trials", type=int, default=100)
+    # None when not given (see _VERIFY_FLAGS)
+    sp.add_argument("--trials", type=int, help="trials (default 100)")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--n", type=int, default=100)
-    sp.add_argument("--p", type=float, default=0.1)
-    sp.add_argument("--chi-square", action="store_true", dest="chi_square")
-    sp.add_argument("--algorithms", type=_algorithms, default=["cn", "aa", "pa", "jc", "ra"])
-    sp.add_argument("--config", default=None, help="generator config (cn-lift only)")
-    sp.add_argument("--data", default=None, help="hypergraph file (relocation-baseline only)")
-    sp.add_argument("--edges", type=int, default=200, help="random 2-edges when no --data")
-    sp.add_argument("--runs", type=int, default=50, help="relocation-baseline runs")
+    sp.add_argument("--n", type=int, help="vertices (default 100)")
+    sp.add_argument("--p", type=float, help="edge probability (default 0.1)")
+    sp.add_argument("--chi-square", action="store_true", default=None, dest="chi_square")
+    sp.add_argument("--algorithms", type=_algorithms, help="default cn,aa,pa,jc,ra")
+    sp.add_argument("--config", help="generator config (cn-lift only)")
+    sp.add_argument("--data", help="hypergraph file (relocation-baseline only)")
+    sp.add_argument("--edges", type=int, help="random 2-edges when no --data (default 200)")
+    sp.add_argument("--runs", type=int, help="relocation-baseline runs (default 50)")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_verify)
 

@@ -38,12 +38,23 @@ Leave-one-out SimRank (:func:`simrank_without_each_edge`) never copies
 the graph: removing edge {a, b} changes only columns a and b of the
 column-normalized adjacency ``W``, so each edge's solve starts from the
 intact ``W`` with those two columns replaced, and runs the same
-iteration as :func:`simrank_matrix`.
+iteration as :func:`simrank_matrix`. The iteration runs on a stack of
+such ``W``: one 3-D ``matmul`` makes the per-slice products a lone solve
+makes, and each elementwise step runs once for the stack. Each edge stops
+at its own converged iterate, so the scores do not depend on the stack.
+At n = 60 the two products of an iteration take about 20 µs and the five
+elementwise steps about 11 µs, and the interpreter lock is held between
+them. Stacks of 16 edges cut that share, and when n^3 <= 2^18, the size
+up to which OpenBLAS runs a product on the calling thread, the stacks run
+on a thread per core. Above that size BLAS threads each product itself,
+so the edges are solved one at a time, which also keeps each solve in
+cache.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from typing import Callable, Sequence
 
 import numpy as np
@@ -57,9 +68,18 @@ SCORER_IDS: tuple[str, ...] = ("cn", "aa", "pa", "jc", "ra", "sr")
 SIMRANK_DECAY = 0.8
 SIMRANK_TOL = 1e-4
 SIMRANK_MAX_ITER = 100
-# Cap on |E| * n^3 for leave-one-out SimRank, one dense solve per edge:
-# about 2 minutes at 1.2e-8 s per unit (2-vCPU Xeon host).
+# Cap on |E| * n^3 for leave-one-out SimRank, one dense solve per edge.
+# On a 2-vCPU Xeon host a unit costs 1.7e-9 to 3.3e-9 s below the thread
+# gate (n = 60, two threads) and 1.7e-9 to 2.7e-9 s above it (n = 100 to
+# 200). As |E| < n^2 / 2, only n > 116 can reach the cap, which then
+# stands for about 17 to 27 s.
 SIMRANK_LOO_BUDGET = 10**10
+# Edges per stack below the thread gate: 8 and 16 measured alike at n = 60,
+# 4 and 32 slower
+_SIMRANK_BATCH = 16
+# The thread gate: OpenBLAS runs a product of at most this many
+# multiply-adds on the calling thread
+_BLAS_SERIAL_WORK = 1 << 18
 # Flags per low-bit residue of a wanted pair key: a 1 MB table that
 # passes few unwanted wedges to the binary search (about 1 in 200 for
 # 5,000 wanted pairs) at two array passes each.
@@ -115,20 +135,43 @@ def _transition(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _simrank_iterate(w: np.ndarray, decay: float, tol: float, max_iter: int) -> np.ndarray:
-    """SimRank table for the column-normalized ``w``: see
-    :func:`simrank_matrix`."""
-    n = len(w)
-    s, nxt, tmp = np.eye(n), np.empty((n, n)), np.empty((n, n))
+    """SimRank tables for a stack of column-normalized ``w``, shape
+    (B, n, n): see :func:`simrank_matrix`.
+
+    One 3-D ``matmul`` makes the same per-slice products as a 2-D one, and
+    each elementwise step runs once over the stack. A slice keeps the
+    iterate at which its own delta fell below ``tol`` and leaves the
+    stack, so each table equals its lone solve bit for bit. Raises for
+    the first slice in stack order still short of ``tol`` at ``max_iter``.
+    """
+    n = w.shape[-1]
+    out = np.empty_like(w)
+    live = list(range(len(w)))
+    s = np.zeros_like(w)
+    s.reshape(len(w), -1)[:, :: n + 1] = 1.0  # the identity in every slice
+    nxt, tmp = np.empty_like(s), np.empty_like(s)
+    wt = w.transpose(0, 2, 1)
     for _ in range(max_iter):
-        np.matmul(np.matmul(w.T, s, out=tmp), w, out=nxt)
+        np.matmul(np.matmul(wt, s, out=tmp), w, out=nxt)
         np.multiply(decay, nxt, out=nxt)
-        nxt.reshape(-1)[:: n + 1] = 1.0  # the diagonal
-        delta = np.abs(np.subtract(nxt, s, out=tmp), out=tmp).max() if n else 0.0
+        nxt.reshape(len(live), -1)[:, :: n + 1] = 1.0  # the diagonals
+        diff = np.abs(np.subtract(nxt, s, out=tmp), out=tmp)
+        deltas = diff.max(axis=(1, 2), initial=0.0).tolist()
         s, nxt = nxt, s
-        if delta < tol:
-            return s
+        if min(deltas) < tol:  # freeze the converged slices and drop them
+            keep = []
+            for i, d in enumerate(deltas):
+                if d < tol:
+                    out[live[i]] = s[i]
+                else:
+                    keep.append(i)
+            if not keep:
+                return out
+            live, w, s = [live[i] for i in keep], w[keep], s[keep]
+            wt, nxt, tmp = w.transpose(0, 2, 1), np.empty_like(s), np.empty_like(s)
+    last = next(d for d in deltas if not d < tol)  # the first slice still short
     raise SimRankConvergenceError(
-        f"SimRank not within {tol} after {max_iter} iterations (last delta {delta:.3g})"
+        f"SimRank not within {tol} after {max_iter} iterations (last delta {last:.3g})"
     )
 
 
@@ -150,7 +193,7 @@ def simrank_matrix(
     within ``tol * decay / (1 - decay)`` of the fixed point entrywise
     (4e-4 at the defaults).
     """
-    return _simrank_iterate(_transition(g.adjacency_matrix())[0], decay, tol, max_iter)
+    return _simrank_iterate(_transition(g.adjacency_matrix())[0][None], decay, tol, max_iter)[0]
 
 
 def simrank_without_each_edge(
@@ -167,8 +210,15 @@ def simrank_without_each_edge(
     The intact ``A``, degrees and ``W`` are built once. Removing {a, b}
     changes only columns a and b of ``W``: column x becomes
     ``(A[:, x] - e_y) / (d_x - 1)``, or zero where that degree is 0.
+    When ``n**3 <= 2**18`` the edges are solved in stacks of 16, one
+    thread per core (``os.sched_getaffinity``); above it one at a time on
+    the calling thread, while BLAS threads each product.
+
     Raises :class:`~hyperlp.latent.ResourceLimitError` before any solve if
-    ``len(u) * n**3`` exceeds ``SIMRANK_LOO_BUDGET``.
+    ``len(u) * n**3`` exceeds ``SIMRANK_LOO_BUDGET``. The edges before the
+    first non-edge are solved, in order; the first of them that does not
+    converge raises :class:`SimRankConvergenceError`, and otherwise the
+    non-edge raises ``ValueError``, as a loop over the edges would.
     """
     work = len(u) * g.n**3
     if work > SIMRANK_LOO_BUDGET:
@@ -176,19 +226,45 @@ def simrank_without_each_edge(
             f"leave-one-out SimRank needs {len(u)} solves on n={g.n} vertices: "
             f"|E|*n^3 = {work:.3g} exceeds the cap of {SIMRANK_LOO_BUDGET:.3g}"
         )
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
     a = g.adjacency_matrix()
     w, deg = _transition(a)
-    out = np.empty(len(u))
-    for i, (x, y) in enumerate(zip(np.asarray(u).tolist(), np.asarray(v).tolist())):
-        if not a[x, y]:
-            raise ValueError(f"({x}, {y}) is not an edge")
-        w_i = w.copy()
-        for p, q in ((x, y), (y, x)):
-            col = a[:, p].copy()
-            col[q] = 0.0
-            w_i[:, p] = col / (deg[p] - 1) if deg[p] > 1 else 0.0
-        out[i] = _simrank_iterate(w_i, decay, tol, max_iter)[x, y]
-    return out
+    missing = np.flatnonzero(a[u, v] == 0)
+    stop = missing[0] if len(missing) else len(u)  # solved in order up to a non-edge
+
+    # below the gate stacks share each elementwise step and run on every
+    # core; above it BLAS threads each product, and a stack would spill
+    # out of cache
+    small = g.n**3 <= _BLAS_SERIAL_WORK
+    batch = _SIMRANK_BATCH if small else 1
+    chunks = [slice(lo, min(lo + batch, stop)) for lo in range(0, stop, batch)]
+
+    def solve(chunk: slice) -> np.ndarray:
+        x, y = u[chunk], v[chunk]
+        ws = np.broadcast_to(w, (len(x), g.n, g.n)).copy()
+        rows = np.arange(len(x))
+        for p, q in ((x, y), (y, x)):  # column p without the edge to q
+            col = a[p]  # a copy of rows p, which are columns p: A is symmetric
+            col[rows, q] = 0.0
+            dp = deg[p][:, None] - 1
+            ws[rows, :, p] = np.divide(col, dp, out=np.zeros_like(col), where=dp > 0)
+        return _simrank_iterate(ws, decay, tol, max_iter)[rows, x, y]
+
+    if hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))
+    else:
+        workers = os.cpu_count() or 1
+    if small and workers > 1 and len(chunks) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            parts = list(pool.map(solve, chunks))
+    else:
+        parts = [solve(chunk) for chunk in chunks]
+    if len(missing):
+        raise ValueError(f"({u[stop]}, {v[stop]}) is not an edge")
+    return np.concatenate([np.zeros(0), *parts])
 
 
 def simrank(g: SimpleGraph, u: int, v: int) -> float:

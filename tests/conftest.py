@@ -79,20 +79,27 @@ def oracle_relocate(h: Hypergraph, seed: int) -> Hypergraph:
 
 
 def oracle_simrank_iterate(w: np.ndarray, decay: float, tol: float, max_iter: int) -> np.ndarray:
-    """Reference SimRank iteration, allocating every iterate: the loop
-    :func:`hyperlp.heuristics._simrank_iterate` runs in two buffers."""
-    n = len(w)
-    s = np.eye(n)
-    for _ in range(max_iter):
-        s_next = decay * (w.T @ s @ w)
-        np.fill_diagonal(s_next, 1.0)
-        delta = np.max(np.abs(s_next - s)) if n else 0.0
-        s = s_next
-        if delta < tol:
-            return s
-    raise SimRankConvergenceError(
-        f"SimRank not within {tol} after {max_iter} iterations (last delta {delta:.3g})"
-    )
+    """Reference SimRank iteration, one slice of the (B, n, n) stack ``w``
+    at a time and allocating every iterate: the loop
+    :func:`hyperlp.heuristics._simrank_iterate` runs over the whole stack
+    in shared buffers."""
+    out = np.empty_like(w)
+    for i, wi in enumerate(w):
+        n = len(wi)
+        s = np.eye(n)
+        for _ in range(max_iter):
+            s_next = decay * (wi.T @ s @ wi)
+            np.fill_diagonal(s_next, 1.0)
+            delta = np.max(np.abs(s_next - s)) if n else 0.0
+            s = s_next
+            if delta < tol:
+                break
+        else:
+            raise SimRankConvergenceError(
+                f"SimRank not within {tol} after {max_iter} iterations (last delta {delta:.3g})"
+            )
+        out[i] = s
+    return out
 
 
 @st.composite

@@ -420,6 +420,53 @@ class TestVerify:
         assert f"{flag} is read by" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("claim, given, check, message", [
+        ("cc", ["--runs", "7"], "verify_er_clustering",
+         "--runs is read by relocation-baseline only, not by cc"),
+        ("cc", ["--edges", "9"], "verify_er_clustering", "--edges is read by relocation-baseline"),
+        ("cc", ["--algorithms", "pa"], "verify_er_clustering", "--algorithms is read by er-auc"),
+        ("cc", ["--chi-square"], "verify_er_clustering", "--chi-square is read by cn-dist only"),
+        ("er-auc", ["--runs", "3"], "verify_er_auc_baseline", "--runs is read by"),
+        ("cn-lift", ["--n", "40"], "verify_higher_order_auc_lift", "--n is read by cc"),
+        ("relocation-baseline", ["--trials", "10"], "verify_relocation_baseline",
+         "--trials is read by cc, cn-dist, cn-lift, er-auc only, not by relocation-baseline"),
+        ("relocation-baseline", ["--data", "{data}", "--edges", "9"], "verify_relocation_baseline",
+         "--edges is not read by relocation-baseline with --data"),
+    ])
+    def test_unread_value_flag_exit_2_before_any_trial(
+        self, tmp_path, monkeypatch, capsys, claim, given, check, message
+    ):
+        def no_trial(*args, **kwargs):
+            raise AssertionError(f"{check} ran")
+
+        monkeypatch.setattr(cli, check, no_trial)
+        data = tmp_path / "in" / "pairs.hyg"
+        data.parent.mkdir()
+        data.write_text("v0 v1\n")
+        given = [arg.format(data=data) for arg in given]
+        out = tmp_path / "out" / "v"
+        assert main(["verify", "--claim", claim, *given, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("given, params", [
+        (["--claim", "cc", "--n", "40", "--p", "0.2", "--trials", "30"],
+         {"claim": "cc", "trials": 30, "n": 40, "p": 0.2}),
+        (["--claim", "cn-dist", "--n", "30", "--trials", "30"],
+         {"claim": "cn-dist", "trials": 30, "n": 30, "p": 0.1, "chi_square": False}),
+        (["--claim", "er-auc", "--n", "20", "--trials", "30", "--algorithms", "cn,pa"],
+         {"claim": "er-auc", "trials": 30, "n": 20, "p": 0.1, "algorithms": ["cn", "pa"]}),
+        (["--claim", "relocation-baseline", "--n", "30", "--runs", "2", "--algorithms", "cn"],
+         {"claim": "relocation-baseline", "data": None, "n": 30, "edges": 200,
+          "algorithms": ["cn"], "runs": 2}),
+    ])
+    def test_manifest_records_every_read_flag(self, tmp_path, given, params):
+        out = tmp_path / "v"
+        assert main(["verify", *given, "--out", str(out)]) == 0
+        manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+        assert manifest["params"] == params
+        assert json.loads(out.with_suffix(".json").read_text())["manifest"]["params"] == params
+
     def test_lift_manifest_carries_config_checksum(self, tmp_path):
         cfg = tmp_path / "lift.cfg"
         cfg.write_text("n = 25\nd = 2\nseed = 11\npercentiles = 10 20\nphi = 0 0.5\n")
@@ -567,6 +614,16 @@ def test_cli_import_leaves_scipy_sparse_out():
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr or "hyperlp.cli imports scipy.sparse"
+
+
+def test_cli_import_leaves_concurrent_futures_out():
+    # leave-one-out SimRank imports its thread pool when it runs one, so
+    # start-up does not pay for it
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import hyperlp.cli, sys; sys.exit('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr or "hyperlp.cli imports concurrent.futures"
 
 
 def test_evaluate_leaves_numpy_ma_out(tmp_path):

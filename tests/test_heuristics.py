@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs, oracle_simrank_iterate, random_hypergraph
@@ -206,7 +206,7 @@ class TestSimRankBuffers:
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_convergence_error_matches(self):
-        w = np.full((3, 3), 0.5)
+        w = np.full((1, 3, 3), 0.5)
         messages = []
         for solve in (heuristics._simrank_iterate, oracle_simrank_iterate):
             with pytest.raises(SimRankConvergenceError, match="after 2 iterations") as exc:
@@ -239,6 +239,98 @@ class TestSimRankWithoutEachEdge:
     def test_non_edge_rejected(self):
         with pytest.raises(ValueError, match="not an edge"):
             simrank_without_each_edge(self.GRAPH, [0], [3])
+
+
+def sparse_graph(n: int, m: int, seed: int) -> SimpleGraph:
+    """m distinct random edges on n vertices: at these densities most
+    draws hold isolated vertices and degree-1 endpoints."""
+    rng = np.random.default_rng(seed)
+    iu, iv = np.triu_indices(n, 1)
+    keep = rng.choice(len(iu), size=min(m, len(iu)), replace=False)
+    return SimpleGraph(n, list(zip(iu[keep].tolist(), iv[keep].tolist())))
+
+
+def loo_loop(g: SimpleGraph, u, v, **kwargs) -> np.ndarray:
+    """Reference leave-one-out SimRank: one graph copy and one table per
+    edge, in input order."""
+    out = []
+    for a, b in zip(u, v):
+        if not g.has_edge(a, b):
+            raise ValueError(f"({a}, {b}) is not an edge")
+        out.append(simrank_matrix(g.without_edge(a, b), **kwargs)[a, b])
+    return np.array(out)
+
+
+def outcome(solve):
+    """A solve's scores, or its error's type and message."""
+    try:
+        return solve().tobytes()
+    except (SimRankConvergenceError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestSimRankBatches:
+    # 2**18 multiply-adds per product: n <= 64 runs stacks on threads
+    GATE = 64
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 70), st.integers(0, 90), st.integers(0, 2**32 - 1))
+    @example(70, 37, 0)  # above the gate, one edge at a time
+    @example(64, 53, 1)  # at the gate: stacks of 16, 16, 16 and 5
+    @example(65, 1, 2)  # one edge, just above the gate
+    def test_bit_identical_to_per_edge_loop(self, n, m, seed):
+        g = sparse_graph(n, m, seed)
+        u, v = g.edge_array().T[:, ::-1]  # every edge, last first
+        want = loo_loop(g, u.tolist(), v.tolist())
+        assert simrank_without_each_edge(g, u, v).tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 70), st.integers(1, 40), st.integers(0, 2**32 - 1),
+        st.integers(0, 40), st.booleans(),
+    )
+    @example(15, 5, 1, 0, False)  # an edge converges in the last iteration, the next does not
+    def test_errors_match_per_edge_loop(self, n, m, seed, at, non_edge):
+        # at max_iter=2 most edges stop short of tol; a non-edge inserted
+        # at ``at`` raises only once every edge before it has converged
+        g = sparse_graph(n, m, seed)
+        u, v = g.edge_array().T.tolist()
+        if non_edge and len(g.non_edge_array()):
+            x, y = g.non_edge_array()[seed % len(g.non_edge_array())].tolist()
+            u.insert(at, x)
+            v.insert(at, y)
+        got = outcome(lambda: simrank_without_each_edge(g, u, v, max_iter=2))
+        assert got == outcome(lambda: loo_loop(g, u, v, max_iter=2))
+
+    def test_threads_below_gate(self, monkeypatch):
+        import concurrent.futures
+
+        made = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, workers):
+                made.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(
+            heuristics.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
+        )
+        g = sparse_graph(self.GATE, 70, 3)
+        u, v = g.edge_array().T
+        assert simrank_without_each_edge(g, u, v).tobytes() == loo_loop(g, u, v).tobytes()
+        assert made == [3]
+
+    def test_no_executor_above_gate(self, monkeypatch):
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an executor was created")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        g = sparse_graph(self.GATE + 1, 40, 4)
+        u, v = g.edge_array().T
+        assert simrank_without_each_edge(g, u, v).tobytes() == loo_loop(g, u, v).tobytes()
 
 
 class TestScorePairsParity:
