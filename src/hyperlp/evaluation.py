@@ -21,7 +21,7 @@ covers all vertex pairs; a split (:class:`SplitSpec`) removes a test
 fraction of edges, trains on the rest, and samples distance-limited
 non-links as negatives. :func:`evaluate_protocol` builds a graph's pair
 set, labels and scoring graph once, scores them with every scorer in
-one :func:`~hyperlp.heuristics.score_pairs_many` call (one wedge pass
+one :func:`~hyperlp.heuristics.score_pairs_many` call (one shared pass
 for CN, AA, RA and JC), and returns each scorer's :class:`AucCount`;
 ``leave_one_out`` and ``split_evaluate`` return one scorer's scores
 from the same step as a :class:`LabeledPairs`.
@@ -37,11 +37,13 @@ becomes ``(d_u - 1)(d_v - 1)`` and JC's union shrinks by 2. SimRank
 solves once per edge, from the intact column-normalized adjacency ``W``
 with the two columns of the edge's endpoints replaced
 (:func:`~hyperlp.heuristics.simrank_without_each_edge`). Split negatives
-at ``d_hop=2`` are the train graph's distinct wedge keys minus the full
-graph's edges: marked in one ``bool`` array over the condensed pairs when
-its n(n-1)/2 bytes are no more than the wedges' int64 keys, else sorted
-block by block. The sampler and the scorers share one wedge pass when
-those wedges fit one block; only ``d_hop >= 3`` imports ``scipy.sparse``.
+are the pairs within ``d_hop`` train-graph hops minus the full graph's
+edges. Where the train graph packs (:func:`~hyperlp.hypergraph.packs`:
+n(n-1)/2 bytes are no more than its wedges' int64 keys), they are marked
+in one ``bool`` array over the condensed pairs from its packed rows, and
+the scorers read the same rows, so a split makes no wedge pass. Otherwise
+the wedge keys are sorted block by block at ``d_hop=2``, and only there
+does ``d_hop >= 3`` import ``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -59,9 +61,9 @@ from .hypergraph import (
     condensed_keys,
     condensed_pairs,
     count_keys,
-    held_wedge_block,
+    packs,
+    reach_mark,
     wedge_blocks,
-    wedge_count,
 )
 from .latent import (
     DEFAULT_MAX_POTENTIAL,
@@ -246,7 +248,7 @@ def _loo_pair_set(g: SimpleGraph):
         raise ValueError("leave-one-out needs at least one edge")
     if g.edge_count == g.n * (g.n - 1) // 2:
         raise ValueError("leave-one-out needs at least one non-edge")
-    return g, None, _pair_labels(g), None
+    return g, None, _pair_labels(g)
 
 
 def _sample_distance_limited_non_links(
@@ -255,37 +257,33 @@ def _sample_distance_limited_non_links(
     d_hop: int,
     wanted: int,
     rng: np.random.Generator,
-    block: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Uniform sample (without replacement) of distance-limited non-links,
     as rows ``(u, v)``, u < v.
 
     Candidates are the pairs within ``d_hop`` train-graph hops minus the
     full graph's edges (so distance 1 drops out), as ascending condensed
-    keys, into which ``rng`` picks indices. At ``d_hop=2`` they are the
-    train graph's distinct wedge keys (from ``block`` when held). When the
-    n(n-1)/2 bytes of one ``bool`` mark per pair are no more than the
-    8 bytes per wedge key that a sort would hold, the wedge keys are
-    marked, the full graph's edges cleared, and the marked keys read in
-    order; otherwise (large sparse graphs) each wedge block is sorted to
-    its distinct keys and their union once. A larger ``d_hop`` imports
+    keys, into which ``rng`` picks indices. Where
+    :func:`~hyperlp.hypergraph.packs` holds (n(n-1)/2 bytes of one
+    ``bool`` per pair are no more than 8 bytes per train wedge), the
+    reach is marked from the train graph's packed rows
+    (:func:`~hyperlp.hypergraph.reach_mark`), the full graph's edges
+    cleared, and the marked keys read in order. Otherwise (large sparse
+    graphs), at ``d_hop=2`` each wedge block is sorted to its distinct
+    keys and their union once; a larger ``d_hop`` imports
     ``scipy.sparse`` for ``A + ... + A^d_hop``. At n=5,000 a 112k-edge
-    train graph (139k full) has 5.3M wedges and 4.0M candidates; the
-    draw takes the mark and peaks at 99 MB (``tracemalloc``; 213 MB by
-    the sort), and at ``d_hop=3`` the ``scipy.sparse`` powers peak at
-    975 MB.
+    train graph (139k full) has 5.3M wedges and packs; the draw peaks
+    at 44 MB (``tracemalloc``) for the 4.0M candidates at ``d_hop=2``,
+    and at 108 MB, mostly the 12.4M candidate keys, at ``d_hop=3``.
     """
     n = g_train.n
-    size = n * (n - 1) // 2
-    if d_hop == 2 and size <= 8 * wedge_count(g_train):  # the mark is no bigger than the keys
-        mark = np.zeros(size, dtype=bool)
-        for keys, _ in wedge_blocks(g_train, block):
-            mark[keys] = True
+    if packs(g_train):
+        mark = reach_mark(g_train, d_hop)
         mark[g_full.edge_keys()] = False
         cand = np.flatnonzero(mark)
     else:
         if d_hop == 2:  # each block's distinct keys, then their union
-            parts = [count_keys(keys)[0] for keys, _ in wedge_blocks(g_train, block)]
+            parts = [count_keys(keys)[0] for keys, _ in wedge_blocks(g_train)]
             reach = parts[0] if len(parts) == 1 else count_keys(np.concatenate(parts))[0]
         else:
             import scipy.sparse as sp
@@ -309,8 +307,7 @@ def _sample_distance_limited_non_links(
 
 
 def _split_pair_set(g: SimpleGraph, spec: SplitSpec):
-    """Held-out edges and sampled non-links, scored on the train graph,
-    and its wedge block when the negative sampler held it."""
+    """Held-out edges and sampled non-links, scored on the train graph."""
     edges = g.edge_array()
     m = len(edges)
     n_test = math.ceil((1.0 - spec.rho) * m)
@@ -322,18 +319,15 @@ def _split_pair_set(g: SimpleGraph, spec: SplitSpec):
     test = np.zeros(m, dtype=bool)
     test[rng.choice(m, size=n_test, replace=False)] = True
     g_train = SimpleGraph(g.n, edges[~test])
-    block = None
     if spec.negative_ratio is None:
         negatives = g.non_edge_array()
     else:
         wanted = round(spec.negative_ratio * n_test)
-        if spec.d_hop == 2:  # the sampler's pass over the train wedges serves the scorers too
-            block = held_wedge_block(g_train)
-        negatives = _sample_distance_limited_non_links(g, g_train, spec.d_hop, wanted, rng, block)
+        negatives = _sample_distance_limited_non_links(g, g_train, spec.d_hop, wanted, rng)
     if not len(negatives):
         raise ValueError("no negatives available for the split")
     pairs = np.concatenate([edges[test], negatives])
-    return g_train, pairs, np.arange(len(pairs)) < n_test, block
+    return g_train, pairs, np.arange(len(pairs)) < n_test
 
 
 def _protocol_scores(
@@ -343,18 +337,18 @@ def _protocol_scores(
     for leave-one-out: every u < v in condensed order), their labels, and
     every scorer's scores of them.
 
-    The wedge scorers share one wedge pass (a split's negative sampler
-    too, when the train graph is one block). A scorer that raises gets
-    its exception in its own slot, and an error in the shared pass goes
-    to every wedge scorer; when the pair set cannot be built (no
-    non-edge, too few negatives), its exception fills every slot.
+    The wedge scorers share one pass over the scoring graph. A scorer
+    that raises gets its exception in its own slot, and an error in the
+    shared pass goes to every wedge scorer; when the pair set cannot be
+    built (no non-edge, too few negatives), its exception fills every
+    slot.
     """
     scorers = _scorer_ids(scorers)
     loo = protocol == "loo"
     if not (loo or isinstance(protocol, SplitSpec)):
         raise ValueError(f"unknown protocol {protocol!r}; use 'loo' or a SplitSpec")
     try:
-        scored_on, pairs, labels, block = _loo_pair_set(g) if loo else _split_pair_set(g, protocol)
+        scored_on, pairs, labels = _loo_pair_set(g) if loo else _split_pair_set(g, protocol)
     except Exception as exc:
         return None, None, dict.fromkeys(scorers, exc)
     out: dict[str, np.ndarray | Exception] = {}
@@ -370,7 +364,7 @@ def _protocol_scores(
     # leave-one-out scores every pair in condensed order; its JC edges read CN
     extra = ["cn"] if loo and "jc" in live else []
     uv = () if loo else pairs.T
-    results = score_pairs_many(live + extra, scored_on, *uv, block=block)
+    results = score_pairs_many(live + extra, scored_on, *uv)
     for scorer in live:
         try:
             scores = _unwrap(results[scorer])

@@ -26,13 +26,16 @@ CN, AA and RA add up terms 1, ``1/log(1+d_w)`` and ``1/d_w`` per
 condensed pair key over the wedges, the neighbor pairs of each centre w
 (Lü & Zhou, Physica A 2011; Zhou, Lü & Zhang, EPJ B 2009). One pass over
 the wedges (:func:`~hyperlp.hypergraph.wedge_blocks`) serves all three
-and JC, which is ``CN / (d_u + d_v - CN)``. PA is ``d_u * d_v`` and SR
-indexes one :func:`simrank_matrix`. Each pair's AA and RA terms are
-added in ascending order, so the sum depends only on the multiset of
-common-neighbor degrees, not on vertex labels (Higham, *Accuracy and
-Stability of Numerical Algorithms*, 2002, ch. 4). The per-pair functions
-and :func:`score` are the reference, one pair at a time; they add AA and
-RA terms in set order, so the two can differ in the last bits.
+and JC, which is ``CN / (d_u + d_v - CN)``. Explicit pairs on a graph
+that packs (:func:`~hyperlp.hypergraph.packs`) take the AND of their
+endpoints' packed rows instead, with the same terms in the same order.
+PA is ``d_u * d_v`` and SR indexes one :func:`simrank_matrix`. Each
+pair's AA and RA terms are added in ascending order, so the sum depends
+only on the multiset of common-neighbor degrees, not on vertex labels
+(Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 4).
+The per-pair functions and :func:`score` are the reference, one pair at
+a time; they add AA and RA terms in set order, so the two can differ in
+the last bits.
 
 Leave-one-out SimRank (:func:`simrank_without_each_edge`) never copies
 the graph: removing edge {a, b} changes only columns a and b of the
@@ -60,7 +63,14 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .hypergraph import SimpleGraph, condensed_keys, count_keys, wedge_blocks
+from .hypergraph import (
+    SimpleGraph,
+    common_neighbor_bits,
+    condensed_keys,
+    count_keys,
+    packs,
+    wedge_blocks,
+)
 from .latent import ResourceLimitError
 
 SCORER_IDS: tuple[str, ...] = ("cn", "aa", "pa", "jc", "ra", "sr")
@@ -308,17 +318,14 @@ def condensed(n: int, keys: np.ndarray, values) -> np.ndarray:
 
 
 def _wedge_sums(
-    g: SimpleGraph,
-    weights: list[np.ndarray | None],
-    at: np.ndarray | None,
-    block: tuple[np.ndarray, np.ndarray] | None = None,
+    g: SimpleGraph, weights: list[np.ndarray | None], at: np.ndarray | None
 ) -> list[np.ndarray]:
     """Sums over common neighbors of each per-vertex weight in ``weights``
     (counts for None), at every pair in condensed order or at the
     condensed keys ``at``, whose wedges are found by ``searchsorted``.
 
-    One pass over the wedges (``block``, a held one, or built anew) serves
-    every weight, filtered once per block. Terms are added one by one in
+    One pass over the wedges serves every weight, filtered once per
+    block. Terms are added one by one in
     :func:`~hyperlp.hypergraph.wedge_blocks` order (``np.add.at``), so
     neither the blocks nor ``at`` change a sum."""
     wanted = None if at is None else count_keys(at)[0]
@@ -327,7 +334,7 @@ def _wedge_sums(
     if wanted is not None:  # one flag per low-bit residue of a wanted key
         residue = np.zeros(_RESIDUES, dtype=bool)
         residue[wanted & (_RESIDUES - 1)] = True
-    for keys, centres in wedge_blocks(g, block):
+    for keys, centres in wedge_blocks(g):
         if wanted is not None:  # search only the wedges whose residue is flagged
             near = np.flatnonzero(residue[keys & (_RESIDUES - 1)])
             pos = np.searchsorted(wanted, keys[near])
@@ -338,22 +345,40 @@ def _wedge_sums(
     return sums if at is None else [total[np.searchsorted(wanted, at)] for total in sums]
 
 
+def _pair_and_sums(
+    g: SimpleGraph, weights: list[np.ndarray | None], u: np.ndarray, v: np.ndarray
+) -> list[np.ndarray]:
+    """The sums of :func:`_wedge_sums` at the pairs ``(u[i], v[i])``, from
+    the AND of the endpoints' packed rows (Schank & Wagner, WEA 2005).
+
+    Each pair's common neighbors come in the wedge pass's centre order
+    (:func:`~hyperlp.hypergraph.common_neighbor_bits`), and
+    ``np.bincount`` adds their terms one by one from 0.0: the sums equal
+    the wedge pass's bit for bit."""
+    sums = [np.zeros(len(u), dtype=np.int64 if w is None else np.float64) for w in weights]
+    for chunk, pair, centres in common_neighbor_bits(g, u, v):
+        for total, w in zip(sums, weights):
+            weight = None if w is None else w[centres]
+            total[chunk] = np.bincount(pair, weight, minlength=chunk.stop - chunk.start)
+    return sums
+
+
 def score_pairs_many(
     scorers: Sequence[str],
     g: SimpleGraph,
     u: ArrayLike | None = None,
     v: ArrayLike | None = None,
-    block: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> dict[str, np.ndarray | Exception]:
     """Score the pairs ``(u[i], v[i])`` at once with each scorer; same
     definitions and checks as :func:`score`, in input order. Without ``u``
     and ``v``, scores every pair u < v in ``np.triu_indices(g.n, 1)`` order.
 
-    CN, AA, RA and JC (from the CN sums) share one wedge pass, over the
-    ``block`` a caller holds (:func:`~hyperlp.hypergraph.held_wedge_block`)
-    or built anew. A scorer that raises gets its exception in its slot,
-    and an error in the shared pass goes to every wedge scorer; invalid
-    pairs raise.
+    CN, AA, RA and JC (from the CN sums) share one pass: over the wedges
+    for every pair; for explicit pairs, over the endpoints' packed rows
+    where :func:`~hyperlp.hypergraph.packs` holds, else over the wedges
+    filtered to the pairs. A scorer that raises gets its exception in its
+    slot, and an error in the shared pass goes to every wedge scorer;
+    invalid pairs raise.
     """
     every = u is None and v is None
     if every:  # valid by construction; only PA, JC and SR read u and v
@@ -379,8 +404,12 @@ def score_pairs_many(
     sums: dict[str, np.ndarray | Exception] = {}
     try:
         if summed and size:
-            at = None if every else condensed_keys(g.n, u, v)
-            sums = dict(zip(summed, _wedge_sums(g, [weight[s] for s in summed], at, block)))
+            weights = [weight[s] for s in summed]
+            if not every and packs(g):
+                parts = _pair_and_sums(g, weights, u, v)
+            else:
+                parts = _wedge_sums(g, weights, None if every else condensed_keys(g.n, u, v))
+            sums = dict(zip(summed, parts))
     except Exception as exc:  # the shared pass fails every wedge scorer
         sums = dict.fromkeys(summed, exc)
     out: dict[str, np.ndarray | Exception] = {}

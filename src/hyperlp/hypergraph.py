@@ -12,7 +12,11 @@ computations are numpy joins over them: :func:`wedge_blocks` lists the
 neighbor pairs of every vertex (common neighbors, two-hop reach), and
 :func:`pair_cooccurrence` counts the pairs inside vertex groups (``H.T @
 H``): clique expansion is its support, and the latent generator's
-coverage counts are the same count.
+coverage counts are the same count. Where a graph's pairs are few beside
+its wedges (:func:`packs`), its rows are packed into bits instead
+(:func:`packed_rows`): the OR of a vertex's neighbor rows is its two-hop
+reach (:func:`reach_mark`), and the AND of two rows their common
+neighbors.
 """
 
 from __future__ import annotations
@@ -26,6 +30,10 @@ from numpy.typing import ArrayLike
 # Wedges per block of wedge_blocks: each block's int64 arrays take about
 # 16 MB apiece.
 WEDGE_BLOCK = 1 << 21
+# Bytes of packed rows gathered, ANDed or unpacked at a time: 1 MB chunks
+# stay in a core's 2 MB L2 cache; at n=5,000 on a 2-vCPU Xeon they reduce
+# the neighbor rows in a third of the time 16 MB chunks take
+ROW_BLOCK = 1 << 20
 
 
 class Hypergraph:
@@ -277,9 +285,7 @@ def condensed_pairs(n: int, keys: np.ndarray) -> np.ndarray:
     return np.column_stack((r, keys - base[r]))
 
 
-def wedge_blocks(
-    g: SimpleGraph, held: tuple[np.ndarray, np.ndarray] | None = None
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def wedge_blocks(g: SimpleGraph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The wedges of ``g``, each centre's neighbor pairs, so a pair occurs
     once per common neighbor: their condensed keys and centre ids, which
     serve every per-centre weight (CN, AA, RA) in one pass.
@@ -290,14 +296,10 @@ def wedge_blocks(
     vertex labels. The wedges come in blocks of whole centres, at most
     ``WEDGE_BLOCK`` per block unless one centre has more, so memory stays
     bounded on dense graphs, where the wedges (the sum of d(d-1)/2)
-    outnumber the vertex pairs. ``held``, a block from
-    :func:`held_wedge_block`, is yielded instead of being rebuilt.
+    outnumber the vertex pairs.
     """
-    if held is not None:
-        yield held
-        return
     deg = g.degrees()
-    order = np.argsort(-deg, kind="stable")
+    order = _centre_order(g)
     done = np.cumsum(deg[order] * (deg[order] - 1) // 2)  # wedges through each centre
     start = 0
     while start < g.n:
@@ -307,17 +309,110 @@ def wedge_blocks(
         start = stop
 
 
+def _centre_order(g: SimpleGraph) -> np.ndarray:
+    """The vertices by descending degree, ties by id: the order in which
+    :func:`wedge_blocks` and :func:`common_neighbor_bits` give centres."""
+    return np.argsort(-g.degrees(), kind="stable")
+
+
 def wedge_count(g: SimpleGraph) -> int:
     """The number of wedges of ``g``, the sum of d(d-1)/2."""
     deg = g.degrees()
     return int((deg * (deg - 1) // 2).sum())
 
 
-def held_wedge_block(g: SimpleGraph) -> tuple[np.ndarray, np.ndarray] | None:
-    """All wedges of ``g`` in one block, for several passes to share, or
-    None when they exceed ``WEDGE_BLOCK`` and each pass builds its own."""
-    fits = g.n and wedge_count(g) <= WEDGE_BLOCK
-    return next(wedge_blocks(g)) if fits else None
+def packs(g: SimpleGraph) -> bool:
+    """Whether pair computations on ``g`` take its packed rows: when the
+    n(n-1)/2 bytes of one ``bool`` per pair are no more than the 8 bytes
+    per wedge key that a wedge pass would hold. The rows then cost at
+    most 2 bytes per wedge."""
+    return g.n * (g.n - 1) // 2 <= 8 * wedge_count(g)
+
+
+def packed_rows(g: SimpleGraph, rank: np.ndarray | None = None) -> np.ndarray:
+    """The adjacency of ``g`` as an (n, ceil(n/64)) ``uint64`` array whose
+    row u has bit ``rank[v]`` (bit v without ``rank``) set for each
+    neighbor v. Bit b of a row is bit b % 8 of its byte b // 8, which
+    ``np.unpackbits(..., bitorder="little")`` reads from the ``uint8``
+    view; AND and OR act on whole words."""
+    width = 8 * -(-g.n // 64)  # bytes per row
+    rows = np.zeros((g.n, width), dtype=np.uint8)
+    cols = g.indices if rank is None else rank[g.indices]
+    at = np.repeat(np.arange(g.n) * width, g.degrees()) + (cols >> 3)
+    np.bitwise_or.at(rows.ravel(), at, np.left_shift(1, cols & 7).astype(np.uint8))
+    return rows.view(np.uint64)
+
+
+def _neighbor_or(g: SimpleGraph, rows: np.ndarray) -> np.ndarray:
+    """Row u: the OR of ``rows[w]`` over the neighbors w of u, zero for an
+    isolated u, gathering at most ``ROW_BLOCK`` bytes of rows at a time
+    unless one vertex has more neighbors."""
+    out = np.zeros_like(rows)
+    live = np.flatnonzero(g.degrees())
+    starts, ends = g.indptr[live], g.indptr[live + 1]
+    per = ROW_BLOCK // max(rows.shape[1] * 8, 1)  # rows per gather
+    lo = 0
+    while lo < len(live):
+        hi = max(int(np.searchsorted(ends, starts[lo] + per, side="right")), lo + 1)
+        gathered = rows[g.indices[starts[lo] : ends[hi - 1]]]
+        out[live[lo:hi]] = np.bitwise_or.reduceat(gathered, starts[lo:hi] - starts[lo], axis=0)
+        lo = hi
+    return out
+
+
+def common_neighbor_bits(
+    g: SimpleGraph, u: np.ndarray, v: np.ndarray
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """The common neighbors of the pairs ``(u[i], v[i])``, from the AND of
+    the endpoints' packed rows: per chunk of the pairs, its slice, and
+    each common neighbor's pair within the chunk and its id, pair by
+    pair, in :func:`wedge_blocks` centre order. The rows' columns are
+    ranked in that order, and the set bits read in ascending order. A
+    chunk ANDs at most ``ROW_BLOCK`` bytes of rows, unless one row is
+    longer."""
+    order = _centre_order(g)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(g.n)
+    rows = packed_rows(g, rank)
+    width = rows.shape[1] * 64  # bits per row
+    per = max(ROW_BLOCK * 8 // max(width, 1), 1)  # pairs per AND
+    for lo in range(0, len(u), per):
+        both = rows[u[lo : lo + per]].ravel()
+        both &= rows[v[lo : lo + per]].ravel()
+        # the nonzero words, then their nonzero bytes, and only those
+        # unpacked; np.flatnonzero scans bool arrays about 4x faster
+        words = np.flatnonzero(both != 0)
+        octets = both[words].view(np.uint8)
+        nonzero = np.flatnonzero(octets != 0)
+        bits = np.flatnonzero(np.unpackbits(octets[nonzero], bitorder="little") != 0)
+        byte = nonzero[bits >> 3]  # of the nonzero words' bytes
+        at = (words[byte >> 3] * 8 + (byte & 7)) * 8 + (bits & 7)
+        pair, bit = np.divmod(at, width)
+        yield slice(lo, min(lo + per, len(u))), pair, order[bit]
+
+
+def reach_mark(g: SimpleGraph, hops: int) -> np.ndarray:
+    """Whether each pair u < v, in condensed order, is joined in ``g`` by a
+    path of at most ``hops`` edges: one ``bool`` per pair.
+
+    Level 1 is the packed adjacency and level k + 1 the OR of the
+    neighbors' level-k rows; their union is unpacked ``ROW_BLOCK`` bytes
+    at a time, and each row's part right of the diagonal is its stretch
+    of the condensed order."""
+    level = reach = packed_rows(g)
+    for _ in range(hops - 1):
+        level = _neighbor_or(g, level)
+        reach = reach | level
+    n = g.n
+    mark = np.empty(n * (n - 1) // 2, dtype=bool)
+    per = max(ROW_BLOCK // max(n, 1), 1)  # rows per unpack
+    at = 0
+    for lo in range(0, n, per):
+        bits = np.unpackbits(reach[lo : lo + per].view(np.uint8), axis=1, count=n, bitorder="little")
+        for u, row in enumerate(bits.view(bool), lo):
+            mark[at : at + n - u - 1] = row[u + 1 :]
+            at += n - u - 1
+    return mark
 
 
 def _wedges(g: SimpleGraph, centres: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

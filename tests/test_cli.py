@@ -562,11 +562,14 @@ def test_commands_build_no_labeled_pairs(tmp_path, monkeypatch):
 
 
 # sha256 of the CSV each command wrote before the protocols returned AUC
-# counts instead of score arrays; a pipeline change that moves one output
-# byte fails here
+# counts instead of score arrays (the two `adjust-` variants: before the
+# split protocol moved onto packed rows); a pipeline change that moves one
+# output byte fails here
 PINNED_CSV = {
     "evaluate": "16eb463cdf4909cea7a30c94386fb586b59a9e0221576df5271c91bde513fcf2",
     "adjust": "75f0b2423ecd202f5b446a6c12f9e9289d7ca3bb1dd7b83f0eb2caad3c9c08c7",
+    "adjust-d3": "1b07a977c9891f5c45f338e4af12aed7273a89a943be4a19ca7e631e644443fb",
+    "adjust-all": "4345fde5c6046545c80b0fd07d9b162c613d1f5de6293b11aa7d79e821f62fe7",
     "scan": "9c77ab8dec3d4b9ef68d8f7d7addb8c3e56fb58f773fba2d738480d10a9d0642",
 }
 
@@ -582,6 +585,10 @@ def test_csv_bytes_pinned(tmp_path):
     commands = {
         "evaluate": ["evaluate", "--data", str(data), "--protocol", "loo", "--runs", "1", *scorers],
         "adjust": ["adjust", "--data", str(data), "--protocol", "split", "--runs", "2", *scorers],
+        "adjust-d3": ["adjust", "--data", str(data), "--protocol", "split", "--d-hop", "3",
+                      "--runs", "2", *scorers],
+        "adjust-all": ["adjust", "--data", str(data), "--protocol", "split", "--negatives", "all",
+                       "--runs", "2", *scorers],
         "scan": ["scan", "--config", str(config), "--algorithms", "cn,jc"],
     }
     for name, argv in commands.items():
@@ -740,9 +747,10 @@ for argv in runs:
     assert main(argv + ["--out", str(tmp / argv[0])]) == 0, argv
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
-# a hop limit above 2 takes the sparse powers, and only then imports scipy
+# the ring's pairs are few beside its wedges: a hop limit above 2 takes
+# the packed rows too, and only sparser graphs import scipy.sparse
 assert main(runs[1] + ["--d-hop", "3", "--out", str(tmp / "d3")]) == 0
-assert "scipy.sparse" in sys.modules
+assert "scipy.sparse" not in sys.modules
 """
 
 

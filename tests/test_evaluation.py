@@ -350,22 +350,26 @@ class TestEvaluateProtocol:
         evaluate_protocol(g, ["cn", "aa", "ra", "pa", "jc"], "loo")
         assert calls == [g.n]  # one block, every centre
         calls.clear()
-        out = evaluate_protocol(g, ["cn", "aa"], SplitSpec(seed=2))  # sampler and scorers
-        assert calls == [g.n]
+        # the train graph packs: sampler and scorers read its packed rows
+        out = evaluate_protocol(g, ["cn", "aa"], SplitSpec(seed=2))
+        assert calls == []
         gc.collect()  # no block outlives its call, though the results do
-        assert len(blocks) == 2 and all(ref() is None for ref in blocks) and out
+        assert len(blocks) == 1 and all(ref() is None for ref in blocks) and out
 
     @pytest.mark.parametrize("protocol", ["loo", SplitSpec(seed=4)], ids=["loo", "split"])
     def test_wedge_blocks_change_no_score(self, protocol, monkeypatch):
-        # a train graph over one block is read once by the sampler and once
-        # by the scorers, in blocks: the same negatives and the same bits
+        # leave-one-out reads the wedges in blocks, and a split that packs
+        # reads its rows one at a time: the same negatives and the same bits
         g = clique_expand(random_hypergraph(np.random.default_rng(6), 40, 50, max_size=5))
         want_pairs, want_labels, want = _protocol_scores(g, SCORER_IDS, protocol)
         monkeypatch.setattr(hypergraph, "WEDGE_BLOCK", 20)
+        monkeypatch.setattr(hypergraph, "ROW_BLOCK", 8)  # n=40: one 8-byte word per row
         calls = self.count_passes(monkeypatch)
         got_pairs, got_labels, got = _protocol_scores(g, SCORER_IDS, protocol)
-        assert len(calls) > (1 if protocol == "loo" else 2)
-        assert sum(calls) == g.n * (1 if protocol == "loo" else 2)  # whole passes
+        if protocol == "loo":
+            assert len(calls) > 1 and sum(calls) == g.n  # one whole pass
+        else:
+            assert calls == []
         if protocol == "loo":
             assert got_pairs is None and want_pairs is None
         else:
@@ -385,11 +389,34 @@ class TestEvaluateProtocol:
             raise MemoryError("no room for the wedges")
 
         monkeypatch.setattr(hypergraph, "_wedges", broken)
+        monkeypatch.setattr(hypergraph, "packed_rows", broken)  # the split's pass
         out = _protocol_scores(g, SCORER_IDS, protocol)[2]
         for s in ("cn", "aa", "ra", "jc"):
             assert isinstance(out[s], MemoryError) and out[s] is out["cn"], s
         for s in ("pa", "sr"):
             assert np.array_equal(out[s], clean[s]), s
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
+    def test_packed_split_takes_no_wedge_pass(self, seed, d_hop):
+        # where the train graph packs, its negatives and its explicit-pair
+        # scores both come from packed rows
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 70))
+        g = clique_expand(random_hypergraph(rng, n, int(rng.integers(n, 3 * n)), max_size=5))
+        spec = SplitSpec(rho=0.7, d_hop=d_hop, seed=seed)
+        try:
+            g_train = evaluation._split_pair_set(g, spec)[0]
+        except ValueError:  # too few negatives
+            assume(False)
+        assume(hypergraph.packs(g_train))
+        want = split_evaluate(g, "aa", spec)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = self.count_passes(mp)
+            got = split_evaluate(g, "aa", spec)
+        assert calls == []
+        assert np.array_equal(got.pair_array, want.pair_array)
+        assert np.array_equal(got.scores, want.scores)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))

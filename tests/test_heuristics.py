@@ -495,6 +495,91 @@ class TestWedgeParity:
             score_pairs_many(["cn", "pa"], g)
 
 
+@st.composite
+def packed_sized_graphs(draw, max_n: int = 130):
+    """Graphs on 0..max_n vertices, across the 64- and 128-bit word
+    boundaries of a packed row: sparse to complete, and on some draws
+    with most vertices isolated."""
+    n = draw(st.integers(0, max_n))
+    p = draw(st.sampled_from([0.0, 0.03, 0.15, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    active = rng.random(n) < draw(st.sampled_from([0.3, 1.0]))
+    iu, iv = np.triu_indices(n, k=1)
+    keep = (rng.random(len(iu)) < p) & active[iu] & active[iv]
+    return SimpleGraph(n, np.column_stack((iu[keep], iv[keep])))
+
+
+def random_pairs(rng, n, m):
+    """``m`` random pairs u != v of ``n`` vertices, in either orientation,
+    then their first 5 again; none when n < 2."""
+    if n < 2:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    u = rng.integers(0, n, size=m)
+    v = (u + rng.integers(1, n, size=m)) % n
+    return np.concatenate([u, u[:5]]), np.concatenate([v, v[:5]])
+
+
+class TestPackedRows:
+    """Explicit pairs scored from the AND of packed endpoint rows, against
+    the wedge pass filtered through the residue table."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        packed_sized_graphs(),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 120),
+        st.sampled_from([8, 64, 1 << 20]),
+    )
+    def test_packed_pairs_match_wedge_pass(self, g, seed, m, block):
+        # bit for bit, at any chunking of the ANDed rows; pairs without a
+        # common neighbor score 0 and repeated pairs score alike
+        u, v = random_pairs(np.random.default_rng(seed), g.n, m)
+        scorers = ["cn", "aa", "ra", "jc", "pa"]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hypergraph, "ROW_BLOCK", block)
+            mp.setattr(heuristics, "packs", lambda g: True)
+            packed = score_pairs_many(scorers, g, u, v)
+            mp.setattr(heuristics, "packs", lambda g: False)
+            wedge = score_pairs_many(scorers, g, u, v)
+        for s in scorers:
+            assert packed[s].dtype == wedge[s].dtype and np.array_equal(packed[s], wedge[s]), s
+        weights = [None, np.ones(g.n)]  # an empty pair set gives empty sums
+        empty = np.zeros(0, dtype=np.int64)
+        cn, ones = heuristics._pair_and_sums(g, weights, empty, empty)
+        assert (cn.dtype, cn.shape, ones.dtype, ones.shape) == (np.int64, (0,), np.float64, (0,))
+
+    @settings(max_examples=60, deadline=None)
+    @given(packed_sized_graphs(), st.integers(0, 2**32 - 1))
+    def test_packed_aa_ra_unchanged_by_relabeling(self, g, seed):
+        # equal-degree centres swap ranks, but their terms are equal
+        rng = np.random.default_rng(seed)
+        perm = rng.permutation(g.n)
+        g2 = SimpleGraph(g.n, perm[g.edge_array()])
+        u, v = random_pairs(rng, g.n, 80)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(heuristics, "packs", lambda g: True)
+            for s in ("aa", "ra"):
+                assert np.array_equal(score_pairs(s, g, u, v), score_pairs(s, g2, perm[u], perm[v])), s
+
+    @pytest.mark.parametrize("n, packed", [(16, True), (17, False)])
+    def test_scorer_packs_at_its_bound(self, n, packed, monkeypatch):
+        # a 6-leaf star has 15 wedges, 120 bytes of keys: 120 pairs at
+        # n=16 take the packed rows, 136 at n=17 the wedge pass
+        rows, wedges = [], []
+        real_rows, real_wedges = hypergraph.packed_rows, hypergraph._wedges
+        monkeypatch.setattr(hypergraph, "packed_rows", lambda *a: rows.append(1) or real_rows(*a))
+        monkeypatch.setattr(hypergraph, "_wedges", lambda *a: wedges.append(1) or real_wedges(*a))
+        g = SimpleGraph(n, [(0, leaf) for leaf in range(1, 7)])
+        assert hypergraph.packs(g) == packed
+        u, v = np.array([1, 1, 6, 0, 7]), np.array([2, 6, 3, 1, 8])
+        out = score_pairs_many(["cn", "aa", "ra", "jc"], g, u, v)
+        assert out["cn"].tolist() == [1, 1, 1, 0, 0]
+        assert out["ra"].tolist() == [1 / 6] * 3 + [0, 0]
+        assert out["aa"].tolist() == [1 / math.log(7)] * 3 + [0, 0]
+        assert out["jc"].tolist() == [1, 1, 1, 0, 0]
+        assert (bool(rows), bool(wedges)) == (packed, not packed)
+
+
 def to_networkx(nx, g):
     G = nx.Graph()
     G.add_nodes_from(range(g.n))

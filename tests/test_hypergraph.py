@@ -6,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import shortest_path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,6 @@ from hyperlp import hypergraph
 from hyperlp.hypergraph import (
     condensed_keys,
     condensed_pairs,
-    held_wedge_block,
     pair_cooccurrence,
     wedge_blocks,
 )
@@ -326,7 +326,7 @@ class TestPairKeys:
         # one wedge per common neighbor of each pair, with that centre;
         # blocks hold whole centres, at most `block` wedges unless one
         # centre has more, and together give the unblocked list in the
-        # same order; only an unsplit list is held
+        # same order
         rng = np.random.default_rng(block)
         g = clique_expand(random_hypergraph(rng, 30, 25, max_size=6))
         want = sorted(
@@ -336,16 +336,42 @@ class TestPairKeys:
         )
         [(keys, centres)] = wedge_blocks(g)
         assert sorted(zip(keys.tolist(), centres.tolist())) == want
-        held = held_wedge_block(g)
-        assert np.array_equal(held[0], keys) and np.array_equal(held[1], centres)
-        assert next(wedge_blocks(g, held)) is held
         monkeypatch.setattr(hypergraph, "WEDGE_BLOCK", block)
         parts = list(wedge_blocks(g))
-        assert len(parts) > 1 and held_wedge_block(g) is None
+        assert len(parts) > 1
         for part_keys, part_centres in parts:
             assert len(part_keys) <= block or len(set(part_centres.tolist())) == 1
         assert np.array_equal(np.concatenate([k for k, _ in parts]), keys)
         assert np.array_equal(np.concatenate([c for _, c in parts]), centres)
+
+
+class TestPackedRows:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 130),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 0.02, 0.06, 0.3]),
+        st.integers(1, 4),
+        st.sampled_from([8, 200, 1 << 20]),
+    )
+    def test_reach_mark_matches_shortest_paths(self, n, seed, p, hops, block):
+        # n from 0 to 130 crosses both word boundaries of a packed row; a
+        # small ROW_BLOCK gathers and unpacks a row or two at a time
+        rng = np.random.default_rng(seed)
+        iu, iv = np.triu_indices(n, k=1)
+        keep = rng.random(len(iu)) < p
+        g = SimpleGraph(n, np.column_stack((iu[keep], iv[keep])))
+        rank = rng.permutation(n)
+        bits = np.unpackbits(
+            hypergraph.packed_rows(g, rank).view(np.uint8), axis=1, count=n, bitorder="little"
+        )
+        assert np.array_equal(bits[:, rank], g.adjacency_matrix(dtype=np.uint8))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hypergraph, "ROW_BLOCK", block)
+            mark = hypergraph.reach_mark(g, hops)
+        a = sp.csr_array(g.adjacency_matrix())
+        hops_apart = shortest_path(a, unweighted=True)[iu, iv] if n else np.zeros(0)
+        assert mark.dtype == bool and np.array_equal(mark, hops_apart <= hops)
 
 
 def sorted_pair_counts(n, groups):
