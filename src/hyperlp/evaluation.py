@@ -38,12 +38,10 @@ solves once per edge, from the intact column-normalized adjacency ``W``
 with the two columns of the edge's endpoints replaced
 (:func:`~hyperlp.heuristics.simrank_without_each_edge`). Split negatives
 are the pairs within ``d_hop`` train-graph hops minus the full graph's
-edges. Where the train graph packs (:func:`~hyperlp.hypergraph.packs`:
-n(n-1)/2 bytes are no more than its wedges' int64 keys), they are marked
-in one ``bool`` array over the condensed pairs from its packed rows, and
-the scorers read the same rows, so a split makes no wedge pass. Otherwise
-the wedge keys are sorted block by block at ``d_hop=2``, and only there
-does ``d_hop >= 3`` import ``scipy.sparse``.
+edges, read from :func:`~hyperlp.hypergraph.reach_keys`, which marks
+them from packed rows where the train graph packs; the scorers read the
+same rows, so such a split makes no wedge pass. With every non-link as
+a negative, the pairs are converted once from their condensed keys.
 """
 
 from __future__ import annotations
@@ -55,16 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from .heuristics import _unwrap, condensed, score_pairs_many, simrank_without_each_edge
-from .hypergraph import (
-    SimpleGraph,
-    clique_expand,
-    condensed_keys,
-    condensed_pairs,
-    count_keys,
-    packs,
-    reach_mark,
-    wedge_blocks,
-)
+from .hypergraph import SimpleGraph, clique_expand, condensed_pairs, reach_keys
 from .latent import (
     DEFAULT_MAX_POTENTIAL,
     PotentialIndex,
@@ -263,39 +252,13 @@ def _sample_distance_limited_non_links(
 
     Candidates are the pairs within ``d_hop`` train-graph hops minus the
     full graph's edges (so distance 1 drops out), as ascending condensed
-    keys, into which ``rng`` picks indices. Where
-    :func:`~hyperlp.hypergraph.packs` holds (n(n-1)/2 bytes of one
-    ``bool`` per pair are no more than 8 bytes per train wedge), the
-    reach is marked from the train graph's packed rows
-    (:func:`~hyperlp.hypergraph.reach_mark`), the full graph's edges
-    cleared, and the marked keys read in order. Otherwise (large sparse
-    graphs), at ``d_hop=2`` each wedge block is sorted to its distinct
-    keys and their union once; a larger ``d_hop`` imports
-    ``scipy.sparse`` for ``A + ... + A^d_hop``. At n=5,000 a 112k-edge
-    train graph (139k full) has 5.3M wedges and packs; the draw peaks
-    at 44 MB (``tracemalloc``) for the 4.0M candidates at ``d_hop=2``,
-    and at 108 MB, mostly the 12.4M candidate keys, at ``d_hop=3``.
+    keys (:func:`~hyperlp.hypergraph.reach_keys`), into which ``rng``
+    picks indices. At n=5,000 a 112k-edge train graph (139k full) has
+    5.3M wedges and packs; the draw peaks at 44 MB (``tracemalloc``) for
+    the 4.0M candidates at ``d_hop=2``, and at 108 MB, mostly the 12.4M
+    candidate keys, at ``d_hop=3``.
     """
-    n = g_train.n
-    if packs(g_train):
-        mark = reach_mark(g_train, d_hop)
-        mark[g_full.edge_keys()] = False
-        cand = np.flatnonzero(mark)
-    else:
-        if d_hop == 2:  # each block's distinct keys, then their union
-            parts = [count_keys(keys)[0] for keys, _ in wedge_blocks(g_train)]
-            reach = parts[0] if len(parts) == 1 else count_keys(np.concatenate(parts))[0]
-        else:
-            import scipy.sparse as sp
-
-            ones = np.ones(len(g_train.indices), dtype=bool)
-            a = sp.csr_array((ones, g_train.indices, g_train.indptr), shape=(n, n))
-            power = reach = a
-            for _ in range(d_hop - 1):
-                power = power @ a
-                reach = reach + power
-            reach = np.sort(condensed_keys(n, *sp.triu(reach, k=1).nonzero()))
-        cand = np.setdiff1d(reach, g_full.edge_keys(), assume_unique=True)
+    cand = reach_keys(g_train, d_hop, g_full.edge_keys())
     total = len(cand)
     if total < wanted:
         raise ValueError(
@@ -303,7 +266,7 @@ def _sample_distance_limited_non_links(
             f"need {wanted} (short by {wanted - total})"
         )
     chosen = np.sort(rng.choice(total, size=wanted, replace=False))
-    return condensed_pairs(n, cand[chosen])
+    return condensed_pairs(g_train.n, cand[chosen])
 
 
 def _split_pair_set(g: SimpleGraph, spec: SplitSpec):
@@ -319,14 +282,15 @@ def _split_pair_set(g: SimpleGraph, spec: SplitSpec):
     test = np.zeros(m, dtype=bool)
     test[rng.choice(m, size=n_test, replace=False)] = True
     g_train = SimpleGraph(g.n, edges[~test])
-    if spec.negative_ratio is None:
-        negatives = g.non_edge_array()
+    if spec.negative_ratio is None:  # every non-edge: one conversion from keys
+        keys = np.concatenate([g.edge_keys()[test], np.flatnonzero(~_pair_labels(g))])
+        pairs = condensed_pairs(g.n, keys)
     else:
         wanted = round(spec.negative_ratio * n_test)
         negatives = _sample_distance_limited_non_links(g, g_train, spec.d_hop, wanted, rng)
-    if not len(negatives):
+        pairs = np.concatenate([edges[test], negatives])
+    if len(pairs) == n_test:
         raise ValueError("no negatives available for the split")
-    pairs = np.concatenate([edges[test], negatives])
     return g_train, pairs, np.arange(len(pairs)) < n_test
 
 

@@ -16,7 +16,10 @@ coverage counts are the same count. Where a graph's pairs are few beside
 its wedges (:func:`packs`), its rows are packed into bits instead
 (:func:`packed_rows`): the OR of a vertex's neighbor rows is its two-hop
 reach (:func:`reach_mark`), and the AND of two rows their common
-neighbors.
+neighbors. :func:`reach_keys`, the pairs within a hop limit, takes
+whichever of the two the graph suits: on packed rows, or by sorting
+the edge and wedge keys and then, hop by hop, the pairs reached so far
+with one end moved to a neighbor.
 """
 
 from __future__ import annotations
@@ -281,8 +284,11 @@ def condensed_pairs(n: int, keys: np.ndarray) -> np.ndarray:
     """The pairs ``(r, c)``, r < c, of condensed ``keys``, as an (m, 2)
     int array: the inverse of :func:`condensed_keys`."""
     base = _row_base(n)
-    r = np.searchsorted(base + np.arange(1, n + 1), keys, side="right") - 1
-    return np.column_stack((r, keys - base[r]))
+    pairs = np.empty((len(keys), 2), dtype=np.int64)
+    r, c = pairs.T  # written in place: no column copies beside the keys
+    np.subtract(np.searchsorted(base + np.arange(1, n + 1), keys, side="right"), 1, out=r)
+    np.subtract(keys, base[r], out=c)
+    return pairs
 
 
 def wedge_blocks(g: SimpleGraph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -301,11 +307,19 @@ def wedge_blocks(g: SimpleGraph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     deg = g.degrees()
     order = _centre_order(g)
     done = np.cumsum(deg[order] * (deg[order] - 1) // 2)  # wedges through each centre
-    start = 0
-    while start < g.n:
-        before = done[start - 1] if start else 0
-        stop = max(int(np.searchsorted(done, before + WEDGE_BLOCK, side="right")), start + 1)
+    for start, stop in _spans(done, WEDGE_BLOCK):
         yield _wedges(g, order[start:stop])
+
+
+def _spans(done: np.ndarray, limit: int) -> Iterator[tuple[int, int]]:
+    """Consecutive ``(start, stop)`` spans of the items whose running
+    totals are ``done``, each totalling at most ``limit`` unless one item
+    alone has more."""
+    start = 0
+    while start < len(done):
+        before = done[start - 1] if start else 0
+        stop = max(int(np.searchsorted(done, before + limit, side="right")), start + 1)
+        yield start, stop
         start = stop
 
 
@@ -420,9 +434,9 @@ def _wedges(g: SimpleGraph, centres: np.ndarray) -> tuple[np.ndarray, np.ndarray
     sizes = g.degrees()[centres]
     ends = np.cumsum(sizes)
     pos = np.arange(int(sizes.sum()))
-    # the centres' neighbor lists, in that order; each entry opens a wedge
-    # with every later entry of its list
-    members = g.indices[np.repeat(g.indptr[centres] - (ends - sizes), sizes) + pos]
+    # each entry of a centre's neighbor list opens a wedge with every later
+    # entry of that list
+    members = _neighbor_lists(g, centres)
     after = np.repeat(ends, sizes) - pos - 1
     # wedge t, opened by entry i, closes at entry i + 1 + (t - first wedge of i)
     partner = np.arange(int(after.sum()))
@@ -430,6 +444,52 @@ def _wedges(g: SimpleGraph, centres: np.ndarray) -> tuple[np.ndarray, np.ndarray
     keys = np.repeat(_row_base(g.n)[members], after)
     keys += members[partner]
     return keys, np.repeat(centres, sizes * (sizes - 1) // 2)
+
+
+def _neighbor_lists(g: SimpleGraph, vertices: np.ndarray) -> np.ndarray:
+    """The neighbor lists of ``vertices``, concatenated in that order."""
+    sizes = g.degrees()[vertices]
+    ends = np.cumsum(sizes)
+    pos = np.arange(int(sizes.sum()))
+    return g.indices[np.repeat(g.indptr[vertices] - (ends - sizes), sizes) + pos]
+
+
+def reach_keys(g: SimpleGraph, hops: int, drop: np.ndarray) -> np.ndarray:
+    """Ascending condensed keys of the pairs u < v joined in ``g`` by a
+    path of at most ``hops`` edges, except the keys ``drop``.
+
+    Where ``g`` packs (:func:`packs`), the pairs are marked from its
+    packed rows (:func:`reach_mark`). Otherwise the reach within two hops
+    is the union of the edge keys and the wedge keys, each wedge block
+    deduplicated first, and every further hop takes the union of the
+    reach with its one-edge extensions (:func:`_extensions`), each chunk
+    of them deduplicated first."""
+    if packs(g):
+        mark = reach_mark(g, hops)
+        mark[drop] = False
+        return np.flatnonzero(mark)
+    reach = g.edge_keys()
+    for hop in range(2, hops + 1):
+        parts = (keys for keys, _ in wedge_blocks(g)) if hop == 2 else _extensions(g, reach)
+        reach = count_keys(np.concatenate([reach, *(count_keys(k)[0] for k in parts)]))[0]
+    return np.setdiff1d(reach, drop, assume_unique=True)
+
+
+def _extensions(g: SimpleGraph, keys: np.ndarray) -> Iterator[np.ndarray]:
+    """The pairs one edge beyond the pairs of the condensed ``keys``: each
+    pair (r, c) with r replaced by each neighbor of r, and with c by each
+    neighbor of c, as condensed keys, leaving out a vertex paired with
+    itself. They come in chunks of whole pairs, at most ``WEDGE_BLOCK``
+    per chunk unless one pair has more."""
+    deg = g.degrees()
+    ends = condensed_pairs(g.n, keys)
+    for start, stop in _spans(np.cumsum(deg[ends].sum(axis=1)), WEDGE_BLOCK):
+        kept = ends[start:stop].T.ravel()  # each r, then each c
+        moved = ends[start:stop, ::-1].T.ravel()  # its partner
+        near = _neighbor_lists(g, moved)
+        kept = np.repeat(kept, deg[moved])
+        other = near != kept
+        yield condensed_keys(g.n, kept[other], near[other])
 
 
 def group_pair_keys(n: int, groups: Hypergraph | np.ndarray) -> np.ndarray:

@@ -12,7 +12,10 @@ Claims covered:
 * ``er-clustering`` - the global clustering coefficient of G(n, p)
   concentrates on p.
 * ``er-cn`` - common-neighbor counts on G(n, p) have mean (n-2) p^2 and
-  are independent of the pair's own edge indicator.
+  are independent of the pair's own edge indicator; optionally, a
+  Pearson χ² test against the Binomial(n-2, p^2) law, computed with
+  ``math`` (lgamma for the pmf, the integer-df closed forms for the
+  tail).
 * ``er-auc`` - no scorer beats AUC 0.5 on G(n, p) under leave-one-out.
 * ``cn-lift`` - with pair selection off and at least one size-3 candidate
   on, the common-neighbors AUC rises strictly above 0.5 even though the
@@ -28,6 +31,7 @@ are computable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -196,20 +200,55 @@ def verify_er_common_neighbors(
             }
         )
     if chi_square:
-        from scipy import stats
-
         cn = np.concatenate(matched_counts).astype(int)
         support = np.arange(0, n - 1)
-        expected = stats.binom.pmf(support, n - 2, p * p) * len(cn)
+        expected = _binomial_pmf(support, n - 2, p * p) * len(cn)
         observed = np.bincount(cn, minlength=len(support))[: len(support)]
         keep = expected >= 5  # fold sparse tail bins together
         obs = np.append(observed[keep], observed[~keep].sum())
         exp = np.append(expected[keep], expected[~keep].sum())
-        chi2, pval = stats.chisquare(obs, exp * obs.sum() / exp.sum())
-        details.update({"chi2": float(chi2), "chi2_pvalue": float(pval)})
+        chi2, pval = _chi_square(obs, exp * obs.sum() / exp.sum())
+        details.update({"chi2": chi2, "chi2_pvalue": pval})
 
     verdict = "pass" if (mean_ok and independent_ok) else "fail"
     return TrialSummary("er-cn", trials, mean, lo, hi, verdict, details)
+
+
+def _binomial_pmf(k: np.ndarray, trials: int, p: float) -> np.ndarray:
+    """P(K = k) for K ~ Binomial(trials, p), at each of the ints ``k``,
+    from ``math.lgamma``; zero outside ``0..trials``."""
+
+    def pmf(k: int) -> float:
+        if not 0 <= k <= trials:
+            return 0.0
+        if p in (0.0, 1.0):  # a log of 0 would meet a zero power
+            return float(k == trials * p)
+        log_choose = math.lgamma(trials + 1) - math.lgamma(k + 1) - math.lgamma(trials - k + 1)
+        return math.exp(log_choose + k * math.log(p) + (trials - k) * math.log1p(-p))
+
+    return np.array([pmf(int(j)) for j in k], dtype=np.float64)
+
+
+def _chi_square(observed: np.ndarray, expected: np.ndarray) -> tuple[float, float]:
+    """Pearson's χ² statistic of ``observed`` against ``expected`` counts
+    and its upper-tail p-value on one degree of freedom fewer than the
+    cells, as ``scipy.stats.chisquare`` gives them.
+
+    With y = χ²/2, the tail of an integer df is closed-form: the Poisson
+    sum of y^a e^-y / Γ(a + 1) over a = df/2 - 1, df/2 - 2, ... down to 0
+    for even df, and down to 1/2, plus ``erfc(sqrt(y))``, for odd df.
+    With one cell, df = 0 and the law is a point mass at 0: the tail is 0
+    beyond it and, as in scipy, NaN at it."""
+    stat = float(((observed - expected) ** 2 / expected).sum())
+    df = len(observed) - 1
+    if df < 1:
+        return stat, 0.0 if stat > 0 else math.nan
+    if stat == 0:
+        return stat, 1.0
+    y = stat / 2
+    powers = (df / 2 - k for k in range(1, df // 2 + 1))
+    tail = math.fsum(math.exp(a * math.log(y) - y - math.lgamma(a + 1)) for a in powers)
+    return stat, tail + (math.erfc(math.sqrt(y)) if df % 2 else 0.0)
 
 
 def verify_er_auc_baseline(

@@ -562,14 +562,16 @@ def test_commands_build_no_labeled_pairs(tmp_path, monkeypatch):
 
 
 # sha256 of the CSV each command wrote before the protocols returned AUC
-# counts instead of score arrays (the two `adjust-` variants: before the
-# split protocol moved onto packed rows); a pipeline change that moves one
-# output byte fails here
+# counts instead of score arrays (`adjust-d3` and `adjust-all`: before the
+# split protocol moved onto packed rows; `adjust-sparse-d3`, whose train
+# graphs do not pack: before its reach left scipy.sparse); a pipeline
+# change that moves one output byte fails here
 PINNED_CSV = {
     "evaluate": "16eb463cdf4909cea7a30c94386fb586b59a9e0221576df5271c91bde513fcf2",
     "adjust": "75f0b2423ecd202f5b446a6c12f9e9289d7ca3bb1dd7b83f0eb2caad3c9c08c7",
     "adjust-d3": "1b07a977c9891f5c45f338e4af12aed7273a89a943be4a19ca7e631e644443fb",
     "adjust-all": "4345fde5c6046545c80b0fd07d9b162c613d1f5de6293b11aa7d79e821f62fe7",
+    "adjust-sparse-d3": "43bed32326e694b5f9ba2a24e1ca7565fe0eac66a3ed968fbf659ce0903489f8",
     "scan": "9c77ab8dec3d4b9ef68d8f7d7addb8c3e56fb58f773fba2d738480d10a9d0642",
 }
 
@@ -577,6 +579,8 @@ PINNED_CSV = {
 def test_csv_bytes_pinned(tmp_path):
     data = tmp_path / "pinned.hyg"
     save_plain(random_hypergraph(np.random.default_rng(33), 50, 80, max_size=5), data)
+    sparse = tmp_path / "sparse.hyg"  # 287 edges, 832 wedges: n=300 does not pack
+    save_plain(random_hypergraph(np.random.default_rng(34), 300, 150, max_size=3), sparse)
     config = tmp_path / "pinned.cfg"
     config.write_text(
         "n = 30\nd = 2\nseed = 4\npercentiles = 5 10 15\nphi = power_law\nreplicates = 2\n"
@@ -589,6 +593,8 @@ def test_csv_bytes_pinned(tmp_path):
                       "--runs", "2", *scorers],
         "adjust-all": ["adjust", "--data", str(data), "--protocol", "split", "--negatives", "all",
                        "--runs", "2", *scorers],
+        "adjust-sparse-d3": ["adjust", "--data", str(sparse), "--protocol", "split", "--d-hop", "3",
+                             "--runs", "2", *scorers],
         "scan": ["scan", "--config", str(config), "--algorithms", "cn,jc"],
     }
     for name, argv in commands.items():
@@ -731,31 +737,47 @@ def test_allocator_policy_skipped_off_glibc(tmp_path, confstr):
 CLI_PATHS = """\
 import sys
 from pathlib import Path
+
+
+class NoScipy:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+
+sys.meta_path.insert(0, NoScipy)
 from hyperlp.cli import main
+from hyperlp.hypergraph import SimpleGraph, packs
 
 tmp = Path(sys.argv[1])
+# the ring's pairs are few beside its wedges, so it packs at every hop
+# limit; the path's 99 edges have 98 wedges, and n=100 does not pack
 ring = tmp / "ring.hyg"
 ring.write_text("".join(f"v{i} v{(i + 1) % 30} v{(i + 7) % 30}\\n" for i in range(30)))
+path = tmp / "path.hyg"
+path.write_text("".join(f"v{i} v{i + 1}\\n" for i in range(99)))
+assert not packs(SimpleGraph(100, [(i, i + 1) for i in range(99)]))
 cfg = tmp / "scan.cfg"
 cfg.write_text("n = 20\\nd = 2\\nseed = 4\\npercentiles = 6 14\\nphi = 0.3 0.5\\n")
+split = ["adjust", "--protocol", "split", "--runs", "1"]
 runs = [
     ["evaluate", "--data", str(ring), "--protocol", "loo", "--runs", "1"],
-    ["adjust", "--data", str(ring), "--protocol", "split", "--runs", "1"],
+    [*split, "--data", str(ring), "--d-hop", "2"],
+    [*split, "--data", str(ring), "--d-hop", "3"],
+    [*split, "--data", str(path), "--d-hop", "3"],
     ["scan", "--config", str(cfg), "--algorithms", "cn,sr"],
+    ["verify", "--claim", "cn-dist", "--chi-square", "--n", "30", "--trials", "30"],
 ]
-for argv in runs:
-    assert main(argv + ["--out", str(tmp / argv[0])]) == 0, argv
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-assert not loaded, loaded
-# the ring's pairs are few beside its wedges: a hop limit above 2 takes
-# the packed rows too, and only sparser graphs import scipy.sparse
-assert main(runs[1] + ["--d-hop", "3", "--out", str(tmp / "d3")]) == 0
-assert "scipy.sparse" not in sys.modules
+for i, argv in enumerate(runs):
+    assert main(argv + ["--out", str(tmp / f"run{i}")]) == 0, argv
 """
 
 
 def test_benchmarked_cli_paths_load_no_scipy(tmp_path):
-    # a lazy import on these paths would move its cost into the run itself
+    # every subcommand runs with `import scipy` failing: scipy is a test
+    # dependency only, and a lazy import would also move its cost into the
+    # run itself
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run(

@@ -491,6 +491,11 @@ class TestSplitEvaluate:
         g = self.ring_graph(12)
         lp = split_evaluate(g, "cn", SplitSpec(seed=5, negative_ratio=None))
         assert lp.n_neg == 12 * 11 // 2 - 12
+        # held-out edges first, then every non-edge, each in ascending order
+        assert lp.labels[: lp.n_pos].all()
+        assert np.array_equal(lp.pair_array[lp.n_pos :], g.non_edge_array())
+        held = hypergraph.condensed_keys(g.n, *lp.pair_array[: lp.n_pos].T)
+        assert (np.diff(held) > 0).all() and np.isin(held, g.edge_keys()).all()
 
     def test_deterministic_given_seed(self):
         g = self.ring_graph(40)
@@ -541,7 +546,7 @@ class TestSplitEvaluate:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_negative_sampler_matches_bfs_at_hop(self, d_hop, seed):
-        # the wedge join (d_hop 2) and the sparse powers (d_hop 3) pick the
+        # the wedge join (d_hop 2) and the extensions (d_hop 3) pick the
         # BFS candidates with the same draws, on graphs of 0..25 vertices
         rng = np.random.default_rng(seed)
         n = int(rng.integers(0, 26))
@@ -594,7 +599,7 @@ class TestSplitEvaluate:
         """The lengths of the key arrays the sampler sorts, as it sorts them."""
         sorted_keys = []
         monkeypatch.setattr(
-            evaluation, "count_keys", lambda keys: sorted_keys.append(len(keys)) or count_keys(keys)
+            hypergraph, "count_keys", lambda keys: sorted_keys.append(len(keys)) or count_keys(keys)
         )
         return sorted_keys
 
@@ -619,15 +624,15 @@ class TestSplitEvaluate:
             )
             chosen = np.sort(np.random.default_rng(seed).choice(len(cands), wanted, replace=False))
             assert wanted and list(map(tuple, got.tolist())) == [cands[i] for i in chosen]
-            # the sort dedupes each block, then their union once
-            assert len(sorted_keys) == (0 if marks else blocks + (blocks > 1))
+            # the sort dedupes each block, then their union with the edges once
+            assert len(sorted_keys) == (0 if marks else blocks + 1)
 
     @pytest.mark.parametrize("n, marks", [(16, True), (17, False)])
     def test_negative_sampler_mark_rule_at_its_bound(self, n, marks, monkeypatch):
         # a 6-leaf star has 15 wedges, 120 bytes of keys: 120 pairs at
         # n=16 take the mark, 136 at n=17 the sort
-        sorted_keys = self.spy_on_sorts(monkeypatch)
         g = SimpleGraph(n, [(0, leaf) for leaf in range(1, 7)])
+        sorted_keys = self.spy_on_sorts(monkeypatch)  # the constructor sorts too
         got = _sample_distance_limited_non_links(g, g, 2, 15, np.random.default_rng(0))
         assert got.tolist() == [[a, b] for a in range(1, 7) for b in range(a + 1, 7)]
         assert bool(sorted_keys) != marks

@@ -346,17 +346,21 @@ class TestPairKeys:
 
 
 class TestPackedRows:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
         st.integers(0, 130),
         st.integers(0, 2**32 - 1),
-        st.sampled_from([0.0, 0.02, 0.06, 0.3]),
-        st.integers(1, 4),
+        st.sampled_from([0.0, 0.005, 0.02, 0.06, 0.3]),
+        st.integers(1, 5),
         st.sampled_from([8, 200, 1 << 20]),
+        st.sampled_from([3, hypergraph.WEDGE_BLOCK]),
+        st.sampled_from([0.0, 0.1, 1.0]),
     )
-    def test_reach_mark_matches_shortest_paths(self, n, seed, p, hops, block):
+    def test_reach_mark_matches_shortest_paths(self, n, seed, p, hops, block, wedges, dropped):
         # n from 0 to 130 crosses both word boundaries of a packed row; a
-        # small ROW_BLOCK gathers and unpacks a row or two at a time
+        # small ROW_BLOCK gathers and unpacks a row or two at a time. The
+        # sparser graphs do not pack, so reach_keys extends their pairs
+        # hop by hop, in chunks of 3 entries under the small WEDGE_BLOCK
         rng = np.random.default_rng(seed)
         iu, iv = np.triu_indices(n, k=1)
         keep = rng.random(len(iu)) < p
@@ -366,12 +370,31 @@ class TestPackedRows:
             hypergraph.packed_rows(g, rank).view(np.uint8), axis=1, count=n, bitorder="little"
         )
         assert np.array_equal(bits[:, rank], g.adjacency_matrix(dtype=np.uint8))
+        drop = np.flatnonzero(rng.random(len(iu)) < dropped)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(hypergraph, "ROW_BLOCK", block)
+            mp.setattr(hypergraph, "WEDGE_BLOCK", wedges)
             mark = hypergraph.reach_mark(g, hops)
+            keys = hypergraph.reach_keys(g, hops, drop)
         a = sp.csr_array(g.adjacency_matrix())
         hops_apart = shortest_path(a, unweighted=True)[iu, iv] if n else np.zeros(0)
-        assert mark.dtype == bool and np.array_equal(mark, hops_apart <= hops)
+        within = hops_apart <= hops
+        assert mark.dtype == bool and np.array_equal(mark, within)
+        within[drop] = False
+        assert keys.dtype == np.int64 and np.array_equal(keys, np.flatnonzero(within))
+
+    @pytest.mark.parametrize("n, packs", [(16, True), (17, False)])
+    def test_reach_keys_takes_the_mark_where_the_graph_packs(self, n, packs, monkeypatch):
+        # a 6-leaf star has 15 wedges: 120 pairs at n=16 pack, 136 at n=17
+        # do not, and take the wedge and extension sorts
+        marks = []
+        reach_mark = hypergraph.reach_mark
+        monkeypatch.setattr(hypergraph, "reach_mark", lambda *a: marks.append(a) or reach_mark(*a))
+        g = SimpleGraph(n, [(0, leaf) for leaf in range(1, 7)])
+        keys = hypergraph.reach_keys(g, 3, g.edge_keys())
+        pairs = [[a, b] for a in range(1, 7) for b in range(a + 1, 7)]
+        assert condensed_pairs(n, keys).tolist() == pairs
+        assert bool(marks) == packs
 
 
 def sorted_pair_counts(n, groups):

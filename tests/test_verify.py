@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from conftest import unique_counts
 from hyperlp import (
@@ -136,6 +137,28 @@ class TestErCommonNeighbors:
         )
         assert "chi2_pvalue" in summary.details
         assert summary.details["chi2_pvalue"] > 1e-4
+
+    @pytest.mark.parametrize("df", range(41))
+    def test_chi_square_matches_scipy(self, df):
+        # good and poor fits and an exact fit (statistic 0); with one cell
+        # (df 0) the p-value is NaN at 0 and 0 beyond rounding error, as
+        # the NaN-equal comparison checks
+        rng = np.random.default_rng(df)
+        for shift in (1.0, 1.2, 2.0, None):
+            expected = rng.uniform(2, 60, size=df + 1)
+            observed = expected if shift is None else rng.poisson(expected * shift)
+            expected = expected * observed.sum() / expected.sum()
+            want = stats.chisquare(observed, expected)
+            got = verify._chi_square(observed, expected)
+            assert got[1] > 1e-300 or df == 0
+            np.testing.assert_allclose(got, tuple(want), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("trials", [0, 1, 2, 7, 40, 98, 300])
+    @pytest.mark.parametrize("p", [0.0, 1.0, 0.01, 0.1, 0.5, 0.93])
+    def test_binomial_pmf_matches_scipy(self, trials, p):
+        k = np.arange(-1, trials + 2)
+        got = verify._binomial_pmf(k, trials, p)
+        np.testing.assert_allclose(got, stats.binom.pmf(k, trials, p), rtol=1e-12, atol=0)
 
 
 class TestErAucBaseline:

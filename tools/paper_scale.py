@@ -1,18 +1,29 @@
-"""Time one split-protocol graph of the drug-substance check on a seeded
-synthetic input the size of NDC-substances.
+"""Time the protocols on seeded synthetic inputs: one graph the size of
+NDC-substances, and one sparse graph too large to pack.
 
     PYTHONPATH=src python3 tools/paper_scale.py
 
-The input is drawn from ``numpy.random.default_rng(0)``: n=5,556
-vertices and 112,919 hyperedges of sizes 2..12 with P(k) ∝ k^-2.5, each
-hyperedge's members drawn without replacement with popularity ∝
-rank^-0.8. Its clique expansion has 415,715 edges and 2.50e8 wedges.
-Nothing is downloaded; drawing the input takes about 10 s.
+The NDC-sized input is drawn from ``numpy.random.default_rng(0)``:
+n=5,556 vertices and 112,919 hyperedges of sizes 2..12 with P(k) ∝
+k^-2.5, each hyperedge's members drawn without replacement with
+popularity ∝ rank^-0.8. Its clique expansion has 415,715 edges and
+2.50e8 wedges. Nothing is downloaded; drawing the input takes about
+10 s. The script prints those counts, then the wall time of the split
+pair set (held-out edges and two-hop negatives) and of scoring it, and
+the wall time and ``tracemalloc`` peak of the call the drug-substance
+check makes per graph, ``evaluate_protocol(g, ("cn", "aa", "pa"),
+SplitSpec(0.8, 2, 1.0, 41))``, and of one leave-one-out graph,
+``evaluate_protocol(g, ("cn", "aa", "ra", "pa", "jc"), "loo")``.
 
-The script prints those counts, then the wall time of the split pair set
-(held-out edges and two-hop negatives) and of scoring it, and the wall
-time and ``tracemalloc`` peak of the call the check makes per graph:
-``evaluate_protocol(g, ("cn", "aa", "pa"), SplitSpec(0.8, 2, 1.0, 41))``.
+The sparse input is drawn from ``numpy.random.default_rng(1)``:
+n=20,000 vertices and 20,000 hyperedges of sizes 2..4, uniform, each
+of distinct uniform members. Its split train graph (the same
+``SplitSpec`` at ``d_hop=2``) has 53,532 edges and 348,824 wedges, so
+it does not pack. The script prints the wall time and ``tracemalloc``
+peak of drawing 1,000 negatives within 3 and within 4 hops of it.
+
+The whole run takes about a minute on 2 cores; the leave-one-out graph
+holds the most memory, about 1.2 GB.
 """
 
 from __future__ import annotations
@@ -29,7 +40,9 @@ from hyperlp.hypergraph import Hypergraph, clique_expand, wedge_count
 
 N, M = 5556, 112919
 SCORERS = ("cn", "aa", "pa")
+LOO_SCORERS = ("cn", "aa", "ra", "pa", "jc")
 SPEC = SplitSpec(0.8, 2, 1.0, 41)
+SPARSE_N = 20_000
 
 
 def ndc_sized() -> Hypergraph:
@@ -42,6 +55,25 @@ def ndc_sized() -> Hypergraph:
     return Hypergraph(N, [rng.choice(N, size=int(k), replace=False, p=popularity) for k in sizes])
 
 
+def sparse_unpacked() -> Hypergraph:
+    rng = np.random.default_rng(1)
+    sizes = rng.integers(2, 5, size=SPARSE_N)
+    return Hypergraph(SPARSE_N, [rng.choice(SPARSE_N, size=int(k), replace=False) for k in sizes])
+
+
+def timed(label: str, call) -> None:
+    """Print the wall time of ``call()``, then the ``tracemalloc`` peak of
+    a second call."""
+    t0 = time.perf_counter()
+    call()
+    wall = time.perf_counter() - t0
+    tracemalloc.start()
+    call()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    print(f"{label} {wall:.2f} s, tracemalloc peak {peak / 2**20:.0f} MB")
+
+
 def main() -> None:
     g = clique_expand(ndc_sized())
     print(f"n={g.n} edges={g.edge_count} wedges={wedge_count(g):.3g}")
@@ -52,15 +84,21 @@ def main() -> None:
     score_pairs_many(SCORERS, g_train, *pairs.T)
     t2 = time.perf_counter()
     print(f"pair set {t1 - t0:.2f} s ({len(pairs)} pairs), scoring {t2 - t1:.2f} s")
+    del g_train, pairs
 
-    t0 = time.perf_counter()
-    evaluate_protocol(g, SCORERS, SPEC)
-    wall = time.perf_counter() - t0
-    tracemalloc.start()
-    evaluate_protocol(g, SCORERS, SPEC)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    print(f"evaluate_protocol {wall:.2f} s, tracemalloc peak {peak / 2**20:.0f} MB")
+    timed("split evaluate_protocol", lambda: evaluate_protocol(g, SCORERS, SPEC))
+    timed("leave-one-out evaluate_protocol", lambda: evaluate_protocol(g, LOO_SCORERS, "loo"))
+
+    g = clique_expand(sparse_unpacked())
+    g_train = evaluation._split_pair_set(g, SPEC)[0]
+    print(f"sparse n={g.n} train edges={g_train.edge_count} wedges={wedge_count(g_train)}")
+    for d_hop in (3, 4):
+        timed(
+            f"negatives within {d_hop} hops",
+            lambda: evaluation._sample_distance_limited_non_links(
+                g, g_train, d_hop, 1000, np.random.default_rng(SPEC.seed)
+            ),
+        )
 
 
 if __name__ == "__main__":
