@@ -39,9 +39,11 @@ with the two columns of the edge's endpoints replaced
 (:func:`~hyperlp.heuristics.simrank_without_each_edge`). Split negatives
 are the pairs within ``d_hop`` train-graph hops minus the full graph's
 edges, read from :func:`~hyperlp.hypergraph.reach_keys`, which marks
-them from packed rows where the train graph packs; the scorers read the
-same rows, so such a split makes no wedge pass. With every non-link as
-a negative, the pairs are converted once from their condensed keys.
+them from packed rows where the train graph packs. The scorers
+intersect the rows of each pair's endpoints, packed where the train
+graph packs and merged as neighbor lists otherwise, so scoring a split
+makes no wedge pass. With every non-link as a negative, the pairs are
+converted once from their condensed keys.
 """
 
 from __future__ import annotations

@@ -22,17 +22,17 @@ monotone rescaling irrelevant.
 
 :func:`score_pairs_many` scores a whole pair set at once with several
 scorers, on numpy alone; :func:`score_pairs` is its one-scorer case.
-CN, AA and RA add up terms 1, ``1/log(1+d_w)`` and ``1/d_w`` per
-condensed pair key over the wedges, the neighbor pairs of each centre w
-(Lü & Zhou, Physica A 2011; Zhou, Lü & Zhang, EPJ B 2009). One pass over
-the wedges (:func:`~hyperlp.hypergraph.wedge_blocks`) serves all three
-and JC, which is ``CN / (d_u + d_v - CN)``. Explicit pairs on a graph
-that packs (:func:`~hyperlp.hypergraph.packs`) take the AND of their
-endpoints' packed rows instead, with the same terms in the same order.
-PA is ``d_u * d_v`` and SR indexes one :func:`simrank_matrix`. Each
-pair's AA and RA terms are added in ascending order, so the sum depends
-only on the multiset of common-neighbor degrees, not on vertex labels
-(Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 4).
+CN, AA and RA add up terms 1, ``1/log(1+d_w)`` and ``1/d_w`` per pair
+over its common neighbors w (Lü & Zhou, Physica A 2011; Zhou, Lü &
+Zhang, EPJ B 2009): over the wedges, the neighbor pairs of each centre
+w, for every pair, and over the intersected endpoint rows for explicit
+pairs (:func:`~hyperlp.hypergraph.common_neighbor_hits`), with the same
+terms in the same order. One pass serves all three and JC, which is
+``CN / (d_u + d_v - CN)``. PA is ``d_u * d_v`` and SR indexes one
+:func:`simrank_matrix`. Each pair's AA and RA terms are added in
+ascending order, so the sum depends only on the multiset of
+common-neighbor degrees, not on vertex labels (Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2002, ch. 4).
 The per-pair functions and :func:`score` are the reference, one pair at
 a time; they add AA and RA terms in set order, so the two can differ in
 the last bits.
@@ -63,14 +63,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .hypergraph import (
-    SimpleGraph,
-    common_neighbor_bits,
-    condensed_keys,
-    count_keys,
-    packs,
-    wedge_blocks,
-)
+from .hypergraph import SimpleGraph, common_neighbor_hits
 from .latent import ResourceLimitError
 
 SCORER_IDS: tuple[str, ...] = ("cn", "aa", "pa", "jc", "ra", "sr")
@@ -90,10 +83,6 @@ _SIMRANK_BATCH = 16
 # The thread gate: OpenBLAS runs a product of at most this many
 # multiply-adds on the calling thread
 _BLAS_SERIAL_WORK = 1 << 18
-# Flags per low-bit residue of a wanted pair key: a 1 MB table that
-# passes few unwanted wedges to the binary search (about 1 in 200 for
-# 5,000 wanted pairs) at two array passes each.
-_RESIDUES = 1 << 20
 
 
 class SimRankConvergenceError(RuntimeError):
@@ -317,49 +306,23 @@ def condensed(n: int, keys: np.ndarray, values) -> np.ndarray:
     return out
 
 
-def _wedge_sums(
-    g: SimpleGraph, weights: list[np.ndarray | None], at: np.ndarray | None
+def _common_sums(
+    g: SimpleGraph,
+    weights: list[np.ndarray | None],
+    u: np.ndarray | None = None,
+    v: np.ndarray | None = None,
 ) -> list[np.ndarray]:
     """Sums over common neighbors of each per-vertex weight in ``weights``
-    (counts for None), at every pair in condensed order or at the
-    condensed keys ``at``, whose wedges are found by ``searchsorted``.
-
-    One pass over the wedges serves every weight, filtered once per
-    block. Terms are added one by one in
-    :func:`~hyperlp.hypergraph.wedge_blocks` order (``np.add.at``), so
-    neither the blocks nor ``at`` change a sum."""
-    wanted = None if at is None else count_keys(at)[0]
-    size = g.n * (g.n - 1) // 2 if at is None else len(wanted)
+    (counts for None), at every pair in condensed order or at the pairs
+    ``(u[i], v[i])``, from one pass of
+    :func:`~hyperlp.hypergraph.common_neighbor_hits`. Each pair's terms
+    are added one by one in centre order (``np.add.at``), so no branch or
+    chunking of that pass changes a sum."""
+    size = g.n * (g.n - 1) // 2 if u is None else len(u)
     sums = [np.zeros(size, dtype=np.int64 if w is None else np.float64) for w in weights]
-    if wanted is not None:  # one flag per low-bit residue of a wanted key
-        residue = np.zeros(_RESIDUES, dtype=bool)
-        residue[wanted & (_RESIDUES - 1)] = True
-    for keys, centres in wedge_blocks(g):
-        if wanted is not None:  # search only the wedges whose residue is flagged
-            near = np.flatnonzero(residue[keys & (_RESIDUES - 1)])
-            pos = np.searchsorted(wanted, keys[near])
-            hit = wanted[np.minimum(pos, len(wanted) - 1)] == keys[near]
-            keys, centres = pos[hit], centres[near[hit]]
+    for slots, centres in common_neighbor_hits(g, u, v):
         for total, w in zip(sums, weights):
-            np.add.at(total, keys, 1 if w is None else w[centres])
-    return sums if at is None else [total[np.searchsorted(wanted, at)] for total in sums]
-
-
-def _pair_and_sums(
-    g: SimpleGraph, weights: list[np.ndarray | None], u: np.ndarray, v: np.ndarray
-) -> list[np.ndarray]:
-    """The sums of :func:`_wedge_sums` at the pairs ``(u[i], v[i])``, from
-    the AND of the endpoints' packed rows (Schank & Wagner, WEA 2005).
-
-    Each pair's common neighbors come in the wedge pass's centre order
-    (:func:`~hyperlp.hypergraph.common_neighbor_bits`), and
-    ``np.bincount`` adds their terms one by one from 0.0: the sums equal
-    the wedge pass's bit for bit."""
-    sums = [np.zeros(len(u), dtype=np.int64 if w is None else np.float64) for w in weights]
-    for chunk, pair, centres in common_neighbor_bits(g, u, v):
-        for total, w in zip(sums, weights):
-            weight = None if w is None else w[centres]
-            total[chunk] = np.bincount(pair, weight, minlength=chunk.stop - chunk.start)
+            np.add.at(total, slots, 1 if w is None else w[centres])
     return sums
 
 
@@ -373,12 +336,11 @@ def score_pairs_many(
     definitions and checks as :func:`score`, in input order. Without ``u``
     and ``v``, scores every pair u < v in ``np.triu_indices(g.n, 1)`` order.
 
-    CN, AA, RA and JC (from the CN sums) share one pass: over the wedges
-    for every pair; for explicit pairs, over the endpoints' packed rows
-    where :func:`~hyperlp.hypergraph.packs` holds, else over the wedges
-    filtered to the pairs. A scorer that raises gets its exception in its
-    slot, and an error in the shared pass goes to every wedge scorer;
-    invalid pairs raise.
+    CN, AA, RA and JC (from the CN sums) share one pass over the common
+    neighbors (:func:`~hyperlp.hypergraph.common_neighbor_hits`): the
+    wedges for every pair, the endpoints' rows for explicit pairs. A
+    scorer that raises gets its exception in its slot, and an error in
+    the shared pass goes to every one of those four; invalid pairs raise.
     """
     every = u is None and v is None
     if every:  # valid by construction; only PA, JC and SR read u and v
@@ -404,13 +366,9 @@ def score_pairs_many(
     sums: dict[str, np.ndarray | Exception] = {}
     try:
         if summed and size:
-            weights = [weight[s] for s in summed]
-            if not every and packs(g):
-                parts = _pair_and_sums(g, weights, u, v)
-            else:
-                parts = _wedge_sums(g, weights, None if every else condensed_keys(g.n, u, v))
-            sums = dict(zip(summed, parts))
-    except Exception as exc:  # the shared pass fails every wedge scorer
+            pairs = () if every else (u, v)
+            sums = dict(zip(summed, _common_sums(g, [weight[s] for s in summed], *pairs)))
+    except Exception as exc:  # the shared pass fails every scorer it serves
         sums = dict.fromkeys(summed, exc)
     out: dict[str, np.ndarray | Exception] = {}
     for scorer in scorers:

@@ -16,10 +16,11 @@ coverage counts are the same count. Where a graph's pairs are few beside
 its wedges (:func:`packs`), its rows are packed into bits instead
 (:func:`packed_rows`): the OR of a vertex's neighbor rows is its two-hop
 reach (:func:`reach_mark`), and the AND of two rows their common
-neighbors. :func:`reach_keys`, the pairs within a hop limit, takes
-whichever of the two the graph suits: on packed rows, or by sorting
-the edge and wedge keys and then, hop by hop, the pairs reached so far
-with one end moved to a neighbor.
+neighbors. :func:`reach_keys`, the pairs within a hop limit, and
+:func:`common_neighbor_hits` take whichever the graph suits. Reach
+sorts the edge and wedge keys otherwise, then, hop by hop, the pairs
+reached so far with one end moved to a neighbor; given pairs merge
+their endpoints' neighbor lists.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ def _rows_by_size(indptr: np.ndarray) -> Iterator[np.ndarray]:
     """Per distinct row size s of the CSR ``indptr``, ascending: the
     (m_s, s) positions of those rows' entries, rows in order."""
     sizes = np.diff(indptr)
-    for s in count_keys(sizes)[0].tolist():
+    for s in distinct_keys(sizes).tolist():
         yield indptr[:-1][sizes == s, None] + np.arange(s)
 
 
@@ -172,7 +173,7 @@ class SimpleGraph:
                 raise ValueError(f"self-loop at vertex {a} is not allowed")
             raise ValueError(f"edge ({a}, {b}) outside 0..{n - 1}")
         # Both directions, deduplicated: ascending keys are row-major order.
-        keys, _ = count_keys(np.concatenate([u * n + v, v * n + u]))
+        keys = distinct_keys(np.concatenate([u * n + v, v * n + u]))
         rows, cols = np.divmod(keys, n)
         self.n = n
         self.indptr = np.searchsorted(rows, np.arange(n + 1))
@@ -254,15 +255,25 @@ class SimpleGraph:
         return f"SimpleGraph(n={self.n}, |E|={self.edge_count})"
 
 
-def count_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of the int array ``keys``, ascending, and their
-    counts, by sort and mask (``np.unique`` hashes int64 in numpy 2.4,
-    ~20x slower)."""
+def distinct_keys(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of the int array ``keys``, ascending, by sort
+    and mask (``np.unique`` hashes int64 in numpy 2.4, ~20x slower)."""
     keys = np.sort(keys)
+    return keys[_run_starts(keys)]
+
+
+def count_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`distinct_keys` and how many times each occurs."""
+    keys = np.sort(keys)
+    first = np.flatnonzero(_run_starts(keys))
+    return keys[first], np.diff(first, append=len(keys))
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Whether each entry of the sorted ``keys`` differs from the last."""
     new = np.ones(len(keys), dtype=bool)
     new[1:] = keys[1:] != keys[:-1]
-    first = np.flatnonzero(new)
-    return keys[first], np.diff(first, append=len(keys))
+    return new
 
 
 def _row_base(n: int) -> np.ndarray:
@@ -325,7 +336,7 @@ def _spans(done: np.ndarray, limit: int) -> Iterator[tuple[int, int]]:
 
 def _centre_order(g: SimpleGraph) -> np.ndarray:
     """The vertices by descending degree, ties by id: the order in which
-    :func:`wedge_blocks` and :func:`common_neighbor_bits` give centres."""
+    :func:`wedge_blocks` and :func:`common_neighbor_hits` give centres."""
     return np.argsort(-g.degrees(), kind="stable")
 
 
@@ -365,28 +376,41 @@ def _neighbor_or(g: SimpleGraph, rows: np.ndarray) -> np.ndarray:
     live = np.flatnonzero(g.degrees())
     starts, ends = g.indptr[live], g.indptr[live + 1]
     per = ROW_BLOCK // max(rows.shape[1] * 8, 1)  # rows per gather
-    lo = 0
-    while lo < len(live):
-        hi = max(int(np.searchsorted(ends, starts[lo] + per, side="right")), lo + 1)
+    # the live rows lie back to back from 0, so their ends are running totals
+    for lo, hi in _spans(ends, per):
         gathered = rows[g.indices[starts[lo] : ends[hi - 1]]]
         out[live[lo:hi]] = np.bitwise_or.reduceat(gathered, starts[lo:hi] - starts[lo], axis=0)
-        lo = hi
     return out
 
 
-def common_neighbor_bits(
-    g: SimpleGraph, u: np.ndarray, v: np.ndarray
-) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-    """The common neighbors of the pairs ``(u[i], v[i])``, from the AND of
-    the endpoints' packed rows: per chunk of the pairs, its slice, and
-    each common neighbor's pair within the chunk and its id, pair by
-    pair, in :func:`wedge_blocks` centre order. The rows' columns are
-    ranked in that order, and the set bits read in ascending order. A
-    chunk ANDs at most ``ROW_BLOCK`` bytes of rows, unless one row is
-    longer."""
+def common_neighbor_hits(
+    g: SimpleGraph, u: np.ndarray | None = None, v: np.ndarray | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The common neighbors of pairs, in batches of ``(slot, centre)``
+    arrays, one entry per common neighbor. Without ``u`` and ``v``, these
+    are the wedges (:func:`wedge_blocks`), slotted by condensed key. Else
+    the pairs ``(u[i], v[i])``, slotted by i, have their endpoints' rows
+    intersected (Schank & Wagner, WEA 2005): ANDed as rows packed in
+    centre order where ``g`` packs (:func:`packs`), else merged as
+    neighbor lists keyed by slot and centre rank, a key listed twice
+    being a common neighbor. A chunk takes ``ROW_BLOCK`` bytes of rows or
+    of keys, unless one pair needs more. In a batch, each pair's common
+    neighbors come in :func:`wedge_blocks` centre order."""
+    if u is None:
+        yield from wedge_blocks(g)
+        return
     order = _centre_order(g)
     rank = np.empty_like(order)
     rank[order] = np.arange(g.n)
+    if not packs(g):
+        deg = g.degrees()
+        for lo, hi in _spans(np.cumsum(deg[u] + deg[v]), ROW_BLOCK // 8):
+            ends = np.concatenate([u[lo:hi], v[lo:hi]])
+            slot = np.repeat(np.tile(np.arange(hi - lo), 2), deg[ends])
+            keys = np.sort(slot * g.n + rank[_neighbor_lists(g, ends)])
+            slot, at = np.divmod(keys[1:][keys[1:] == keys[:-1]], g.n)
+            yield lo + slot, order[at]
+        return
     rows = packed_rows(g, rank)
     width = rows.shape[1] * 64  # bits per row
     per = max(ROW_BLOCK * 8 // max(width, 1), 1)  # pairs per AND
@@ -402,7 +426,7 @@ def common_neighbor_bits(
         byte = nonzero[bits >> 3]  # of the nonzero words' bytes
         at = (words[byte >> 3] * 8 + (byte & 7)) * 8 + (bits & 7)
         pair, bit = np.divmod(at, width)
-        yield slice(lo, min(lo + per, len(u))), pair, order[bit]
+        yield lo + pair, order[bit]
 
 
 def reach_mark(g: SimpleGraph, hops: int) -> np.ndarray:
@@ -471,7 +495,7 @@ def reach_keys(g: SimpleGraph, hops: int, drop: np.ndarray) -> np.ndarray:
     reach = g.edge_keys()
     for hop in range(2, hops + 1):
         parts = (keys for keys, _ in wedge_blocks(g)) if hop == 2 else _extensions(g, reach)
-        reach = count_keys(np.concatenate([reach, *(count_keys(k)[0] for k in parts)]))[0]
+        reach = distinct_keys(np.concatenate([reach, *map(distinct_keys, parts)]))
     return np.setdiff1d(reach, drop, assume_unique=True)
 
 

@@ -29,7 +29,13 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .hypergraph import Hypergraph, condensed_keys, count_keys, group_pair_keys, pair_cooccurrence
+from .hypergraph import (
+    Hypergraph,
+    condensed_keys,
+    distinct_keys,
+    group_pair_keys,
+    pair_cooccurrence,
+)
 
 DEFAULT_MAX_POTENTIAL = 10_000_000
 DEFAULT_HOFF_ALPHA = 10.0
@@ -381,7 +387,7 @@ def link_probability_map(
     """
     miss = 1.0 - _checked_phi(pot, phi)
     keys = [np.zeros(0, dtype=np.int64)] + [k for k, _ in pot.pair_counts]
-    covered, _ = count_keys(np.concatenate(keys))
+    covered = distinct_keys(np.concatenate(keys))
     missed = np.ones(len(covered))
     for m, (keys, counts) in zip(miss, pot.pair_counts):
         missed[np.searchsorted(covered, keys)] *= m**counts
@@ -467,7 +473,7 @@ def edge_distance_profile(
     trial_seeds = seed_rng.integers(0, 2**63 - 1, size=n_trials)
     for ts in trial_seeds:  # each draw's covered pairs, with no Hypergraph built
         keys = [group_pair_keys(n, block) for block in _kept_blocks(pot, phi_vec, int(ts))]
-        hits[count_keys(np.concatenate(keys))[0]] += 1
+        hits[distinct_keys(np.concatenate(keys))] += 1
     freq = hits / n_trials
 
     edges = np.histogram_bin_edges(dist, bins=bins)

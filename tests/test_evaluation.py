@@ -37,7 +37,7 @@ from hyperlp.evaluation import (
     _sample_distance_limited_non_links,
     all_pairs,
 )
-from hyperlp.hypergraph import count_keys
+from hyperlp.hypergraph import distinct_keys
 
 
 def brute_force_auc(scores, labels):
@@ -599,7 +599,9 @@ class TestSplitEvaluate:
         """The lengths of the key arrays the sampler sorts, as it sorts them."""
         sorted_keys = []
         monkeypatch.setattr(
-            hypergraph, "count_keys", lambda keys: sorted_keys.append(len(keys)) or count_keys(keys)
+            hypergraph,
+            "distinct_keys",
+            lambda keys: sorted_keys.append(len(keys)) or distinct_keys(keys),
         )
         return sorted_keys
 

@@ -435,10 +435,9 @@ class TestWedgeParity:
             assert auc(lp.scores, lp.labels) == auc(lp2.scores, lp2.labels), s
 
     @pytest.mark.parametrize("block", [1, 5, 300])
-    def test_blocks_and_residues_change_no_score(self, block, monkeypatch):
+    def test_wedge_blocks_change_no_score(self, block, monkeypatch):
         # terms are added one by one in wedge order, so cutting the wedges
-        # into blocks leaves every score bitwise unchanged, and so does a
-        # residue table small enough that unwanted wedges share residues
+        # into blocks leaves every score bitwise unchanged
         rng = np.random.default_rng(block)
         gs = [clique_expand(random_hypergraph(rng, 25, 30, max_size=6)), complete_graph(9)]
         pairs = [rng.integers(0, g.n, size=(2, 40)) for g in gs]
@@ -453,7 +452,6 @@ class TestWedgeParity:
 
         want = scores()
         monkeypatch.setattr(hypergraph, "WEDGE_BLOCK", block)
-        monkeypatch.setattr(heuristics, "_RESIDUES", 4)
         for (got_all, got_at), (ref_all, ref_at) in zip(scores(), want):
             assert np.array_equal(got_all, ref_all) and np.array_equal(got_at, ref_at)
 
@@ -521,7 +519,7 @@ def random_pairs(rng, n, m):
 
 class TestPackedRows:
     """Explicit pairs scored from the AND of packed endpoint rows, against
-    the wedge pass filtered through the residue table."""
+    the merge of their neighbor lists and the every-pair wedge pass."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -531,22 +529,47 @@ class TestPackedRows:
         st.sampled_from([8, 64, 1 << 20]),
     )
     def test_packed_pairs_match_wedge_pass(self, g, seed, m, block):
-        # bit for bit, at any chunking of the ANDed rows; pairs without a
-        # common neighbor score 0 and repeated pairs score alike
+        # the AND and the merge agree bit for bit, at any chunking of the
+        # ANDed rows or the merged lists; pairs without a common neighbor
+        # score 0 and repeated pairs score alike
         u, v = random_pairs(np.random.default_rng(seed), g.n, m)
         scorers = ["cn", "aa", "ra", "jc", "pa"]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(hypergraph, "ROW_BLOCK", block)
-            mp.setattr(heuristics, "packs", lambda g: True)
+            mp.setattr(hypergraph, "packs", lambda g: True)
             packed = score_pairs_many(scorers, g, u, v)
-            mp.setattr(heuristics, "packs", lambda g: False)
-            wedge = score_pairs_many(scorers, g, u, v)
+            mp.setattr(hypergraph, "packs", lambda g: False)
+            merged = score_pairs_many(scorers, g, u, v)
         for s in scorers:
-            assert packed[s].dtype == wedge[s].dtype and np.array_equal(packed[s], wedge[s]), s
+            assert packed[s].dtype == merged[s].dtype and np.array_equal(packed[s], merged[s]), s
         weights = [None, np.ones(g.n)]  # an empty pair set gives empty sums
         empty = np.zeros(0, dtype=np.int64)
-        cn, ones = heuristics._pair_and_sums(g, weights, empty, empty)
-        assert (cn.dtype, cn.shape, ones.dtype, ones.shape) == (np.int64, (0,), np.float64, (0,))
+        for fits in (True, False):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(hypergraph, "packs", lambda g: fits)
+                cn, ones = heuristics._common_sums(g, weights, empty, empty)
+            assert (cn.dtype, cn.shape, ones.dtype, ones.shape) == (np.int64, (0,), np.float64, (0,))
+
+    @settings(max_examples=150, deadline=None)
+    @given(packed_sized_graphs(), st.integers(0, 2**32 - 1), st.integers(0, 60), st.booleans())
+    def test_explicit_pairs_match_every_pair_wedge_pass(self, g, seed, m, fits):
+        # either row kernel, read at each pair, equals the wedge pass over
+        # every pair read at its condensed key, bit for bit; an 8-byte
+        # ROW_BLOCK lets one pair overrun a chunk of either kernel
+        rng = np.random.default_rng(seed)
+        u, v = random_pairs(rng, g.n, m)
+        if g.edge_count:  # some edges, in either orientation
+            a, b = g.edge_array()[rng.integers(0, g.edge_count, size=5)].T
+            u, v = np.concatenate([u, a, b]), np.concatenate([v, b, a])
+        scorers = ["cn", "aa", "ra", "jc"]
+        every = score_pairs_many(scorers, g)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hypergraph, "ROW_BLOCK", 8)
+            mp.setattr(hypergraph, "packs", lambda g: fits)
+            got = score_pairs_many(scorers, g, u, v)
+        at = hypergraph.condensed_keys(g.n, u, v)
+        for s in scorers:
+            assert got[s].dtype == every[s].dtype and np.array_equal(got[s], every[s][at]), s
 
     @settings(max_examples=60, deadline=None)
     @given(packed_sized_graphs(), st.integers(0, 2**32 - 1))
@@ -557,14 +580,15 @@ class TestPackedRows:
         g2 = SimpleGraph(g.n, perm[g.edge_array()])
         u, v = random_pairs(rng, g.n, 80)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(heuristics, "packs", lambda g: True)
+            mp.setattr(hypergraph, "packs", lambda g: True)
             for s in ("aa", "ra"):
                 assert np.array_equal(score_pairs(s, g, u, v), score_pairs(s, g2, perm[u], perm[v])), s
 
     @pytest.mark.parametrize("n, packed", [(16, True), (17, False)])
     def test_scorer_packs_at_its_bound(self, n, packed, monkeypatch):
         # a 6-leaf star has 15 wedges, 120 bytes of keys: 120 pairs at
-        # n=16 take the packed rows, 136 at n=17 the wedge pass
+        # n=16 take the packed rows, 136 at n=17 the merge; neither makes
+        # a wedge pass
         rows, wedges = [], []
         real_rows, real_wedges = hypergraph.packed_rows, hypergraph._wedges
         monkeypatch.setattr(hypergraph, "packed_rows", lambda *a: rows.append(1) or real_rows(*a))
@@ -577,7 +601,7 @@ class TestPackedRows:
         assert out["ra"].tolist() == [1 / 6] * 3 + [0, 0]
         assert out["aa"].tolist() == [1 / math.log(7)] * 3 + [0, 0]
         assert out["jc"].tolist() == [1, 1, 1, 0, 0]
-        assert (bool(rows), bool(wedges)) == (packed, not packed)
+        assert (bool(rows), bool(wedges)) == (packed, False)
 
 
 def to_networkx(nx, g):

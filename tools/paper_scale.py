@@ -1,5 +1,5 @@
 """Time the protocols on seeded synthetic inputs: one graph the size of
-NDC-substances, and one sparse graph too large to pack.
+NDC-substances, and two sparse graphs too large to pack.
 
     PYTHONPATH=src python3 tools/paper_scale.py
 
@@ -15,12 +15,15 @@ check makes per graph, ``evaluate_protocol(g, ("cn", "aa", "pa"),
 SplitSpec(0.8, 2, 1.0, 41))``, and of one leave-one-out graph,
 ``evaluate_protocol(g, ("cn", "aa", "ra", "pa", "jc"), "loo")``.
 
-The sparse input is drawn from ``numpy.random.default_rng(1)``:
-n=20,000 vertices and 20,000 hyperedges of sizes 2..4, uniform, each
-of distinct uniform members. Its split train graph (the same
-``SplitSpec`` at ``d_hop=2``) has 53,532 edges and 348,824 wedges, so
-it does not pack. The script prints the wall time and ``tracemalloc``
-peak of drawing 1,000 negatives within 3 and within 4 hops of it.
+The two sparse inputs have uniform hyperedge sizes, each hyperedge of
+distinct uniform members: n=20,000 vertices and 20,000 hyperedges of
+sizes 2..4 from ``numpy.random.default_rng(1)``, and n=100,000 vertices
+and 150,000 hyperedges of sizes 2..5 from ``default_rng(2)``. Their split train graphs (the same ``SplitSpec`` at
+``d_hop=2``) have 53,532 edges and 348,824 wedges, and 600,278 edges
+and 8.29M wedges, so neither packs. For each, the script prints the wall
+time and ``tracemalloc`` peak of scoring its split pair set with
+``cn,aa,ra,pa,jc``; for the first, also those of drawing 1,000
+negatives within 3 and within 4 hops.
 
 The whole run takes about a minute on 2 cores; the leave-one-out graph
 holds the most memory, about 1.2 GB.
@@ -40,9 +43,10 @@ from hyperlp.hypergraph import Hypergraph, clique_expand, wedge_count
 
 N, M = 5556, 112919
 SCORERS = ("cn", "aa", "pa")
-LOO_SCORERS = ("cn", "aa", "ra", "pa", "jc")
+ALL_SCORERS = ("cn", "aa", "ra", "pa", "jc")
 SPEC = SplitSpec(0.8, 2, 1.0, 41)
-SPARSE_N = 20_000
+# (n, hyperedges, largest size, seed) of each sparse input
+SPARSE = ((20_000, 20_000, 4, 1), (100_000, 150_000, 5, 2))
 
 
 def ndc_sized() -> Hypergraph:
@@ -55,10 +59,10 @@ def ndc_sized() -> Hypergraph:
     return Hypergraph(N, [rng.choice(N, size=int(k), replace=False, p=popularity) for k in sizes])
 
 
-def sparse_unpacked() -> Hypergraph:
-    rng = np.random.default_rng(1)
-    sizes = rng.integers(2, 5, size=SPARSE_N)
-    return Hypergraph(SPARSE_N, [rng.choice(SPARSE_N, size=int(k), replace=False) for k in sizes])
+def sparse_unpacked(n: int, m: int, max_size: int, seed: int) -> Hypergraph:
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(2, max_size + 1, size=m)
+    return Hypergraph(n, [rng.choice(n, size=int(k), replace=False) for k in sizes])
 
 
 def timed(label: str, call) -> None:
@@ -71,7 +75,7 @@ def timed(label: str, call) -> None:
     call()
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    print(f"{label} {wall:.2f} s, tracemalloc peak {peak / 2**20:.0f} MB")
+    print(f"{label} {wall:.3f} s, tracemalloc peak {peak / 2**20:.1f} MB")
 
 
 def main() -> None:
@@ -87,18 +91,23 @@ def main() -> None:
     del g_train, pairs
 
     timed("split evaluate_protocol", lambda: evaluate_protocol(g, SCORERS, SPEC))
-    timed("leave-one-out evaluate_protocol", lambda: evaluate_protocol(g, LOO_SCORERS, "loo"))
+    timed("leave-one-out evaluate_protocol", lambda: evaluate_protocol(g, ALL_SCORERS, "loo"))
 
-    g = clique_expand(sparse_unpacked())
-    g_train = evaluation._split_pair_set(g, SPEC)[0]
-    print(f"sparse n={g.n} train edges={g_train.edge_count} wedges={wedge_count(g_train)}")
-    for d_hop in (3, 4):
+    for i, params in enumerate(SPARSE):
+        g = clique_expand(sparse_unpacked(*params))
+        g_train, pairs = evaluation._split_pair_set(g, SPEC)[:2]
+        print(f"sparse n={g.n} train edges={g_train.edge_count} wedges={wedge_count(g_train)}")
         timed(
-            f"negatives within {d_hop} hops",
-            lambda: evaluation._sample_distance_limited_non_links(
-                g, g_train, d_hop, 1000, np.random.default_rng(SPEC.seed)
-            ),
+            f"scoring {len(pairs)} split pairs",
+            lambda: score_pairs_many(ALL_SCORERS, g_train, *pairs.T),
         )
+        for d_hop in (3, 4) if i == 0 else ():
+            timed(
+                f"negatives within {d_hop} hops",
+                lambda: evaluation._sample_distance_limited_non_links(
+                    g, g_train, d_hop, 1000, np.random.default_rng(SPEC.seed)
+                ),
+            )
 
 
 if __name__ == "__main__":
