@@ -219,6 +219,16 @@ def _protocol_from_args(args):
     )
 
 
+def _scoring_manifest(args, bundle: DatasetBundle) -> dict:
+    """``evaluate``'s and ``adjust``'s manifest: every flag their CSV
+    depends on, with the split seed resolved as :func:`_protocol_from_args`
+    resolves it."""
+    flags = ("algorithms", "protocol", "runs", "rho", "d_hop", "negatives", "negative_ratio")
+    params = {"dataset": bundle.name, **{flag: getattr(args, flag) for flag in flags}}
+    params["split_seed"] = args.split_seed if args.split_seed is not None else args.seed
+    return _manifest(args.subcommand, params, [args.seed], _checksums(bundle))
+
+
 def cmd_generate(args) -> Output:
     cfg = load_model_config(args.config)
     seed = cfg.seed if args.seed is None else args.seed
@@ -371,21 +381,7 @@ def cmd_evaluate(args) -> Output:
         raise ConfigError(f"--runs must be >= 0, got {args.runs}")
     bundle, done, errors, reversals = _scored(args, relocate=args.runs > 0)
     results = [_evaluate_entry(s, r) for s, r in done.items()]
-    manifest = _manifest(
-        "evaluate",
-        {
-            "dataset": bundle.name,
-            "algorithms": args.algorithms,
-            "protocol": args.protocol,
-            "runs": args.runs,
-            "rho": args.rho,
-            "d_hop": args.d_hop,
-            "negatives": args.negatives,
-            "negative_ratio": args.negative_ratio,
-        },
-        [args.seed],
-        _checksums(bundle),
-    )
+    manifest = _scoring_manifest(args, bundle)
     header = [
         "dataset", "scorer", "protocol", "auc", "auc_conditional", "n_pos", "n_neg",
         "auc_rel_mean", "auc_rel_std", "af", "auc_adjusted", "n_runs", "seed",
@@ -545,17 +541,7 @@ def cmd_verify(args) -> Output:
 
 def cmd_adjust(args) -> Output:
     bundle, reports, errors, reversals = _scored(args, relocate=True)
-    manifest = _manifest(
-        "adjust",
-        {
-            "dataset": bundle.name,
-            "algorithms": args.algorithms,
-            "protocol": args.protocol,
-            "runs": args.runs,
-        },
-        [args.seed],
-        _checksums(bundle),
-    )
+    manifest = _scoring_manifest(args, bundle)
     header = ["dataset"]
     row = [bundle.name]
     for scorer in args.algorithms:

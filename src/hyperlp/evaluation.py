@@ -26,24 +26,26 @@ for CN, AA, RA and JC), and returns each scorer's :class:`AucCount`;
 ``leave_one_out`` and ``split_evaluate`` return one scorer's scores
 from the same step as a :class:`LabeledPairs`.
 
-A split's pairs are one int (m, 2) array with a labels array; neither is
-built pair by pair. The leave-one-out set is every pair u < v in
-``np.triu_indices(n, 1)`` order (the condensed order), so it is only a
-labels array: the edges' condensed keys scattered once
+A sampled split's pairs are one int (m, 2) array with a labels array;
+neither is built pair by pair. The leave-one-out set is every pair u < v
+in ``np.triu_indices(n, 1)`` order (the condensed order), so it is only
+a labels array: the edges' condensed keys scattered once
 (:func:`~hyperlp.heuristics.condensed`). It needs no per-edge graph
 copy: removing edge {u, v} changes no common neighbor of u and v and no
 degree of one, so CN, AA and RA keep their intact-graph value, PA
 becomes ``(d_u - 1)(d_v - 1)`` and JC's union shrinks by 2. SimRank
 solves once per edge, from the intact column-normalized adjacency ``W``
 with the two columns of the edge's endpoints replaced
-(:func:`~hyperlp.heuristics.simrank_without_each_edge`). Split negatives
-are the pairs within ``d_hop`` train-graph hops minus the full graph's
-edges, read from :func:`~hyperlp.hypergraph.reach_keys`, which marks
-them from packed rows where the train graph packs. The scorers
+(:func:`~hyperlp.heuristics.simrank_without_each_edge`). Sampled
+negatives are the pairs within ``d_hop`` train-graph hops minus the full
+graph's edges, read from :func:`~hyperlp.hypergraph.reach_keys`, which
+marks them from packed rows where the train graph packs. The scorers
 intersect the rows of each pair's endpoints, packed where the train
-graph packs and merged as neighbor lists otherwise, so scoring a split
-makes no wedge pass. With every non-link as a negative, the pairs are
-converted once from their condensed keys.
+graph packs and merged as neighbor lists otherwise, so scoring a sampled
+split makes no wedge pass. With every non-link as a negative, a split is
+scored like leave-one-out: every pair of the train graph in one wedge
+pass, labeled by a condensed class array (1 held-out edge, 0 non-edge of
+the full graph, -1 train edge, left out of the count).
 """
 
 from __future__ import annotations
@@ -138,7 +140,8 @@ class SplitSpec:
 
 def _cross_class_counts(scores, labels, weights=None) -> tuple[float, float, float, float]:
     """(#{s_pos > s_neg}, #{s_pos == s_neg}, P, N), each observation
-    counted with its weight (default 1).
+    counted with its weight (default 1). Labels 1 (True) and 0 (False)
+    are the classes; any other label (-1) is left out.
 
     Sorts the negatives; ``searchsorted`` (``left`` and ``right``) finds
     where each positive's lower and equal negatives end. Unweighted, those
@@ -147,18 +150,19 @@ def _cross_class_counts(scores, labels, weights=None) -> tuple[float, float, flo
     over the runs gives the weight below each; no count is a difference.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=bool)
+    labels = np.asarray(labels)
     w = labels if weights is None else np.asarray(weights, dtype=np.float64)
     if not (scores.ndim == 1 and scores.shape == labels.shape == w.shape):
         raise ValueError("scores and labels must be 1-d arrays of equal length")
-    neg, pos = scores[~labels], scores[labels]
+    is_pos, is_neg = labels == 1, labels == 0
+    neg, pos = scores[is_neg], scores[is_pos]
     if weights is None:
         neg.sort()
         pos.sort()  # ascending keys keep the binary searches cache-friendly
         lo, hi = (np.searchsorted(neg, pos, side=side) for side in ("left", "right"))
         return int(lo.sum()), int((hi - lo).sum()), len(pos), len(neg)
     order = np.argsort(neg, kind="stable")
-    neg, w_neg, w_pos = neg[order], w[~labels][order], w[labels]
+    neg, w_neg, w_pos = neg[order], w[is_neg][order], w[is_pos]
     starts = np.flatnonzero(np.searchsorted(neg, neg) == np.arange(len(neg)))  # runs
     run = np.add.reduceat(w_neg, starts) if len(neg) else w_neg
     below = np.concatenate(([0.0], np.cumsum(run)))
@@ -272,7 +276,8 @@ def _sample_distance_limited_non_links(
 
 
 def _split_pair_set(g: SimpleGraph, spec: SplitSpec):
-    """Held-out edges and sampled non-links, scored on the train graph."""
+    """Held-out edges and sampled non-links, scored on the train graph;
+    with ``negative_ratio=None``, the class of every pair (see above)."""
     edges = g.edge_array()
     m = len(edges)
     n_test = math.ceil((1.0 - spec.rho) * m)
@@ -284,15 +289,16 @@ def _split_pair_set(g: SimpleGraph, spec: SplitSpec):
     test = np.zeros(m, dtype=bool)
     test[rng.choice(m, size=n_test, replace=False)] = True
     g_train = SimpleGraph(g.n, edges[~test])
-    if spec.negative_ratio is None:  # every non-edge: one conversion from keys
-        keys = np.concatenate([g.edge_keys()[test], np.flatnonzero(~_pair_labels(g))])
-        pairs = condensed_pairs(g.n, keys)
-    else:
-        wanted = round(spec.negative_ratio * n_test)
-        negatives = _sample_distance_limited_non_links(g, g_train, spec.d_hop, wanted, rng)
-        pairs = np.concatenate([edges[test], negatives])
-    if len(pairs) == n_test:
+    if spec.negative_ratio is None:  # every pair, classed in condensed order
+        if m == g.n * (g.n - 1) // 2:
+            raise ValueError("no negatives available for the split")
+        classes = np.where(test, np.int8(1), np.int8(-1))  # of the edges
+        return g_train, None, condensed(g.n, g.edge_keys(), classes)
+    wanted = round(spec.negative_ratio * n_test)
+    negatives = _sample_distance_limited_non_links(g, g_train, spec.d_hop, wanted, rng)
+    if len(negatives) == 0:
         raise ValueError("no negatives available for the split")
+    pairs = np.concatenate([edges[test], negatives])
     return g_train, pairs, np.arange(len(pairs)) < n_test
 
 
@@ -300,8 +306,9 @@ def _protocol_scores(
     g: SimpleGraph, scorers: Sequence[str], protocol: str | SplitSpec
 ) -> tuple[np.ndarray | None, np.ndarray | None, dict[str, np.ndarray | Exception]]:
     """The (m, 2) pairs of one pair set of ``g`` under ``protocol`` (None
-    for leave-one-out: every u < v in condensed order), their labels, and
-    every scorer's scores of them.
+    for every u < v in condensed order: leave-one-out, and a split with
+    every non-link as a negative), their labels (``bool``, or that
+    split's class array), and every scorer's scores of them.
 
     The wedge scorers share one pass over the scoring graph. A scorer
     that raises gets its exception in its own slot, and an error in the
@@ -329,7 +336,7 @@ def _protocol_scores(
     live = [s for s in scorers if s not in out]
     # leave-one-out scores every pair in condensed order; its JC edges read CN
     extra = ["cn"] if loo and "jc" in live else []
-    uv = () if loo else pairs.T
+    uv = () if pairs is None else pairs.T
     results = score_pairs_many(live + extra, scored_on, *uv)
     for scorer in live:
         try:
@@ -364,11 +371,13 @@ def evaluate_protocol(
 
 
 def _labeled_pairs(g: SimpleGraph, scorer: str, protocol: str | SplitSpec) -> LabeledPairs:
-    """One scorer's scores, as :func:`evaluate_protocol` counts them."""
+    """One scorer's scores, as :func:`evaluate_protocol` counts them: a
+    set of every pair drops the pairs it leaves out."""
     pairs, labels, results = _protocol_scores(g, [scorer], protocol)
     scores = _unwrap(results[scorer])
     if pairs is None:
-        pairs = np.column_stack(np.triu_indices(g.n, k=1))
+        kept = np.flatnonzero(labels >= 0)
+        pairs, labels, scores = condensed_pairs(g.n, kept), labels[kept] == 1, scores[kept]
     return LabeledPairs(pairs, labels, scores)
 
 
@@ -384,8 +393,9 @@ def split_evaluate(g: SimpleGraph, scorer: str, spec: SplitSpec) -> LabeledPairs
     sampled non-links on the train graph.
 
     Negatives are non-links of the original graph within ``d_hop``
-    train-graph hops (every non-link with ``negative_ratio=None``).
-    Deterministic for a fixed ``spec.seed``.
+    train-graph hops, held-out edges first; with ``negative_ratio=None``
+    they are every non-link, and the pairs come in condensed order, as
+    leave-one-out's do. Deterministic for a fixed ``spec.seed``.
     """
     return _labeled_pairs(g, scorer, spec)
 

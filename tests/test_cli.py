@@ -513,6 +513,32 @@ class TestAdjust:
         assert payload["errors"] == {"aa": "aa is broken"}
 
 
+@pytest.mark.parametrize("command", ["evaluate", "adjust"])
+@pytest.mark.parametrize("flag, value, key", [
+    ("--rho", "0.7", "rho"),
+    ("--d-hop", "3", "d_hop"),
+    ("--negatives", "all", "negatives"),
+    ("--negative-ratio", "0.5", "negative_ratio"),
+    ("--split-seed", "5", "split_seed"),
+    ("--seed", "5", "split_seed"),  # the split seed when --split-seed is absent
+])
+def test_split_manifest_records_protocol_flags(tmp_path, command, flag, value, key):
+    # two split runs that differ in one protocol flag write manifests
+    # whose params differ in that field alone
+    data = tmp_path / "small.hyg"
+    save_plain(random_hypergraph(np.random.default_rng(21), 40, 60, max_size=5), data)
+    base = [command, "--data", str(data), "--protocol", "split", "--algorithms", "cn",
+            "--runs", "1"]
+    params = []
+    for extra in ([], [flag, value]):
+        out = tmp_path / f"run{len(extra)}"
+        assert main(base + extra + ["--out", str(out)]) == 0
+        params.append(json.loads(out.with_suffix(".manifest.json").read_text())["params"])
+    assert params[0]["split_seed"] == 0
+    assert {k for k in params[0] if params[0][k] != params[1][k]} == {key}
+    assert str(params[1][key]) == value
+
+
 def test_relocation_draw_keeps_outputs_byte_identical(tmp_path, monkeypatch):
     # evaluate and adjust write the same bytes with the per-hyperedge
     # rng.choice loop in place of relocate
@@ -572,6 +598,7 @@ PINNED_CSV = {
     "adjust-d3": "1b07a977c9891f5c45f338e4af12aed7273a89a943be4a19ca7e631e644443fb",
     "adjust-all": "4345fde5c6046545c80b0fd07d9b162c613d1f5de6293b11aa7d79e821f62fe7",
     "adjust-sparse-d3": "43bed32326e694b5f9ba2a24e1ca7565fe0eac66a3ed968fbf659ce0903489f8",
+    "adjust-sparse-all": "5a2c4bcdb04322918c655e98529a81615d9979e95025201ede931cbfe6f185e7",
     "scan": "9c77ab8dec3d4b9ef68d8f7d7addb8c3e56fb58f773fba2d738480d10a9d0642",
 }
 
@@ -595,6 +622,8 @@ def test_csv_bytes_pinned(tmp_path):
                        "--runs", "2", *scorers],
         "adjust-sparse-d3": ["adjust", "--data", str(sparse), "--protocol", "split", "--d-hop", "3",
                              "--runs", "2", *scorers],
+        "adjust-sparse-all": ["adjust", "--data", str(sparse), "--protocol", "split",
+                              "--negatives", "all", "--runs", "2", *scorers],
         "scan": ["scan", "--config", str(config), "--algorithms", "cn,jc"],
     }
     for name, argv in commands.items():

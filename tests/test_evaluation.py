@@ -2,11 +2,12 @@
 exact-probability ceiling."""
 
 import gc
+import math
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs, random_hypergraph, unique_counts
@@ -37,7 +38,7 @@ from hyperlp.evaluation import (
     _sample_distance_limited_non_links,
     all_pairs,
 )
-from hyperlp.hypergraph import distinct_keys
+from hyperlp.hypergraph import condensed_pairs, distinct_keys
 
 
 def brute_force_auc(scores, labels):
@@ -80,6 +81,29 @@ def leave_one_out_oracle(g, scorer):
         for (u, v), edge in zip(pairs, labels)
     ]
     return pairs, labels, scores
+
+
+def every_non_link_oracle(g, scorers, spec):
+    """Each scorer's count under ``spec`` with ``negative_ratio=None``,
+    by explicit pairs: the held-out edges' and every non-edge's condensed
+    keys converted to pairs, scored on the train graph and counted."""
+    edges = g.edge_array()
+    m = len(edges)
+    n_test = math.ceil((1.0 - spec.rho) * m)
+    if n_test == 0 or n_test == m:
+        raise ValueError(f"split leaves an empty class: {m} edges, {n_test} test positives")
+    rng = np.random.default_rng(spec.seed)
+    test = np.zeros(m, dtype=bool)
+    test[rng.choice(m, size=n_test, replace=False)] = True
+    g_train = SimpleGraph(g.n, edges[~test])
+    keys = np.concatenate([g.edge_keys()[test], np.flatnonzero(~evaluation._pair_labels(g))])
+    if len(keys) == n_test:
+        raise ValueError("no negatives available for the split")
+    labels = np.arange(len(keys)) < n_test
+    scores = heuristics.score_pairs_many(scorers, g_train, *condensed_pairs(g.n, keys).T)
+    return {
+        s: x if isinstance(x, Exception) else AucCount.of(x, labels) for s, x in scores.items()
+    }
 
 
 def bfs_non_links(g_full, g_train, d_hop):
@@ -155,6 +179,27 @@ class TestAuc:
         assert np.allclose(got, brute_force_counts(scores, labels, weights), rtol=1e-12)
         unit = np.ones(len(scores))
         assert _cross_class_counts(scores, labels) == brute_force_counts(scores, labels, unit)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 5), st.booleans(), st.floats(0.01, 10.0), st.booleans()),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_zero_weight_drops_an_observation(self, obs):
+        # an observation of weight 0, or of class -1, counts as one removed
+        scores, labels, weights, dropped = (np.array(x) for x in zip(*obs))
+        scores = scores.astype(float)
+        kept = ~dropped
+        got = _cross_class_counts(scores, labels, np.where(dropped, 0.0, weights))
+        want = _cross_class_counts(scores[kept], labels[kept], weights[kept])
+        for a, b in zip(got, want):
+            assert a == pytest.approx(b, rel=1e-12, abs=0.0)
+        classes = np.where(dropped, -1, labels.astype(int))
+        want = _cross_class_counts(scores[kept], labels[kept])
+        assert _cross_class_counts(scores, classes) == want
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -438,6 +483,60 @@ class TestEvaluateProtocol:
                 counts = (out[s].greater, out[s].ties, out[s].n_pos, out[s].n_neg)
                 assert counts == unique_counts(lp.scores, lp.labels), s
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 40),
+        st.floats(0.0, 1.0),
+        st.floats(0.05, 0.95),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(n=6, p=0.0, rho=0.8, seed=0)  # edgeless
+    @example(n=6, p=1.0, rho=0.8, seed=0)  # complete: no negatives
+    @example(n=2, p=1.0, rho=0.5, seed=0)  # one edge
+    @example(n=12, p=0.6, rho=0.7, seed=1)  # packs
+    @example(n=40, p=0.04, rho=0.7, seed=2)  # does not pack
+    def test_every_non_link_matches_explicit_pairs(self, n, p, rho, seed):
+        # every pair of the train graph, counted through the class array,
+        # gives the explicit-pair route's counts for every scorer
+        rng = np.random.default_rng(seed)
+        u, v = np.triu_indices(n, k=1)
+        keep = rng.random(len(u)) < p
+        g = SimpleGraph(n, np.column_stack((u[keep], v[keep])))
+        spec = SplitSpec(rho=rho, seed=seed, negative_ratio=None)
+        try:
+            want = every_non_link_oracle(g, SCORER_IDS, spec)
+        except ValueError as exc:
+            want = dict.fromkeys(SCORER_IDS, exc)
+        got = evaluate_protocol(g, SCORER_IDS, spec)
+        for s in SCORER_IDS:
+            if isinstance(want[s], Exception):
+                assert type(got[s]) is type(want[s]) and str(got[s]) == str(want[s]), s
+            else:
+                assert got[s] == want[s], s
+
+    @pytest.mark.parametrize("n, hyperedges", [(30, 40), (300, 150)], ids=["packs", "sparse"])
+    def test_every_non_link_scores_every_pair(self, n, hyperedges, monkeypatch):
+        # one every-pair call on the train graph, whether or not it packs,
+        # and no pair array built from condensed keys
+        g = clique_expand(random_hypergraph(np.random.default_rng(8), n, hyperedges, max_size=4))
+        calls = []
+        real = evaluation.score_pairs_many
+
+        def spy(scorers, graph, *args, **kwargs):
+            calls.append((graph.edge_count, args, kwargs))
+            return real(scorers, graph, *args, **kwargs)
+
+        def refuse(*args):
+            raise AssertionError("condensed_pairs was called")
+
+        monkeypatch.setattr(evaluation, "score_pairs_many", spy)
+        monkeypatch.setattr(evaluation, "condensed_pairs", refuse)
+        monkeypatch.setattr(hypergraph, "condensed_pairs", refuse)
+        out = evaluate_protocol(g, SCORER_IDS, SplitSpec(seed=1, negative_ratio=None))
+        assert all(isinstance(c, AucCount) for c in out.values())
+        n_test = math.ceil(0.2 * g.edge_count)
+        assert calls == [(g.edge_count - n_test, (), {})]
+
     def test_bad_arguments_raise(self):
         g = SimpleGraph(4, [(0, 1), (1, 2)])
         with pytest.raises(TypeError):
@@ -491,11 +590,11 @@ class TestSplitEvaluate:
         g = self.ring_graph(12)
         lp = split_evaluate(g, "cn", SplitSpec(seed=5, negative_ratio=None))
         assert lp.n_neg == 12 * 11 // 2 - 12
-        # held-out edges first, then every non-edge, each in ascending order
-        assert lp.labels[: lp.n_pos].all()
-        assert np.array_equal(lp.pair_array[lp.n_pos :], g.non_edge_array())
-        held = hypergraph.condensed_keys(g.n, *lp.pair_array[: lp.n_pos].T)
-        assert (np.diff(held) > 0).all() and np.isin(held, g.edge_keys()).all()
+        # the held-out edges and every non-edge, together in condensed order
+        keys = hypergraph.condensed_keys(g.n, *lp.pair_array.T)
+        assert (np.diff(keys) > 0).all()
+        assert np.array_equal(lp.pair_array[~lp.labels], g.non_edge_array())
+        assert lp.n_pos == 3 and np.isin(keys[lp.labels], g.edge_keys()).all()
 
     def test_deterministic_given_seed(self):
         g = self.ring_graph(40)

@@ -1,5 +1,5 @@
 """Time the protocols on seeded synthetic inputs: one graph the size of
-NDC-substances, and two sparse graphs too large to pack.
+NDC-substances, and three sparse graphs too large to pack.
 
     PYTHONPATH=src python3 tools/paper_scale.py
 
@@ -12,21 +12,29 @@ popularity ∝ rank^-0.8. Its clique expansion has 415,715 edges and
 pair set (held-out edges and two-hop negatives) and of scoring it, and
 the wall time and ``tracemalloc`` peak of the call the drug-substance
 check makes per graph, ``evaluate_protocol(g, ("cn", "aa", "pa"),
-SplitSpec(0.8, 2, 1.0, 41))``, and of one leave-one-out graph,
-``evaluate_protocol(g, ("cn", "aa", "ra", "pa", "jc"), "loo")``.
+SplitSpec(0.8, 2, 1.0, 41))``, of the same call with every non-link as
+a negative, ``SplitSpec(0.8, 2, None, 41)`` (``--negatives all``), and
+of one leave-one-out graph, ``evaluate_protocol(g, ("cn", "aa", "ra",
+"pa", "jc"), "loo")``.
 
-The two sparse inputs have uniform hyperedge sizes, each hyperedge of
-distinct uniform members: n=20,000 vertices and 20,000 hyperedges of
+The first two sparse inputs have uniform hyperedge sizes, each hyperedge
+of distinct uniform members: n=20,000 vertices and 20,000 hyperedges of
 sizes 2..4 from ``numpy.random.default_rng(1)``, and n=100,000 vertices
-and 150,000 hyperedges of sizes 2..5 from ``default_rng(2)``. Their split train graphs (the same ``SplitSpec`` at
-``d_hop=2``) have 53,532 edges and 348,824 wedges, and 600,278 edges
-and 8.29M wedges, so neither packs. For each, the script prints the wall
-time and ``tracemalloc`` peak of scoring its split pair set with
-``cn,aa,ra,pa,jc``; for the first, also those of drawing 1,000
-negatives within 3 and within 4 hops.
+and 150,000 hyperedges of sizes 2..5 from ``default_rng(2)``. Their
+split train graphs (the same ``SplitSpec`` at ``d_hop=2``) have 53,532
+edges and 348,824 wedges, and 600,278 edges and 8.29M wedges, so neither
+packs. For each, the script prints the wall time and ``tracemalloc``
+peak of scoring its split pair set with ``cn,aa,ra,pa,jc``; for the
+first, also those of drawing 1,000 negatives within 3 and within 4 hops.
+The third, drawn the same way, has n=3,000 vertices and 2,000 hyperedges
+of sizes 2..5 from ``default_rng(5)`` (9,907 edges; its train graph does
+not pack either), small enough to score every pair: the script
+prints the wall time and ``tracemalloc`` peak of ``evaluate_protocol``
+with ``cn,aa,ra,pa,jc`` and ``SplitSpec(0.8, 2, None, 41)``. (The
+n=20,000 input has 2.0e8 pairs, 1.6 GB per float64 score array.)
 
-The whole run takes about a minute on 2 cores; the leave-one-out graph
-holds the most memory, about 1.2 GB.
+The whole run takes about two minutes on 2 cores; the leave-one-out
+graph holds the most memory, about 1.2 GB.
 """
 
 from __future__ import annotations
@@ -45,8 +53,10 @@ N, M = 5556, 112919
 SCORERS = ("cn", "aa", "pa")
 ALL_SCORERS = ("cn", "aa", "ra", "pa", "jc")
 SPEC = SplitSpec(0.8, 2, 1.0, 41)
+EVERY = SplitSpec(0.8, 2, None, 41)  # every non-link a negative
 # (n, hyperedges, largest size, seed) of each sparse input
 SPARSE = ((20_000, 20_000, 4, 1), (100_000, 150_000, 5, 2))
+SPARSE_EVERY = (3_000, 2_000, 5, 5)
 
 
 def ndc_sized() -> Hypergraph:
@@ -91,6 +101,7 @@ def main() -> None:
     del g_train, pairs
 
     timed("split evaluate_protocol", lambda: evaluate_protocol(g, SCORERS, SPEC))
+    timed("split --negatives all evaluate_protocol", lambda: evaluate_protocol(g, SCORERS, EVERY))
     timed("leave-one-out evaluate_protocol", lambda: evaluate_protocol(g, ALL_SCORERS, "loo"))
 
     for i, params in enumerate(SPARSE):
@@ -108,6 +119,13 @@ def main() -> None:
                     g, g_train, d_hop, 1000, np.random.default_rng(SPEC.seed)
                 ),
             )
+
+    g = clique_expand(sparse_unpacked(*SPARSE_EVERY))
+    print(f"sparse n={g.n} edges={g.edge_count}")
+    timed(
+        "split --negatives all evaluate_protocol",
+        lambda: evaluate_protocol(g, ALL_SCORERS, EVERY),
+    )
 
 
 if __name__ == "__main__":
