@@ -27,8 +27,8 @@ from hyperlp import (
     potential_from_candidates,
     sample_hypergraph,
 )
-from hyperlp.evaluation import all_pairs
-from hyperlp.heuristics import score
+from hyperlp.heuristics import score_pairs
+from hyperlp.hypergraph import condensed_keys
 
 print("case 1: triple + pair over five vertices")
 h = Hypergraph(5, [[0, 1, 2], [3, 4]])
@@ -44,13 +44,20 @@ print(f"  strict AUC     : {auc_conditional(lp.scores, lp.labels):.3f}")
 print("\ncase 2a: three pair candidates, phi=0.6")
 pot_a = potential_from_candidates(3, [(0, 1), (0, 2), (1, 2)], k_max=3)
 phi_a = [0.6, 0.0]
-scores, labels = [], []
-for seed in range(5000):
-    g = clique_expand(sample_hypergraph(pot_a, phi_a, seed))
-    for u, v in all_pairs(3):
-        scores.append(score("cn", g, u, v))
-        labels.append(g.has_edge(u, v))
-pooled = auc(np.array(scores), np.array(labels))
+draws = [sample_hypergraph(pot_a, phi_a, seed) for seed in range(5000)]
+# the draws side by side, draw i on vertices 3i..3i+2, are one graph whose
+# pairs within a draw are the pooled observations, scored in one call
+offsets = 3 * np.arange(len(draws))
+pooled_h = Hypergraph.from_arrays(
+    3 * len(draws),
+    np.concatenate([h.sizes for h in draws]),
+    np.concatenate([h.members + at for h, at in zip(draws, offsets)]),
+)
+g = clique_expand(pooled_h)
+u = (offsets[:, None] + [0, 0, 1]).ravel()
+v = (offsets[:, None] + [1, 2, 2]).ravel()
+labels = np.isin(condensed_keys(g.n, u, v), g.edge_keys())
+pooled = auc(score_pairs("cn", g, u, v), labels)
 exact, _ = exact_ensemble_auc(pot_a, phi_a)
 print(f"  pooled scorer AUC over 5000 draws: {pooled:.3f} (exact {exact:.3f})")
 

@@ -50,7 +50,6 @@ from .hypergraph import (
     Hypergraph,
     SimpleGraph,
     clique_expand,
-    common_neighbors_count,
     size_distribution,
     width,
 )

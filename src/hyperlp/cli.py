@@ -35,7 +35,6 @@ from __future__ import annotations
 import argparse
 import csv
 import ctypes
-import hashlib
 import json
 import os
 import sys
@@ -57,6 +56,7 @@ from .datasets import (
     load_benson,
     load_plain,
     save_plain,
+    sha256_file,
 )
 from .evaluation import (
     AucCount,
@@ -141,10 +141,6 @@ def _write(result: Output, out: str | None) -> None:
     out.with_suffix(".manifest.json").write_text(manifest + "\n")
     for line in result.lines:
         print(line)
-
-
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _algorithms(raw: str) -> list[str]:
@@ -250,7 +246,7 @@ def cmd_generate(args) -> Output:
             "hypergraph": str(hyg_path),
         },
         [seed],
-        {"config": _sha256_file(args.config)},
+        {"config": sha256_file(args.config)},
     )
     summary = {
         "n": cfg.n,
@@ -441,7 +437,7 @@ def cmd_scan(args) -> Output:
             "algorithms": args.algorithms,
         },
         [seed],
-        {"config": _sha256_file(args.config)},
+        {"config": sha256_file(args.config)},
     )
     header = [
         "n", "d", "percentiles", "phi", "scorer", "seed",
@@ -509,7 +505,7 @@ def cmd_verify(args) -> Output:
         if not args.config:
             raise ConfigError("cn-lift needs --config with a generator model")
         cfg = load_model_config(args.config)
-        checksums = {"config": _sha256_file(args.config)}
+        checksums = {"config": sha256_file(args.config)}
         _, _, pot, phi, _ = _resolve_model(cfg, cfg.seed)
         summaries = {"cn-lift": verify_higher_order_auc_lift(pot, phi, trials, seed)}
     else:  # relocation-baseline

@@ -66,8 +66,9 @@ class SizeDistFit:
     method: str = "mle"
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def sha256_file(path: str | Path) -> str:
+    """Hex SHA-256 digest of the file at ``path``."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _read_ints(path: Path, what: str) -> list[int]:
@@ -127,9 +128,9 @@ def load_benson(path_nverts, path_simplices, name: str | None = None) -> Dataset
         labels=labels,
         provenance={
             "nverts": str(path_nverts),
-            "nverts_sha256": _sha256(path_nverts),
+            "nverts_sha256": sha256_file(path_nverts),
             "simplices": str(path_simplices),
-            "simplices_sha256": _sha256(path_simplices),
+            "simplices_sha256": sha256_file(path_simplices),
         },
         dropped_small=dropped,
     )
@@ -157,7 +158,7 @@ def load_plain(path, name: str | None = None) -> DatasetBundle:
         name=name or path.stem,
         hypergraph=h,
         labels=labels,
-        provenance={"path": str(path), "sha256": _sha256(path)},
+        provenance={"path": str(path), "sha256": sha256_file(path)},
         dropped_small=dropped,
     )
 

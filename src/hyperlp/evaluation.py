@@ -220,10 +220,6 @@ def auc_conditional(scores: Sequence[float], labels: Sequence[bool]) -> float:
     return conditional
 
 
-def all_pairs(n: int) -> list[tuple[int, int]]:
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
-
-
 def _pair_labels(g: SimpleGraph) -> np.ndarray:
     """Whether each pair u < v, in ``np.triu_indices(g.n, 1)`` order, is
     an edge of ``g``."""

@@ -33,9 +33,9 @@ terms in the same order. One pass serves all three and JC, which is
 ascending order, so the sum depends only on the multiset of
 common-neighbor degrees, not on vertex labels (Higham, *Accuracy and
 Stability of Numerical Algorithms*, 2002, ch. 4).
-The per-pair functions and :func:`score` are the reference, one pair at
-a time; they add AA and RA terms in set order, so the two can differ in
-the last bits.
+:func:`score` is the one-pair case of :func:`score_pairs`, so the two
+agree bit for bit; the per-pair set formulas of the table above are
+kept only as test oracles.
 
 Leave-one-out SimRank (:func:`simrank_without_each_edge`) never copies
 the graph: removing edge {a, b} changes only columns a and b of the
@@ -56,9 +56,8 @@ cache.
 
 from __future__ import annotations
 
-import math
 import os
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -88,42 +87,6 @@ _BLAS_SERIAL_WORK = 1 << 18
 class SimRankConvergenceError(RuntimeError):
     """Raised when the SimRank iteration has not met tolerance at the
     iteration cap."""
-
-
-def _check_pair(g: SimpleGraph, u: int, v: int) -> None:
-    if u == v:
-        raise ValueError(f"scores are undefined for a vertex paired with itself ({u})")
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValueError(f"pair ({u}, {v}) outside 0..{g.n - 1}")
-
-
-def common_neighbors(g: SimpleGraph, u: int, v: int) -> float:
-    _check_pair(g, u, v)
-    return float(len(g.neighbors(u) & g.neighbors(v)))
-
-
-def adamic_adar(g: SimpleGraph, u: int, v: int) -> float:
-    _check_pair(g, u, v)
-    return sum(1.0 / math.log(1 + g.degree(w)) for w in g.neighbors(u) & g.neighbors(v))
-
-
-def resource_allocation(g: SimpleGraph, u: int, v: int) -> float:
-    _check_pair(g, u, v)
-    return sum(1.0 / g.degree(w) for w in g.neighbors(u) & g.neighbors(v))
-
-
-def preferential_attachment(g: SimpleGraph, u: int, v: int) -> float:
-    _check_pair(g, u, v)
-    return float(g.degree(u) * g.degree(v))
-
-
-def jaccard(g: SimpleGraph, u: int, v: int) -> float:
-    _check_pair(g, u, v)
-    nu, nv = g.neighbors(u), g.neighbors(v)
-    union = len(nu | nv)
-    if union == 0:
-        return 0.0
-    return len(nu & nv) / union
 
 
 def _transition(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -266,35 +229,10 @@ def simrank_without_each_edge(
     return np.concatenate([np.zeros(0), *parts])
 
 
-def simrank(g: SimpleGraph, u: int, v: int) -> float:
-    """Solves the whole table on every call; :func:`score_pairs_many`
-    solves it once for a pair set."""
-    _check_pair(g, u, v)
-    return float(simrank_matrix(g)[u, v])
-
-
-_SCORERS: dict[str, Callable[[SimpleGraph, int, int], float]] = {
-    "cn": common_neighbors,
-    "aa": adamic_adar,
-    "ra": resource_allocation,
-    "pa": preferential_attachment,
-    "jc": jaccard,
-    "sr": simrank,
-}
-
-
-def _scorer(scorer: str) -> Callable[[SimpleGraph, int, int], float]:
-    try:
-        return _SCORERS[scorer]
-    except KeyError:
-        raise ValueError(
-            f"unknown scorer {scorer!r}; valid ids: {', '.join(SCORER_IDS)}"
-        ) from None
-
-
 def score(scorer: str, g: SimpleGraph, u: int, v: int) -> float:
-    """Score one vertex pair with the scorer named by ``scorer``."""
-    return _scorer(scorer)(g, u, v)
+    """Score one vertex pair with the scorer named by ``scorer``: the
+    one-pair case of :func:`score_pairs`."""
+    return float(score_pairs(scorer, g, [u], [v])[0])
 
 
 def condensed(n: int, keys: np.ndarray, values) -> np.ndarray:
@@ -332,15 +270,17 @@ def score_pairs_many(
     u: ArrayLike | None = None,
     v: ArrayLike | None = None,
 ) -> dict[str, np.ndarray | Exception]:
-    """Score the pairs ``(u[i], v[i])`` at once with each scorer; same
-    definitions and checks as :func:`score`, in input order. Without ``u``
-    and ``v``, scores every pair u < v in ``np.triu_indices(g.n, 1)`` order.
+    """Score the pairs ``(u[i], v[i])`` at once with each scorer, in input
+    order. Without ``u`` and ``v``, scores every pair u < v in
+    ``np.triu_indices(g.n, 1)`` order.
 
     CN, AA, RA and JC (from the CN sums) share one pass over the common
     neighbors (:func:`~hyperlp.hypergraph.common_neighbor_hits`): the
     wedges for every pair, the endpoints' rows for explicit pairs. A
-    scorer that raises gets its exception in its slot, and an error in
-    the shared pass goes to every one of those four; invalid pairs raise.
+    scorer that raises, an unknown id included (``ValueError``), gets its
+    exception in its slot, and an error in the shared pass goes to every
+    one of those four. Invalid pairs (a vertex paired with itself or
+    outside ``0..n-1``) raise.
     """
     every = u is None and v is None
     if every:  # valid by construction; only PA, JC and SR read u and v
@@ -354,7 +294,10 @@ def score_pairs_many(
             raise ValueError("u and v must be 1-d arrays of equal length")
         bad = np.flatnonzero((u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= g.n))
         if len(bad):
-            _check_pair(g, int(u[bad[0]]), int(v[bad[0]]))
+            a, b = int(u[bad[0]]), int(v[bad[0]])
+            if a == b:
+                raise ValueError(f"scores are undefined for a vertex paired with itself ({a})")
+            raise ValueError(f"pair ({a}, {b}) outside 0..{g.n - 1}")
         size = len(u)
     d = g.degrees().astype(np.float64)
     weight = {  # per centre w: a count for CN, 1/log(1+d_w) for AA, 1/d_w for RA
@@ -373,7 +316,8 @@ def score_pairs_many(
     out: dict[str, np.ndarray | Exception] = {}
     for scorer in scorers:
         try:
-            _scorer(scorer)  # rejects an unknown id
+            if scorer not in SCORER_IDS:
+                raise ValueError(f"unknown scorer {scorer!r}; valid ids: {', '.join(SCORER_IDS)}")
             if size == 0:
                 out[scorer] = np.zeros(0)
             elif scorer == "sr":

@@ -154,9 +154,8 @@ class SimpleGraph:
     two int arrays: row ``u``'s neighbors are
     ``indices[indptr[u]:indptr[u + 1]]``, ascending, so row-major entry
     order is ascending ``(u, v)``. Degrees, edge tests and edge lists are
-    array reads; :meth:`neighbors` builds a frozenset on demand for the
-    per-pair reference scorers. Callers share the arrays and must not
-    modify them.
+    array reads; a vertex outside ``0..n-1`` raises ``ValueError``.
+    Callers share the arrays and must not modify them.
     """
 
     __slots__ = ("n", "indptr", "indices")
@@ -179,10 +178,15 @@ class SimpleGraph:
         self.indptr = np.searchsorted(rows, np.arange(n + 1))
         self.indices = cols
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(self.indices[self.indptr[v] : self.indptr[v + 1]].tolist())
+    def _check(self, *vertices: int) -> None:
+        """Raise for the first of ``vertices`` outside ``0..n-1``: a
+        negative id would wrap around ``indptr``."""
+        for v in vertices:
+            if not 0 <= v < self.n:
+                raise ValueError(f"vertex {v} outside 0..{self.n - 1}")
 
     def degree(self, v: int) -> int:
+        self._check(v)
         return int(self.indptr[v + 1] - self.indptr[v])
 
     def degrees(self) -> np.ndarray:
@@ -190,6 +194,7 @@ class SimpleGraph:
 
     def _find(self, u: int, v: int) -> int | None:
         """Position of entry ``(u, v)`` in ``indices``, or None."""
+        self._check(u, v)
         lo = self.indptr[u]
         i = lo + np.searchsorted(self.indices[lo : self.indptr[u + 1]], v)
         return int(i) if i < self.indptr[u + 1] and self.indices[i] == v else None
@@ -212,20 +217,10 @@ class SimpleGraph:
         """Ascending condensed keys of the edges."""
         return condensed_keys(self.n, *self.edge_array().T)
 
-    def non_edge_array(self) -> np.ndarray:
-        """The non-adjacent pairs as rows ``(u, v)``, u < v, in ascending
-        order."""
-        missing = np.ones(self.n * (self.n - 1) // 2, dtype=bool)
-        missing[self.edge_keys()] = False
-        return condensed_pairs(self.n, np.flatnonzero(missing))
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as an ordered pair ``(u, v)`` with u < v,
         in ascending order."""
         return map(tuple, self.edge_array().tolist())
-
-    def non_edges(self) -> Iterator[tuple[int, int]]:
-        return map(tuple, self.non_edge_array().tolist())
 
     def without_edge(self, u: int, v: int) -> "SimpleGraph":
         """Copy of the graph with edge ``{u, v}``, its two CSR entries,
@@ -564,13 +559,6 @@ def size_distribution(h: Hypergraph) -> dict[int, int]:
     (duplicates counted), by ascending size."""
     sizes, counts = count_keys(h.sizes)
     return dict(zip(sizes.tolist(), counts.tolist()))
-
-
-def common_neighbors_count(g: SimpleGraph, u: int, v: int) -> int:
-    """Number of vertices adjacent to both ``u`` and ``v``."""
-    if u == v:
-        raise ValueError("common neighbors are undefined for a vertex with itself")
-    return len(g.neighbors(u) & g.neighbors(v))
 
 
 def hypergraph_from_labels(

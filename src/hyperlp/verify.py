@@ -112,8 +112,7 @@ def er_sample(n: int, p: float, seed: int) -> SimpleGraph:
     rng = np.random.default_rng(seed)
     iu, iv = np.triu_indices(n, k=1)
     mask = rng.random(len(iu)) < p
-    edges = list(zip(iu[mask].tolist(), iv[mask].tolist()))
-    return SimpleGraph(n, edges)
+    return SimpleGraph(n, np.column_stack((iu[mask], iv[mask])))
 
 
 def clustering_coefficient(g: SimpleGraph) -> float:

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -5,7 +6,12 @@ import pytest
 from hypothesis import strategies as st
 
 from hyperlp import Hypergraph, SimpleGraph, evaluation
-from hyperlp.heuristics import SimRankConvergenceError
+from hyperlp.heuristics import (
+    SIMRANK_DECAY,
+    SIMRANK_MAX_ITER,
+    SIMRANK_TOL,
+    SimRankConvergenceError,
+)
 
 
 @pytest.fixture
@@ -156,6 +162,11 @@ class OracleGraph:
                 if v not in self.adj[u]:
                     yield (u, v)
 
+    @classmethod
+    def of(cls, g: SimpleGraph) -> "OracleGraph":
+        """The reference graph with the edges of ``g``."""
+        return cls(g.n, g.edges())
+
     def without_edge(self, u: int, v: int) -> "OracleGraph":
         if not self.has_edge(u, v):
             raise ValueError(f"({u}, {v}) is not an edge")
@@ -167,6 +178,72 @@ class OracleGraph:
         np.cumsum([len(row) for row in self.adj], out=indptr[1:])
         indices = np.array([v for row in self.adj for v in sorted(row)], dtype=np.int64)
         return indptr, indices
+
+
+def all_pairs(n: int) -> list[tuple[int, int]]:
+    """Every pair u < v, in ``np.triu_indices(n, 1)`` order."""
+    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+
+def _shared(g: OracleGraph, u: int, v: int) -> frozenset[int]:
+    if u == v:
+        raise ValueError(f"scores are undefined for a vertex paired with itself ({u})")
+    return g.neighbors(u) & g.neighbors(v)
+
+
+def oracle_common_neighbors(g: OracleGraph, u: int, v: int) -> float:
+    return float(len(_shared(g, u, v)))
+
+
+def oracle_adamic_adar(g: OracleGraph, u: int, v: int) -> float:
+    return sum(1.0 / math.log(1 + g.degree(w)) for w in _shared(g, u, v))
+
+
+def oracle_resource_allocation(g: OracleGraph, u: int, v: int) -> float:
+    return sum(1.0 / g.degree(w) for w in _shared(g, u, v))
+
+
+def oracle_preferential_attachment(g: OracleGraph, u: int, v: int) -> float:
+    _shared(g, u, v)
+    return float(g.degree(u) * g.degree(v))
+
+
+def oracle_jaccard(g: OracleGraph, u: int, v: int) -> float:
+    shared = _shared(g, u, v)
+    union = len(g.neighbors(u) | g.neighbors(v))
+    return len(shared) / union if union else 0.0
+
+
+def oracle_simrank(g: OracleGraph, u: int, v: int) -> float:
+    """SimRank of one pair from a whole table solved by
+    :func:`oracle_simrank_iterate` on a dense adjacency of the neighbor
+    sets."""
+    _shared(g, u, v)
+    a = np.zeros((g.n, g.n))
+    for x, y in g.edges():
+        a[x, y] = a[y, x] = 1.0
+    deg = a.sum(axis=0)
+    w = np.divide(a, deg, out=np.zeros_like(a), where=deg > 0)
+    table = oracle_simrank_iterate(w[None], SIMRANK_DECAY, SIMRANK_TOL, SIMRANK_MAX_ITER)[0]
+    return float(table[u, v])
+
+
+ORACLE_SCORERS = {
+    "cn": oracle_common_neighbors,
+    "aa": oracle_adamic_adar,
+    "ra": oracle_resource_allocation,
+    "pa": oracle_preferential_attachment,
+    "jc": oracle_jaccard,
+    "sr": oracle_simrank,
+}
+
+
+def oracle_score(scorer: str, g: OracleGraph, u: int, v: int) -> float:
+    """Reference per-pair scorers: the set formulas of
+    :mod:`hyperlp.heuristics` on the neighbor sets of an
+    :class:`OracleGraph`, one pair at a time, AA and RA terms added in
+    set order (so within rel 1e-12 of the array path, not bit for bit)."""
+    return ORACLE_SCORERS[scorer](g, u, v)
 
 
 def oracle_clique_expand(h: Hypergraph) -> OracleGraph:

@@ -38,8 +38,7 @@ from hyperlp import (
     verify_higher_order_auc_lift,
     verify_relocation_baseline,
 )
-from hyperlp.evaluation import all_pairs
-from hyperlp.heuristics import score
+from hyperlp.heuristics import condensed, score_pairs
 from conftest import random_hypergraph
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -106,10 +105,9 @@ def test_criterion_02_three_vertex_dichotomy():
     scores, labels = [], []
     for seed in trial_seeds:
         g = clique_expand(sample_hypergraph(pot_a, phi_a, int(seed)))
-        for u, v in all_pairs(3):
-            scores.append(score("cn", g, u, v))
-            labels.append(g.has_edge(u, v))
-    pooled_a = auc(np.array(scores), np.array(labels))
+        scores.append(score_pairs("cn", g))
+        labels.append(condensed(g.n, g.edge_keys(), True))
+    pooled_a = auc(np.concatenate(scores), np.concatenate(labels))
 
     # (b) one triple candidate: the scorer reads the realized selection
     # perfectly while the probability ceiling stays uninformative
@@ -119,11 +117,10 @@ def test_criterion_02_three_vertex_dichotomy():
     for seed in trial_seeds:
         g = clique_expand(sample_hypergraph(pot_b, phi_b, int(seed)))
         model_values.append(model_auc(pot_b, phi_b, g))
-        for u, v in all_pairs(3):
-            scores_b.append(score("cn", g, u, v))
-            labels_b.append(g.has_edge(u, v))
-    scores_b = np.array(scores_b)
-    labels_b = np.array(labels_b, dtype=bool)
+        scores_b.append(score_pairs("cn", g))
+        labels_b.append(condensed(g.n, g.edge_keys(), True))
+    scores_b = np.concatenate(scores_b)
+    labels_b = np.concatenate(labels_b)
     pooled_b = auc(scores_b, labels_b)
     # strict separation: every observation from a selected trial outranks
     # every observation from an unselected one

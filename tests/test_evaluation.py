@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import graphs, random_hypergraph, unique_counts
+from conftest import OracleGraph, all_pairs, graphs, oracle_score, random_hypergraph, unique_counts
 from hyperlp import (
     SCORER_IDS,
     Hypergraph,
@@ -26,7 +26,6 @@ from hyperlp import (
     model_auc,
     overestimation_scan,
     potential_from_candidates,
-    score,
     split_evaluate,
 )
 from hyperlp import evaluation, heuristics, hypergraph
@@ -36,7 +35,6 @@ from hyperlp.evaluation import (
     _cross_class_counts,
     _protocol_scores,
     _sample_distance_limited_non_links,
-    all_pairs,
 )
 from hyperlp.hypergraph import condensed_pairs, distinct_keys
 
@@ -73,11 +71,13 @@ def brute_force_counts(scores, labels, weights):
 
 
 def leave_one_out_oracle(g, scorer):
-    """Per-pair leave-one-out: each edge scored on a copy without it."""
+    """Per-pair leave-one-out on the reference graph: each edge scored by
+    the per-pair oracle on a copy without it."""
+    ref = OracleGraph.of(g)
     pairs = all_pairs(g.n)
-    labels = [g.has_edge(u, v) for u, v in pairs]
+    labels = [ref.has_edge(u, v) for u, v in pairs]
     scores = [
-        score(scorer, g.without_edge(u, v) if edge else g, u, v)
+        oracle_score(scorer, ref.without_edge(u, v) if edge else ref, u, v)
         for (u, v), edge in zip(pairs, labels)
     ]
     return pairs, labels, scores
@@ -109,12 +109,13 @@ def every_non_link_oracle(g, scorers, spec):
 def bfs_non_links(g_full, g_train, d_hop):
     """Non-links of the full graph at train distance 2..d_hop, by a BFS
     per source, in (source, target) order."""
+    ref = OracleGraph.of(g_train)
     out = []
     for src in range(g_train.n):
         dist = {src: 0}
         frontier = [src]
         for depth in range(1, d_hop + 1):
-            frontier = [w for u in frontier for w in sorted(g_train.neighbors(u)) if w not in dist]
+            frontier = [w for u in frontier for w in sorted(ref.neighbors(u)) if w not in dist]
             for w in frontier:
                 dist.setdefault(w, depth)
         out += [
@@ -593,7 +594,7 @@ class TestSplitEvaluate:
         # the held-out edges and every non-edge, together in condensed order
         keys = hypergraph.condensed_keys(g.n, *lp.pair_array.T)
         assert (np.diff(keys) > 0).all()
-        assert np.array_equal(lp.pair_array[~lp.labels], g.non_edge_array())
+        assert list(map(tuple, lp.pair_array[~lp.labels].tolist())) == list(OracleGraph.of(g).non_edges())
         assert lp.n_pos == 3 and np.isin(keys[lp.labels], g.edge_keys()).all()
 
     def test_deterministic_given_seed(self):

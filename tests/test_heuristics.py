@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import graphs, oracle_simrank_iterate, random_hypergraph
+from conftest import OracleGraph, graphs, oracle_score, oracle_simrank_iterate, random_hypergraph
 from hyperlp import (
     SCORER_IDS,
     SimpleGraph,
@@ -28,8 +28,17 @@ from hyperlp.heuristics import (
     simrank_without_each_edge,
 )
 
-# AA and RA sum the same terms in another order than the per-pair scorers.
+# AA and RA sum the same terms in another order than the per-pair oracles.
 PARITY_REL = {"aa": 1e-12, "ra": 1e-12}
+
+
+# CN 4 at (0, 1): its AA terms added in set order and in ascending order
+# differ in the last bit
+AA_LAST_BIT = SimpleGraph(9, [
+    (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8), (1, 3), (1, 4), (1, 5), (1, 8), (2, 4),
+    (2, 5), (2, 6), (2, 7), (3, 4), (3, 5), (3, 6), (3, 7), (3, 8), (4, 5), (4, 6), (4, 7),
+    (4, 8), (5, 7), (5, 8), (6, 7), (7, 8),
+])
 
 
 def path_graph(n):
@@ -104,18 +113,20 @@ class TestSharedProperties:
         rng = np.random.default_rng(17)
         for _ in range(10):
             g = random_graph(rng, 15, 0.25)
+            ref = OracleGraph.of(g)
             for u in range(g.n):
                 for v in range(u + 1, g.n):
-                    for w in g.neighbors(u) & g.neighbors(v):
+                    for w in ref.neighbors(u) & ref.neighbors(v):
                         assert g.degree(w) >= 2
 
     def test_cn_bounds_weighted_variants(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
             g = random_graph(rng, 15, 0.3)
+            ref = OracleGraph.of(g)
             for _ in range(20):
                 u, v = (int(x) for x in rng.choice(15, size=2, replace=False))
-                shared = g.neighbors(u) & g.neighbors(v)
+                shared = ref.neighbors(u) & ref.neighbors(v)
                 if not shared:
                     continue
                 dmin = min(g.degree(w) for w in shared)
@@ -295,8 +306,9 @@ class TestSimRankBatches:
         # at ``at`` raises only once every edge before it has converged
         g = sparse_graph(n, m, seed)
         u, v = g.edge_array().T.tolist()
-        if non_edge and len(g.non_edge_array()):
-            x, y = g.non_edge_array()[seed % len(g.non_edge_array())].tolist()
+        non_edges = list(OracleGraph.of(g).non_edges())
+        if non_edge and non_edges:
+            x, y = non_edges[seed % len(non_edges)]
             u.insert(at, x)
             v.insert(at, y)
         got = outcome(lambda: simrank_without_each_edge(g, u, v, max_iter=2))
@@ -355,11 +367,28 @@ class TestScorePairsParity:
         perm = rng.permutation(len(iu))
         flip = rng.random(len(iu)) < 0.5
         u, v = np.where(flip, iv, iu)[perm], np.where(flip, iu, iv)[perm]
+        ref = OracleGraph.of(g)
         for s in SCORER_IDS:
             got = score_pairs(s, g, u, v)
-            want = np.array([score(s, g, a, b) for a, b in zip(u.tolist(), v.tolist())])
+            want = np.array([oracle_score(s, ref, a, b) for a, b in zip(u.tolist(), v.tolist())])
             rel = PARITY_REL.get(s, 0.0)
             assert np.allclose(got, want, rtol=rel, atol=0.0) if rel else np.array_equal(got, want), s
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(max_n=10), st.integers(0, 2**16))
+    @example(AA_LAST_BIT, 0)  # a per-pair AA sum in set order read 1.930814649609145
+    def test_score_is_the_one_pair_case(self, g, pick):
+        # score reads score_pairs at the pair's condensed key, bit for bit
+        iu, iv = np.triu_indices(g.n, k=1)
+        key = pick % len(iu)
+        u, v = int(iu[key]), int(iv[key])
+        for s in SCORER_IDS:
+            want = score_pairs(s, g)[key]
+            assert score(s, g, u, v) == want, s
+            # the SimRank table is symmetric up to rounding: (v, u) reads
+            # its other triangle
+            flipped = simrank_matrix(g)[v, u] if s == "sr" else want
+            assert score(s, g, v, u) == flipped, s
 
 
 def complete_graph(n):

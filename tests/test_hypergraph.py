@@ -14,7 +14,7 @@ from hyperlp import (
     Hypergraph,
     SimpleGraph,
     clique_expand,
-    common_neighbors_count,
+    score,
     size_distribution,
     width,
 )
@@ -185,16 +185,16 @@ class TestSizeDistribution:
 class TestCommonNeighbors:
     def test_pair_inside_triple_after_removal(self, five_vertex):
         g = clique_expand(five_vertex)
-        assert common_neighbors_count(g.without_edge(1, 2), 1, 2) == 1
-        assert common_neighbors_count(g.without_edge(3, 4), 3, 4) == 0
+        assert score("cn", g.without_edge(1, 2), 1, 2) == 1
+        assert score("cn", g.without_edge(3, 4), 3, 4) == 0
 
     def test_isolated_vertices(self):
         g = SimpleGraph(4, [])
-        assert common_neighbors_count(g, 0, 3) == 0
+        assert score("cn", g, 0, 3) == 0
 
     def test_same_vertex_rejected(self, five_vertex):
         with pytest.raises(ValueError):
-            common_neighbors_count(clique_expand(five_vertex), 2, 2)
+            score("cn", clique_expand(five_vertex), 2, 2)
 
 
 class TestSimpleGraph:
@@ -205,8 +205,8 @@ class TestSimpleGraph:
     def test_adjacency_symmetric(self):
         g = SimpleGraph(4, [(0, 1), (1, 2)])
         for u in range(4):
-            for v in g.neighbors(u):
-                assert u in g.neighbors(v)
+            for v in g.indices[g.indptr[u] : g.indptr[u + 1]].tolist():
+                assert g.has_edge(v, u)
 
     def test_edge_count_matches_pairs(self):
         g = SimpleGraph(5, [(0, 1), (1, 2), (0, 1)])  # duplicate edge collapses
@@ -221,6 +221,25 @@ class TestSimpleGraph:
         assert g2.edge_count == g.edge_count - 1
         with pytest.raises(ValueError, match="not an edge"):
             g.without_edge(0, 3)
+
+    @pytest.mark.parametrize(
+        "read, args, vertex",
+        [
+            ("degree", (-1,), -1),
+            ("degree", (4,), 4),
+            ("has_edge", (-1, 3), -1),
+            ("has_edge", (0, 4), 4),
+            ("has_edge", (4, 0), 4),
+            ("without_edge", (-1, 3), -1),
+            ("without_edge", (3, -1), -1),
+            ("without_edge", (3, 4), 4),
+        ],
+    )
+    def test_vertex_outside_range_rejected(self, read, args, vertex):
+        # a negative id would wrap around indptr: degree(-1) read -2|E|
+        g = SimpleGraph(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(ValueError, match=rf"vertex {vertex} outside 0\.\.3"):
+            getattr(g, read)(*args)
 
     def test_adjacency_csr_built_once(self):
         # the CSR arrays are the graph's state: built once, and removing an
@@ -246,10 +265,8 @@ def assert_same_graph(g: SimpleGraph, ref: OracleGraph) -> None:
     """Every read of ``g`` equals the frozenset reference exactly."""
     assert g.n == ref.n and g.edge_count == ref.edge_count
     assert list(g.edges()) == sorted(ref.edges())
-    assert list(g.non_edges()) == list(ref.non_edges())
     for u in range(g.n):
         assert g.degree(u) == ref.degree(u)
-        assert g.neighbors(u) == ref.neighbors(u)
         for v in range(g.n):
             assert g.has_edge(u, v) == ref.has_edge(u, v)
     indptr, indices = ref.csr()
@@ -332,7 +349,7 @@ class TestPairKeys:
         want = sorted(
             (int(condensed_keys(g.n, a, b)), w)
             for w in range(g.n)
-            for a, b in combinations(sorted(g.neighbors(w)), 2)
+            for a, b in combinations(g.indices[g.indptr[w] : g.indptr[w + 1]].tolist(), 2)
         )
         [(keys, centres)] = wedge_blocks(g)
         assert sorted(zip(keys.tolist(), centres.tolist())) == want

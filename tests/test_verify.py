@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import unique_counts
+from conftest import all_pairs, oracle_clique_expand, oracle_score, unique_counts
 from hyperlp import (
     Hypergraph,
-    clique_expand,
     clustering_coefficient,
     er_sample,
     exact_ensemble_auc,
@@ -22,14 +21,13 @@ from hyperlp import (
     verify_relocation_baseline,
 )
 from hyperlp import verify
-from hyperlp.evaluation import all_pairs
-from hyperlp.heuristics import score
 from hyperlp.verify import TrialSummary
 
 
 def enumerate_ensemble_auc(candidates, phi, n):
     """Independent oracle: exact pooled tie-aware AUC by direct outcome
-    enumeration, accumulating weighted score mass per class."""
+    enumeration on the reference graph, accumulating weighted score mass
+    per class."""
     probs = [phi[len(c) - 2] for c in candidates]
     mass = {}
     for bits in range(2 ** len(candidates)):
@@ -43,9 +41,9 @@ def enumerate_ensemble_auc(candidates, phi, n):
                 weight *= 1 - probs[idx]
         if weight == 0:
             continue
-        g = clique_expand(Hypergraph(n, chosen))
+        g = oracle_clique_expand(Hypergraph(n, chosen))
         for u, v in all_pairs(n):
-            s = score("cn", g, u, v)
+            s = oracle_score("cn", g, u, v)
             slot = mass.setdefault(s, [0.0, 0.0])
             slot[g.has_edge(u, v) is False] += weight
     w_pos = sum(m[0] for m in mass.values())
