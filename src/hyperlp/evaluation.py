@@ -66,6 +66,7 @@ from .latent import (
     radii_from_percentiles,
     sample_hypergraph,
     sample_latents,
+    spawn_seeds,
 )
 
 
@@ -407,7 +408,7 @@ def model_auc(pot: PotentialIndex, phi: Sequence[float], g: SimpleGraph) -> floa
     """
     if g.n != pot.n:
         raise ValueError(f"graph has {g.n} vertices; the candidate index has {pot.n}")
-    prob = condensed(g.n, *link_probability_map(pot, phi))
+    prob = link_probability_map(pot, phi)
     labels = _pair_labels(g)
     n_pos = int(labels.sum())
     if n_pos == 0 or n_pos == len(labels):
@@ -450,34 +451,32 @@ def overestimation_scan(
     """Compare heuristic leave-one-out AUC with the exact-probability AUC
     across generator configurations.
 
-    Each grid point is drawn ``replicates`` times with derived seeds; rows
+    Each grid point is drawn ``replicates`` times, with its run of seeds
+    from one :func:`~hyperlp.latent.spawn_seeds` draw for the grid; rows
     where the heuristic exceeds the model ceiling are flagged. Failures
     (e.g. degenerate samples) are recorded per row and do not stop the
     scan.
     """
     cap = DEFAULT_MAX_POTENTIAL if max_potential is None else max_potential
     rows: list[ScanRow] = []
-    seeder = np.random.default_rng(seed)
-    for point in grid:
-        rep_seeds = seeder.integers(0, 2**63 - 1, size=replicates)
-        for rep_seed in rep_seeds:
-            rep_seed = int(rep_seed)
+    for at, rep_seed in enumerate(spawn_seeds(seed, len(grid) * replicates)):
+        point = grid[at // replicates]
+        try:
+            positions = sample_latents(point.n, point.d, rep_seed)
+            radii = radii_from_percentiles(positions, point.percentiles)
+            pot = build_potential(positions, radii, max_potential=cap)
+            h = sample_hypergraph(pot, point.phi, rep_seed)
+            g = clique_expand(h)
+            truth = model_auc(pot, point.phi, g)
+            results = evaluate_protocol(g, scorers, "loo")
+        except Exception as exc:
+            truth, results = None, dict.fromkeys(scorers, exc)
+        for scorer in scorers:
+            row = ScanRow(point=point, scorer=scorer, seed=rep_seed, model_auc=truth)
             try:
-                positions = sample_latents(point.n, point.d, rep_seed)
-                radii = radii_from_percentiles(positions, point.percentiles)
-                pot = build_potential(positions, radii, max_potential=cap)
-                h = sample_hypergraph(pot, point.phi, rep_seed)
-                g = clique_expand(h)
-                truth = model_auc(pot, point.phi, g)
-                results = evaluate_protocol(g, scorers, "loo")
+                row.heuristic_auc = _unwrap(results[scorer]).auc
+                row.overestimated = row.heuristic_auc > truth
             except Exception as exc:
-                truth, results = None, dict.fromkeys(scorers, exc)
-            for scorer in scorers:
-                row = ScanRow(point=point, scorer=scorer, seed=rep_seed, model_auc=truth)
-                try:
-                    row.heuristic_auc = _unwrap(results[scorer]).auc
-                    row.overestimated = row.heuristic_auc > truth
-                except Exception as exc:
-                    row.error = str(exc)
-                rows.append(row)
+                row.error = str(exc)
+            rows.append(row)
     return rows

@@ -167,7 +167,8 @@ def simrank_without_each_edge(
     max_iter: int = SIMRANK_MAX_ITER,
 ) -> np.ndarray:
     """SimRank of each edge ``(u[i], v[i])`` on ``g`` without that edge,
-    equal bit for bit to ``simrank_matrix(g.without_edge(a, b))[a, b]``.
+    equal bit for bit to ``simrank_matrix(g.without_edge(a, b))[a, b]``
+    for a < b, which either orientation reads.
 
     The intact ``A``, degrees and ``W`` are built once. Removing {a, b}
     changes only columns a and b of ``W``: column x becomes
@@ -211,7 +212,7 @@ def simrank_without_each_edge(
             col[rows, q] = 0.0
             dp = deg[p][:, None] - 1
             ws[rows, :, p] = np.divide(col, dp, out=np.zeros_like(col), where=dp > 0)
-        return _simrank_iterate(ws, decay, tol, max_iter)[rows, x, y]
+        return _simrank_iterate(ws, decay, tol, max_iter)[rows, np.minimum(x, y), np.maximum(x, y)]
 
     if hasattr(os, "sched_getaffinity"):
         workers = len(os.sched_getaffinity(0))
@@ -301,16 +302,16 @@ def score_pairs_many(
         size = len(u)
     d = g.degrees().astype(np.float64)
     weight = {  # per centre w: a count for CN, 1/log(1+d_w) for AA, 1/d_w for RA
-        "cn": None,
-        "aa": np.divide(1.0, np.log1p(d), out=np.zeros(g.n), where=d > 0),
-        "ra": np.divide(1.0, d, out=np.zeros(g.n), where=d > 0),
+        "cn": lambda: None,
+        "aa": lambda: np.divide(1.0, np.log1p(d), out=np.zeros(g.n), where=d > 0),
+        "ra": lambda: np.divide(1.0, d, out=np.zeros(g.n), where=d > 0),
     }
     summed = [s for s in weight if s in scorers or (s == "cn" and "jc" in scorers)]
     sums: dict[str, np.ndarray | Exception] = {}
     try:
         if summed and size:
             pairs = () if every else (u, v)
-            sums = dict(zip(summed, _common_sums(g, [weight[s] for s in summed], *pairs)))
+            sums = dict(zip(summed, _common_sums(g, [weight[s]() for s in summed], *pairs)))
     except Exception as exc:  # the shared pass fails every scorer it serves
         sums = dict.fromkeys(summed, exc)
     out: dict[str, np.ndarray | Exception] = {}
@@ -320,8 +321,8 @@ def score_pairs_many(
                 raise ValueError(f"unknown scorer {scorer!r}; valid ids: {', '.join(SCORER_IDS)}")
             if size == 0:
                 out[scorer] = np.zeros(0)
-            elif scorer == "sr":
-                out[scorer] = simrank_matrix(g)[u, v]
+            elif scorer == "sr":  # one triangle: the table is symmetric only up to rounding
+                out[scorer] = simrank_matrix(g)[np.minimum(u, v), np.maximum(u, v)]
             elif scorer == "pa":
                 out[scorer] = d[u] * d[v]
             else:

@@ -1,26 +1,28 @@
 """Core hypergraph and simple-graph containers, clique expansion, and
 structural statistics.
 
-Vertices are dense integer ids ``0..n-1``. A :class:`Hypergraph` keeps its
-hyperedges as an ordered multiset (duplicates are preserved), so size
-statistics survive randomization exactly; it is one CSR pair of int
+Vertices are dense integer ids ``0..n-1``. A :class:`Hypergraph` keeps
+its hyperedges as an ordered multiset (duplicates are preserved), so
+size statistics survive randomization exactly; it is one CSR pair of int
 arrays, a row of ascending ids per hyperedge, built and validated from
 lists or from (sizes, members) arrays. A :class:`SimpleGraph` is an
 immutable undirected graph without self-loops, stored as two CSR int
-arrays. Vertex pairs are condensed keys (:func:`condensed_keys`), and pair
-computations are numpy joins over them: :func:`wedge_blocks` lists the
-neighbor pairs of every vertex (common neighbors, two-hop reach), and
-:func:`pair_cooccurrence` counts the pairs inside vertex groups (``H.T @
-H``): clique expansion is its support, and the latent generator's
-coverage counts are the same count. Where a graph's pairs are few beside
-its wedges (:func:`packs`), its rows are packed into bits instead
+arrays. Vertex pairs are condensed keys (:func:`condensed_keys`), and
+pair computations are numpy joins over them: :func:`wedge_blocks` lists
+the neighbor pairs of every vertex (common neighbors, two-hop reach),
+and :func:`group_pair_keys` lists the pairs inside vertex groups, each
+once per group holding it, so a pair's count is its entry of ``H.T @ H``
+for the group-by-vertex incidence ``H`` (Zhou, Huang & Schölkopf, NIPS
+2006): clique expansion is the distinct keys, and the latent generator's
+coverage counts are their ``bincount``. Where a graph's pairs are few
+beside its wedges (:func:`packs`), its rows are packed into bits instead
 (:func:`packed_rows`): the OR of a vertex's neighbor rows is its two-hop
 reach (:func:`reach_mark`), and the AND of two rows their common
 neighbors. :func:`reach_keys`, the pairs within a hop limit, and
-:func:`common_neighbor_hits` take whichever the graph suits. Reach
-sorts the edge and wedge keys otherwise, then, hop by hop, the pairs
-reached so far with one end moved to a neighbor; given pairs merge
-their endpoints' neighbor lists.
+:func:`common_neighbor_hits` take whichever the graph suits. Reach sorts
+the edge and wedge keys otherwise, then, hop by hop, the pairs reached
+so far with one end moved to a neighbor; given pairs merge their
+endpoints' neighbor lists.
 """
 
 from __future__ import annotations
@@ -529,21 +531,13 @@ def group_pair_keys(n: int, groups: Hypergraph | np.ndarray) -> np.ndarray:
     return keys[0] if len(keys) == 1 else np.concatenate([np.zeros(0, dtype=np.int64), *keys])
 
 
-def pair_cooccurrence(n: int, groups: Hypergraph | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending condensed keys of the pairs some group holds, and how
-    many groups hold each: the stored strict upper triangle of ``H.T @ H``
-    for the group-by-vertex incidence ``H`` (Zhou, Huang & Schölkopf,
-    NIPS 2006)."""
-    return count_keys(group_pair_keys(n, groups))
-
-
 def clique_expand(h: Hypergraph) -> SimpleGraph:
     """Expand a hypergraph to the simple graph joining every pair of
-    vertices that co-occur in at least one hyperedge: the keys of
-    :func:`pair_cooccurrence`. Duplicate hyperedges and pairs covered by
+    vertices that co-occur in at least one hyperedge: the distinct keys of
+    :func:`group_pair_keys`. Duplicate hyperedges and pairs covered by
     several hyperedges produce a single edge.
     """
-    return SimpleGraph(h.n, condensed_pairs(h.n, pair_cooccurrence(h.n, h)[0]))
+    return SimpleGraph(h.n, condensed_pairs(h.n, distinct_keys(group_pair_keys(h.n, h))))
 
 
 def width(h: Hypergraph) -> int:

@@ -14,8 +14,10 @@ the size-``s`` candidates containing both ``i`` and ``j``,
 
     P(i ~ j) = 1 - prod_s (1 - phi_s) ** S_s(i, j).
 
-``S_s`` and the probabilities are kept as condensed pair keys with a
-value array (:func:`~hyperlp.hypergraph.pair_cooccurrence`).
+:func:`link_probability_map` computes it for every pair at once, as one
+array in condensed order (:func:`~hyperlp.hypergraph.condensed_keys`):
+``S_s`` is a ``bincount`` of the size's
+:func:`~hyperlp.hypergraph.group_pair_keys`.
 
 The sigmoid pairwise model (edge probability ``1 / (1 + exp(alpha *
 (dist - gamma)))``) is implemented alongside as the comparison baseline.
@@ -24,18 +26,11 @@ The sigmoid pairwise model (edge probability ``1 / (1 + exp(alpha *
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .hypergraph import (
-    Hypergraph,
-    condensed_keys,
-    distinct_keys,
-    group_pair_keys,
-    pair_cooccurrence,
-)
+from .hypergraph import Hypergraph, condensed_keys, distinct_keys, group_pair_keys
 
 DEFAULT_MAX_POTENTIAL = 10_000_000
 DEFAULT_HOFF_ALPHA = 10.0
@@ -94,25 +89,17 @@ class LatentModel:
 
 @dataclass
 class PotentialIndex:
-    """All candidate hyperedges, grouped by size, plus per-pair coverage
-    counts.
+    """All candidate hyperedges, grouped by size.
 
     ``by_size[s]`` holds the size-``s`` candidates as one (m_s, s) int32
     array, one candidate per row, each row increasing and the rows in
     lexicographic order; every size ``2..k_max`` has a key, possibly with
-    zero rows. ``pair_counts`` is derived from them on first use, so
-    sampling alone never pays for it: per size ``2..k_max`` (entry 0 is
-    size 2), :func:`~hyperlp.hypergraph.pair_cooccurrence` of its
-    candidates, the covered pairs' condensed keys and counts.
+    zero rows.
     """
 
     n: int
     k_max: int
     by_size: dict[int, np.ndarray]
-
-    @cached_property
-    def pair_counts(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        return tuple(pair_cooccurrence(self.n, self.by_size[s]) for s in self.sizes)
 
     @property
     def sizes(self) -> range:
@@ -149,6 +136,15 @@ def sample_latents(n: int, d: int, seed: int) -> np.ndarray:
     if n < 2 or d < 1:
         raise ValueError(f"need n >= 2 and d >= 1, got n={n}, d={d}")
     return np.random.default_rng(seed).standard_normal((n, d))
+
+
+def spawn_seeds(seed: int, count: int) -> list[int]:
+    """``count`` seeds derived from ``seed``, each drawn below 2**63 - 1.
+
+    Each is one bounded uint64 draw of ``default_rng(seed)``, so the
+    first ``a`` of ``a + b`` seeds are ``spawn_seeds(seed, a)``: a slice
+    of one draw equals the same draw made piece by piece."""
+    return [int(s) for s in np.random.default_rng(seed).integers(0, 2**63 - 1, size=count)]
 
 
 def _distance_matrix(positions: np.ndarray) -> np.ndarray:
@@ -358,40 +354,30 @@ def phi_preset(
 def link_probability(
     pot: PotentialIndex, phi: Sequence[float], i: int, j: int
 ) -> float:
-    """Exact probability that clique expansion links ``i`` and ``j``.
-
-    One minus the probability that every candidate covering the pair is
-    rejected; candidate selections are independent, so the miss
-    probabilities multiply. The per-pair reference for
-    :func:`link_probability_map`.
-    """
+    """Exact probability that clique expansion links ``i`` and ``j``: the
+    one-pair read of :func:`link_probability_map`."""
     if i == j:
         raise ValueError("link probability is undefined for a vertex with itself")
     if not (0 <= i < pot.n and 0 <= j < pot.n):
         raise ValueError(f"pair ({i}, {j}) outside 0..{pot.n - 1}")
-    miss = 1.0 - _checked_phi(pot, phi)
-    key = condensed_keys(pot.n, i, j)
-    counts = np.array([c[keys == key].sum() for keys, c in pot.pair_counts])
-    return float(1.0 - np.prod(miss**counts))
+    return float(link_probability_map(pot, phi)[condensed_keys(pot.n, i, j)])
 
 
-def link_probability_map(
-    pot: PotentialIndex, phi: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Link probability of every pair covered by a candidate: the pairs'
-    ascending condensed keys (:func:`~hyperlp.hypergraph.condensed_keys`)
-    and their probabilities; uncovered pairs are absent (probability 0).
+def link_probability_map(pot: PotentialIndex, phi: Sequence[float]) -> np.ndarray:
+    """Exact link probability of every pair u < v, in
+    ``np.triu_indices(n, 1)`` order; uncovered pairs read 0.
 
-    The miss probabilities multiply in size order, as in
-    :func:`link_probability`.
+    One minus the probability that every candidate covering the pair is
+    rejected; candidate selections are independent, so the miss
+    probabilities multiply, size by size in order, each raised to the
+    number of the size's candidates that hold the pair.
     """
     miss = 1.0 - _checked_phi(pot, phi)
-    keys = [np.zeros(0, dtype=np.int64)] + [k for k, _ in pot.pair_counts]
-    covered = distinct_keys(np.concatenate(keys))
-    missed = np.ones(len(covered))
-    for m, (keys, counts) in zip(miss, pot.pair_counts):
-        missed[np.searchsorted(covered, keys)] *= m**counts
-    return covered, 1.0 - missed
+    pairs = pot.n * (pot.n - 1) // 2
+    missed = np.ones(pairs)
+    for m, s in zip(miss, pot.sizes):  # one size's counts alive at a time
+        missed *= m ** np.bincount(group_pair_keys(pot.n, pot.by_size[s]), minlength=pairs)
+    return 1.0 - missed
 
 
 def hoff_edge_probability(params: HoffParams, dist) -> np.ndarray | float:
@@ -469,10 +455,8 @@ def edge_distance_profile(
         pot = _enumerate_candidates(dist_matrix, model.radii, max_potential)
 
     hits = np.zeros(len(dist), dtype=np.int64)
-    seed_rng = np.random.default_rng(model.seed)
-    trial_seeds = seed_rng.integers(0, 2**63 - 1, size=n_trials)
-    for ts in trial_seeds:  # each draw's covered pairs, with no Hypergraph built
-        keys = [group_pair_keys(n, block) for block in _kept_blocks(pot, phi_vec, int(ts))]
+    for ts in spawn_seeds(model.seed, n_trials):  # each draw's covered pairs, no Hypergraph
+        keys = [group_pair_keys(n, block) for block in _kept_blocks(pot, phi_vec, ts)]
         hits[distinct_keys(np.concatenate(keys))] += 1
     freq = hits / n_trials
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .evaluation import SplitSpec, _scorer_ids, evaluate_protocol
 from .hypergraph import Hypergraph, clique_expand
-from .latent import ResourceLimitError
+from .latent import ResourceLimitError, spawn_seeds
 
 
 def relocate(h: Hypergraph, seed: int) -> Hypergraph:
@@ -164,8 +164,7 @@ def adjusted_auc(
     # AUCs, kept seeds, failures (message, is a ValueError): a kept
     # exception's traceback would hold the run's arrays
     runs = {s: ([], [], []) for s in live}
-    run_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=n_runs)
-    for run_seed in map(int, run_seeds):
+    for run_seed in spawn_seeds(seed, n_runs):
         if not live:
             break
         try:

@@ -48,7 +48,7 @@ from .evaluation import (
 )
 from .heuristics import score_pairs
 from .hypergraph import Hypergraph, SimpleGraph, clique_expand, width
-from .latent import PotentialIndex, sample_hypergraph
+from .latent import PotentialIndex, sample_hypergraph, spawn_seeds
 from .relocation import relocate
 
 Z95 = 1.959963984540054
@@ -91,10 +91,6 @@ def _loo_aucs(graphs: Iterable[SimpleGraph], scorers: Sequence[str]) -> dict[str
     return values
 
 
-def _spawn_seeds(seed: int, count: int) -> list[int]:
-    return [int(s) for s in np.random.default_rng(seed).integers(0, 2**63 - 1, size=count)]
-
-
 def _mean_ci(values: Sequence[float]) -> tuple[float, float, float, float]:
     arr = np.asarray(values, dtype=np.float64)
     mean = float(arr.mean())
@@ -133,7 +129,7 @@ def verify_er_clustering(n: int, p: float, trials: int = 100, seed: int = 0) -> 
         raise ValueError("need n >= 10 and trials >= 30 for a stable check")
     values = []
     degenerate = 0
-    for ts in _spawn_seeds(seed, trials):
+    for ts in spawn_seeds(seed, trials):
         cc = clustering_coefficient(er_sample(n, p, ts))
         if np.isnan(cc):
             degenerate += 1
@@ -170,7 +166,7 @@ def verify_er_common_neighbors(
     trial_means = []
     trial_diffs = []
     matched_counts = []
-    for ts in _spawn_seeds(seed, trials):
+    for ts in spawn_seeds(seed, trials):
         g = er_sample(n, p, ts)
         counts = score_pairs("cn", g)
         flags = _pair_labels(g)
@@ -261,7 +257,7 @@ def verify_er_auc_baseline(
     0.5 within three standard errors."""
     if n < 10 or trials < 30:
         raise ValueError("need n >= 10 and trials >= 30 for a stable check")
-    per_scorer = _loo_aucs((er_sample(n, p, ts) for ts in _spawn_seeds(seed, trials)), scorers)
+    per_scorer = _loo_aucs((er_sample(n, p, ts) for ts in spawn_seeds(seed, trials)), scorers)
     out = {}
     for s in scorers:
         values = per_scorer[s]
@@ -305,7 +301,7 @@ def verify_higher_order_auc_lift(
     batch_labels: list[list[np.ndarray]] = [[] for _ in range(batches)]
     loo_values: list[float] = []
     model_values: list[float] = []
-    seeds = _spawn_seeds(seed, trials)
+    seeds = spawn_seeds(seed, trials)
     for t, ts in enumerate(seeds):
         g = clique_expand(sample_hypergraph(pot, phi, ts))
         b = t % batches
@@ -393,7 +389,7 @@ def verify_relocation_baseline(
     leave-one-out AUC within 0.05 of 0.5."""
     if width(h) != 2:
         raise ValueError(f"baseline check requires width 2, got {width(h)}")
-    relocated = (clique_expand(relocate(h, ts)) for ts in _spawn_seeds(seed, runs))
+    relocated = (clique_expand(relocate(h, ts)) for ts in spawn_seeds(seed, runs))
     per_scorer = _loo_aucs(relocated, scorers)
     out = {}
     for s in scorers:

@@ -217,7 +217,8 @@ def oracle_jaccard(g: OracleGraph, u: int, v: int) -> float:
 def oracle_simrank(g: OracleGraph, u: int, v: int) -> float:
     """SimRank of one pair from a whole table solved by
     :func:`oracle_simrank_iterate` on a dense adjacency of the neighbor
-    sets."""
+    sets, read in its upper triangle: the table is symmetric only up to
+    rounding."""
     _shared(g, u, v)
     a = np.zeros((g.n, g.n))
     for x, y in g.edges():
@@ -225,7 +226,7 @@ def oracle_simrank(g: OracleGraph, u: int, v: int) -> float:
     deg = a.sum(axis=0)
     w = np.divide(a, deg, out=np.zeros_like(a), where=deg > 0)
     table = oracle_simrank_iterate(w[None], SIMRANK_DECAY, SIMRANK_TOL, SIMRANK_MAX_ITER)[0]
-    return float(table[u, v])
+    return float(table[min(u, v), max(u, v)])
 
 
 ORACLE_SCORERS = {

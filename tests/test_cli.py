@@ -600,6 +600,8 @@ PINNED_CSV = {
     "adjust-sparse-d3": "43bed32326e694b5f9ba2a24e1ca7565fe0eac66a3ed968fbf659ce0903489f8",
     "adjust-sparse-all": "5a2c4bcdb04322918c655e98529a81615d9979e95025201ede931cbfe6f185e7",
     "scan": "9c77ab8dec3d4b9ef68d8f7d7addb8c3e56fb58f773fba2d738480d10a9d0642",
+    # two grid points, before their seeds came from one draw for the grid
+    "scan-grid": "a241785f013b005a3c0420be6e51612bf3970542cda4e2105a080dc0cac25599",
 }
 
 
@@ -611,6 +613,10 @@ def test_csv_bytes_pinned(tmp_path):
     config = tmp_path / "pinned.cfg"
     config.write_text(
         "n = 30\nd = 2\nseed = 4\npercentiles = 5 10 15\nphi = power_law\nreplicates = 2\n"
+    )
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(
+        "n = 20 24\nd = 2\nseed = 4\npercentiles = 5 10 15\nphi = power_law\nreplicates = 2\n"
     )
     scorers = ["--algorithms", "cn,ra,pa,jc", "--seed", "7"]  # no BLAS or libm in the scores
     commands = {
@@ -625,6 +631,7 @@ def test_csv_bytes_pinned(tmp_path):
         "adjust-sparse-all": ["adjust", "--data", str(sparse), "--protocol", "split",
                               "--negatives", "all", "--runs", "2", *scorers],
         "scan": ["scan", "--config", str(config), "--algorithms", "cn,jc"],
+        "scan-grid": ["scan", "--config", str(grid), "--algorithms", "cn,jc"],
     }
     for name, argv in commands.items():
         out = tmp_path / name

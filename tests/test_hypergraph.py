@@ -22,7 +22,7 @@ from hyperlp import hypergraph
 from hyperlp.hypergraph import (
     condensed_keys,
     condensed_pairs,
-    pair_cooccurrence,
+    group_pair_keys,
     wedge_blocks,
 )
 from conftest import OracleGraph, hypergraphs, oracle_clique_expand, random_hypergraph
@@ -307,8 +307,9 @@ class TestGraphParity:
 class TestPairKeys:
     @settings(max_examples=100, deadline=None)
     @given(hypergraphs(max_n=12, max_m=10))
-    def test_pair_cooccurrence_matches_incidence_product(self, h):
-        # the strict upper triangle of H.T @ H, entry by entry, row-major
+    def test_group_pair_keys_match_incidence_product(self, h):
+        # counted, the keys are the strict upper triangle of H.T @ H, entry
+        # by entry, row-major
         members = [sorted(f) for f in h.hyperedges]
         sizes = [len(f) for f in members]
         incidence = sp.csr_array(
@@ -321,12 +322,13 @@ class TestPairKeys:
         )
         ref = sp.triu(incidence.T @ incidence, k=1).toarray()
         rows, cols = np.nonzero(ref)
-        keys, counts = pair_cooccurrence(h.n, h)
+        keys, counts = np.unique(group_pair_keys(h.n, h), return_counts=True)
         assert np.array_equal(keys, condensed_keys(h.n, rows, cols))
         assert np.array_equal(counts, ref[rows, cols])
         for s in {len(f) for f in members}:  # equal-size groups as a 2-d array
             same = [f for f in members if len(f) == s]
-            sub_keys, sub_counts = pair_cooccurrence(h.n, np.array(same)[:, ::-1])
+            sub = group_pair_keys(h.n, np.array(same)[:, ::-1])
+            sub_keys, sub_counts = np.unique(sub, return_counts=True)
             want = sorted_pair_counts(h.n, same)
             assert (sub_keys.tolist(), sub_counts.tolist()) == want
 

@@ -32,9 +32,8 @@ from hyperlp import (
     sample_latents,
 )
 import hyperlp.latent
-from hyperlp.heuristics import condensed
-from hyperlp.hypergraph import condensed_keys, condensed_pairs
-from hyperlp.latent import _distance_matrix
+from hyperlp.hypergraph import condensed_keys, condensed_pairs, group_pair_keys
+from hyperlp.latent import _distance_matrix, spawn_seeds
 
 
 def candidate_tuples(pot):
@@ -98,6 +97,20 @@ class TestSampleLatents:
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
             sample_latents(1, 2, 0)
+
+
+class TestSpawnSeeds:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 20), st.integers(0, 20))
+    def test_slices_of_one_draw_are_successive_draws(self, seed, a, b):
+        # bounded uint64 draws concatenate: a scan's one draw for every
+        # grid point gives each point the seeds a draw per point would
+        rng = np.random.default_rng(seed)
+        parts = [rng.integers(0, 2**63 - 1, size=k).tolist() for k in (a, b)]
+        seeds = spawn_seeds(seed, a + b)
+        assert seeds == parts[0] + parts[1]
+        assert spawn_seeds(seed, a) == seeds[:a]
+        assert all(type(s) is int and 0 <= s < 2**63 - 1 for s in seeds)
 
 
 class TestPairwiseDistances:
@@ -182,20 +195,21 @@ class TestBuildPotential:
             pot = build_potential(pts, radii)
             assert candidate_tuples(pot) == brute_force_candidates(pts, radii)
 
-    def test_pair_counts_match_recount(self):
+    def test_pair_key_counts_match_recount(self):
         rng = np.random.default_rng(8)
         pts = rng.standard_normal((10, 2))
         pot = build_potential(pts, [0.4, 0.6])
-        assert len(pot.pair_counts) == len(pot.sizes)
+        counted = {
+            s: np.unique(group_pair_keys(10, pot.by_size[s]), return_counts=True)
+            for s in pot.sizes
+        }
 
         def count(s, i, j):  # a pair the size does not cover counts 0
-            keys, counts = pot.pair_counts[s - 2]
+            keys, counts = counted[s]
             return int(counts[keys == condensed_keys(10, i, j)].sum())
 
-        for keys, counts in pot.pair_counts:
-            assert np.all(np.diff(keys) > 0) and np.all(counts >= 1)
         covered = {
-            tuple(p) for keys, _ in pot.pair_counts for p in condensed_pairs(10, keys).tolist()
+            tuple(p) for keys, _ in counted.values() for p in condensed_pairs(10, keys).tolist()
         }
         assert all(i < j for i, j in covered)
         for i, j in covered:
@@ -390,23 +404,27 @@ class TestLinkProbability:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_closed_form_is_exact(self, data):
-        # every one of the 2^m selections of up to 10 candidates, weighed
+        # every one of the 2^m selections of up to 10 candidates, weighed,
+        # at every pair: pairs no candidate covers, and sizes always or
+        # never kept, included
         n = data.draw(st.integers(2, 6))
         candidate = st.lists(st.integers(0, n - 1), min_size=2, max_size=min(n, 4), unique=True)
-        candidates = data.draw(st.lists(candidate, min_size=1, max_size=10))
-        k_max = max(len(c) for c in candidates)
-        phi = data.draw(st.lists(st.floats(0, 1), min_size=k_max - 1, max_size=k_max - 1))
+        candidates = data.draw(st.lists(candidate, max_size=10))
+        k_max = data.draw(st.integers(max([2] + [len(c) for c in candidates]), 5))
+        entry = st.sampled_from([0.0, 1.0]) | st.floats(0, 1)
+        phi = data.draw(st.lists(entry, min_size=k_max - 1, max_size=k_max - 1))
         pot = potential_from_candidates(n, candidates, k_max=k_max)
         kept = pot.all_candidates()
-        keys, prob = link_probability_map(pot, phi)
-        assert np.all(np.diff(keys) > 0)  # each pair once
-        every = condensed(n, keys, prob)
-        for i, j in combinations(range(n), 2):
-            p = link_probability(pot, phi, i, j)
-            assert p == pytest.approx(enumerate_link_probability(kept, phi, i, j), abs=1e-12)
-            assert every[condensed_keys(n, i, j)] == p
-        covered = {pair for c in kept for pair in combinations(c, 2)}
-        assert set(map(tuple, condensed_pairs(n, keys).tolist())) == covered
+        prob = link_probability_map(pot, phi)
+        assert prob.dtype == np.float64 and prob.shape == (n * (n - 1) // 2,)
+        for key, (i, j) in enumerate(combinations(range(n), 2)):  # condensed order
+            want = enumerate_link_probability(kept, phi, i, j)
+            assert prob[key] == pytest.approx(want, abs=1e-12)
+            sizes = {len(c) for c in kept if i in c and j in c}
+            if all(phi[s - 2] in (0.0, 1.0) for s in sizes):  # uncovered pairs too
+                assert prob[key] == float(any(phi[s - 2] == 1.0 for s in sizes))
+            # the one-pair read, in either orientation
+            assert link_probability(pot, phi, i, j) == link_probability(pot, phi, j, i) == prob[key]
 
 
 class TestHoffModel:
