@@ -16,7 +16,6 @@ Run:  python3 demos/02_sizes_and_sigmoid_gap.py
 import numpy as np
 
 from hyperlp import (
-    LatentModel,
     build_potential,
     default_hoff_params,
     edge_distance_profile,
@@ -44,13 +43,8 @@ for k in range(2, 6):
     print(f"{k:>3}{clique_p:>16.2e}{phi_pl[k - 2]:>12.3f}{0.1:>9.3f}")
 print("the sigmoid column collapses with k*(k-1)/2; the presets do not")
 
-profile = edge_distance_profile(
-    LatentModel(positions, radii=radii, phi=phi_pl, seed=seed),
-    n_trials=40,
-    bins=30,
-    hoff=hoff,
-    pot=pot,
-)
+# the generator is its candidate index and phi; the profile draws from them
+profile = edge_distance_profile(pot, phi_pl, positions, seed=seed, n_trials=40, bins=30, hoff=hoff)
 reach = 2 * radii[-1]
 band = (profile.bin_centers >= 2 * radii[0]) & (profile.bin_centers <= reach)
 outer = band & (profile.bin_centers >= 0.5 * reach)

@@ -56,7 +56,6 @@ from .hypergraph import (
 from .latent import (
     DistanceProfile,
     HoffParams,
-    LatentModel,
     PotentialIndex,
     ResourceLimitError,
     build_potential,

@@ -71,7 +71,7 @@ from .latent import (
     HoffParams,
     ResourceLimitError,
     build_potential,
-    pairwise_distances,
+    default_hoff_params,
     phi_preset,
     radii_from_percentiles,
     sample_hypergraph,
@@ -192,16 +192,17 @@ def _resolve_model(cfg: ModelConfig, seed: int):
     positions = sample_latents(cfg.n, cfg.d, seed)
     radii = radii_from_percentiles(positions, cfg.percentiles)
     pot = build_potential(positions, radii, max_potential=cfg.max_potential)
-    gamma = cfg.gamma
-    if gamma is None:
-        gamma = float(np.median(pairwise_distances(positions)))
+    if cfg.gamma is None:
+        hoff = default_hoff_params(positions, cfg.alpha)
+    else:
+        hoff = HoffParams(cfg.alpha, cfg.gamma)
     if isinstance(cfg.phi, str):
         phi = phi_preset(
-            cfg.phi, k_max=cfg.k_max, radii=radii, alpha=cfg.alpha, gamma=gamma, pot=pot
+            cfg.phi, k_max=cfg.k_max, radii=radii, alpha=hoff.alpha, gamma=hoff.gamma, pot=pot
         )
     else:
         phi = np.asarray(cfg.phi, dtype=np.float64)
-    return positions, radii, pot, phi, HoffParams(cfg.alpha, gamma)
+    return positions, radii, pot, phi, hoff
 
 
 def _protocol_from_args(args):

@@ -53,18 +53,12 @@ class ModelConfig:
         return len(self.percentiles) + 1
 
 
-def _parse_floats(raw: str, key: str, lineno: int) -> tuple[float, ...]:
+def _parse_number(raw: str, key: str, lineno: int, kind=float):
     try:
-        return tuple(float(tok) for tok in raw.split())
+        return kind(raw)
     except ValueError:
-        raise ConfigError(f"line {lineno}: {key} expects numbers, got {raw!r}") from None
-
-
-def _parse_int(raw: str, key: str, lineno: int) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: {key} expects an integer, got {raw!r}") from None
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"line {lineno}: {key} expects {what}, got {raw!r}") from None
 
 
 def parse_model_config(text: str) -> ModelConfig:
@@ -90,23 +84,20 @@ def parse_model_config(text: str) -> ModelConfig:
             tokens = raw.replace(",", " ").split()
             if not tokens:
                 raise ConfigError(f"line {lineno}: {key} needs at least one value")
-            ints = tuple(_parse_int(t, key, lineno) for t in tokens)
+            ints = tuple(_parse_number(t, key, lineno, int) for t in tokens)
             values[key] = ints[0]
             if len(ints) > 1:
                 values[key + "_list"] = ints
         elif key in ("seed", "max_potential", "replicates"):
-            values[key] = _parse_int(raw, key, lineno)
-        elif key == "percentiles":
-            values[key] = _parse_floats(raw, key, lineno)
+            values[key] = _parse_number(raw, key, lineno, int)
+        elif key == "percentiles" or (key == "phi" and raw not in PHI_PRESETS):
+            values[key] = tuple(_parse_number(t, key, lineno) for t in raw.split())
         elif key == "phi":
-            if raw in PHI_PRESETS:
-                values[key] = raw
-            else:
-                values[key] = _parse_floats(raw, key, lineno)
+            values[key] = raw
         elif key == "alpha":
-            values[key] = float(raw)
+            values[key] = _parse_number(raw, key, lineno)
         elif key == "gamma":
-            values[key] = None if raw == "median" else float(raw)
+            values[key] = None if raw == "median" else _parse_number(raw, key, lineno)
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
 
@@ -123,6 +114,8 @@ def parse_model_config(text: str) -> ModelConfig:
             f"line {pct_line}: percentiles must be strictly increasing, "
             f"got {list(cfg.percentiles)}"
         )
+    if not all(0 < p <= 100 for p in cfg.percentiles):
+        raise ConfigError(f"line {pct_line}: percentiles must lie in (0, 100]")
     if isinstance(cfg.phi, tuple):
         phi_line = lines.get("phi", 0)
         if len(cfg.phi) == cfg.k_max:
@@ -148,6 +141,10 @@ def parse_model_config(text: str) -> ModelConfig:
             raise ConfigError(f"line {lines.get('d', 0)}: d values must be >= 1")
     if cfg.replicates < 0:
         raise ConfigError(f"line {lines.get('replicates', 0)}: replicates must be >= 0")
+    if cfg.max_potential < 0:
+        raise ConfigError(f"line {lines.get('max_potential', 0)}: max_potential must be >= 0")
+    if not cfg.alpha > 0:
+        raise ConfigError(f"line {lines.get('alpha', 0)}: alpha must be positive, got {cfg.alpha}")
     return cfg
 
 

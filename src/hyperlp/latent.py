@@ -6,7 +6,8 @@ candidate (potential) hyperedges of size ``s`` are exactly the ``s``-sets
 whose points are pairwise within ``2 * r_s`` of each other, i.e. the
 ``s``-cliques of the distance-threshold graph at ``2 * r_s``. A hypergraph
 is then drawn by keeping each candidate independently with a per-size
-probability ``phi_s``.
+probability ``phi_s`` in [0, 1]. Every sampler and exact read takes the
+model as its candidate index (:func:`build_potential`) and ``phi``.
 
 Because the selections are independent, the chance that a vertex pair ends
 up linked after clique expansion has a closed form: if ``S_s(i, j)`` counts
@@ -19,8 +20,9 @@ array in condensed order (:func:`~hyperlp.hypergraph.condensed_keys`):
 ``S_s`` is a ``bincount`` of the size's
 :func:`~hyperlp.hypergraph.group_pair_keys`.
 
-The sigmoid pairwise model (edge probability ``1 / (1 + exp(alpha *
-(dist - gamma)))``) is implemented alongside as the comparison baseline.
+The sigmoid pairwise model (Hoff, Raftery & Handcock, JASA 2002) is the
+comparison baseline: :func:`hoff_edge_probability` evaluates it, and
+:func:`default_hoff_params` puts its offset at the median pairwise distance.
 """
 
 from __future__ import annotations
@@ -42,49 +44,6 @@ PHI_PRESETS = ("power_law", "hoff_sigmoid", "constant", "empirical")
 
 class ResourceLimitError(RuntimeError):
     """Raised when candidate-hyperedge enumeration exceeds its cap."""
-
-
-@dataclass
-class LatentModel:
-    """Bundle of everything needed to draw hypergraphs: positions,
-    per-size radii, per-size selection probabilities, and a seed.
-
-    ``radii`` and ``phi`` are aligned to sizes ``2..k_max`` (entry 0 is
-    size 2). Size-1 radii/probabilities, if a config supplies them, are
-    dropped upstream: singletons contribute nothing after expansion.
-    """
-
-    positions: np.ndarray
-    radii: np.ndarray
-    phi: np.ndarray
-    seed: int = 0
-
-    def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=np.float64)
-        self.radii = np.asarray(self.radii, dtype=np.float64)
-        self.phi = np.asarray(self.phi, dtype=np.float64)
-        if self.positions.ndim != 2:
-            raise ValueError("positions must be an n-by-d array")
-        if self.radii.shape != self.phi.shape or self.radii.ndim != 1:
-            raise ValueError("radii and phi must be 1-d arrays of equal length")
-        if len(self.radii) == 0:
-            raise ValueError("need at least one size (k_max >= 2)")
-        if np.any(self.radii < 0):
-            raise ValueError("radii must be nonnegative")
-        if np.any((self.phi < 0) | (self.phi > 1)):
-            raise ValueError("phi entries must lie in [0, 1]")
-
-    @property
-    def n(self) -> int:
-        return self.positions.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.positions.shape[1]
-
-    @property
-    def k_max(self) -> int:
-        return len(self.radii) + 1
 
 
 @dataclass
@@ -230,17 +189,14 @@ def build_potential(
     cliques grown on the way to size ``s`` are not candidates and do not
     count.
     """
-    return _enumerate_candidates(_distance_matrix(positions), radii, max_potential)
-
-
-def _enumerate_candidates(
-    dist: np.ndarray, radii: Sequence[float], max_potential: int
-) -> PotentialIndex:
-    """:func:`build_potential` from the dense distance matrix ``dist``."""
+    radii = np.asarray(radii, dtype=np.float64)
+    if np.any(radii < 0):
+        raise ValueError(f"radii must be nonnegative, got {radii.tolist()}")
+    dist = _distance_matrix(positions)
     n = len(dist)
     by_size: dict[int, np.ndarray] = {}
     total = 0
-    for s, r in enumerate(np.asarray(radii, dtype=np.float64), start=2):
+    for s, r in enumerate(radii, start=2):
         adj = dist <= 2.0 * r
         np.fill_diagonal(adj, False)
         higher = np.triu(adj)
@@ -285,12 +241,14 @@ def potential_from_candidates(
 
 
 def _checked_phi(pot: PotentialIndex, phi: Sequence[float]) -> np.ndarray:
-    """``phi`` as an array, one entry per size of ``pot``."""
+    """``phi`` as an array, one probability in [0, 1] per size of ``pot``."""
     phi = np.asarray(phi, dtype=np.float64)
     if phi.shape != (pot.k_max - 1,):
         raise ValueError(
             f"phi has {phi.size} entries; expected {pot.k_max - 1} for sizes 2..{pot.k_max}"
         )
+    if not np.all((phi >= 0) & (phi <= 1)):
+        raise ValueError(f"phi entries must lie in [0, 1], got {phi.tolist()}")
     return phi
 
 
@@ -323,7 +281,8 @@ def phi_preset(
     """Selection probabilities for sizes ``2..k_max`` per a named rule.
 
     ``power_law``     1 / s**2
-    ``hoff_sigmoid``  1 / (1 + exp(alpha * (r_s - gamma)))  (needs radii, gamma)
+    ``hoff_sigmoid``  the sigmoid edge probability (:func:`hoff_edge_probability`)
+                      at distance r_s (needs radii, gamma)
     ``constant``      0.1 for every size
     ``empirical``     candidate counts per size, scaled so the largest is 1
                       (needs ``pot``)
@@ -336,10 +295,9 @@ def phi_preset(
     if name == "hoff_sigmoid":
         if radii is None or gamma is None:
             raise ValueError("hoff_sigmoid preset needs radii and gamma")
-        radii = np.asarray(radii, dtype=np.float64)
         if len(radii) != len(sizes):
             raise ValueError("radii length must match k_max - 1")
-        return 1.0 / (1.0 + np.exp(alpha * (radii - gamma)))
+        return hoff_edge_probability(HoffParams(alpha, gamma), radii)
     if name == "empirical":
         if pot is None:
             raise ValueError("empirical preset needs a PotentialIndex")
@@ -381,8 +339,8 @@ def link_probability_map(pot: PotentialIndex, phi: Sequence[float]) -> np.ndarra
 
 
 def hoff_edge_probability(params: HoffParams, dist) -> np.ndarray | float:
-    """Sigmoid edge probability at the given distance(s); strictly
-    decreasing in distance."""
+    """Sigmoid edge probability ``1 / (1 + exp(alpha * (dist - gamma)))``
+    at the given distance(s); strictly decreasing in distance."""
     d = np.asarray(dist, dtype=np.float64)
     if np.any(d < 0):
         raise ValueError("distances must be nonnegative")
@@ -422,41 +380,35 @@ class DistanceProfile:
 
 
 def edge_distance_profile(
-    model: LatentModel,
-    phi: Sequence[float] | None = None,
+    pot: PotentialIndex,
+    phi: Sequence[float],
+    positions: np.ndarray,
+    seed: int = 0,
     n_trials: int = 100,
     bins: int = 20,
     hoff: HoffParams | None = None,
-    max_potential: int = DEFAULT_MAX_POTENTIAL,
-    pot: PotentialIndex | None = None,
 ) -> DistanceProfile:
     """Empirical probability that a pair at a given distance becomes an
     edge, binned by distance, against the sigmoid baseline at bin centers.
 
-    ``pot`` is the model's candidate index, when the caller already holds
-    it (``build_potential(model.positions, model.radii)``); otherwise it
-    is enumerated here. The distance matrix is computed once either way.
-    Pairs farther apart than ``2 * max(radii)`` can never be covered, so
-    their frequency is exactly zero by construction.
+    ``pot`` is the candidate index of ``positions`` (see
+    :func:`build_potential`), ``phi`` its per-size keep rates, and the
+    ``n_trials`` draws take their seeds from ``seed``; ``hoff`` defaults
+    to :func:`default_hoff_params`. Pairs farther apart than twice the
+    largest radius can never be covered, so their frequency is exactly
+    zero by construction.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    n = model.n
-    if pot is not None and (pot.n, pot.k_max) != (n, model.k_max):
-        raise ValueError(
-            f"the candidate index has n={pot.n}, k_max={pot.k_max}; "
-            f"the model has n={n}, k_max={model.k_max}"
-        )
-    phi_vec = model.phi if phi is None else phi
-    dist_matrix = _distance_matrix(model.positions)
-    dist = dist_matrix[np.triu_indices(n, k=1)]
-    hoff = hoff or HoffParams(alpha=DEFAULT_HOFF_ALPHA, gamma=float(np.median(dist)))
-    if pot is None:
-        pot = _enumerate_candidates(dist_matrix, model.radii, max_potential)
+    n = len(positions)
+    if pot.n != n:
+        raise ValueError(f"the candidate index has n={pot.n}; positions has {n} points")
+    dist = pairwise_distances(positions)
+    hoff = hoff or default_hoff_params(positions)
 
     hits = np.zeros(len(dist), dtype=np.int64)
-    for ts in spawn_seeds(model.seed, n_trials):  # each draw's covered pairs, no Hypergraph
-        keys = [group_pair_keys(n, block) for block in _kept_blocks(pot, phi_vec, ts)]
+    for ts in spawn_seeds(seed, n_trials):  # each draw's covered pairs, no Hypergraph
+        keys = [group_pair_keys(n, block) for block in _kept_blocks(pot, phi, ts)]
         hits[distinct_keys(np.concatenate(keys))] += 1
     freq = hits / n_trials
 

@@ -44,14 +44,21 @@ from .evaluation import (
     _unwrap,
     auc,
     evaluate_protocol,
-    model_auc,
 )
 from .heuristics import score_pairs
 from .hypergraph import Hypergraph, SimpleGraph, clique_expand, width
-from .latent import PotentialIndex, sample_hypergraph, spawn_seeds
+from .latent import (
+    PotentialIndex,
+    _checked_phi,
+    link_probability_map,
+    sample_hypergraph,
+    spawn_seeds,
+)
 from .relocation import relocate
 
 Z95 = 1.959963984540054
+# Trials of the cn-lift check pool their scores in this many batches.
+_LIFT_BATCHES = 10
 
 
 @dataclass
@@ -276,56 +283,53 @@ def verify_higher_order_auc_lift(
     phi: Sequence[float],
     trials: int = 200,
     seed: int = 0,
-    scorer: str = "cn",
-    batches: int = 10,
 ) -> TrialSummary:
-    """Check that higher-order candidates alone push the scorer's ensemble
-    AUC strictly above 0.5.
+    """Check that higher-order candidates alone push the common-neighbor
+    ensemble AUC strictly above 0.5.
 
     Requires pair-level selection off (phi for size 2 equal to zero) and
     at least one candidate of size >= 3. Scores are taken on each realized
     graph without edge removal and pooled across trials; the pooled AUC is
-    computed per batch of trials, and the verdict asks the batch mean to
-    exceed 0.5 by three standard errors. Per-trial leave-one-out AUCs are
-    reported in the details for the trials where they exist.
+    computed per batch of trials (``_LIFT_BATCHES``), and the verdict asks
+    the batch mean to exceed 0.5 by three standard errors. Per-trial
+    leave-one-out AUCs are reported in the details for the trials where
+    they exist: leaving an edge out moves no common-neighbor count, so
+    they are counts of the same scores and labels.
     """
-    phi = np.asarray(phi, dtype=np.float64)
+    phi = _checked_phi(pot, phi)
     if phi[0] != 0:
         raise ValueError("this check needs the size-2 selection probability to be 0")
     if not pot.size_counts()[1:].any():
         raise ValueError("need at least one candidate hyperedge of size >= 3")
-    if trials < batches:
-        raise ValueError(f"need trials >= batches, got {trials} < {batches}")
+    if trials < _LIFT_BATCHES:
+        raise ValueError(f"need trials >= batches, got {trials} < {_LIFT_BATCHES}")
 
-    batch_scores: list[list[np.ndarray]] = [[] for _ in range(batches)]
-    batch_labels: list[list[np.ndarray]] = [[] for _ in range(batches)]
+    draws: list[tuple[np.ndarray, np.ndarray]] = []  # each trial's scores and labels
     loo_values: list[float] = []
     model_values: list[float] = []
-    seeds = spawn_seeds(seed, trials)
-    for t, ts in enumerate(seeds):
+    prob = link_probability_map(pot, phi)  # the model's ceiling ranks every draw alike
+    for ts in spawn_seeds(seed, trials):
         g = clique_expand(sample_hypergraph(pot, phi, ts))
-        b = t % batches
-        batch_scores[b].append(score_pairs(scorer, g))
-        batch_labels[b].append(_pair_labels(g))
-        model_values.append(model_auc(pot, phi, g))
-        loo_values += _loo_aucs([g], [scorer])[scorer]
+        scores, labels = score_pairs("cn", g), _pair_labels(g)
+        draws.append((scores, labels))
+        both = labels.any() and not labels.all()
+        model_values.append(auc(prob, labels) if both else 0.5)  # as model_auc reads it
+        if both:
+            loo_values.append(AucCount.of(scores, labels).auc)
 
     batch_aucs = []
-    for bs, bl in zip(batch_scores, batch_labels):
-        labels = np.concatenate(bl)
+    for b in range(_LIFT_BATCHES):
+        scores, labels = (np.concatenate(x) for x in zip(*draws[b::_LIFT_BATCHES]))
         if labels.any() and not labels.all():
-            batch_aucs.append(auc(np.concatenate(bs), labels))
+            batch_aucs.append(auc(scores, labels))
     if not batch_aucs:
-        return _degenerate("cn-lift", trials, scorer=scorer)
+        return _degenerate("cn-lift", trials, scorer="cn")
     mean, se, lo, hi = _mean_ci(batch_aucs)
-
-    all_scores = np.concatenate([x for bs in batch_scores for x in bs])
-    all_labels = np.concatenate([x for bl in batch_labels for x in bl])
-    pooled = AucCount.of(all_scores, all_labels)
+    pooled = AucCount.of(*(np.concatenate(x) for x in zip(*draws)))
 
     verdict = "pass" if mean - 0.5 > 3 * se else "fail"
     details = {
-        "scorer": scorer,
+        "scorer": "cn",
         "se": se,
         "batches_used": len(batch_aucs),
         "pooled_auc": pooled.auc,
@@ -355,7 +359,7 @@ def exact_ensemble_auc(
     m = len(cands)
     if m > max_candidates:
         raise ValueError(f"{m} candidates exceed the enumeration cap {max_candidates}")
-    phi = np.asarray(phi, dtype=np.float64)
+    phi = _checked_phi(pot, phi)
     probs = np.array([phi[len(c) - 2] for c in cands])
 
     scores, labels, weights = [], [], []

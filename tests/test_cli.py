@@ -246,6 +246,19 @@ class TestGenerate:
         bad.write_text("n = 10\npercentiles = 9 5\n")
         assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize(
+        "entry",
+        ["alpha = abc", "gamma = x1", "alpha = 0", "alpha = -2", "percentiles = 50 150",
+         "percentiles = 0 5", "max_potential = -5", "seed = 1.5"],
+    )
+    def test_config_value_error_names_its_line(self, tmp_path, capsys, entry):
+        # each was "could not convert string to float" with no line, or a
+        # run-time failure, before the parser checked it
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"n = 10\nd = 2\n{entry}\n")
+        assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: line 3: {entry.split()[0]} ")
+
     def test_resource_limit_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "capped.cfg"
         cfg.write_text("n = 30\nmax_potential = 10\n")
@@ -638,6 +651,31 @@ def test_csv_bytes_pinned(tmp_path):
         assert main(argv + ["--out", str(out)]) == 0, name
         digest = hashlib.sha256(out.with_suffix(".csv").read_bytes()).hexdigest()
         assert digest == PINNED_CSV[name], name
+
+
+# sha256 of `generate`'s .hyg and of its summary JSON (timestamp aside)
+# for a sigmoid-phi config with the median offset, as written while the
+# CLI computed that offset and the preset's sigmoid inline
+PINNED_GENERATE = {
+    "hyg": "5b838c60dabc1d7093c15a454abb0b56c438c78607bd09a6fe9e7485144ce174",
+    "summary": "310d82240ec7802cf634fb2de90169fa1d21825c587eff488161905f21ad0ce4",
+}
+
+
+def test_generate_bytes_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # relative paths: the summary records them
+    Path("sigmoid.cfg").write_text(
+        "n = 40\nd = 2\nseed = 3\npercentiles = 2 5 8\nphi = hoff_sigmoid\n"
+        "alpha = 6\ngamma = median\n"
+    )
+    assert main(["generate", "--config", "sigmoid.cfg", "--out", "sigmoid"]) == 0
+    summary = json.loads(Path("sigmoid.summary.json").read_text())
+    del summary["manifest"]["timestamp"]
+    digests = {
+        "hyg": hashlib.sha256(Path("sigmoid.hyg").read_bytes()).hexdigest(),
+        "summary": hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest(),
+    }
+    assert digests == PINNED_GENERATE
 
 
 def test_version_flag():

@@ -14,22 +14,25 @@ from scipy.spatial.distance import pdist, squareform
 
 from hyperlp import (
     HoffParams,
-    LatentModel,
+    Hypergraph,
     ResourceLimitError,
     build_potential,
     clique_expand,
     default_hoff_params,
     edge_distance_profile,
+    exact_ensemble_auc,
     hoff_clique_probability,
     hoff_edge_probability,
     link_probability,
     link_probability_map,
+    model_auc,
     pairwise_distances,
     phi_preset,
     potential_from_candidates,
     radii_from_percentiles,
     sample_hypergraph,
     sample_latents,
+    verify_higher_order_auc_lift,
 )
 import hyperlp.latent
 from hyperlp.hypergraph import condensed_keys, condensed_pairs, group_pair_keys
@@ -479,26 +482,17 @@ class TestHoffModel:
 
 class TestEdgeDistanceProfile:
     def test_phi_zero_gives_zero_profile(self):
-        model = LatentModel(TEN_POINTS, radii=[0.5, 0.8], phi=[0.0, 0.0], seed=0)
-        prof = edge_distance_profile(model, n_trials=10, bins=5)
+        pot = build_potential(TEN_POINTS, [0.5, 0.8])
+        prof = edge_distance_profile(pot, [0.0, 0.0], TEN_POINTS, n_trials=10, bins=5)
         assert np.all(prof.model_freq == 0)
+        assert prof.hoff_params == default_hoff_params(TEN_POINTS)
 
     def test_pairs_beyond_reach_never_link(self):
-        model = LatentModel(TEN_POINTS, radii=[0.5, 0.8], phi=[1.0, 1.0], seed=0)
-        prof = edge_distance_profile(model, n_trials=5, bins=30)
+        pot = build_potential(TEN_POINTS, [0.5, 0.8])
+        prof = edge_distance_profile(pot, [1.0, 1.0], TEN_POINTS, n_trials=5, bins=30)
         reach = 2 * 0.8
         beyond = prof.bin_edges[:-1] > reach
         assert np.all(prof.model_freq[beyond] == 0)
-
-    def test_given_index_gives_identical_profile(self):
-        pts = sample_latents(40, 2, 3)
-        radii = radii_from_percentiles(pts, [2, 6, 10])
-        model = LatentModel(pts, radii=radii, phi=phi_preset("power_law", k_max=4), seed=3)
-        own = edge_distance_profile(model, n_trials=6, bins=12)
-        reused = edge_distance_profile(model, n_trials=6, bins=12, pot=build_potential(pts, radii))
-        for field in ("bin_edges", "bin_centers", "pair_counts", "model_freq", "hoff_prob"):
-            assert getattr(own, field).tobytes() == getattr(reused, field).tobytes(), field
-        assert own.hoff_params == reused.hoff_params
 
     def test_hits_are_expansions_of_sampled_hypergraphs(self):
         # each trial counts the edges of clique_expand(sample_hypergraph)
@@ -507,9 +501,8 @@ class TestEdgeDistanceProfile:
         pts = sample_latents(30, 2, 5)
         radii = radii_from_percentiles(pts, [4, 10, 16])
         phi = phi_preset("power_law", k_max=4)
-        model = LatentModel(pts, radii=radii, phi=phi, seed=5)
-        prof = edge_distance_profile(model, n_trials=8, bins=300)
         pot = build_potential(pts, radii)
+        prof = edge_distance_profile(pot, phi, pts, seed=5, n_trials=8, bins=300)
         hits = np.zeros(30 * 29 // 2, dtype=np.int64)
         for ts in np.random.default_rng(5).integers(0, 2**63 - 1, size=8):
             hits[clique_expand(sample_hypergraph(pot, phi, int(ts))).edge_keys()] += 1
@@ -520,40 +513,58 @@ class TestEdgeDistanceProfile:
         assert np.array_equal(prof.model_freq, want)
 
     def test_wrong_phi_length_rejected(self):
-        model = LatentModel(TEN_POINTS, radii=[0.5, 0.8], phi=[0.5, 0.5], seed=0)
+        pot = build_potential(TEN_POINTS, [0.5, 0.8])
         for phi in ([0.5], [0.5, 0.5, 0.5]):
             with pytest.raises(ValueError, match="phi has"):
-                edge_distance_profile(model, phi=phi, n_trials=2)
+                edge_distance_profile(pot, phi, TEN_POINTS, n_trials=2)
 
     def test_mismatched_index_rejected(self):
-        model = LatentModel(TEN_POINTS, radii=[0.5, 0.8], phi=[0.5, 0.5], seed=0)
+        pot = build_potential(TEN_POINTS[:9], [0.5, 0.8])
         with pytest.raises(ValueError, match="candidate index"):
-            edge_distance_profile(model, pot=build_potential(TEN_POINTS[:9], [0.5, 0.8]))
-        with pytest.raises(ValueError, match="candidate index"):
-            edge_distance_profile(model, pot=build_potential(TEN_POINTS, [0.5]))
+            edge_distance_profile(pot, [0.5, 0.5], TEN_POINTS)
+        # an index of another k_max meets phi as a vector of the wrong length
+        with pytest.raises(ValueError, match="phi has"):
+            edge_distance_profile(build_potential(TEN_POINTS, [0.5]), [0.5, 0.5], TEN_POINTS)
 
     def test_generator_exceeds_sigmoid_in_mid_range(self):
         # statistical comparison in the band between the pair and top reach
         rng_pts = sample_latents(120, 2, 33)
         radii = radii_from_percentiles(rng_pts, [1, 5, 9, 13])
-        model = LatentModel(rng_pts, radii=radii, phi=[0, 0, 0, 0], seed=33)
+        pot = build_potential(rng_pts, radii)
         phi = phi_preset("power_law", k_max=5)
         hoff = default_hoff_params(rng_pts)
-        prof = edge_distance_profile(model, phi=phi, n_trials=30, bins=25, hoff=hoff)
+        prof = edge_distance_profile(pot, phi, rng_pts, seed=33, n_trials=30, bins=25, hoff=hoff)
         band = (prof.bin_centers >= 2 * radii[0]) & (prof.bin_centers <= 2 * radii[-1])
         assert band.any()
         assert prof.model_freq[band].mean() >= prof.hoff_prob[band].mean()
 
 
-class TestModelValidation:
-    def test_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            LatentModel(TEN_POINTS, radii=[0.5], phi=[0.5, 0.5])
+# every public function that takes phi, on a 4-vertex index with sizes 2..3
+SMALL_POT = potential_from_candidates(4, [(0, 1), (1, 2), (0, 1, 2)], k_max=3)
+PHI_READERS = {
+    "sample_hypergraph": lambda phi: sample_hypergraph(SMALL_POT, phi, 0),
+    "link_probability_map": lambda phi: link_probability_map(SMALL_POT, phi),
+    "link_probability": lambda phi: link_probability(SMALL_POT, phi, 0, 1),
+    "model_auc": lambda phi: model_auc(SMALL_POT, phi, clique_expand(Hypergraph(4, [(0, 1)]))),
+    "exact_ensemble_auc": lambda phi: exact_ensemble_auc(SMALL_POT, phi),
+    "verify_higher_order_auc_lift": lambda phi: verify_higher_order_auc_lift(SMALL_POT, phi),
+    "edge_distance_profile": lambda phi: edge_distance_profile(SMALL_POT, phi, TEN_POINTS[:4]),
+}
 
-    def test_phi_range(self):
-        with pytest.raises(ValueError):
-            LatentModel(TEN_POINTS, radii=[0.5, 0.8], phi=[0.5, 1.5])
 
-    def test_k_max(self):
-        m = LatentModel(TEN_POINTS, radii=[0.5, 0.8], phi=[0.5, 0.5])
-        assert m.k_max == 3 and m.n == 10 and m.dim == 2
+@pytest.mark.parametrize(
+    "phi",
+    [[1.5, 0.5], [-0.2, 0.5], [math.nan, 0.5], [0.5, 0.5, 0.9]],
+    ids=["above-1", "below-0", "nan", "wrong-length"],
+)
+@pytest.mark.parametrize("reader", PHI_READERS)
+def test_phi_outside_unit_interval_or_of_wrong_length_rejected(reader, phi):
+    # a phi of 1.5 read 1.25 as a link probability, and -0.2 read 0.4
+    # where 0.5 is right, before the range check
+    with pytest.raises(ValueError, match="phi (entries must lie in|has 3 entries)"):
+        PHI_READERS[reader](phi)
+
+
+def test_negative_radius_rejected():
+    with pytest.raises(ValueError, match="radii must be nonnegative"):
+        build_potential(TEN_POINTS, [0.5, -0.1])
