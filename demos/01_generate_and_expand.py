@@ -1,7 +1,8 @@
 """Walk through the hypergraph generator, end to end.
 
-Ten points get standard-normal positions in the plane. Radii for sizes 2
-and 3 come from percentiles of the pairwise distances; candidate
+Ten points get standard-normal positions in the plane, and their pairwise
+distances are computed once. Radii for sizes 2 and 3 come from
+percentiles of those distances; candidate
 hyperedges are the point groups that fit within twice those radii; a
 Bernoulli draw per candidate yields the hypergraph, and clique expansion
 turns it into a plain graph.
@@ -14,6 +15,7 @@ import numpy as np
 from hyperlp import (
     build_potential,
     clique_expand,
+    pairwise_distances,
     radii_from_percentiles,
     sample_hypergraph,
     sample_latents,
@@ -26,10 +28,11 @@ n, d, seed = 10, 2, 7
 positions = sample_latents(n, d, seed)
 print(f"{n} points in R^{d} (seed {seed})")
 
-radii = radii_from_percentiles(positions, [6, 12])
+dist = pairwise_distances(positions)  # the one distance pass; the readers below share it
+radii = radii_from_percentiles(dist, [6, 12])
 print(f"radii from the 6th/12th distance percentiles: {np.round(radii, 3)}")
 
-pot = build_potential(positions, radii)
+pot = build_potential(dist, radii)
 for s in pot.sizes:
     print(f"  size-{s} candidates: {pot.by_size[s].tolist()}")
 

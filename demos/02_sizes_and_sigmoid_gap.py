@@ -20,6 +20,7 @@ from hyperlp import (
     default_hoff_params,
     edge_distance_profile,
     hoff_clique_probability,
+    pairwise_distances,
     phi_preset,
     radii_from_percentiles,
     sample_latents,
@@ -27,10 +28,11 @@ from hyperlp import (
 
 n, d, seed = 120, 2, 5
 percentiles = [1, 5, 9, 13]
-positions = sample_latents(n, d, seed)
-radii = radii_from_percentiles(positions, percentiles)
-pot = build_potential(positions, radii)
-hoff = default_hoff_params(positions)
+# one distance pass: radii, candidates, sigmoid offset and profile all read it
+dist = pairwise_distances(sample_latents(n, d, seed))
+radii = radii_from_percentiles(dist, percentiles)
+pot = build_potential(dist, radii)
+hoff = default_hoff_params(dist)
 print(f"n={n}, radii={np.round(radii, 3)}, sigmoid gamma={hoff.gamma:.3f}")
 
 print("\nprobability that one size-k group materializes in full:")
@@ -44,7 +46,7 @@ for k in range(2, 6):
 print("the sigmoid column collapses with k*(k-1)/2; the presets do not")
 
 # the generator is its candidate index and phi; the profile draws from them
-profile = edge_distance_profile(pot, phi_pl, positions, seed=seed, n_trials=40, bins=30, hoff=hoff)
+profile = edge_distance_profile(pot, phi_pl, dist, seed=seed, n_trials=40, bins=30, hoff=hoff)
 reach = 2 * radii[-1]
 band = (profile.bin_centers >= 2 * radii[0]) & (profile.bin_centers <= reach)
 outer = band & (profile.bin_centers >= 0.5 * reach)

@@ -17,6 +17,7 @@ from hyperlp import (
     adjusted_auc,
     build_potential,
     load_plain,
+    pairwise_distances,
     performance_reversal_check,
     radii_from_percentiles,
     sample_hypergraph,
@@ -27,9 +28,9 @@ if len(sys.argv) > 1:
     bundle = load_plain(sys.argv[1])
     h, name = bundle.hypergraph, bundle.name
 else:
-    positions = sample_latents(60, 2, seed=2)
-    radii = radii_from_percentiles(positions, [2, 8])
-    pot = build_potential(positions, radii)
+    dist = pairwise_distances(sample_latents(60, 2, seed=2))  # computed once, read twice
+    radii = radii_from_percentiles(dist, [2, 8])
+    pot = build_potential(dist, radii)
     h, name = sample_hypergraph(pot, [0.2, 0.5], seed=2), "generated"
 
 print(f"dataset: {name} ({h.n} vertices, {len(h)} hyperedges)")

@@ -47,7 +47,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ModelConfig, load_model_config
+from .config import ConfigError, ModelConfig, load_model_config, parse_model_config
 from .datasets import (
     DataFormatError,
     DatasetBundle,
@@ -72,6 +72,7 @@ from .latent import (
     ResourceLimitError,
     build_potential,
     default_hoff_params,
+    pairwise_distances,
     phi_preset,
     radii_from_percentiles,
     sample_hypergraph,
@@ -188,12 +189,12 @@ def _load_bundle(args) -> DatasetBundle:
 
 
 def _resolve_model(cfg: ModelConfig, seed: int):
-    """Sample positions, derive radii/candidates, and resolve phi."""
-    positions = sample_latents(cfg.n, cfg.d, seed)
-    radii = radii_from_percentiles(positions, cfg.percentiles)
-    pot = build_potential(positions, radii, max_potential=cfg.max_potential)
+    """Sample positions; derive radii, candidates and offset from one distance pass; resolve phi."""
+    dist = pairwise_distances(sample_latents(cfg.n, cfg.d, seed))
+    radii = radii_from_percentiles(dist, cfg.percentiles)
+    pot = build_potential(dist, radii, max_potential=cfg.max_potential)
     if cfg.gamma is None:
-        hoff = default_hoff_params(positions, cfg.alpha)
+        hoff = default_hoff_params(dist, cfg.alpha)
     else:
         hoff = HoffParams(cfg.alpha, cfg.gamma)
     if isinstance(cfg.phi, str):
@@ -202,7 +203,7 @@ def _resolve_model(cfg: ModelConfig, seed: int):
         )
     else:
         phi = np.asarray(cfg.phi, dtype=np.float64)
-    return positions, radii, pot, phi, hoff
+    return radii, pot, phi, hoff
 
 
 def _protocol_from_args(args):
@@ -229,7 +230,7 @@ def _scoring_manifest(args, bundle: DatasetBundle) -> dict:
 def cmd_generate(args) -> Output:
     cfg = load_model_config(args.config)
     seed = cfg.seed if args.seed is None else args.seed
-    positions, radii, pot, phi, hoff = _resolve_model(cfg, seed)
+    radii, pot, phi, hoff = _resolve_model(cfg, seed)
     h = sample_hypergraph(pot, phi, seed)
 
     hyg_path = Path(args.out).with_suffix(".hyg")
@@ -403,7 +404,7 @@ def cmd_evaluate(args) -> Output:
 
 
 def cmd_scan(args) -> Output:
-    cfg = load_model_config(args.config)
+    cfg = parse_model_config(Path(args.config).read_text())
     if isinstance(cfg.phi, str):
         if cfg.phi in ("power_law", "constant"):
             phi = tuple(phi_preset(cfg.phi, k_max=cfg.k_max).tolist())
@@ -489,41 +490,40 @@ def _verify_params(args) -> dict:
 
 def cmd_verify(args) -> Output:
     params = _verify_params(args)
-    seed = args.seed if args.seed is not None else 0
     n, p, trials, algorithms = (params.get(k) for k in ("n", "p", "trials", "algorithms"))
     checksums = {}
     if args.claim == "cc":
-        summaries = {"cc": verify_er_clustering(n, p, trials, seed)}
+        summaries = {"cc": verify_er_clustering(n, p, trials, args.seed)}
     elif args.claim == "cn-dist":
         summaries = {
             "cn-dist": verify_er_common_neighbors(
-                n, p, trials, seed, chi_square=params["chi_square"]
+                n, p, trials, args.seed, chi_square=params["chi_square"]
             )
         }
     elif args.claim == "er-auc":
-        summaries = verify_er_auc_baseline(n, p, algorithms, trials, seed)
+        summaries = verify_er_auc_baseline(n, p, algorithms, trials, args.seed)
     elif args.claim == "cn-lift":
         if not args.config:
             raise ConfigError("cn-lift needs --config with a generator model")
         cfg = load_model_config(args.config)
         checksums = {"config": sha256_file(args.config)}
-        _, _, pot, phi, _ = _resolve_model(cfg, cfg.seed)
-        summaries = {"cn-lift": verify_higher_order_auc_lift(pot, phi, trials, seed)}
+        _, pot, phi, _ = _resolve_model(cfg, cfg.seed)
+        summaries = {"cn-lift": verify_higher_order_auc_lift(pot, phi, trials, args.seed)}
     else:  # relocation-baseline
         if args.data:
             bundle = load_plain(args.data)
             h = bundle.hypergraph
             checksums = _checksums(bundle)
         else:
-            rng = np.random.default_rng(seed)
+            rng = np.random.default_rng(args.seed)
             pairs = [
                 [int(a), int(b)]
                 for a, b in (rng.choice(n, size=2, replace=False) for _ in range(params["edges"]))
             ]
             h = Hypergraph(n, pairs)
-        summaries = verify_relocation_baseline(h, algorithms, params["runs"], seed)
+        summaries = verify_relocation_baseline(h, algorithms, params["runs"], args.seed)
 
-    manifest = _manifest("verify", {"claim": args.claim, **params}, [seed], checksums)
+    manifest = _manifest("verify", {"claim": args.claim, **params}, [args.seed], checksums)
     payload = {
         "claim": args.claim,
         "summaries": {k: asdict(v) for k, v in summaries.items()},

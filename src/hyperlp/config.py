@@ -23,7 +23,7 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .latent import DEFAULT_HOFF_ALPHA, DEFAULT_MAX_POTENTIAL, PHI_PRESETS
+from .latent import DEFAULT_HOFF_ALPHA, DEFAULT_MAX_POTENTIAL, PHI_PRESETS, _checked_percentiles
 
 logger = logging.getLogger(__name__)
 
@@ -64,6 +64,11 @@ def _parse_number(raw: str, key: str, lineno: int, kind=float):
 def parse_model_config(text: str) -> ModelConfig:
     """Parse config text; raises :class:`ConfigError` with a line number
     on the first invalid entry."""
+    return _parse(text)[0]
+
+
+def _parse(text: str) -> tuple[ModelConfig, dict[str, int]]:
+    """The config and the line of each key it gives."""
     values: dict = {}
     lines: dict[str, int] = {}
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -85,6 +90,9 @@ def parse_model_config(text: str) -> ModelConfig:
             if not tokens:
                 raise ConfigError(f"line {lineno}: {key} needs at least one value")
             ints = tuple(_parse_number(t, key, lineno, int) for t in tokens)
+            low = 2 if key == "n" else 1
+            if min(ints) < low:
+                raise ConfigError(f"line {lineno}: {key} must be >= {low}, got {min(ints)}")
             values[key] = ints[0]
             if len(ints) > 1:
                 values[key + "_list"] = ints
@@ -105,17 +113,10 @@ def parse_model_config(text: str) -> ModelConfig:
         raise ConfigError("missing required key 'n'")
     cfg = ModelConfig(**values)
 
-    pct_line = lines.get("percentiles", 0)
-    if len(cfg.percentiles) == 0:
-        raise ConfigError(f"line {pct_line}: percentiles must be nonempty")
-    diffs = [b - a for a, b in zip(cfg.percentiles, cfg.percentiles[1:])]
-    if any(d <= 0 for d in diffs):
-        raise ConfigError(
-            f"line {pct_line}: percentiles must be strictly increasing, "
-            f"got {list(cfg.percentiles)}"
-        )
-    if not all(0 < p <= 100 for p in cfg.percentiles):
-        raise ConfigError(f"line {pct_line}: percentiles must lie in (0, 100]")
+    try:  # the rule radii_from_percentiles applies, with the line
+        _checked_percentiles(cfg.percentiles)
+    except ValueError as exc:
+        raise ConfigError(f"line {lines.get('percentiles', 0)}: {exc}") from None
     if isinstance(cfg.phi, tuple):
         phi_line = lines.get("phi", 0)
         if len(cfg.phi) == cfg.k_max:
@@ -130,23 +131,23 @@ def parse_model_config(text: str) -> ModelConfig:
             )
         if any(not (0 <= x <= 1) for x in cfg.phi):
             raise ConfigError(f"line {phi_line}: phi values must lie in [0, 1]")
-    for value, low, key in ((cfg.n, 2, "n"), (cfg.d, 1, "d")):
-        if value < low:
-            raise ConfigError(f"line {lines.get(key, 0)}: {key} must be >= {low}, got {value}")
-    for extra in cfg.n_list:
-        if extra < 2:
-            raise ConfigError(f"line {lines.get('n', 0)}: n values must be >= 2")
-    for extra in cfg.d_list:
-        if extra < 1:
-            raise ConfigError(f"line {lines.get('d', 0)}: d values must be >= 1")
     if cfg.replicates < 0:
         raise ConfigError(f"line {lines.get('replicates', 0)}: replicates must be >= 0")
     if cfg.max_potential < 0:
         raise ConfigError(f"line {lines.get('max_potential', 0)}: max_potential must be >= 0")
     if not cfg.alpha > 0:
         raise ConfigError(f"line {lines.get('alpha', 0)}: alpha must be positive, got {cfg.alpha}")
-    return cfg
+    return cfg, lines
 
 
 def load_model_config(path) -> ModelConfig:
-    return parse_model_config(Path(path).read_text())
+    """The config of one model (``generate``, ``verify --claim cn-lift``): an
+    ``n`` or ``d`` grid, which only ``scan`` reads (:func:`parse_model_config`),
+    is refused rather than cut to its first value."""
+    cfg, lines = _parse(Path(path).read_text())
+    for key, grid in (("n", cfg.n_list), ("d", cfg.d_list)):
+        if grid:
+            raise ConfigError(
+                f"line {lines[key]}: {key} has {len(grid)} values; only scan reads grids"
+            )
+    return cfg

@@ -63,6 +63,7 @@ from .latent import (
     PotentialIndex,
     build_potential,
     link_probability_map,
+    pairwise_distances,
     radii_from_percentiles,
     sample_hypergraph,
     sample_latents,
@@ -446,7 +447,7 @@ def overestimation_scan(
     scorers: Sequence[str],
     seed: int = 0,
     replicates: int = 1,
-    max_potential: int | None = None,
+    max_potential: int = DEFAULT_MAX_POTENTIAL,
 ) -> list[ScanRow]:
     """Compare heuristic leave-one-out AUC with the exact-probability AUC
     across generator configurations.
@@ -457,14 +458,13 @@ def overestimation_scan(
     (e.g. degenerate samples) are recorded per row and do not stop the
     scan.
     """
-    cap = DEFAULT_MAX_POTENTIAL if max_potential is None else max_potential
     rows: list[ScanRow] = []
     for at, rep_seed in enumerate(spawn_seeds(seed, len(grid) * replicates)):
         point = grid[at // replicates]
         try:
-            positions = sample_latents(point.n, point.d, rep_seed)
-            radii = radii_from_percentiles(positions, point.percentiles)
-            pot = build_potential(positions, radii, max_potential=cap)
+            dist = pairwise_distances(sample_latents(point.n, point.d, rep_seed))
+            radii = radii_from_percentiles(dist, point.percentiles)
+            pot = build_potential(dist, radii, max_potential)
             h = sample_hypergraph(pot, point.phi, rep_seed)
             g = clique_expand(h)
             truth = model_auc(pot, point.phi, g)

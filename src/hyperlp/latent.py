@@ -1,9 +1,11 @@
 """Latent-space hypergraph generator and its exact link probabilities.
 
-Vertices get i.i.d. standard-normal positions in ``R^d``. For every
-hyperedge size ``s`` in ``2..k_max`` there is a radius ``r_s``: the
-candidate (potential) hyperedges of size ``s`` are exactly the ``s``-sets
-whose points are pairwise within ``2 * r_s`` of each other, i.e. the
+Vertices get i.i.d. standard-normal positions in ``R^d``, whose pairwise
+distances :func:`pairwise_distances` computes once, as the condensed
+vector every geometry reader takes. For every hyperedge size ``s`` in
+``2..k_max`` the radius ``r_s`` is a percentile of them: the candidate
+(potential) hyperedges of size ``s`` are exactly the ``s``-sets whose
+points are pairwise within ``2 * r_s`` of each other, i.e. the
 ``s``-cliques of the distance-threshold graph at ``2 * r_s``. A hypergraph
 is then drawn by keeping each candidate independently with a per-size
 probability ``phi_s`` in [0, 1]. Every sampler and exact read takes the
@@ -27,6 +29,7 @@ comparison baseline: :func:`hoff_edge_probability` evaluates it, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -106,61 +109,58 @@ def spawn_seeds(seed: int, count: int) -> list[int]:
     return [int(s) for s in np.random.default_rng(seed).integers(0, 2**63 - 1, size=count)]
 
 
-def _distance_matrix(positions: np.ndarray) -> np.ndarray:
-    """Dense n-by-n Euclidean distances, equal bit for bit to
-    ``scipy.spatial.distance.pdist``: squared differences are summed in
-    dimension order (``einsum`` or ``sum(axis=...)`` differ in the last
-    bits). At n=3,000 it takes 0.12-0.18 s against 0.07 s for ``pdist``
-    plus ``squareform`` (2-core Xeon host), but no run pays the 0.14 s
-    import of ``scipy.spatial``."""
-    x = np.asarray(positions, dtype=np.float64)
-    return np.sqrt(sum((x[:, k, None] - x[None, :, k]) ** 2 for k in range(x.shape[1])))
-
-
 def pairwise_distances(positions: np.ndarray) -> np.ndarray:
     """Condensed vector of all n*(n-1)/2 pairwise Euclidean distances, in
-    ``pdist`` order (the upper triangle, row by row)."""
-    dist = _distance_matrix(positions)
-    return dist[np.triu_indices(len(dist), k=1)]
+    ``pdist`` order (the upper triangle, row by row), built row by row with
+    no n-by-n temporary. Equal bit for bit to ``scipy.spatial.distance.pdist``:
+    squared differences are summed in dimension order (``einsum`` or
+    ``sum(axis=...)`` differ in the last bits), and no run pays the 0.14 s
+    import of ``scipy.spatial``."""
+    x = np.asarray(positions, dtype=np.float64)
+    rows = (sum((x[i + 1 :, k] - x[i, k]) ** 2 for k in range(x.shape[1])) for i in range(len(x)))
+    return np.sqrt(np.concatenate([np.empty(0), *rows]))
 
 
-def radii_from_percentiles(
-    positions: np.ndarray, percentiles: Sequence[float]
-) -> np.ndarray:
-    """Radii for sizes ``2..k_max`` as percentiles of the pairwise
-    distances.
+def radii_from_percentiles(dist: np.ndarray, percentiles: Sequence[float]) -> np.ndarray:
+    """Radii for sizes ``2..k_max`` as percentiles of the condensed
+    pairwise distances ``dist`` (:func:`pairwise_distances`).
 
     ``percentiles`` must be strictly increasing, one entry per size; the
     returned radii are then nondecreasing in size.
     """
+    return np.percentile(dist, _checked_percentiles(percentiles))
+
+
+def _checked_percentiles(percentiles: Sequence[float]) -> np.ndarray:
+    """``percentiles`` as an array, nonempty, strictly increasing and in (0, 100]."""
     pct = np.asarray(percentiles, dtype=np.float64)
     if pct.ndim != 1 or len(pct) == 0:
         raise ValueError("percentiles must be a nonempty 1-d sequence")
     if np.any(np.diff(pct) <= 0):
         raise ValueError(f"percentiles must be strictly increasing, got {pct.tolist()}")
-    if np.any((pct <= 0) | (pct > 100)):
+    if not np.all((pct > 0) & (pct <= 100)):  # NaN too
         raise ValueError("percentiles must lie in (0, 100]")
-    return np.percentile(pairwise_distances(positions), pct)
+    return pct
 
 
-def _extend(cliques: np.ndarray, adj: np.ndarray, higher: np.ndarray) -> Iterator[np.ndarray]:
+def _extend(cliques: np.ndarray, higher: np.ndarray) -> Iterator[np.ndarray]:
     """Every one-vertex extension of the k-cliques ``cliques`` (rows in
     lexicographic order), in blocks whose rows stay in that order.
 
     A clique extends by the vertices above its last member that are
-    adjacent to every member: the true entries of its last member's
-    ``higher`` row ANDed with the other members' ``adj`` rows. Row-major
+    adjacent to every member: the AND of its members' ``higher`` rows
+    (``higher[u, v]``: ``u < v`` adjacent), every member being below. Row-major
     ``np.nonzero`` reads the masks parent by parent, vertex by vertex, so
     the extensions come out lexicographically sorted. A block holds at
     most ``_MASK_BYTES`` of mask.
     """
     k = cliques.shape[1]
-    step = max(1, _MASK_BYTES // max(len(adj), 1))
+    step = max(1, _MASK_BYTES // max(len(higher), 1))
     for lo in range(0, len(cliques), step):
         parents = cliques[lo : lo + step]
         mask = higher[parents[:, -1]]
         for col in parents[:, :-1].T:
-            mask &= adj[col]
+            mask &= higher[col]
         rows, new = np.nonzero(mask)
         block = np.empty((len(rows), k + 1), dtype=np.int32)
         block[:, :k] = parents[rows]
@@ -173,16 +173,16 @@ def _stack(blocks: Iterable[np.ndarray], width: int) -> np.ndarray:
 
 
 def build_potential(
-    positions: np.ndarray,
+    dist: np.ndarray,
     radii: Sequence[float],
     max_potential: int = DEFAULT_MAX_POTENTIAL,
 ) -> PotentialIndex:
     """Enumerate the candidate hyperedges for every size.
 
     For size ``s`` these are the ``s``-cliques of the graph linking points
-    within ``2 * radii[s-2]`` of each other, grown level by level from
-    single vertices as int arrays (ordered clique listing, Chiba &
-    Nishizeki, SIAM J. Comput. 1985; see :func:`_extend`). Raises
+    within ``2 * radii[s-2]`` of each other in ``dist``, grown level by
+    level from single vertices as int arrays (ordered clique listing, Chiba
+    & Nishizeki, SIAM J. Comput. 1985; see :func:`_extend`). Raises
     :class:`ResourceLimitError` iff the total candidate count exceeds
     ``max_potential``; the count is checked block by block, so an
     over-cap size raises before its array is complete. The smaller
@@ -192,19 +192,18 @@ def build_potential(
     radii = np.asarray(radii, dtype=np.float64)
     if np.any(radii < 0):
         raise ValueError(f"radii must be nonnegative, got {radii.tolist()}")
-    dist = _distance_matrix(positions)
-    n = len(dist)
+    n = (1 + math.isqrt(1 + 8 * len(dist))) // 2  # len(dist) = n * (n - 1) / 2
+    upper = ~np.tri(n, dtype=bool)  # read row-major, its true entries are in condensed order
     by_size: dict[int, np.ndarray] = {}
     total = 0
     for s, r in enumerate(radii, start=2):
-        adj = dist <= 2.0 * r
-        np.fill_diagonal(adj, False)
-        higher = np.triu(adj)
+        higher = np.zeros((n, n), dtype=bool)
+        higher[upper] = dist <= 2.0 * r
         cliques = np.arange(n, dtype=np.int32)[:, None]
         for k in range(2, s):
-            cliques = _stack(_extend(cliques, adj, higher), k)
+            cliques = _stack(_extend(cliques, higher), k)
         blocks = []
-        for block in _extend(cliques, adj, higher):
+        for block in _extend(cliques, higher):
             total += len(block)
             if total > max_potential:
                 raise ResourceLimitError(
@@ -359,10 +358,10 @@ def hoff_clique_probability(params: HoffParams, dists: Sequence[float]) -> float
     return float(np.prod(hoff_edge_probability(params, dists)))
 
 
-def default_hoff_params(positions: np.ndarray, alpha: float = DEFAULT_HOFF_ALPHA) -> HoffParams:
+def default_hoff_params(dist: np.ndarray, alpha: float = DEFAULT_HOFF_ALPHA) -> HoffParams:
     """Fallback sigmoid parameters: slope ``alpha``, offset at the median
-    pairwise distance."""
-    return HoffParams(alpha=alpha, gamma=float(np.median(pairwise_distances(positions))))
+    of the condensed pairwise distances ``dist``."""
+    return HoffParams(alpha=alpha, gamma=float(np.median(dist)))
 
 
 @dataclass
@@ -382,7 +381,7 @@ class DistanceProfile:
 def edge_distance_profile(
     pot: PotentialIndex,
     phi: Sequence[float],
-    positions: np.ndarray,
+    dist: np.ndarray,
     seed: int = 0,
     n_trials: int = 100,
     bins: int = 20,
@@ -391,20 +390,19 @@ def edge_distance_profile(
     """Empirical probability that a pair at a given distance becomes an
     edge, binned by distance, against the sigmoid baseline at bin centers.
 
-    ``pot`` is the candidate index of ``positions`` (see
-    :func:`build_potential`), ``phi`` its per-size keep rates, and the
-    ``n_trials`` draws take their seeds from ``seed``; ``hoff`` defaults
-    to :func:`default_hoff_params`. Pairs farther apart than twice the
-    largest radius can never be covered, so their frequency is exactly
-    zero by construction.
+    ``pot`` is the candidate index built from the condensed distances
+    ``dist`` (see :func:`build_potential`), ``phi`` its per-size keep
+    rates, and the ``n_trials`` draws take their seeds from ``seed``;
+    ``hoff`` defaults to :func:`default_hoff_params` of ``dist``. Pairs
+    farther apart than twice the largest radius can never be covered, so
+    their frequency is exactly zero by construction.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    n = len(positions)
-    if pot.n != n:
-        raise ValueError(f"the candidate index has n={pot.n}; positions has {n} points")
-    dist = pairwise_distances(positions)
-    hoff = hoff or default_hoff_params(positions)
+    n = pot.n
+    if len(dist) != n * (n - 1) // 2:
+        raise ValueError(f"the candidate index has n={n}; {len(dist)} distances are not its pairs")
+    hoff = hoff or default_hoff_params(dist)
 
     hits = np.zeros(len(dist), dtype=np.int64)
     for ts in spawn_seeds(seed, n_trials):  # each draw's covered pairs, no Hypergraph

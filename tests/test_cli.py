@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import oracle_relocate, random_hypergraph
-from hyperlp import cli, evaluation, heuristics, relocation
+from hyperlp import cli, evaluation, heuristics, latent, relocation
 from hyperlp.datasets import load_benson, load_plain, save_plain
 from hyperlp.cli import main
 from hyperlp.config import ConfigError, parse_model_config
@@ -76,6 +76,15 @@ class TestConfigParsing:
     def test_grid_lists(self):
         cfg = parse_model_config("n = 10 20\nd = 2 3\n")
         assert cfg.n_list == (10, 20) and cfg.d_list == (2, 3)
+
+    @pytest.mark.parametrize("text, message", [
+        ("n = 10 1\n", "line 1: n must be >= 2, got 1"),
+        ("n = 1\n", "line 1: n must be >= 2, got 1"),
+        ("n = 10\nd = 2 0 3\n", "line 2: d must be >= 1, got 0"),
+    ])
+    def test_grid_value_out_of_range(self, text, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_model_config(text)
 
 
 class TestEvaluate:
@@ -676,6 +685,74 @@ def test_generate_bytes_pinned(tmp_path, monkeypatch):
         "summary": hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest(),
     }
     assert digests == PINNED_GENERATE
+
+
+@pytest.mark.parametrize("command", [
+    ["generate"], ["verify", "--claim", "cn-lift", "--trials", "10"],
+])
+@pytest.mark.parametrize("entry, message", [
+    ("n = 30 40", "line 2: n has 2 values; only scan reads grids"),
+    ("d = 1 2 3", "line 2: d has 3 values; only scan reads grids"),
+])
+def test_one_model_commands_refuse_grids(tmp_path, capsys, command, entry, message):
+    # generate read n = 30 40 as n = 30, wrote a 30-vertex .hyg and
+    # recorded n: 30, with no message
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(f"seed = 1\n{entry}\n" + ("d = 2\n" if entry[0] == "n" else "n = 30\n"))
+    out = tmp_path / "out" / "g"
+    assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.parent.exists()
+
+
+@pytest.fixture
+def distance_passes(monkeypatch):
+    """The point count of every pairwise-distance computation, in call
+    order: every hyperlp module's ``pairwise_distances`` is wrapped."""
+    real, passes = latent.pairwise_distances, []
+
+    def counted(positions):
+        passes.append(len(positions))
+        return real(positions)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hyperlp" and getattr(module, "pairwise_distances", None) is real:
+            monkeypatch.setattr(module, "pairwise_distances", counted)
+    return passes
+
+
+class TestOneDistancePass:
+    """Radii, candidates, the sigmoid offset and the distance profile
+    read one distance computation per point set."""
+
+    def test_generate_with_median_gamma(self, tmp_path, distance_passes):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text("n = 40\npercentiles = 2 5 8\nphi = hoff_sigmoid\ngamma = median\n")
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "g")]) == 0
+        assert distance_passes == [40]
+
+    def test_scan_replicates(self, tmp_path, distance_passes):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("n = 20 30\nseed = 3\npercentiles = 5 15\nreplicates = 2\n")
+        out = tmp_path / "s"
+        assert main(["scan", "--config", str(cfg), "--algorithms", "cn", "--out", str(out)]) == 0
+        assert distance_passes == [20, 20, 30, 30]
+
+    def test_cn_lift_model(self, tmp_path, distance_passes):
+        cfg = tmp_path / "lift.cfg"
+        cfg.write_text("n = 25\nseed = 11\npercentiles = 10 20\nphi = 0 0.5\n")
+        out = tmp_path / "lift"
+        argv = ["verify", "--claim", "cn-lift", "--config", str(cfg), "--trials", "10"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert distance_passes == [25]
+
+    def test_profile_with_default_sigmoid(self, distance_passes):
+        dist = latent.pairwise_distances(latent.sample_latents(30, 2, 5))
+        radii = latent.radii_from_percentiles(dist, [4, 10])
+        pot = latent.build_potential(dist, radii)
+        prof = latent.edge_distance_profile(pot, [0.5, 0.3], dist, n_trials=3, hoff=None)
+        assert prof.hoff_params == latent.default_hoff_params(dist)
+        assert distance_passes == [30]
 
 
 def test_version_flag():

@@ -36,7 +36,7 @@ from hyperlp import (
 )
 import hyperlp.latent
 from hyperlp.hypergraph import condensed_keys, condensed_pairs, group_pair_keys
-from hyperlp.latent import _distance_matrix, spawn_seeds
+from hyperlp.latent import spawn_seeds
 
 
 def candidate_tuples(pot):
@@ -129,22 +129,62 @@ class TestPairwiseDistances:
     )
     def test_bit_identical_to_scipy(self, x):
         assert np.array_equal(pairwise_distances(x), pdist(x))
-        assert np.array_equal(_distance_matrix(x), squareform(pdist(x)))
+
+
+def _capped_candidates(dist, radii):
+    """``build_potential``'s arrays by size, or its cap message."""
+    try:
+        return build_potential(dist, radii, max_potential=20_000).by_size
+    except ResourceLimitError as exc:
+        return str(exc)
+
+
+class TestSharedGeometry:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda d: arrays(
+                np.float64,
+                st.tuples(st.integers(2, 80), st.just(d)),
+                # a coarse pool beside the floats: duplicate points and tied distances
+                elements=st.sampled_from([-1.0, 0.0, 0.5]) | st.floats(-3, 3),
+            )
+        ),
+        st.lists(st.sampled_from([0.5, 1, 2, 5, 10]), min_size=1, max_size=3, unique=True),
+    )
+    def test_readers_match_pdist(self, pts, percentiles):
+        # radii, median offset and candidates from the one distance pass
+        # equal those built from scipy's pdist, array for array
+        percentiles = sorted(percentiles)
+        dist, ref = pairwise_distances(pts), pdist(pts)
+        assert np.array_equal(dist, ref)
+        radii = radii_from_percentiles(dist, percentiles)
+        assert np.array_equal(radii, np.percentile(ref, percentiles))
+        assert default_hoff_params(dist).gamma == float(np.median(ref))
+        ours, want = _capped_candidates(dist, radii), _capped_candidates(ref, radii)
+        if isinstance(want, str):
+            assert ours == want
+            return
+        assert ours.keys() == want.keys()
+        assert all(np.array_equal(ours[s], want[s]) for s in want)
+        # the pairs, against the dense matrix read independently
+        close = np.argwhere(np.triu(squareform(ref) <= 2 * radii[0], k=1))
+        assert np.array_equal(ours[2], close)
 
 
 class TestRadiiFromPercentiles:
     def test_three_collinear_points(self):
         # distances are {d, d, 2d}; the median is d
         pts = np.array([[0.0], [1.0], [2.0]])
-        assert radii_from_percentiles(pts, [50]) == pytest.approx([1.0])
+        assert radii_from_percentiles(pdist(pts), [50]) == pytest.approx([1.0])
 
     def test_percentile_100_is_max(self):
         pts = np.array([[0.0], [1.0], [5.0]])
-        assert radii_from_percentiles(pts, [100])[0] == pytest.approx(5.0)
+        assert radii_from_percentiles(pdist(pts), [100])[0] == pytest.approx(5.0)
 
     def test_matches_numpy_percentile(self):
         u = sample_latents(40, 2, 5)
-        got = radii_from_percentiles(u, [1, 5, 9, 13])
+        got = radii_from_percentiles(pairwise_distances(u), [1, 5, 9, 13])
         expected = np.percentile(pdist(u), [1, 5, 9, 13])
         assert np.allclose(got, expected)
         assert np.all(np.diff(got) >= 0)
@@ -152,7 +192,13 @@ class TestRadiiFromPercentiles:
     def test_non_increasing_rejected(self):
         pts = sample_latents(5, 2, 0)
         with pytest.raises(ValueError, match="strictly increasing"):
-            radii_from_percentiles(pts, [5, 5])
+            radii_from_percentiles(pairwise_distances(pts), [5, 5])
+
+    @pytest.mark.parametrize("percentiles", [[0, 5], [50, 150], [math.nan], [5, math.nan]])
+    def test_out_of_range_rejected(self, percentiles):
+        # NaN reached np.percentile, which raised its own message
+        with pytest.raises(ValueError, match=r"percentiles must lie in \(0, 100\]"):
+            radii_from_percentiles(TEN_DIST, percentiles)
 
 
 # Ten points laid out so that, at thresholds 1.0 (pairs) and 1.6
@@ -171,21 +217,22 @@ TEN_POINTS = np.array(
         [-5.0, 5.8],   # 9
     ]
 )
+TEN_DIST = pdist(TEN_POINTS)
 
 
 class TestBuildPotential:
     def test_ten_point_scenario(self):
-        pot = build_potential(TEN_POINTS, [0.5, 0.8])
+        pot = build_potential(TEN_DIST, [0.5, 0.8])
         assert candidate_tuples(pot) == {2: [(0, 4), (2, 5), (3, 9), (4, 7)], 3: [(0, 1, 4)]}
 
     def test_zero_radii_distinct_points(self):
         pts = sample_latents(8, 2, 1)
-        pot = build_potential(pts, [0.0, 0.0])
+        pot = build_potential(pairwise_distances(pts), [0.0, 0.0])
         assert pot.total == 0
 
     def test_tight_cluster_all_subsets(self):
         pts = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1], [0.1, 0.1]])
-        pot = build_potential(pts, [1.0, 1.0])
+        pot = build_potential(pairwise_distances(pts), [1.0, 1.0])
         assert pot.by_size[2].shape == (6, 2)
         assert pot.by_size[3].shape == (4, 3)
 
@@ -195,13 +242,13 @@ class TestBuildPotential:
             n = int(rng.integers(4, 10))
             pts = rng.standard_normal((n, int(rng.integers(1, 4))))
             radii = np.sort(rng.uniform(0.1, 0.9, size=3))
-            pot = build_potential(pts, radii)
+            pot = build_potential(pairwise_distances(pts), radii)
             assert candidate_tuples(pot) == brute_force_candidates(pts, radii)
 
     def test_pair_key_counts_match_recount(self):
         rng = np.random.default_rng(8)
         pts = rng.standard_normal((10, 2))
-        pot = build_potential(pts, [0.4, 0.6])
+        pot = build_potential(pairwise_distances(pts), [0.4, 0.6])
         counted = {
             s: np.unique(group_pair_keys(10, pot.by_size[s]), return_counts=True)
             for s in pot.sizes
@@ -228,16 +275,16 @@ class TestBuildPotential:
     def test_growing_radius_grows_candidates(self):
         rng = np.random.default_rng(21)
         pts = rng.standard_normal((12, 2))
-        small = candidate_tuples(build_potential(pts, [0.3, 0.5]))
+        small = candidate_tuples(build_potential(pairwise_distances(pts), [0.3, 0.5]))
         for bumped in ([0.45, 0.5], [0.3, 0.7]):
-            grown = candidate_tuples(build_potential(pts, bumped))
+            grown = candidate_tuples(build_potential(pairwise_distances(pts), bumped))
             for s in small:
                 assert set(small[s]) <= set(grown[s])
 
     def test_cap_enforced(self):
         pts = sample_latents(30, 2, 3)
         with pytest.raises(ResourceLimitError, match="cap"):
-            build_potential(pts, [5.0, 5.0], max_potential=10)
+            build_potential(pairwise_distances(pts), [5.0, 5.0], max_potential=10)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -253,45 +300,48 @@ class TestBuildPotential:
     )
     def test_matches_brute_force_exactly(self, pts, radii):
         # same candidates in the same order, for every radius (0 included)
-        assert candidate_tuples(build_potential(pts, radii)) == brute_force_candidates(pts, radii)
+        got = candidate_tuples(build_potential(pairwise_distances(pts), radii))
+        assert got == brute_force_candidates(pts, radii)
 
     def test_many_blocks_same_candidates(self, monkeypatch):
         pts = sample_latents(30, 2, 4)
-        radii = radii_from_percentiles(pts, [5, 10, 20, 30])
-        expected = build_potential(pts, radii)
+        dist = pairwise_distances(pts)
+        radii = radii_from_percentiles(dist, [5, 10, 20, 30])
+        expected = build_potential(dist, radii)
         for mask_bytes in (1, 31, 200):
             monkeypatch.setattr(hyperlp.latent, "_MASK_BYTES", mask_bytes)
-            got = build_potential(pts, radii)
+            got = build_potential(dist, radii)
             for s in expected.sizes:
                 assert got.by_size[s].dtype == expected.by_size[s].dtype
                 assert np.array_equal(got.by_size[s], expected.by_size[s])
 
     def test_cap_boundary(self, monkeypatch):
         pts = sample_latents(30, 2, 5)
-        radii = radii_from_percentiles(pts, [5, 10, 20])
-        total = build_potential(pts, radii).total
-        assert build_potential(pts, radii, max_potential=total).total == total
+        dist = pairwise_distances(pts)
+        radii = radii_from_percentiles(dist, [5, 10, 20])
+        total = build_potential(dist, radii).total
+        assert build_potential(dist, radii, max_potential=total).total == total
         with pytest.raises(ResourceLimitError, match=f"cap of {total - 1}: {total} candidates by size 4"):
-            build_potential(pts, radii, max_potential=total - 1)
+            build_potential(dist, radii, max_potential=total - 1)
         # checked block by block: with one parent per block, a cap of 0
         # stops at the first vertex that has a higher neighbour
         monkeypatch.setattr(hyperlp.latent, "_MASK_BYTES", 1)
-        higher = np.triu(_distance_matrix(pts) <= 2 * radii[0], k=1).sum(axis=1)
+        higher = np.triu(squareform(dist) <= 2 * radii[0], k=1).sum(axis=1)
         first = int(higher[higher > 0][0])
         with pytest.raises(ResourceLimitError, match=f"cap of 0: {first} candidates by size 2"):
-            build_potential(pts, radii, max_potential=0)
+            build_potential(dist, radii, max_potential=0)
 
 
 class TestSampleHypergraph:
     def test_phi_one_keeps_everything(self):
-        pot = build_potential(TEN_POINTS, [0.5, 0.8])
+        pot = build_potential(TEN_DIST, [0.5, 0.8])
         h = sample_hypergraph(pot, [1.0, 1.0], seed=0)
         assert sorted(tuple(sorted(f)) for f in h.hyperedges) == sorted(
             pot.all_candidates()
         )
 
     def test_phi_zero_keeps_nothing(self):
-        pot = build_potential(TEN_POINTS, [0.5, 0.8])
+        pot = build_potential(TEN_DIST, [0.5, 0.8])
         assert len(sample_hypergraph(pot, [0.0, 0.0], seed=0)) == 0
 
     def test_binomial_concentration(self):
@@ -316,7 +366,7 @@ class TestSampleHypergraph:
             assert abs(freq[k] - p) <= 3 * se
 
     def test_deterministic(self):
-        pot = build_potential(TEN_POINTS, [0.5, 0.8])
+        pot = build_potential(TEN_DIST, [0.5, 0.8])
         a = sample_hypergraph(pot, [0.5, 0.5], seed=7)
         b = sample_hypergraph(pot, [0.5, 0.5], seed=7)
         assert a.hyperedges == b.hyperedges
@@ -476,20 +526,20 @@ class TestHoffModel:
 
     def test_default_gamma_is_median_distance(self):
         pts = sample_latents(30, 2, 11)
-        params = default_hoff_params(pts)
+        params = default_hoff_params(pairwise_distances(pts))
         assert params.gamma == pytest.approx(float(np.median(pdist(pts))))
 
 
 class TestEdgeDistanceProfile:
     def test_phi_zero_gives_zero_profile(self):
-        pot = build_potential(TEN_POINTS, [0.5, 0.8])
-        prof = edge_distance_profile(pot, [0.0, 0.0], TEN_POINTS, n_trials=10, bins=5)
+        pot = build_potential(TEN_DIST, [0.5, 0.8])
+        prof = edge_distance_profile(pot, [0.0, 0.0], TEN_DIST, n_trials=10, bins=5)
         assert np.all(prof.model_freq == 0)
-        assert prof.hoff_params == default_hoff_params(TEN_POINTS)
+        assert prof.hoff_params == default_hoff_params(TEN_DIST)
 
     def test_pairs_beyond_reach_never_link(self):
-        pot = build_potential(TEN_POINTS, [0.5, 0.8])
-        prof = edge_distance_profile(pot, [1.0, 1.0], TEN_POINTS, n_trials=5, bins=30)
+        pot = build_potential(TEN_DIST, [0.5, 0.8])
+        prof = edge_distance_profile(pot, [1.0, 1.0], TEN_DIST, n_trials=5, bins=30)
         reach = 2 * 0.8
         beyond = prof.bin_edges[:-1] > reach
         assert np.all(prof.model_freq[beyond] == 0)
@@ -499,10 +549,11 @@ class TestEdgeDistanceProfile:
         # on its trial seed; with many bins, the per-bin means pin the
         # per-pair hit counts
         pts = sample_latents(30, 2, 5)
-        radii = radii_from_percentiles(pts, [4, 10, 16])
+        dist = pairwise_distances(pts)
+        radii = radii_from_percentiles(dist, [4, 10, 16])
         phi = phi_preset("power_law", k_max=4)
-        pot = build_potential(pts, radii)
-        prof = edge_distance_profile(pot, phi, pts, seed=5, n_trials=8, bins=300)
+        pot = build_potential(dist, radii)
+        prof = edge_distance_profile(pot, phi, dist, seed=5, n_trials=8, bins=300)
         hits = np.zeros(30 * 29 // 2, dtype=np.int64)
         for ts in np.random.default_rng(5).integers(0, 2**63 - 1, size=8):
             hits[clique_expand(sample_hypergraph(pot, phi, int(ts))).edge_keys()] += 1
@@ -513,27 +564,28 @@ class TestEdgeDistanceProfile:
         assert np.array_equal(prof.model_freq, want)
 
     def test_wrong_phi_length_rejected(self):
-        pot = build_potential(TEN_POINTS, [0.5, 0.8])
+        pot = build_potential(TEN_DIST, [0.5, 0.8])
         for phi in ([0.5], [0.5, 0.5, 0.5]):
             with pytest.raises(ValueError, match="phi has"):
-                edge_distance_profile(pot, phi, TEN_POINTS, n_trials=2)
+                edge_distance_profile(pot, phi, TEN_DIST, n_trials=2)
 
     def test_mismatched_index_rejected(self):
-        pot = build_potential(TEN_POINTS[:9], [0.5, 0.8])
+        pot = build_potential(pdist(TEN_POINTS[:9]), [0.5, 0.8])
         with pytest.raises(ValueError, match="candidate index"):
-            edge_distance_profile(pot, [0.5, 0.5], TEN_POINTS)
+            edge_distance_profile(pot, [0.5, 0.5], TEN_DIST)
         # an index of another k_max meets phi as a vector of the wrong length
         with pytest.raises(ValueError, match="phi has"):
-            edge_distance_profile(build_potential(TEN_POINTS, [0.5]), [0.5, 0.5], TEN_POINTS)
+            edge_distance_profile(build_potential(TEN_DIST, [0.5]), [0.5, 0.5], TEN_DIST)
 
     def test_generator_exceeds_sigmoid_in_mid_range(self):
         # statistical comparison in the band between the pair and top reach
         rng_pts = sample_latents(120, 2, 33)
-        radii = radii_from_percentiles(rng_pts, [1, 5, 9, 13])
-        pot = build_potential(rng_pts, radii)
+        dist = pairwise_distances(rng_pts)
+        radii = radii_from_percentiles(dist, [1, 5, 9, 13])
+        pot = build_potential(dist, radii)
         phi = phi_preset("power_law", k_max=5)
-        hoff = default_hoff_params(rng_pts)
-        prof = edge_distance_profile(pot, phi, rng_pts, seed=33, n_trials=30, bins=25, hoff=hoff)
+        hoff = default_hoff_params(dist)
+        prof = edge_distance_profile(pot, phi, dist, seed=33, n_trials=30, bins=25, hoff=hoff)
         band = (prof.bin_centers >= 2 * radii[0]) & (prof.bin_centers <= 2 * radii[-1])
         assert band.any()
         assert prof.model_freq[band].mean() >= prof.hoff_prob[band].mean()
@@ -548,7 +600,9 @@ PHI_READERS = {
     "model_auc": lambda phi: model_auc(SMALL_POT, phi, clique_expand(Hypergraph(4, [(0, 1)]))),
     "exact_ensemble_auc": lambda phi: exact_ensemble_auc(SMALL_POT, phi),
     "verify_higher_order_auc_lift": lambda phi: verify_higher_order_auc_lift(SMALL_POT, phi),
-    "edge_distance_profile": lambda phi: edge_distance_profile(SMALL_POT, phi, TEN_POINTS[:4]),
+    "edge_distance_profile": lambda phi: edge_distance_profile(
+        SMALL_POT, phi, pdist(TEN_POINTS[:4])
+    ),
 }
 
 
@@ -567,4 +621,4 @@ def test_phi_outside_unit_interval_or_of_wrong_length_rejected(reader, phi):
 
 def test_negative_radius_rejected():
     with pytest.raises(ValueError, match="radii must be nonnegative"):
-        build_potential(TEN_POINTS, [0.5, -0.1])
+        build_potential(TEN_DIST, [0.5, -0.1])

@@ -42,16 +42,16 @@ class TestRelocate:
         assert h_rel.hyperedges[0] == frozenset(range(4))
 
     def test_single_pair_uniform_over_targets(self):
-        h = Hypergraph(5, [[0, 1]])
-        counts = {}
+        # one call, one stream: each hyperedge is an independent draw on
+        # it (the same_draw tests hold the stream to the per-hyperedge
+        # rng.choice loop)
         trials = 10000
-        for seed in range(trials):
-            f = tuple(sorted(relocate(h, seed).hyperedges[0]))
-            counts[f] = counts.get(f, 0) + 1
-        assert len(counts) == 10
+        moved = relocate(Hypergraph(5, [[0, 1]] * trials), seed=0)
+        targets, counts = np.unique(moved.members.reshape(-1, 2), axis=0, return_counts=True)
+        assert len(targets) == 10
         p = 0.1
         se = math.sqrt(p * (1 - p) / trials)
-        for f, c in counts.items():
+        for f, c in zip(targets.tolist(), counts.tolist()):
             assert abs(c / trials - p) <= 3 * se, f
 
     def test_deterministic(self):

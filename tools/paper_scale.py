@@ -1,7 +1,14 @@
-"""Time the protocols on seeded synthetic inputs: one graph the size of
-NDC-substances, and three sparse graphs too large to pack.
+"""Time the generator's model resolution and the protocols on seeded
+synthetic inputs: one graph the size of NDC-substances, and three sparse
+graphs too large to pack.
 
     PYTHONPATH=src python3 tools/paper_scale.py
+
+The first row is the model ``generate`` resolves from a config of n=2,000
+points in d=2, percentiles 0.1 0.2 0.3, ``power_law`` phi and the default
+(median) sigmoid offset: the best wall time of 3 calls of
+``cli._resolve_model`` (positions, distances, radii, candidates, offset),
+then the ``tracemalloc`` peak of one more.
 
 The NDC-sized input is drawn from ``numpy.random.default_rng(0)``:
 n=5,556 vertices and 112,919 hyperedges of sizes 2..12 with P(k) ∝
@@ -45,6 +52,8 @@ import tracemalloc
 import numpy as np
 
 from hyperlp import evaluation
+from hyperlp.cli import _resolve_model
+from hyperlp.config import ModelConfig
 from hyperlp.evaluation import SplitSpec, evaluate_protocol
 from hyperlp.heuristics import score_pairs_many
 from hyperlp.hypergraph import Hypergraph, clique_expand, wedge_count
@@ -57,6 +66,7 @@ EVERY = SplitSpec(0.8, 2, None, 41)  # every non-link a negative
 # (n, hyperedges, largest size, seed) of each sparse input
 SPARSE = ((20_000, 20_000, 4, 1), (100_000, 150_000, 5, 2))
 SPARSE_EVERY = (3_000, 2_000, 5, 5)
+MODEL = ModelConfig(n=2_000, d=2, percentiles=(0.1, 0.2, 0.3))  # gamma None: the median
 
 
 def ndc_sized() -> Hypergraph:
@@ -75,12 +85,15 @@ def sparse_unpacked(n: int, m: int, max_size: int, seed: int) -> Hypergraph:
     return Hypergraph(n, [rng.choice(n, size=int(k), replace=False) for k in sizes])
 
 
-def timed(label: str, call) -> None:
-    """Print the wall time of ``call()``, then the ``tracemalloc`` peak of
-    a second call."""
-    t0 = time.perf_counter()
-    call()
-    wall = time.perf_counter() - t0
+def timed(label: str, call, repeat: int = 1) -> None:
+    """Print the best wall time of ``repeat`` calls of ``call()``, then the
+    ``tracemalloc`` peak of one more call."""
+    walls = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        call()
+        walls.append(time.perf_counter() - t0)
+    wall = min(walls)
     tracemalloc.start()
     call()
     peak = tracemalloc.get_traced_memory()[1]
@@ -89,6 +102,8 @@ def timed(label: str, call) -> None:
 
 
 def main() -> None:
+    timed("model resolution, n=2000", lambda: _resolve_model(MODEL, MODEL.seed), repeat=3)
+
     g = clique_expand(ndc_sized())
     print(f"n={g.n} edges={g.edge_count} wedges={wedge_count(g):.3g}")
 
