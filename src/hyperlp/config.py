@@ -143,11 +143,13 @@ def _parse(text: str) -> tuple[ModelConfig, dict[str, int]]:
 def load_model_config(path) -> ModelConfig:
     """The config of one model (``generate``, ``verify --claim cn-lift``): an
     ``n`` or ``d`` grid, which only ``scan`` reads (:func:`parse_model_config`),
-    is refused rather than cut to its first value."""
+    is refused rather than cut to its first value, and so is ``replicates``."""
     cfg, lines = _parse(Path(path).read_text())
     for key, grid in (("n", cfg.n_list), ("d", cfg.d_list)):
         if grid:
             raise ConfigError(
                 f"line {lines[key]}: {key} has {len(grid)} values; only scan reads grids"
             )
+    if "replicates" in lines:
+        raise ConfigError(f"line {lines['replicates']}: replicates is read by scan only")
     return cfg

@@ -178,10 +178,9 @@ def simrank_without_each_edge(
     the calling thread, while BLAS threads each product.
 
     Raises :class:`~hyperlp.latent.ResourceLimitError` before any solve if
-    ``len(u) * n**3`` exceeds ``SIMRANK_LOO_BUDGET``. The edges before the
-    first non-edge are solved, in order; the first of them that does not
-    converge raises :class:`SimRankConvergenceError`, and otherwise the
-    non-edge raises ``ValueError``, as a loop over the edges would.
+    ``len(u) * n**3`` exceeds ``SIMRANK_LOO_BUDGET``, and ``ValueError`` if
+    a pair is not an edge; the first edge, in order, that does not
+    converge raises :class:`SimRankConvergenceError`.
     """
     work = len(u) * g.n**3
     if work > SIMRANK_LOO_BUDGET:
@@ -194,14 +193,15 @@ def simrank_without_each_edge(
     a = g.adjacency_matrix()
     w, deg = _transition(a)
     missing = np.flatnonzero(a[u, v] == 0)
-    stop = missing[0] if len(missing) else len(u)  # solved in order up to a non-edge
+    if len(missing):
+        raise ValueError(f"({u[missing[0]]}, {v[missing[0]]}) is not an edge")
 
     # below the gate stacks share each elementwise step and run on every
     # core; above it BLAS threads each product, and a stack would spill
     # out of cache
     small = g.n**3 <= _BLAS_SERIAL_WORK
     batch = _SIMRANK_BATCH if small else 1
-    chunks = [slice(lo, min(lo + batch, stop)) for lo in range(0, stop, batch)]
+    chunks = [slice(lo, lo + batch) for lo in range(0, len(u), batch)]
 
     def solve(chunk: slice) -> np.ndarray:
         x, y = u[chunk], v[chunk]
@@ -225,8 +225,6 @@ def simrank_without_each_edge(
             parts = list(pool.map(solve, chunks))
     else:
         parts = [solve(chunk) for chunk in chunks]
-    if len(missing):
-        raise ValueError(f"({u[stop]}, {v[stop]}) is not an edge")
     return np.concatenate([np.zeros(0), *parts])
 
 

@@ -17,8 +17,9 @@ for the group-by-vertex incidence ``H`` (Zhou, Huang & Schölkopf, NIPS
 coverage counts are their ``bincount``. Where a graph's pairs are few
 beside its wedges (:func:`packs`), its rows are packed into bits instead
 (:func:`packed_rows`): the OR of a vertex's neighbor rows is its two-hop
-reach (:func:`reach_mark`), and the AND of two rows their common
-neighbors. :func:`reach_keys`, the pairs within a hop limit, and
+reach (:func:`reach_mark`), and the bits set in ANDed rows
+(:func:`row_hits`) common neighbors, or a clique's extensions in the
+latent generator. :func:`reach_keys`, the pairs within a hop limit, and
 :func:`common_neighbor_hits` take whichever the graph suits. Reach sorts
 the edge and wedge keys otherwise, then, hop by hop, the pairs reached
 so far with one end moved to a neighbor; given pairs merge their
@@ -351,18 +352,42 @@ def packs(g: SimpleGraph) -> bool:
     return g.n * (g.n - 1) // 2 <= 8 * wedge_count(g)
 
 
-def packed_rows(g: SimpleGraph, rank: np.ndarray | None = None) -> np.ndarray:
-    """The adjacency of ``g`` as an (n, ceil(n/64)) ``uint64`` array whose
-    row u has bit ``rank[v]`` (bit v without ``rank``) set for each
-    neighbor v. Bit b of a row is bit b % 8 of its byte b // 8, which
-    ``np.unpackbits(..., bitorder="little")`` reads from the ``uint8``
-    view; AND and OR act on whole words."""
-    width = 8 * -(-g.n // 64)  # bytes per row
-    rows = np.zeros((g.n, width), dtype=np.uint8)
-    cols = g.indices if rank is None else rank[g.indices]
-    at = np.repeat(np.arange(g.n) * width, g.degrees()) + (cols >> 3)
-    np.bitwise_or.at(rows.ravel(), at, np.left_shift(1, cols & 7).astype(np.uint8))
-    return rows.view(np.uint64)
+def packed_rows(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The n-by-n 0/1 matrix with entries ``(rows[j], cols[j])``, any list
+    of them, as an (n, ceil(n/64)) ``uint64`` array: row u has bit c set
+    for each entry (u, c). Bit b of a row is bit b % 8 of its byte b // 8,
+    which ``np.unpackbits(..., bitorder="little")`` reads from the
+    ``uint8`` view; AND and OR act on whole words."""
+    width = 8 * -(-n // 64)  # bytes per row
+    packed = np.zeros((n, width), dtype=np.uint8)
+    at = np.asarray(rows, dtype=np.int64) * width + (cols >> 3)
+    np.bitwise_or.at(packed.ravel(), at, np.left_shift(1, cols & 7).astype(np.uint8))
+    return packed.view(np.uint64)
+
+
+def row_hits(rows: np.ndarray, members: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """For each row i of the (m, k) int array ``members``, the bits set in
+    the AND of the packed ``rows`` (:func:`packed_rows`) it names, as
+    ``(i, bit)`` batches: i ascending, and each i's bits ascending. A
+    batch ANDs ``ROW_BLOCK`` bytes of rows, counted over all k columns,
+    unless one row of ``members`` needs more."""
+    width = rows.shape[1] * 64  # bits per row
+    per = max(ROW_BLOCK * 8 // max(members.shape[1] * width, 1), 1)  # members per batch
+    for lo in range(0, len(members), per):
+        block = members[lo : lo + per]
+        both = rows[block[:, 0]]
+        for col in block[:, 1:].T:
+            both &= rows[col]
+        # the nonzero words, then their nonzero bytes, and only those
+        # unpacked; np.flatnonzero scans bool arrays about 4x faster
+        words = np.flatnonzero(both != 0)
+        octets = np.take(both, words).view(np.uint8)
+        nonzero = np.flatnonzero(octets != 0)
+        bits = np.flatnonzero(np.unpackbits(octets[nonzero], bitorder="little") != 0)
+        byte = nonzero[bits >> 3]  # of the nonzero words' bytes
+        at = (words[byte >> 3] * 8 + (byte & 7)) * 8 + (bits & 7)
+        i, bit = np.divmod(at, width)
+        yield lo + i, bit
 
 
 def _neighbor_or(g: SimpleGraph, rows: np.ndarray) -> np.ndarray:
@@ -397,8 +422,7 @@ def common_neighbor_hits(
         yield from wedge_blocks(g)
         return
     order = _centre_order(g)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(g.n)
+    rank = np.argsort(order)  # each vertex's place in that order
     if not packs(g):
         deg = g.degrees()
         for lo, hi in _spans(np.cumsum(deg[u] + deg[v]), ROW_BLOCK // 8):
@@ -408,22 +432,9 @@ def common_neighbor_hits(
             slot, at = np.divmod(keys[1:][keys[1:] == keys[:-1]], g.n)
             yield lo + slot, order[at]
         return
-    rows = packed_rows(g, rank)
-    width = rows.shape[1] * 64  # bits per row
-    per = max(ROW_BLOCK * 8 // max(width, 1), 1)  # pairs per AND
-    for lo in range(0, len(u), per):
-        both = rows[u[lo : lo + per]].ravel()
-        both &= rows[v[lo : lo + per]].ravel()
-        # the nonzero words, then their nonzero bytes, and only those
-        # unpacked; np.flatnonzero scans bool arrays about 4x faster
-        words = np.flatnonzero(both != 0)
-        octets = both[words].view(np.uint8)
-        nonzero = np.flatnonzero(octets != 0)
-        bits = np.flatnonzero(np.unpackbits(octets[nonzero], bitorder="little") != 0)
-        byte = nonzero[bits >> 3]  # of the nonzero words' bytes
-        at = (words[byte >> 3] * 8 + (byte & 7)) * 8 + (bits & 7)
-        pair, bit = np.divmod(at, width)
-        yield lo + pair, order[bit]
+    rows = packed_rows(g.n, np.repeat(np.arange(g.n), g.degrees()), rank[g.indices])
+    for slot, bit in row_hits(rows, np.column_stack((u, v))):
+        yield slot, order[bit]
 
 
 def reach_mark(g: SimpleGraph, hops: int) -> np.ndarray:
@@ -434,7 +445,7 @@ def reach_mark(g: SimpleGraph, hops: int) -> np.ndarray:
     neighbors' level-k rows; their union is unpacked ``ROW_BLOCK`` bytes
     at a time, and each row's part right of the diagonal is its stretch
     of the condensed order."""
-    level = reach = packed_rows(g)
+    level = reach = packed_rows(g.n, np.repeat(np.arange(g.n), g.degrees()), g.indices)
     for _ in range(hops - 1):
         level = _neighbor_or(g, level)
         reach = reach | level

@@ -35,12 +35,18 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .hypergraph import Hypergraph, condensed_keys, distinct_keys, group_pair_keys
+from .hypergraph import (
+    Hypergraph,
+    condensed_keys,
+    condensed_pairs,
+    distinct_keys,
+    group_pair_keys,
+    packed_rows,
+    row_hits,
+)
 
 DEFAULT_MAX_POTENTIAL = 10_000_000
 DEFAULT_HOFF_ALPHA = 10.0
-# Bytes of extension mask per block of parents in candidate enumeration.
-_MASK_BYTES = 1 << 22
 
 PHI_PRESETS = ("power_law", "hoff_sigmoid", "constant", "empirical")
 
@@ -145,27 +151,12 @@ def _checked_percentiles(percentiles: Sequence[float]) -> np.ndarray:
 
 def _extend(cliques: np.ndarray, higher: np.ndarray) -> Iterator[np.ndarray]:
     """Every one-vertex extension of the k-cliques ``cliques`` (rows in
-    lexicographic order), in blocks whose rows stay in that order.
-
-    A clique extends by the vertices above its last member that are
-    adjacent to every member: the AND of its members' ``higher`` rows
-    (``higher[u, v]``: ``u < v`` adjacent), every member being below. Row-major
-    ``np.nonzero`` reads the masks parent by parent, vertex by vertex, so
-    the extensions come out lexicographically sorted. A block holds at
-    most ``_MASK_BYTES`` of mask.
-    """
-    k = cliques.shape[1]
-    step = max(1, _MASK_BYTES // max(len(higher), 1))
-    for lo in range(0, len(cliques), step):
-        parents = cliques[lo : lo + step]
-        mask = higher[parents[:, -1]]
-        for col in parents[:, :-1].T:
-            mask &= higher[col]
-        rows, new = np.nonzero(mask)
-        block = np.empty((len(rows), k + 1), dtype=np.int32)
-        block[:, :k] = parents[rows]
-        block[:, k] = new
-        yield block
+    lexicographic order), in blocks whose rows stay in that order: the
+    vertices above a clique's last member and adjacent to every member,
+    the bits that :func:`~hyperlp.hypergraph.row_hits` lists in the AND of
+    its members' packed ``higher`` rows (row u: u's neighbors above u)."""
+    for parents, new in row_hits(higher, cliques):
+        yield np.column_stack((cliques[parents], new.astype(np.int32)))
 
 
 def _stack(blocks: Iterable[np.ndarray], width: int) -> np.ndarray:
@@ -181,24 +172,22 @@ def build_potential(
 
     For size ``s`` these are the ``s``-cliques of the graph linking points
     within ``2 * radii[s-2]`` of each other in ``dist``, grown level by
-    level from single vertices as int arrays (ordered clique listing, Chiba
-    & Nishizeki, SIAM J. Comput. 1985; see :func:`_extend`). Raises
-    :class:`ResourceLimitError` iff the total candidate count exceeds
-    ``max_potential``; the count is checked block by block, so an
-    over-cap size raises before its array is complete. The smaller
-    cliques grown on the way to size ``s`` are not candidates and do not
-    count.
+    level from single vertices over the size's threshold pairs (r, c)
+    packed in rows r (ordered clique listing, Chiba & Nishizeki, SIAM J.
+    Comput. 1985; see :func:`_extend`). Raises :class:`ResourceLimitError`
+    iff the total candidate count exceeds ``max_potential``; the count is
+    checked batch by batch, so an over-cap size raises before its array is
+    complete. The smaller cliques grown on the way to size ``s`` are not
+    candidates and do not count.
     """
     radii = np.asarray(radii, dtype=np.float64)
     if np.any(radii < 0):
         raise ValueError(f"radii must be nonnegative, got {radii.tolist()}")
     n = (1 + math.isqrt(1 + 8 * len(dist))) // 2  # len(dist) = n * (n - 1) / 2
-    upper = ~np.tri(n, dtype=bool)  # read row-major, its true entries are in condensed order
     by_size: dict[int, np.ndarray] = {}
     total = 0
     for s, r in enumerate(radii, start=2):
-        higher = np.zeros((n, n), dtype=bool)
-        higher[upper] = dist <= 2.0 * r
+        higher = packed_rows(n, *condensed_pairs(n, np.flatnonzero(dist <= 2.0 * r)).T)
         cliques = np.arange(n, dtype=np.int32)[:, None]
         for k in range(2, s):
             cliques = _stack(_extend(cliques, higher), k)

@@ -693,10 +693,11 @@ def test_generate_bytes_pinned(tmp_path, monkeypatch):
 @pytest.mark.parametrize("entry, message", [
     ("n = 30 40", "line 2: n has 2 values; only scan reads grids"),
     ("d = 1 2 3", "line 2: d has 3 values; only scan reads grids"),
+    ("replicates = 5", "line 2: replicates is read by scan only"),
 ])
 def test_one_model_commands_refuse_grids(tmp_path, capsys, command, entry, message):
     # generate read n = 30 40 as n = 30, wrote a 30-vertex .hyg and
-    # recorded n: 30, with no message
+    # recorded n: 30, with no message; it wrote one .hyg for replicates = 5
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(f"seed = 1\n{entry}\n" + ("d = 2\n" if entry[0] == "n" else "n = 30\n"))
     out = tmp_path / "out" / "g"

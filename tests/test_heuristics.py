@@ -306,17 +306,19 @@ class TestSimRankBatches:
     )
     @example(15, 5, 1, 0, False)  # an edge converges in the last iteration, the next does not
     def test_errors_match_per_edge_loop(self, n, m, seed, at, non_edge):
-        # at max_iter=2 most edges stop short of tol; a non-edge inserted
-        # at ``at`` raises only once every edge before it has converged
+        # at max_iter=2 most edges stop short of tol, and the first to do
+        # so raises; a non-edge inserted at ``at`` raises before any solve
         g = sparse_graph(n, m, seed)
         u, v = g.edge_array().T.tolist()
         non_edges = list(OracleGraph.of(g).non_edges())
+        got = outcome(lambda: simrank_without_each_edge(g, u, v, max_iter=2))
+        assert got == outcome(lambda: loo_loop(g, u, v, max_iter=2))
         if non_edge and non_edges:
             x, y = non_edges[seed % len(non_edges)]
             u.insert(at, x)
             v.insert(at, y)
-        got = outcome(lambda: simrank_without_each_edge(g, u, v, max_iter=2))
-        assert got == outcome(lambda: loo_loop(g, u, v, max_iter=2))
+            got = outcome(lambda: simrank_without_each_edge(g, u, v, max_iter=2))
+            assert got == (ValueError, f"({x}, {y}) is not an edge")
 
     def test_threads_below_gate(self, monkeypatch):
         import concurrent.futures

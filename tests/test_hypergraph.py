@@ -385,8 +385,10 @@ class TestPackedRows:
         keep = rng.random(len(iu)) < p
         g = SimpleGraph(n, np.column_stack((iu[keep], iv[keep])))
         rank = rng.permutation(n)
+        rows, cols = np.nonzero(g.adjacency_matrix())
         bits = np.unpackbits(
-            hypergraph.packed_rows(g, rank).view(np.uint8), axis=1, count=n, bitorder="little"
+            hypergraph.packed_rows(n, rows, rank[cols]).view(np.uint8),
+            axis=1, count=n, bitorder="little",
         )
         assert np.array_equal(bits[:, rank], g.adjacency_matrix(dtype=np.uint8))
         drop = np.flatnonzero(rng.random(len(iu)) < dropped)
@@ -401,6 +403,37 @@ class TestPackedRows:
         assert mark.dtype == bool and np.array_equal(mark, within)
         within[drop] = False
         assert keys.dtype == np.int64 and np.array_equal(keys, np.flatnonzero(within))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 130),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+        st.integers(0, 200),
+        st.integers(1, 4),
+        st.booleans(),
+        st.sampled_from([1, 8, 64, hypergraph.ROW_BLOCK]),
+    )
+    def test_row_hits_match_dense_and(self, n, seed, p, m, k, repeat, block):
+        # n from 0 to 130 crosses both word boundaries of a packed row;
+        # a 1- or 8-byte ROW_BLOCK ANDs one row of members per batch, a
+        # 64-byte one 8 // k rows of one word each, and a row may name
+        # one id twice
+        rng = np.random.default_rng(seed)
+        dense = rng.random((n, n)) < p
+        members = rng.integers(0, max(n, 1), size=(m if n else 0, k))
+        if repeat:
+            members[::2, -1] = members[::2, 0]
+        rows = hypergraph.packed_rows(n, *np.nonzero(dense))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hypergraph, "ROW_BLOCK", block)
+            batches = list(hypergraph.row_hits(rows, members))
+        per = max(block // (k * rows.shape[1] * 8 or 1), 1)  # rows of members per batch
+        assert len(batches) == -(-len(members) // per)
+        want = np.nonzero(np.logical_and.reduce(dense[members], axis=1))
+        for j in (0, 1):  # the i, then the bits
+            got = np.concatenate([np.zeros(0, dtype=np.int64), *(b[j] for b in batches)])
+            assert np.array_equal(got, want[j])
 
     @pytest.mark.parametrize("n, packs", [(16, True), (17, False)])
     def test_reach_keys_takes_the_mark_where_the_graph_packs(self, n, packs, monkeypatch):

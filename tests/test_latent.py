@@ -34,7 +34,7 @@ from hyperlp import (
     sample_latents,
     verify_higher_order_auc_lift,
 )
-import hyperlp.latent
+import hyperlp.hypergraph
 from hyperlp.hypergraph import condensed_keys, condensed_pairs, group_pair_keys
 from hyperlp.latent import spawn_seeds
 
@@ -308,8 +308,8 @@ class TestBuildPotential:
         dist = pairwise_distances(pts)
         radii = radii_from_percentiles(dist, [5, 10, 20, 30])
         expected = build_potential(dist, radii)
-        for mask_bytes in (1, 31, 200):
-            monkeypatch.setattr(hyperlp.latent, "_MASK_BYTES", mask_bytes)
+        for row_block in (1, 31, 200):  # bytes of packed rows ANDed per batch
+            monkeypatch.setattr(hyperlp.hypergraph, "ROW_BLOCK", row_block)
             got = build_potential(dist, radii)
             for s in expected.sizes:
                 assert got.by_size[s].dtype == expected.by_size[s].dtype
@@ -323,9 +323,9 @@ class TestBuildPotential:
         assert build_potential(dist, radii, max_potential=total).total == total
         with pytest.raises(ResourceLimitError, match=f"cap of {total - 1}: {total} candidates by size 4"):
             build_potential(dist, radii, max_potential=total - 1)
-        # checked block by block: with one parent per block, a cap of 0
+        # checked batch by batch: with one parent per batch, a cap of 0
         # stops at the first vertex that has a higher neighbour
-        monkeypatch.setattr(hyperlp.latent, "_MASK_BYTES", 1)
+        monkeypatch.setattr(hyperlp.hypergraph, "ROW_BLOCK", 1)
         higher = np.triu(squareform(dist) <= 2 * radii[0], k=1).sum(axis=1)
         first = int(higher[higher > 0][0])
         with pytest.raises(ResourceLimitError, match=f"cap of 0: {first} candidates by size 2"):

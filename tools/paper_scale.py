@@ -4,11 +4,15 @@ graphs too large to pack.
 
     PYTHONPATH=src python3 tools/paper_scale.py
 
-The first row is the model ``generate`` resolves from a config of n=2,000
-points in d=2, percentiles 0.1 0.2 0.3, ``power_law`` phi and the default
-(median) sigmoid offset: the best wall time of 3 calls of
-``cli._resolve_model`` (positions, distances, radii, candidates, offset),
-then the ``tracemalloc`` peak of one more.
+The first rows are the models ``generate`` resolves from configs in d=2
+with ``power_law`` phi, seed 0 and the default (median) sigmoid offset:
+n=2,000 points at percentiles 0.1 0.2 0.3, and n=5,000 at percentiles
+0.05 0.1 0.15. Each row gives the best wall time of 3 calls (of 1 at
+n=5,000) of ``cli._resolve_model`` (positions, distances, radii,
+candidates, offset), then the ``tracemalloc`` peak of one more, then that
+call's candidate count per size and the first 16 hex digits of the
+sha256 of its candidate arrays, concatenated in size order, so two
+builds can be checked for identical candidates.
 
 The NDC-sized input is drawn from ``numpy.random.default_rng(0)``:
 n=5,556 vertices and 112,919 hyperedges of sizes 2..12 with P(k) ∝
@@ -40,12 +44,13 @@ prints the wall time and ``tracemalloc`` peak of ``evaluate_protocol``
 with ``cn,aa,ra,pa,jc`` and ``SplitSpec(0.8, 2, None, 41)``. (The
 n=20,000 input has 2.0e8 pairs, 1.6 GB per float64 score array.)
 
-The whole run takes about two minutes on 2 cores; the leave-one-out
+The whole run takes about a minute on 2 cores; the leave-one-out
 graph holds the most memory, about 1.2 GB.
 """
 
 from __future__ import annotations
 
+import hashlib
 import time
 import tracemalloc
 
@@ -66,7 +71,11 @@ EVERY = SplitSpec(0.8, 2, None, 41)  # every non-link a negative
 # (n, hyperedges, largest size, seed) of each sparse input
 SPARSE = ((20_000, 20_000, 4, 1), (100_000, 150_000, 5, 2))
 SPARSE_EVERY = (3_000, 2_000, 5, 5)
-MODEL = ModelConfig(n=2_000, d=2, percentiles=(0.1, 0.2, 0.3))  # gamma None: the median
+# (config, timed calls) of each model; gamma None: the median
+MODELS = (
+    (ModelConfig(n=2_000, d=2, percentiles=(0.1, 0.2, 0.3)), 3),
+    (ModelConfig(n=5_000, d=2, percentiles=(0.05, 0.1, 0.15)), 1),
+)
 
 
 def ndc_sized() -> Hypergraph:
@@ -85,9 +94,9 @@ def sparse_unpacked(n: int, m: int, max_size: int, seed: int) -> Hypergraph:
     return Hypergraph(n, [rng.choice(n, size=int(k), replace=False) for k in sizes])
 
 
-def timed(label: str, call, repeat: int = 1) -> None:
+def timed(label: str, call, repeat: int = 1):
     """Print the best wall time of ``repeat`` calls of ``call()``, then the
-    ``tracemalloc`` peak of one more call."""
+    ``tracemalloc`` peak of one more call, and return that call's value."""
     walls = []
     for _ in range(repeat):
         t0 = time.perf_counter()
@@ -95,14 +104,18 @@ def timed(label: str, call, repeat: int = 1) -> None:
         walls.append(time.perf_counter() - t0)
     wall = min(walls)
     tracemalloc.start()
-    call()
+    out = call()
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     print(f"{label} {wall:.3f} s, tracemalloc peak {peak / 2**20:.1f} MB")
+    return out
 
 
 def main() -> None:
-    timed("model resolution, n=2000", lambda: _resolve_model(MODEL, MODEL.seed), repeat=3)
+    for cfg, repeat in MODELS:
+        pot = timed(f"model resolution, n={cfg.n}", lambda: _resolve_model(cfg, cfg.seed), repeat)[1]
+        digest = hashlib.sha256(b"".join(pot.by_size[s].tobytes() for s in pot.sizes))
+        print(f"  candidates per size {pot.size_counts().tolist()}, sha256 {digest.hexdigest()[:16]}")
 
     g = clique_expand(ndc_sized())
     print(f"n={g.n} edges={g.edge_count} wedges={wedge_count(g):.3g}")
