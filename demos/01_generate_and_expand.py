@@ -45,7 +45,8 @@ if len(h):
     print(f"width: {width(h)}, sizes: {size_distribution(h)}")
 
 g = clique_expand(h)
-print(f"clique expansion: {g.edge_count} edges -> {sorted(g.edges())}")
+edges = g.edge_array()  # rows (u, v), u < v, ascending
+print(f"clique expansion: {g.edge_count} edges -> {list(map(tuple, edges.tolist()))}")
 
 save_plain(h, "demo_generated.hyg")
 print("wrote demo_generated.hyg (one hyperedge per line)")
@@ -60,7 +61,7 @@ try:
     ax.scatter(positions[:, 0], positions[:, 1], zorder=3)
     for i, (x, y) in enumerate(positions):
         ax.annotate(str(i), (x, y), textcoords="offset points", xytext=(4, 4))
-    for u, v in g.edges():
+    for u, v in edges:
         ax.plot(*positions[[u, v]].T, color="gray", lw=1)
     ax.set_title("expanded edges over latent positions")
     fig.savefig("demo_generated.png", dpi=120, bbox_inches="tight")

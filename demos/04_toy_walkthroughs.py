@@ -22,9 +22,9 @@ from hyperlp import (
     auc_conditional,
     clique_expand,
     exact_ensemble_auc,
-    leave_one_out,
     model_auc,
     potential_from_candidates,
+    protocol_scores,
     sample_hypergraph,
 )
 from hyperlp.heuristics import score_pairs
@@ -33,13 +33,15 @@ from hyperlp.hypergraph import condensed_keys
 print("case 1: triple + pair over five vertices")
 h = Hypergraph(5, [[0, 1, 2], [3, 4]])
 g = clique_expand(h)
-lp = leave_one_out(g, "cn")
+# every pair u < v, in np.triu_indices order: no pair array comes back
+_, labels, scores = protocol_scores(g, ["cn"], "loo")
+cn = scores["cn"]
 names = "abcde"
-for (u, v), s, label in zip(lp.pairs, lp.scores, lp.labels):
+for u, v, s, label in zip(*np.triu_indices(g.n, 1), cn, labels):
     mark = "edge" if label else "    "
     print(f"  {names[u]}{names[v]} {mark} score {s:.0f}")
-print(f"  tie-aware AUC  : {auc(lp.scores, lp.labels):.3f}")
-print(f"  strict AUC     : {auc_conditional(lp.scores, lp.labels):.3f}")
+print(f"  tie-aware AUC  : {auc(cn, labels):.3f}")
+print(f"  strict AUC     : {auc_conditional(cn, labels):.3f}")
 
 print("\ncase 2a: three pair candidates, phi=0.6")
 pot_a = potential_from_candidates(3, [(0, 1), (0, 2), (1, 2)], k_max=3)

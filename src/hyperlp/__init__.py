@@ -27,17 +27,15 @@ from .datasets import (
 )
 from .evaluation import (
     AucCount,
-    LabeledPairs,
     ScanPoint,
     ScanRow,
     SplitSpec,
     auc,
     auc_conditional,
     evaluate_protocol,
-    leave_one_out,
     model_auc,
     overestimation_scan,
-    split_evaluate,
+    protocol_scores,
 )
 from .heuristics import (
     SCORER_IDS,
@@ -63,7 +61,6 @@ from .latent import (
     edge_distance_profile,
     hoff_clique_probability,
     hoff_edge_probability,
-    link_probability,
     link_probability_map,
     pairwise_distances,
     phi_preset,

@@ -36,6 +36,7 @@ import argparse
 import csv
 import ctypes
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
@@ -119,12 +120,22 @@ class Output:
     lines: list[str] = field(default_factory=list)
 
 
+def _finite(value):
+    """``value`` with each non-finite float as None (RFC 8259 has no NaN)."""
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _write(result: Output, out: str | None) -> None:
     """Write a command's files next to ``out``, then print its summary
     lines; without ``out``, print its payload as JSON."""
+    payload = _finite(result.payload)
+    text = json.dumps(payload, indent=2, default=str, allow_nan=False)
     if out is None:
-        json.dump(result.payload, sys.stdout, indent=2, default=str)
-        sys.stdout.write("\n")
+        print(text)
         return
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -135,10 +146,8 @@ def _write(result: Output, out: str | None) -> None:
             writer.writerows(result.rows)
     for suffix, write in result.files.items():
         write(out.with_suffix(suffix))
-    out.with_suffix(result.json_suffix).write_text(
-        json.dumps(result.payload, indent=2, default=str) + "\n"
-    )
-    manifest = json.dumps(result.payload["manifest"], indent=2)
+    out.with_suffix(result.json_suffix).write_text(text + "\n")
+    manifest = json.dumps(payload["manifest"], indent=2, allow_nan=False)
     out.with_suffix(".manifest.json").write_text(manifest + "\n")
     for line in result.lines:
         print(line)
@@ -273,9 +282,10 @@ def cmd_generate(args) -> Output:
 def cmd_expand(args) -> Output:
     bundle = _load_bundle(args)
     g = clique_expand(bundle.hypergraph)
-    rows = sorted(
-        [bundle.label_of(u), bundle.label_of(v)] for u, v in g.edges()
-    )
+    labels = np.asarray(bundle.labels, dtype=object)
+    rank = np.argsort(np.argsort(labels))  # each vertex's place in label order
+    edges = g.edge_array()
+    rows = labels[edges[np.lexsort(rank[edges].T[::-1])]].tolist()
     manifest = _manifest("expand", {"dataset": bundle.name}, [], _checksums(bundle))
     payload = {
         "dataset": bundle.name,
@@ -354,7 +364,17 @@ def _scored(args, relocate: bool):
     report (``args.runs`` relocations if ``relocate``) or AUC count, the
     failed scorers' errors, and the reversals. Raises a resource limit
     any scorer hit (exit 2, not a result without that scorer), and the
-    first scorer's error when every scorer failed."""
+    first scorer's error when every scorer failed. A bad flag value is
+    refused first, by the flag's name."""
+    least, ratio = int(relocate), args.negative_ratio  # evaluate --runs 0 relocates none
+    for flag, value, ok, rule in (
+        ("--runs", args.runs, args.runs >= least, f">= {least}"),
+        ("--rho", args.rho, 0 < args.rho < 1, "in (0, 1)"),
+        ("--d-hop", args.d_hop, args.d_hop >= 2, ">= 2"),
+        ("--negative-ratio", ratio, 0 < ratio < math.inf, "finite and > 0"),
+    ):
+        if not ok:
+            raise ConfigError(f"{flag} must be {rule}, got {value}")
     bundle = _load_bundle(args)
     protocol = _protocol_from_args(args)
     if relocate:
@@ -375,8 +395,6 @@ def _scored(args, relocate: bool):
 
 
 def cmd_evaluate(args) -> Output:
-    if args.runs < 0:
-        raise ConfigError(f"--runs must be >= 0, got {args.runs}")
     bundle, done, errors, reversals = _scored(args, relocate=args.runs > 0)
     results = [_evaluate_entry(s, r) for s, r in done.items()]
     manifest = _scoring_manifest(args, bundle)

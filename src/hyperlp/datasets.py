@@ -49,9 +49,6 @@ class DatasetBundle:
     provenance: dict[str, str]
     dropped_small: int = 0
 
-    def label_of(self, vertex: int) -> str:
-        return self.labels[vertex]
-
 
 @dataclass
 class SizeDistFit:

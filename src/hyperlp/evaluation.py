@@ -19,12 +19,11 @@ Protocols: leave-one-out scores every existing edge on the graph with
 that one edge removed (non-edges are scored on the intact graph) and
 covers all vertex pairs; a split (:class:`SplitSpec`) removes a test
 fraction of edges, trains on the rest, and samples distance-limited
-non-links as negatives. :func:`evaluate_protocol` builds a graph's pair
-set, labels and scoring graph once, scores them with every scorer in
+non-links as negatives. :func:`protocol_scores` builds a graph's pair
+set, labels and scoring graph once and scores them with every scorer in
 one :func:`~hyperlp.heuristics.score_pairs_many` call (one shared pass
-for CN, AA, RA and JC), and returns each scorer's :class:`AucCount`;
-``leave_one_out`` and ``split_evaluate`` return one scorer's scores
-from the same step as a :class:`LabeledPairs`.
+for CN, AA, RA and JC); :func:`evaluate_protocol` counts each scorer's
+scores as an :class:`AucCount`.
 
 A sampled split's pairs are one int (m, 2) array with a labels array;
 neither is built pair by pair. The leave-one-out set is every pair u < v
@@ -69,55 +68,6 @@ from .latent import (
     sample_latents,
     spawn_seeds,
 )
-
-
-class LabeledPairs:
-    """Vertex pairs with link labels and (optionally) scores, kept in
-    parallel order.
-
-    ``pairs`` may be a list of ``(u, v)`` tuples or an (m, 2) int array;
-    it is stored as the array ``pair_array``, and :attr:`pairs` reads it
-    back as a list of tuples.
-    """
-
-    def __init__(self, pairs, labels, scores=None):
-        pair_array = np.asarray(pairs, dtype=np.int64)
-        if pair_array.size == 0:
-            pair_array = pair_array.reshape(0, 2)
-        if pair_array.ndim != 2 or pair_array.shape[1] != 2:
-            raise ValueError("pairs must be (u, v) pairs")
-        self.pair_array = pair_array
-        self.labels = np.asarray(labels, dtype=bool)
-        self.scores = None if scores is None else np.asarray(scores, dtype=np.float64)
-        m = len(self.pair_array)
-        if self.scores is not None and len(self.scores) != m:
-            raise ValueError("scores and pairs lengths differ")
-        if len(self.labels) != m:
-            raise ValueError("labels and pairs lengths differ")
-        u, v = self.pair_array.T
-        selfs = np.flatnonzero(u == v)
-        if len(selfs):
-            raise ValueError(f"self-pair ({u[selfs[0]]}, {v[selfs[0]]}) is not allowed")
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        base = lo.min(initial=0)  # one int64 key per pair, sorted
-        keys = (lo - base) * (hi.max(initial=0) - base + 1) + hi - base
-        ordered = np.sort(keys)
-        dups = ordered[1:][ordered[1:] == ordered[:-1]]
-        if len(dups):
-            i = np.argmax(keys == dups[0])
-            raise ValueError(f"duplicate pair {(int(lo[i]), int(hi[i]))}")
-
-    @property
-    def pairs(self) -> list[tuple[int, int]]:
-        return list(map(tuple, self.pair_array.tolist()))
-
-    @property
-    def n_pos(self) -> int:
-        return int(self.labels.sum())
-
-    @property
-    def n_neg(self) -> int:
-        return int(len(self.labels) - self.labels.sum())
 
 
 @dataclass
@@ -300,13 +250,15 @@ def _split_pair_set(g: SimpleGraph, spec: SplitSpec):
     return g_train, pairs, np.arange(len(pairs)) < n_test
 
 
-def _protocol_scores(
+def protocol_scores(
     g: SimpleGraph, scorers: Sequence[str], protocol: str | SplitSpec
 ) -> tuple[np.ndarray | None, np.ndarray | None, dict[str, np.ndarray | Exception]]:
-    """The (m, 2) pairs of one pair set of ``g`` under ``protocol`` (None
-    for every u < v in condensed order: leave-one-out, and a split with
-    every non-link as a negative), their labels (``bool``, or that
-    split's class array), and every scorer's scores of them.
+    """The (m, 2) pairs of one pair set of ``g`` under ``protocol``
+    (``"loo"`` or a :class:`SplitSpec`), their labels, and every scorer's
+    scores of them. The pairs are None for every u < v in condensed order
+    (leave-one-out, and a split with every non-link as a negative; see
+    :func:`~hyperlp.hypergraph.condensed_pairs`), and the labels are
+    ``bool``, or that split's class array (-1: a train edge, not counted).
 
     The wedge scorers share one pass over the scoring graph. A scorer
     that raises gets its exception in its own slot, and an error in the
@@ -359,43 +311,23 @@ def evaluate_protocol(
     """The :class:`AucCount` of every scorer on one pair set of ``g``,
     built once under ``protocol`` (``"loo"`` or a :class:`SplitSpec`);
     a failed scorer's slot holds its exception (see
-    :func:`_protocol_scores`). Each score array is dropped once counted.
+    :func:`protocol_scores`). Each score array is dropped once counted.
     """
-    _, labels, results = _protocol_scores(g, scorers, protocol)
+    _, labels, results = protocol_scores(g, scorers, protocol)
     for scorer, scores in results.items():
         if not isinstance(scores, Exception):
             results[scorer] = AucCount.of(scores, labels)
     return results
 
 
-def _labeled_pairs(g: SimpleGraph, scorer: str, protocol: str | SplitSpec) -> LabeledPairs:
-    """One scorer's scores, as :func:`evaluate_protocol` counts them: a
-    set of every pair drops the pairs it leaves out."""
-    pairs, labels, results = _protocol_scores(g, [scorer], protocol)
-    scores = _unwrap(results[scorer])
-    if pairs is None:
-        kept = np.flatnonzero(labels >= 0)
-        pairs, labels, scores = condensed_pairs(g.n, kept), labels[kept] == 1, scores[kept]
-    return LabeledPairs(pairs, labels, scores)
+def leave_one_out(g: SimpleGraph, scorer: str):
+    # goes when ROADMAP item 1 drops it from perfbench/tracing.py's TARGETS
+    return protocol_scores(g, [scorer], "loo")
 
 
-def leave_one_out(g: SimpleGraph, scorer: str) -> LabeledPairs:
-    """Score every vertex pair; edges are scored with that single edge
-    removed (in closed form, except SimRank: one solve per edge), non-edges
-    on the intact graph."""
-    return _labeled_pairs(g, scorer, "loo")
-
-
-def split_evaluate(g: SimpleGraph, scorer: str, spec: SplitSpec) -> LabeledPairs:
-    """Hold out a test fraction of edges, score held-out positives and
-    sampled non-links on the train graph.
-
-    Negatives are non-links of the original graph within ``d_hop``
-    train-graph hops, held-out edges first; with ``negative_ratio=None``
-    they are every non-link, and the pairs come in condensed order, as
-    leave-one-out's do. Deterministic for a fixed ``spec.seed``.
-    """
-    return _labeled_pairs(g, scorer, spec)
+def split_evaluate(g: SimpleGraph, scorer: str, spec: SplitSpec):
+    # goes when ROADMAP item 1 drops it from perfbench/tracing.py's TARGETS
+    return protocol_scores(g, [scorer], spec)
 
 
 def model_auc(pot: PotentialIndex, phi: Sequence[float], g: SimpleGraph) -> float:

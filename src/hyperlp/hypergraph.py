@@ -156,9 +156,10 @@ class SimpleGraph:
     Its only state is the symmetric adjacency in CSR form, built once as
     two int arrays: row ``u``'s neighbors are
     ``indices[indptr[u]:indptr[u + 1]]``, ascending, so row-major entry
-    order is ascending ``(u, v)``. Degrees, edge tests and edge lists are
-    array reads; a vertex outside ``0..n-1`` raises ``ValueError``.
-    Callers share the arrays and must not modify them.
+    order is ascending ``(u, v)``. Degrees, edge keys and edge lists are
+    whole-array reads; :meth:`without_edge` raises ``ValueError`` for a
+    vertex outside ``0..n-1``. Callers share the arrays and must not
+    modify them.
     """
 
     __slots__ = ("n", "indptr", "indices")
@@ -188,10 +189,6 @@ class SimpleGraph:
             if not 0 <= v < self.n:
                 raise ValueError(f"vertex {v} outside 0..{self.n - 1}")
 
-    def degree(self, v: int) -> int:
-        self._check(v)
-        return int(self.indptr[v + 1] - self.indptr[v])
-
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
@@ -201,9 +198,6 @@ class SimpleGraph:
         lo = self.indptr[u]
         i = lo + np.searchsorted(self.indices[lo : self.indptr[u + 1]], v)
         return int(i) if i < self.indptr[u + 1] and self.indices[i] == v else None
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return self._find(u, v) is not None
 
     @property
     def edge_count(self) -> int:
@@ -219,11 +213,6 @@ class SimpleGraph:
     def edge_keys(self) -> np.ndarray:
         """Ascending condensed keys of the edges."""
         return condensed_keys(self.n, *self.edge_array().T)
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield each edge once as an ordered pair ``(u, v)`` with u < v,
-        in ascending order."""
-        return map(tuple, self.edge_array().tolist())
 
     def without_edge(self, u: int, v: int) -> "SimpleGraph":
         """Copy of the graph with edge ``{u, v}``, its two CSR entries,

@@ -37,7 +37,6 @@ import numpy as np
 
 from .hypergraph import (
     Hypergraph,
-    condensed_keys,
     condensed_pairs,
     distinct_keys,
     group_pair_keys,
@@ -295,18 +294,6 @@ def phi_preset(
             return np.zeros(len(sizes))
         return counts / top
     raise ValueError(f"unknown phi preset {name!r}; valid: {', '.join(PHI_PRESETS)}")
-
-
-def link_probability(
-    pot: PotentialIndex, phi: Sequence[float], i: int, j: int
-) -> float:
-    """Exact probability that clique expansion links ``i`` and ``j``: the
-    one-pair read of :func:`link_probability_map`."""
-    if i == j:
-        raise ValueError("link probability is undefined for a vertex with itself")
-    if not (0 <= i < pot.n and 0 <= j < pot.n):
-        raise ValueError(f"pair ({i}, {j}) outside 0..{pot.n - 1}")
-    return float(link_probability_map(pot, phi)[condensed_keys(pot.n, i, j)])
 
 
 def link_probability_map(pot: PotentialIndex, phi: Sequence[float]) -> np.ndarray:

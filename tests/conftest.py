@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from hyperlp import Hypergraph, SimpleGraph, evaluation
+from hyperlp import Hypergraph, SimpleGraph, evaluation, protocol_scores
 from hyperlp.heuristics import (
     SIMRANK_DECAY,
     SIMRANK_MAX_ITER,
     SIMRANK_TOL,
     SimRankConvergenceError,
+    _unwrap,
 )
+from hyperlp.hypergraph import condensed_pairs
 
 
 @pytest.fixture
@@ -165,7 +167,7 @@ class OracleGraph:
     @classmethod
     def of(cls, g: SimpleGraph) -> "OracleGraph":
         """The reference graph with the edges of ``g``."""
-        return cls(g.n, g.edges())
+        return cls(g.n, edge_list(g))
 
     def without_edge(self, u: int, v: int) -> "OracleGraph":
         if not self.has_edge(u, v):
@@ -178,6 +180,26 @@ class OracleGraph:
         np.cumsum([len(row) for row in self.adj], out=indptr[1:])
         indices = np.array([v for row in self.adj for v in sorted(row)], dtype=np.int64)
         return indptr, indices
+
+
+def edge_list(g: SimpleGraph) -> list[tuple[int, int]]:
+    """The edges of ``g`` as tuples ``(u, v)``, u < v, ascending: its edge
+    array read back."""
+    return list(map(tuple, g.edge_array().tolist()))
+
+
+def scored_pairs(g: SimpleGraph, scorer: str, protocol):
+    """One scorer's pairs, labels and scores under ``protocol``, as
+    :func:`hyperlp.evaluate_protocol` counts them: the output of
+    :func:`hyperlp.protocol_scores` with a set of every pair expanded to
+    its (m, 2) pairs, the train edges it leaves out dropped, and the
+    labels ``bool``. Raises the scorer's error."""
+    pairs, labels, scores = protocol_scores(g, [scorer], protocol)
+    scores = _unwrap(scores[scorer])
+    if pairs is None:
+        kept = np.flatnonzero(labels >= 0)
+        pairs, labels, scores = condensed_pairs(g.n, kept), labels[kept] == 1, scores[kept]
+    return pairs, labels, scores
 
 
 def all_pairs(n: int) -> list[tuple[int, int]]:

@@ -23,12 +23,13 @@ from hyperlp import (
     auc,
     clique_expand,
     fit_power_law,
-    leave_one_out,
+    link_probability_map,
     load_benson,
     load_plain,
     model_auc,
     performance_reversal_check,
     potential_from_candidates,
+    protocol_scores,
     relocate,
     sample_hypergraph,
     size_distribution,
@@ -39,6 +40,7 @@ from hyperlp import (
     verify_relocation_baseline,
 )
 from hyperlp.heuristics import condensed, score_pairs
+from hyperlp.hypergraph import condensed_keys
 from conftest import random_hypergraph
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -73,17 +75,16 @@ def test_criterion_01_five_vertex_reproduction(tmp_path):
     path.write_text("a b c\nd e\n")
     bundle = load_plain(path)
     g = clique_expand(bundle.hypergraph)
-    lp = leave_one_out(g, "cn")
-    label = {v: bundle.label_of(v) for v in range(5)}
+    _, labels, scores = protocol_scores(g, ["cn"], "loo")  # every pair, in condensed order
     got = {
-        "".join(sorted((label[u], label[v]))): s
-        for (u, v), s in zip(lp.pairs, lp.scores)
+        "".join(sorted((bundle.labels[u], bundle.labels[v]))): s
+        for (u, v), s in zip(np.column_stack(np.triu_indices(5, 1)).tolist(), scores["cn"])
     }
     expected = {"ab": 1.0, "ac": 1.0, "bc": 1.0, "de": 0.0}
     matrix_ok = all(got[k] == v for k, v in expected.items()) and all(
         v == 0.0 for k, v in got.items() if k not in expected
     )
-    value = auc(lp.scores, lp.labels)
+    value = auc(scores["cn"], labels)
     elapsed = time.perf_counter() - t0
     report(
         "criterion 1: five-vertex score matrix and AUC exactly 0.875",
@@ -141,8 +142,6 @@ def test_criterion_02_three_vertex_dichotomy():
 
 def test_criterion_03_closed_form_probability_oracle():
     t0 = time.perf_counter()
-    from hyperlp import link_probability
-
     rng = np.random.default_rng(2024)
     checked = 0
     worst = 0.0
@@ -175,7 +174,7 @@ def test_criterion_03_closed_form_probability_oracle():
                     weight *= 1 - probs[idx]
             if linked:
                 expected += weight
-        got = link_probability(pot, phi, i, j)
+        got = link_probability_map(pot, phi)[condensed_keys(n, i, j)]
         worst = max(worst, abs(got - expected))
         checked += 1
     elapsed = time.perf_counter() - t0

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import oracle_relocate, random_hypergraph
-from hyperlp import cli, evaluation, heuristics, latent, relocation
+from hyperlp import cli, heuristics, latent, relocation
 from hyperlp.datasets import load_benson, load_plain, save_plain
 from hyperlp.cli import main
 from hyperlp.config import ConfigError, parse_model_config
@@ -128,6 +128,24 @@ class TestEvaluate:
     def test_negative_runs_exit_2(self, toy_file, capsys):
         assert main(["evaluate", "--data", str(toy_file), "--runs", "-2"]) == 2
         assert "--runs must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag, value, message",
+        [
+            ("adjust", "--runs", "0", "--runs must be >= 1, got 0"),
+            ("adjust", "--rho", "1.5", "--rho must be in (0, 1), got 1.5"),
+            ("evaluate", "--d-hop", "1", "--d-hop must be >= 2, got 1"),
+            ("adjust", "--negative-ratio", "0", "--negative-ratio must be finite and > 0, got 0.0"),
+        ],
+    )
+    def test_bad_flag_value_named_exit_2(self, tmp_path, capsys, command, flag, value, message):
+        # refused by the flag's name before the data is read (the file is
+        # missing), not by the library's field name
+        argv = [command, "--data", str(tmp_path / "missing.hyg"), "--protocol", "split",
+                flag, value, "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_algorithm_usage_error(self, toy_file):
         with pytest.raises(SystemExit) as exc:
@@ -397,6 +415,35 @@ class TestVerify:
         assert payload["claim"] == "cc"
         assert payload["summaries"]["cc"]["verdict"] in ("pass", "fail")
 
+    def test_json_is_strict_without_nan(self, tmp_path, capsys):
+        # with p = 0 there are no triples and the statistic is NaN: the JSON
+        # says null, which every RFC 8259 parser reads
+        def refuse(name):
+            raise AssertionError(f"{name} in the JSON")
+
+        argv = ["verify", "--claim", "cc", "--trials", "30", "--n", "10", "--p", "0"]
+        assert main(argv) == 0
+        printed = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        out = tmp_path / "cc"
+        assert main(argv + ["--out", str(out)]) == 0
+        for suffix in (".json", ".manifest.json"):
+            json.loads(out.with_suffix(suffix).read_text(), parse_constant=refuse)
+        written = json.loads(out.with_suffix(".json").read_text())
+        assert printed["summaries"]["cc"]["statistic"] is None
+        assert written["summaries"] == printed["summaries"]
+
+    def test_non_finite_floats_written_as_null(self, tmp_path):
+        # an infinite adjusted AUC (af == 0) reads null in the JSON and
+        # the manifest, and the CSV keeps it
+        payload = {"auc_adjusted": float("inf"), "runs": [float("-inf"), 0.5],
+                   "manifest": {"p": float("nan")}}
+        cli._write(cli.Output(payload, ["auc_adjusted"], [[float("inf")]]), str(tmp_path / "r"))
+        assert json.loads((tmp_path / "r.json").read_text()) == {
+            "auc_adjusted": None, "runs": [None, 0.5], "manifest": {"p": None},
+        }
+        assert json.loads((tmp_path / "r.manifest.json").read_text()) == {"p": None}
+        assert read_csv(tmp_path / "r.csv") == [["auc_adjusted"], ["inf"]]
+
     def test_relocation_baseline_default_random(self, tmp_path):
         out = tmp_path / "rb"
         code = main([
@@ -583,30 +630,6 @@ def test_relocation_draw_keeps_outputs_byte_identical(tmp_path, monkeypatch):
                 outputs[argv[0], draw] = out.with_suffix(".csv").read_bytes(), payload
     for command in ("evaluate", "adjust"):
         assert outputs[command, "arrays"] == outputs[command, "oracle"]
-
-
-def test_commands_build_no_labeled_pairs(tmp_path, monkeypatch):
-    # every command reads AUC counts; no per-pair score set is built
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("a LabeledPairs was built")
-
-    monkeypatch.setattr(evaluation.LabeledPairs, "__init__", refuse)
-    data = tmp_path / "small.hyg"
-    save_plain(random_hypergraph(np.random.default_rng(8), 30, 40, max_size=4), data)
-    config = tmp_path / "scan.cfg"
-    config.write_text("n = 20\nd = 2\nseed = 1\npercentiles = 5 10\nphi = power_law\n")
-    commands = (
-        ["evaluate", "--data", str(data), "--runs", "1", "--algorithms", "cn,aa,ra,pa,jc,sr"],
-        ["adjust", "--data", str(data), "--protocol", "split", "--runs", "2"],
-        ["scan", "--config", str(config), "--algorithms", "cn,sr"],
-        ["verify", "--claim", "er-auc", "--n", "20", "--trials", "30"],
-    )
-    for argv in commands:
-        out = tmp_path / argv[0]
-        assert main(argv + ["--out", str(out)]) == 0, argv[0]
-        if argv[0] in ("evaluate", "adjust"):
-            assert json.loads(out.with_suffix(".json").read_text())["errors"] == {}
-    assert all(row[-1] == "" for row in read_csv(tmp_path / "scan.csv")[1:])
 
 
 # sha256 of the CSV each command wrote before the protocols returned AUC

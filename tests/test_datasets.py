@@ -32,7 +32,7 @@ class TestLoadBenson:
         bundle = load_benson(nv, sx)
         h = bundle.hypergraph
         assert h.n == 5
-        assert [sorted(bundle.label_of(v) for v in f) for f in h.hyperedges] == [
+        assert [sorted(bundle.labels[v] for v in f) for f in h.hyperedges] == [
             ["1", "2", "3"],
             ["4", "5"],
         ]
@@ -100,8 +100,8 @@ class TestLoadPlain:
         b1 = load_plain(first)
         save_plain(b1.hypergraph, second, labels=b1.labels)
         b2 = load_plain(second)
-        canon1 = sorted(sorted(b1.label_of(v) for v in f) for f in b1.hypergraph)
-        canon2 = sorted(sorted(b2.label_of(v) for v in f) for f in b2.hypergraph)
+        canon1 = sorted(sorted(b1.labels[v] for v in f) for f in b1.hypergraph)
+        canon2 = sorted(sorted(b2.labels[v] for v in f) for f in b2.hypergraph)
         assert canon1 == canon2
         assert b1.hypergraph.n == b2.hypergraph.n
 

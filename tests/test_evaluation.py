@@ -10,7 +10,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import OracleGraph, all_pairs, graphs, oracle_score, random_hypergraph, unique_counts
+from conftest import (
+    OracleGraph,
+    all_pairs,
+    edge_list,
+    graphs,
+    oracle_score,
+    random_hypergraph,
+    scored_pairs,
+    unique_counts,
+)
 from hyperlp import (
     SCORER_IDS,
     Hypergraph,
@@ -21,19 +30,17 @@ from hyperlp import (
     auc_conditional,
     clique_expand,
     evaluate_protocol,
-    leave_one_out,
-    link_probability,
+    link_probability_map,
     model_auc,
     overestimation_scan,
     potential_from_candidates,
-    split_evaluate,
+    protocol_scores,
 )
-from hyperlp import evaluation, heuristics, hypergraph
+import hyperlp
+from hyperlp import evaluation, heuristics, hypergraph, latent
 from hyperlp.evaluation import (
     AucCount,
-    LabeledPairs,
     _cross_class_counts,
-    _protocol_scores,
     _sample_distance_limited_non_links,
 )
 from hyperlp.hypergraph import condensed_pairs, distinct_keys
@@ -109,7 +116,7 @@ def every_non_link_oracle(g, scorers, spec):
 def bfs_non_links(g_full, g_train, d_hop):
     """Non-links of the full graph at train distance 2..d_hop, by a BFS
     per source, in (source, target) order."""
-    ref = OracleGraph.of(g_train)
+    ref, full = OracleGraph.of(g_train), OracleGraph.of(g_full)
     out = []
     for src in range(g_train.n):
         dist = {src: 0}
@@ -120,7 +127,7 @@ def bfs_non_links(g_full, g_train, d_hop):
                 dist.setdefault(w, depth)
         out += [
             (src, w) for w in sorted(dist)
-            if dist[w] >= 2 and src < w and not g_full.has_edge(src, w)
+            if dist[w] >= 2 and src < w and not full.has_edge(src, w)
         ]
     return out
 
@@ -251,82 +258,41 @@ class TestAuc:
             assert auc(3.0 * scores + 7.0, labels) == pytest.approx(base, abs=1e-12)
 
 
-class TestLabeledPairs:
-    # every check runs on a list of tuples and on an (m, 2) array alike
-    BOXES = (list, np.array)
-
-    def test_duplicate_pair_rejected(self):
-        for box in self.BOXES:
-            for pairs in ([(0, 1), (1, 0)], [(2, 3), (0, 1), (2, 3)], [(0, 5), (1, 2), (5, 0)]):
-                with pytest.raises(ValueError, match="duplicate"):
-                    LabeledPairs(pairs=box(pairs), labels=[True] * len(pairs))
-
-    def test_first_duplicate_named(self):
-        # the smallest duplicated pair, in either orientation
-        pairs = [(5, 6), (9, 8), (3, 2), (6, 5), (2, 3), (8, 9)]
-        with pytest.raises(ValueError, match=r"^duplicate pair \(2, 3\)$"):
-            LabeledPairs(pairs=np.array(pairs), labels=[True] * len(pairs))
-
-    def test_self_pair_rejected(self):
-        for box in self.BOXES:
-            with pytest.raises(ValueError, match="self-pair"):
-                LabeledPairs(pairs=box([(1, 1)]), labels=[True])
-            with pytest.raises(ValueError, match="self-pair"):
-                LabeledPairs(pairs=box([(0, 1), (2, 2)]), labels=[True, False])
-
-    def test_length_mismatch_rejected(self):
-        for box in self.BOXES:
-            with pytest.raises(ValueError, match="labels and pairs"):
-                LabeledPairs(pairs=box([(0, 1), (0, 2)]), labels=[True])
-            with pytest.raises(ValueError, match="scores and pairs"):
-                LabeledPairs(pairs=box([(0, 1), (0, 2)]), labels=[True, False], scores=[1.0])
-
-    def test_pairs_read_back_as_tuples(self):
-        for box in self.BOXES:
-            lp = LabeledPairs(pairs=box([(3, 1), (0, 2)]), labels=[True, False])
-            assert lp.pairs == [(3, 1), (0, 2)]
-            assert lp.pair_array.shape == (2, 2) and lp.pair_array.dtype == np.int64
-
-    def test_empty(self):
-        lp = LabeledPairs(pairs=[], labels=[])
-        assert lp.pairs == [] and lp.pair_array.shape == (0, 2)
-
-
 class TestLeaveOneOut:
     def test_five_vertex_score_matrix(self, five_vertex):
         g = clique_expand(five_vertex)
-        lp = leave_one_out(g, "cn")
-        got = dict(zip(lp.pairs, lp.scores))
+        _, labels, scores = protocol_scores(g, ["cn"], "loo")  # every pair, in condensed order
+        got = dict(zip(all_pairs(g.n), scores["cn"]))
         expected = {
             (0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0, (3, 4): 0.0,
             (0, 3): 0.0, (0, 4): 0.0, (1, 3): 0.0, (1, 4): 0.0, (2, 3): 0.0, (2, 4): 0.0,
         }
         assert got == expected
-        assert auc(lp.scores, lp.labels) == pytest.approx(0.875, abs=1e-15)
+        assert auc(scores["cn"], labels) == pytest.approx(0.875, abs=1e-15)
 
     def test_label_counts(self, five_vertex):
         g = clique_expand(five_vertex)
-        lp = leave_one_out(g, "cn")
-        assert lp.pairs == all_pairs(g.n)
-        assert lp.n_pos == g.edge_count
-        assert lp.n_neg == g.n * (g.n - 1) // 2 - g.edge_count
+        pairs, labels, _ = scored_pairs(g, "cn", "loo")
+        assert pairs.tolist() == list(map(list, all_pairs(g.n)))
+        assert labels.sum() == g.edge_count
+        assert (~labels).sum() == g.n * (g.n - 1) // 2 - g.edge_count
 
     def test_edgeless_rejected(self):
         with pytest.raises(ValueError, match="at least one edge"):
-            leave_one_out(SimpleGraph(3, []), "cn")
+            scored_pairs(SimpleGraph(3, []), "cn", "loo")
 
     def test_complete_graph_rejected(self):
         k3 = SimpleGraph(3, [(0, 1), (1, 2), (0, 2)])
         with pytest.raises(ValueError, match="non-edge"):
-            leave_one_out(k3, "cn")
+            scored_pairs(k3, "cn", "loo")
 
     def test_simrank_leave_one_out(self, five_vertex):
         # the expensive path: a fresh similarity table per removed edge
         g = clique_expand(five_vertex)
-        lp = leave_one_out(g, "sr")
-        assert len(lp.pairs) == 10
-        assert np.all(lp.scores >= 0) and np.all(lp.scores <= 1)
-        got = dict(zip(lp.pairs, lp.scores))
+        pairs, _, scores = scored_pairs(g, "sr", "loo")
+        assert len(pairs) == 10
+        assert np.all(scores >= 0) and np.all(scores <= 1)
+        got = dict(zip(map(tuple, pairs.tolist()), scores))
         assert got[(0, 1)] > got[(3, 4)]  # surviving triangle vs orphaned pair
 
     @settings(max_examples=60, deadline=None)
@@ -335,20 +301,20 @@ class TestLeaveOneOut:
         assume(0 < g.edge_count < g.n * (g.n - 1) // 2)
         for s in SCORER_IDS:
             pairs, labels, scores = leave_one_out_oracle(g, s)
-            lp = leave_one_out(g, s)
-            assert lp.pairs == pairs
-            assert lp.labels.tolist() == labels
+            got_pairs, got_labels, got = scored_pairs(g, s, "loo")
+            assert got_pairs.tolist() == list(map(list, pairs))
+            assert got_labels.tolist() == labels
             if s in ("aa", "ra"):
-                assert np.allclose(lp.scores, scores, rtol=1e-12, atol=0.0), s
+                assert np.allclose(got, scores, rtol=1e-12, atol=0.0), s
             else:
-                assert lp.scores.tolist() == scores, s
+                assert got.tolist() == scores, s
 
 
 class TestEvaluateProtocol:
     @pytest.mark.parametrize("protocol", ["loo", SplitSpec(seed=3)], ids=["loo", "split"])
     def test_scorers_share_one_pair_set(self, protocol):
         g = SimpleGraph(30, [(i, (i + 1) % 30) for i in range(30)] + [(0, 2), (5, 9)])
-        pairs, labels, scores = _protocol_scores(g, SCORER_IDS, protocol)
+        pairs, labels, scores = protocol_scores(g, SCORER_IDS, protocol)
         assert list(scores) == list(SCORER_IDS)
         for s in SCORER_IDS:
             assert scores[s].shape == labels.shape, s
@@ -407,11 +373,11 @@ class TestEvaluateProtocol:
         # leave-one-out reads the wedges in blocks, and a split that packs
         # reads its rows one at a time: the same negatives and the same bits
         g = clique_expand(random_hypergraph(np.random.default_rng(6), 40, 50, max_size=5))
-        want_pairs, want_labels, want = _protocol_scores(g, SCORER_IDS, protocol)
+        want_pairs, want_labels, want = protocol_scores(g, SCORER_IDS, protocol)
         monkeypatch.setattr(hypergraph, "WEDGE_BLOCK", 20)
         monkeypatch.setattr(hypergraph, "ROW_BLOCK", 8)  # n=40: one 8-byte word per row
         calls = self.count_passes(monkeypatch)
-        got_pairs, got_labels, got = _protocol_scores(g, SCORER_IDS, protocol)
+        got_pairs, got_labels, got = protocol_scores(g, SCORER_IDS, protocol)
         if protocol == "loo":
             assert len(calls) > 1 and sum(calls) == g.n  # one whole pass
         else:
@@ -429,14 +395,14 @@ class TestEvaluateProtocol:
     )
     def test_failed_wedge_pass_fails_only_wedge_scorers(self, protocol, monkeypatch):
         g = clique_expand(random_hypergraph(np.random.default_rng(7), 12, 10, max_size=4))
-        clean = _protocol_scores(g, SCORER_IDS, protocol)[2]
+        clean = protocol_scores(g, SCORER_IDS, protocol)[2]
 
         def broken(*args):
             raise MemoryError("no room for the wedges")
 
         monkeypatch.setattr(hypergraph, "_wedges", broken)
         monkeypatch.setattr(hypergraph, "packed_rows", broken)  # the split's pass
-        out = _protocol_scores(g, SCORER_IDS, protocol)[2]
+        out = protocol_scores(g, SCORER_IDS, protocol)[2]
         for s in ("cn", "aa", "ra", "jc"):
             assert isinstance(out[s], MemoryError) and out[s] is out["cn"], s
         for s in ("pa", "sr"):
@@ -456,19 +422,19 @@ class TestEvaluateProtocol:
         except ValueError:  # too few negatives
             assume(False)
         assume(hypergraph.packs(g_train))
-        want = split_evaluate(g, "aa", spec)
+        want = protocol_scores(g, ["aa"], spec)
         with pytest.MonkeyPatch.context() as mp:
             calls = self.count_passes(mp)
-            got = split_evaluate(g, "aa", spec)
+            got = protocol_scores(g, ["aa"], spec)
         assert calls == []
-        assert np.array_equal(got.pair_array, want.pair_array)
-        assert np.array_equal(got.scores, want.scores)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[2]["aa"], want[2]["aa"])
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_records_match_labeled_pairs(self, seed):
-        # the count of each scorer's record is the count of the scores the
-        # library functions return, exactly, or both carry the same error
+        # the count of each scorer's record is the count of its scores from
+        # protocol_scores, exactly, or both carry the same error
         rng = np.random.default_rng(seed)
         n = int(rng.integers(4, 16))
         g = clique_expand(random_hypergraph(rng, n, int(rng.integers(1, n + 1)), max_size=4))
@@ -476,13 +442,13 @@ class TestEvaluateProtocol:
             out = evaluate_protocol(g, SCORER_IDS, protocol)
             for s in SCORER_IDS:
                 try:
-                    lp = leave_one_out(g, s) if protocol == "loo" else split_evaluate(g, s, protocol)
+                    _, labels, scores = scored_pairs(g, s, protocol)
                 except Exception as exc:
                     assert type(out[s]) is type(exc) and str(out[s]) == str(exc), s
                     continue
-                assert out[s] == AucCount.of(lp.scores, lp.labels), s
+                assert out[s] == AucCount.of(scores, labels), s
                 counts = (out[s].greater, out[s].ties, out[s].n_pos, out[s].n_neg)
-                assert counts == unique_counts(lp.scores, lp.labels), s
+                assert counts == unique_counts(scores, labels), s
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -545,6 +511,30 @@ class TestEvaluateProtocol:
         with pytest.raises(ValueError, match="unknown protocol"):
             evaluate_protocol(g, ["cn"], "kfold")
 
+    def test_delegates_return_protocol_scores(self):
+        # leave_one_out and split_evaluate stay only as names the benchmark
+        # traces: each returns protocol_scores' output for one scorer, bit
+        # for bit, and neither is exported
+        g = clique_expand(random_hypergraph(np.random.default_rng(9), 20, 25, max_size=4))
+        for protocol in ("loo", SplitSpec(seed=1), SplitSpec(seed=1, negative_ratio=None)):
+            for s in SCORER_IDS:
+                if protocol == "loo":
+                    got = evaluation.leave_one_out(g, s)
+                else:
+                    got = evaluation.split_evaluate(g, s, protocol)
+                want = protocol_scores(g, [s], protocol)
+                assert list(got[2]) == [s]
+                for a, b in zip((*got[:2], got[2][s]), (*want[:2], want[2][s])):
+                    assert a is b is None or (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), s
+        assert hyperlp.protocol_scores is protocol_scores
+        gone = [
+            (hyperlp, "LabeledPairs"), (hyperlp, "leave_one_out"), (hyperlp, "split_evaluate"),
+            (hyperlp, "link_probability"), (evaluation, "LabeledPairs"),
+            (latent, "link_probability"), (SimpleGraph, "degree"), (SimpleGraph, "has_edge"),
+            (SimpleGraph, "edges"), (hyperlp.DatasetBundle, "label_of"),
+        ]
+        assert [name for owner, name in gone if hasattr(owner, name)] == []
+
 
 class TestSplitEvaluate:
     @staticmethod
@@ -553,22 +543,23 @@ class TestSplitEvaluate:
 
     def test_test_positive_count(self):
         g = self.ring_graph(100)  # 100 edges
-        lp = split_evaluate(g, "cn", SplitSpec(rho=0.8, seed=1))
-        assert lp.n_pos == 20
+        _, labels, _ = scored_pairs(g, "cn", SplitSpec(rho=0.8, seed=1))
+        assert labels.sum() == 20
 
     def test_balanced_classes_by_default(self):
         g = self.ring_graph(60)
-        lp = split_evaluate(g, "cn", SplitSpec(seed=2))
-        assert lp.n_pos == lp.n_neg
+        _, labels, _ = scored_pairs(g, "cn", SplitSpec(seed=2))
+        assert labels.sum() == (~labels).sum()
 
     def test_train_test_partition(self):
         g = self.ring_graph(50)
-        lp = split_evaluate(g, "cn", SplitSpec(seed=3))
-        positives = {p for p, l in zip(lp.pairs, lp.labels) if l}
+        pairs, labels, _ = scored_pairs(g, "cn", SplitSpec(seed=3))
+        positives = {tuple(p) for p, l in zip(pairs.tolist(), labels) if l}
         assert len(positives) == 10
         # positives are edges of g; negatives are not
-        for (u, v), label in zip(lp.pairs, lp.labels):
-            assert g.has_edge(u, v) == label
+        edges = set(edge_list(g))
+        for (u, v), label in zip(pairs.tolist(), labels):
+            assert ((u, v) in edges) == label
 
     def test_path_graph_two_hop_candidates(self):
         g = SimpleGraph(3, [(0, 1), (1, 2)])
@@ -576,44 +567,43 @@ class TestSplitEvaluate:
         # is (0, 2), reachable only when both edges survive -- so expect
         # either a valid split or a reported shortfall.
         try:
-            lp = split_evaluate(g, "cn", SplitSpec(rho=0.5, d_hop=2, seed=0))
-            negs = [p for p, l in zip(lp.pairs, lp.labels) if not l]
-            assert negs == [(0, 2)]
+            pairs, labels, _ = scored_pairs(g, "cn", SplitSpec(rho=0.5, d_hop=2, seed=0))
+            assert pairs[~labels].tolist() == [[0, 2]]
         except ValueError as exc:
             assert "short by" in str(exc)
 
     def test_insufficient_negatives_reports_shortfall(self):
         g = SimpleGraph(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError, match="short by"):
-            split_evaluate(g, "cn", SplitSpec(rho=0.5, d_hop=2, seed=0))
+            scored_pairs(g, "cn", SplitSpec(rho=0.5, d_hop=2, seed=0))
 
     def test_negatives_all_uses_every_non_link(self):
         g = self.ring_graph(12)
-        lp = split_evaluate(g, "cn", SplitSpec(seed=5, negative_ratio=None))
-        assert lp.n_neg == 12 * 11 // 2 - 12
+        pairs, labels, _ = scored_pairs(g, "cn", SplitSpec(seed=5, negative_ratio=None))
+        assert (~labels).sum() == 12 * 11 // 2 - 12
         # the held-out edges and every non-edge, together in condensed order
-        keys = hypergraph.condensed_keys(g.n, *lp.pair_array.T)
+        keys = hypergraph.condensed_keys(g.n, *pairs.T)
         assert (np.diff(keys) > 0).all()
-        assert list(map(tuple, lp.pair_array[~lp.labels].tolist())) == list(OracleGraph.of(g).non_edges())
-        assert lp.n_pos == 3 and np.isin(keys[lp.labels], g.edge_keys()).all()
+        assert list(map(tuple, pairs[~labels].tolist())) == list(OracleGraph.of(g).non_edges())
+        assert labels.sum() == 3 and np.isin(keys[labels], g.edge_keys()).all()
 
     def test_deterministic_given_seed(self):
         g = self.ring_graph(40)
-        a = split_evaluate(g, "cn", SplitSpec(seed=9))
-        b = split_evaluate(g, "cn", SplitSpec(seed=9))
-        assert a.pairs == b.pairs
-        assert np.array_equal(a.scores, b.scores)
+        a = scored_pairs(g, "cn", SplitSpec(seed=9))
+        b = scored_pairs(g, "cn", SplitSpec(seed=9))
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[2], b[2])
 
     def test_partition_covers_edges_exactly(self):
         # white-box: replay the internal draw to recover the train graph
         g = self.ring_graph(30)
         spec = SplitSpec(seed=13)
-        lp = split_evaluate(g, "cn", spec)
-        edges = sorted(g.edges())
+        pairs, labels, _ = scored_pairs(g, "cn", spec)
+        edges = edge_list(g)
         rng = np.random.default_rng(spec.seed)
-        test_idx = set(rng.choice(len(edges), size=lp.n_pos, replace=False).tolist())
+        test_idx = set(rng.choice(len(edges), size=labels.sum(), replace=False).tolist())
         train = {e for i, e in enumerate(edges) if i not in test_idx}
-        positives = {p for p, l in zip(lp.pairs, lp.labels) if l}
+        positives = set(map(tuple, pairs[labels].tolist()))
         assert len(train) + len(positives) == g.edge_count
         assert not (positives & train)
         for pair in positives:
@@ -622,7 +612,7 @@ class TestSplitEvaluate:
     @settings(max_examples=100, deadline=None)
     @given(graphs(min_n=3, max_n=12), st.data())
     def test_negative_sampler_matches_bfs(self, g, data):
-        edges = sorted(g.edges())
+        edges = edge_list(g)
         keep = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
         g_train = SimpleGraph(g.n, [e for e, k in zip(edges, keep) if k])
         d_hop = data.draw(st.integers(2, 4))
@@ -805,7 +795,7 @@ class TestModelAuc:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_matches_per_pair_oracle(self, data):
-        # every pair's exact link_probability, counted against g's adjacency
+        # every pair's exact link probability, counted against g's adjacency
         n = data.draw(st.integers(2, 8))
         subsets = st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True)
         candidates = data.draw(st.lists(subsets, max_size=10))
@@ -816,8 +806,9 @@ class TestModelAuc:
         ))
         g = data.draw(graphs(min_n=n, max_n=n))
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        prob = [link_probability(pot, phi, u, v) for u, v in pairs]
-        labels = np.array([g.has_edge(u, v) for u, v in pairs])
+        prob = link_probability_map(pot, phi)  # in the order of pairs
+        ref = OracleGraph.of(g)
+        labels = np.array([ref.has_edge(u, v) for u, v in pairs])
         want = AucCount.of(prob, labels).auc if 0 < labels.sum() < len(pairs) else 0.5
         assert model_auc(pot, phi, g) == want
 

@@ -23,7 +23,6 @@ from hyperlp import (
     exact_ensemble_auc,
     hoff_clique_probability,
     hoff_edge_probability,
-    link_probability,
     link_probability_map,
     model_auc,
     pairwise_distances,
@@ -399,19 +398,19 @@ class TestPhiPresets:
 
 
 class TestLinkProbability:
+    # a pair's probability is the map's entry at its condensed key
+
     def test_uncovered_pair_is_zero(self):
         pot = potential_from_candidates(4, [(0, 1)], k_max=2)
-        assert link_probability(pot, [0.9], 2, 3) == 0.0
+        assert link_probability_map(pot, [0.9])[condensed_keys(4, 2, 3)] == 0.0
 
     def test_single_triple(self):
         pot = potential_from_candidates(3, [(0, 1, 2)], k_max=3)
-        assert link_probability(pot, [0.0, 0.6], 0, 1) == pytest.approx(0.6)
+        assert link_probability_map(pot, [0.0, 0.6])[0] == pytest.approx(0.6)
 
     def test_two_pairs_one_triple(self):
         pot = potential_from_candidates(4, [(0, 1), (0, 1), (0, 1, 2)], k_max=3)
-        assert link_probability(pot, [0.5, 0.5], 0, 1) == pytest.approx(
-            0.875, abs=1e-15
-        )
+        assert link_probability_map(pot, [0.5, 0.5])[0] == pytest.approx(0.875, abs=1e-15)
 
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(14)
@@ -431,26 +430,12 @@ class TestLinkProbability:
             # the index deduplicates candidate multisets, so enumerate its view
             kept = pot.all_candidates()
             expected = enumerate_link_probability(kept, phi, i, j)
-            assert link_probability(pot, phi, i, j) == pytest.approx(
-                expected, abs=1e-12
-            )
-
-    def test_self_pair_rejected(self):
-        pot = potential_from_candidates(3, [(0, 1)], k_max=2)
-        with pytest.raises(ValueError):
-            link_probability(pot, [0.5], 1, 1)
-
-    def test_out_of_range_vertex_rejected(self):
-        pot = potential_from_candidates(3, [(0, 1)], k_max=2)
-        for j in (3, 10**6, -1):
-            with pytest.raises(ValueError, match="outside 0..2"):
-                link_probability(pot, [0.5], 0, j)
+            got = link_probability_map(pot, phi)[condensed_keys(n, i, j)]
+            assert got == pytest.approx(expected, abs=1e-12)
 
     def test_wrong_phi_length_rejected(self):
         pot = potential_from_candidates(5, [(0, 1, 2, 3)])  # k_max = 4
         for phi in ([0.5], [0.5] * 4, 0.5):
-            with pytest.raises(ValueError, match="expected 3 for sizes 2..4"):
-                link_probability(pot, phi, 0, 1)
             with pytest.raises(ValueError, match="expected 3 for sizes 2..4"):
                 link_probability_map(pot, phi)
 
@@ -476,8 +461,8 @@ class TestLinkProbability:
             sizes = {len(c) for c in kept if i in c and j in c}
             if all(phi[s - 2] in (0.0, 1.0) for s in sizes):  # uncovered pairs too
                 assert prob[key] == float(any(phi[s - 2] == 1.0 for s in sizes))
-            # the one-pair read, in either orientation
-            assert link_probability(pot, phi, i, j) == link_probability(pot, phi, j, i) == prob[key]
+            # either orientation keys the pair's entry
+            assert condensed_keys(n, i, j) == condensed_keys(n, j, i) == key
 
 
 class TestHoffModel:
@@ -596,7 +581,8 @@ SMALL_POT = potential_from_candidates(4, [(0, 1), (1, 2), (0, 1, 2)], k_max=3)
 PHI_READERS = {
     "sample_hypergraph": lambda phi: sample_hypergraph(SMALL_POT, phi, 0),
     "link_probability_map": lambda phi: link_probability_map(SMALL_POT, phi),
-    "link_probability": lambda phi: link_probability(SMALL_POT, phi, 0, 1),
+    # the one-pair read: the map's entry at the pair's condensed key
+    "link_probability": lambda phi: link_probability_map(SMALL_POT, phi)[condensed_keys(4, 0, 1)],
     "model_auc": lambda phi: model_auc(SMALL_POT, phi, clique_expand(Hypergraph(4, [(0, 1)]))),
     "exact_ensemble_auc": lambda phi: exact_ensemble_auc(SMALL_POT, phi),
     "verify_higher_order_auc_lift": lambda phi: verify_higher_order_auc_lift(SMALL_POT, phi),

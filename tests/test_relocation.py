@@ -15,11 +15,10 @@ from hyperlp import (
     assemble_report,
     auc,
     clique_expand,
-    leave_one_out,
     performance_reversal_check,
+    protocol_scores,
     relocate,
     size_distribution,
-    split_evaluate,
 )
 from hyperlp import evaluation, relocation
 from hyperlp.latent import ResourceLimitError
@@ -238,15 +237,14 @@ class TestSharedPairSet:
         scorers = [s for s in SCORER_IDS if s != "sr"] if protocol == "loo" else SCORER_IDS
 
         def one_auc(graph, scorer):
-            lp = (leave_one_out(graph, scorer) if protocol == "loo"
-                  else split_evaluate(graph, scorer, protocol))
-            return auc(lp.scores, lp.labels), lp
+            _, labels, scores = protocol_scores(graph, [scorer], protocol)
+            return auc(scores[scorer], labels), labels
 
         out = adjusted_auc(h, scorers, protocol, n_runs=3, seed=5)
         assert list(out) == list(scorers)
         run_seeds = [int(s) for s in np.random.default_rng(5).integers(0, 2**63 - 1, size=3)]
         for scorer in scorers:
-            original, lp = one_auc(clique_expand(h), scorer)
+            original, labels = one_auc(clique_expand(h), scorer)
             runs = [one_auc(clique_expand(relocate(h, s)), scorer)[0] for s in run_seeds]
             expected = assemble_report(original, runs, run_seeds)
             report = out[scorer]
@@ -255,7 +253,7 @@ class TestSharedPairSet:
             assert report.af == expected.af
             assert report.auc_adjusted == expected.auc_adjusted
             assert report.seeds == run_seeds and report.failures == []
-            assert (report.n_pos, report.n_neg) == (lp.n_pos, lp.n_neg)
+            assert (report.n_pos, report.n_neg) == (labels.sum(), len(labels) - labels.sum())
 
     def test_failing_scorer_fills_only_its_slot(self, break_scorer):
         h = self.hypergraph()

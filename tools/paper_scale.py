@@ -24,9 +24,10 @@ pair set (held-out edges and two-hop negatives) and of scoring it, and
 the wall time and ``tracemalloc`` peak of the call the drug-substance
 check makes per graph, ``evaluate_protocol(g, ("cn", "aa", "pa"),
 SplitSpec(0.8, 2, 1.0, 41))``, of the same call with every non-link as
-a negative, ``SplitSpec(0.8, 2, None, 41)`` (``--negatives all``), and
-of one leave-one-out graph, ``evaluate_protocol(g, ("cn", "aa", "ra",
-"pa", "jc"), "loo")``.
+a negative, ``SplitSpec(0.8, 2, None, 41)`` (``--negatives all``), of
+one leave-one-out graph, ``evaluate_protocol(g, ("cn", "aa", "ra",
+"pa", "jc"), "loo")``, and of the library call for one scorer's
+leave-one-out scores, ``protocol_scores(g, ["cn"], "loo")``.
 
 The first two sparse inputs have uniform hyperedge sizes, each hyperedge
 of distinct uniform members: n=20,000 vertices and 20,000 hyperedges of
@@ -59,7 +60,7 @@ import numpy as np
 from hyperlp import evaluation
 from hyperlp.cli import _resolve_model
 from hyperlp.config import ModelConfig
-from hyperlp.evaluation import SplitSpec, evaluate_protocol
+from hyperlp.evaluation import SplitSpec, evaluate_protocol, protocol_scores
 from hyperlp.heuristics import score_pairs_many
 from hyperlp.hypergraph import Hypergraph, clique_expand, wedge_count
 
@@ -131,6 +132,7 @@ def main() -> None:
     timed("split evaluate_protocol", lambda: evaluate_protocol(g, SCORERS, SPEC))
     timed("split --negatives all evaluate_protocol", lambda: evaluate_protocol(g, SCORERS, EVERY))
     timed("leave-one-out evaluate_protocol", lambda: evaluate_protocol(g, ALL_SCORERS, "loo"))
+    timed("leave-one-out protocol_scores cn", lambda: protocol_scores(g, ["cn"], "loo"))
 
     for i, params in enumerate(SPARSE):
         g = clique_expand(sparse_unpacked(*params))
