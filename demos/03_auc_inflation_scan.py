@@ -16,7 +16,7 @@ import csv
 import sys
 from types import SimpleNamespace
 
-from hyperlp import ScanPoint, overestimation_scan
+from hyperlp import ModelConfig, overestimation_scan
 
 if len(sys.argv) > 1:
     with open(sys.argv[1]) as fh:
@@ -32,8 +32,10 @@ if len(sys.argv) > 1:
         ]
     scorers = sorted({r.scorer for r in ok})
 else:
-    grid = [ScanPoint(n=60, d=2, percentiles=(0.1, 0.6), phi=(0.0, 0.3))]
-    rows = overestimation_scan(grid, ["cn", "aa"], seed=9, replicates=40)
+    # the config `hyperlp scan` reads: one point, 40 replicates; each
+    # replicate resolves its model as `hyperlp generate` would
+    cfg = ModelConfig(n=60, d=2, seed=9, percentiles=(0.1, 0.6), phi=(0.0, 0.3), replicates=40)
+    rows = overestimation_scan(cfg, ["cn", "aa"])
     ok = [r for r in rows if r.error is None]
     scorers = ["cn", "aa"]
     with open("demo_scan.csv", "w", newline="") as fh:

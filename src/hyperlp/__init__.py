@@ -15,6 +15,7 @@ import os
 # the user set wins; it must be in place before numpy is first imported.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
+from .config import ModelConfig, resolve_model
 from .datasets import (
     DataFormatError,
     DatasetBundle,
@@ -27,7 +28,6 @@ from .datasets import (
 )
 from .evaluation import (
     AucCount,
-    ScanPoint,
     ScanRow,
     SplitSpec,
     auc,

@@ -39,7 +39,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -48,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ModelConfig, load_model_config, parse_model_config
+from .config import ConfigError, load_model_config, parse_model_config, resolve_model
 from .datasets import (
     DataFormatError,
     DatasetBundle,
@@ -59,26 +59,10 @@ from .datasets import (
     save_plain,
     sha256_file,
 )
-from .evaluation import (
-    AucCount,
-    ScanPoint,
-    SplitSpec,
-    evaluate_protocol,
-    overestimation_scan,
-)
+from .evaluation import AucCount, SplitSpec, evaluate_protocol, overestimation_scan
 from .heuristics import SCORER_IDS
 from .hypergraph import Hypergraph, clique_expand, size_distribution
-from .latent import (
-    HoffParams,
-    ResourceLimitError,
-    build_potential,
-    default_hoff_params,
-    pairwise_distances,
-    phi_preset,
-    radii_from_percentiles,
-    sample_hypergraph,
-    sample_latents,
-)
+from .latent import ResourceLimitError, sample_hypergraph
 from .relocation import AdjustmentReport, adjusted_auc, performance_reversal_check
 from .verify import (
     verify_er_auc_baseline,
@@ -165,6 +149,13 @@ def _algorithms(raw: str) -> list[str]:
     return ids
 
 
+def _seed(raw: str) -> int:
+    """A seed flag's value: an integer >= 0, as numpy's generators take."""
+    if not raw.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {raw!r}")
+    return int(raw)
+
+
 def _manifest(subcommand: str, params: dict, seeds: list[int], checksums: dict) -> dict:
     return {
         "subcommand": subcommand,
@@ -197,24 +188,6 @@ def _load_bundle(args) -> DatasetBundle:
     return load_plain(args.data)
 
 
-def _resolve_model(cfg: ModelConfig, seed: int):
-    """Sample positions; derive radii, candidates and offset from one distance pass; resolve phi."""
-    dist = pairwise_distances(sample_latents(cfg.n, cfg.d, seed))
-    radii = radii_from_percentiles(dist, cfg.percentiles)
-    pot = build_potential(dist, radii, max_potential=cfg.max_potential)
-    if cfg.gamma is None:
-        hoff = default_hoff_params(dist, cfg.alpha)
-    else:
-        hoff = HoffParams(cfg.alpha, cfg.gamma)
-    if isinstance(cfg.phi, str):
-        phi = phi_preset(
-            cfg.phi, k_max=cfg.k_max, radii=radii, alpha=hoff.alpha, gamma=hoff.gamma, pot=pot
-        )
-    else:
-        phi = np.asarray(cfg.phi, dtype=np.float64)
-    return radii, pot, phi, hoff
-
-
 def _protocol_from_args(args):
     if args.protocol == "loo":
         return "loo"
@@ -239,7 +212,7 @@ def _scoring_manifest(args, bundle: DatasetBundle) -> dict:
 def cmd_generate(args) -> Output:
     cfg = load_model_config(args.config)
     seed = cfg.seed if args.seed is None else args.seed
-    radii, pot, phi, hoff = _resolve_model(cfg, seed)
+    radii, pot, phi, hoff = resolve_model(cfg, seed)
     h = sample_hypergraph(pot, phi, seed)
 
     hyg_path = Path(args.out).with_suffix(".hyg")
@@ -423,40 +396,18 @@ def cmd_evaluate(args) -> Output:
 
 def cmd_scan(args) -> Output:
     cfg = parse_model_config(Path(args.config).read_text())
-    if isinstance(cfg.phi, str):
-        if cfg.phi in ("power_law", "constant"):
-            phi = tuple(phi_preset(cfg.phi, k_max=cfg.k_max).tolist())
-        else:
-            raise ConfigError(
-                "scan configs need an explicit phi vector or a geometry-free "
-                "preset (power_law, constant)"
-            )
-    else:
-        phi = tuple(cfg.phi)
-    ns = cfg.n_list or (cfg.n,)
-    ds = cfg.d_list or (cfg.d,)
-    grid = [
-        ScanPoint(n=n, d=d, percentiles=tuple(cfg.percentiles), phi=phi)
-        for n in ns
-        for d in ds
-    ]
-    seed = cfg.seed if args.seed is None else args.seed
-    rows = overestimation_scan(
-        grid,
-        args.algorithms,
-        seed=seed,
-        replicates=cfg.replicates,
-        max_potential=cfg.max_potential,
-    )
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
+    rows = overestimation_scan(cfg, args.algorithms)
     manifest = _manifest(
         "scan",
         {
             "config": str(args.config),
-            "grid_size": len(grid),
+            "grid_size": len(cfg.points()),
             "replicates": cfg.replicates,
             "algorithms": args.algorithms,
         },
-        [seed],
+        [cfg.seed],
         {"config": sha256_file(args.config)},
     )
     header = [
@@ -467,7 +418,7 @@ def cmd_scan(args) -> Output:
         [
             r.point.n, r.point.d,
             " ".join(str(x) for x in r.point.percentiles),
-            " ".join(str(x) for x in r.point.phi),
+            r.point.phi if isinstance(r.point.phi, str) else " ".join(str(x) for x in r.point.phi),
             r.scorer, r.seed,
             "" if r.model_auc is None else r.model_auc,
             "" if r.heuristic_auc is None else r.heuristic_auc,
@@ -525,7 +476,7 @@ def cmd_verify(args) -> Output:
             raise ConfigError("cn-lift needs --config with a generator model")
         cfg = load_model_config(args.config)
         checksums = {"config": sha256_file(args.config)}
-        _, pot, phi, _ = _resolve_model(cfg, cfg.seed)
+        _, pot, phi, _ = resolve_model(cfg, cfg.seed)
         summaries = {"cn-lift": verify_higher_order_auc_lift(pot, phi, trials, args.seed)}
     else:  # relocation-baseline
         if args.data:
@@ -595,7 +546,7 @@ def _add_protocol_args(sp):
         "--negatives", choices=["dhop", "all"], default="dhop",
         help="'all' evaluates every non-link instead of sampling",
     )
-    sp.add_argument("--split-seed", type=int, default=None, dest="split_seed")
+    sp.add_argument("--split-seed", type=_seed, default=None, dest="split_seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -609,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("generate", help="draw a hypergraph from a generator config")
     sp.add_argument("--config", required=True)
     sp.add_argument("--out", required=True, help="output prefix")
-    sp.add_argument("--seed", type=int, default=None, help="override config seed")
+    sp.add_argument("--seed", type=_seed, default=None, help="override config seed")
     sp.set_defaults(func=cmd_generate)
 
     sp = sub.add_parser("expand", help="clique-expand a hypergraph to an edge list")
@@ -635,14 +586,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--algorithms", type=_algorithms, default=list(SCORER_IDS))
     _add_protocol_args(sp)
     sp.add_argument("--runs", type=int, default=5, help="relocation runs (0 disables)")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_evaluate)
 
     sp = sub.add_parser("scan", help="model-vs-heuristic AUC scan over a grid")
     sp.add_argument("--config", required=True)
     sp.add_argument("--algorithms", type=_algorithms, default=["cn", "aa"])
-    sp.add_argument("--seed", type=int, default=None, help="override config seed")
+    sp.add_argument("--seed", type=_seed, default=None, help="override config seed")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_scan)
 
@@ -650,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--claim", required=True, choices=VERIFY_CLAIMS)
     # None when not given (see _VERIFY_FLAGS)
     sp.add_argument("--trials", type=int, help="trials (default 100)")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--n", type=int, help="vertices (default 100)")
     sp.add_argument("--p", type=float, help="edge probability (default 0.1)")
     sp.add_argument("--chi-square", action="store_true", default=None, dest="chi_square")
@@ -667,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--algorithms", type=_algorithms, default=list(SCORER_IDS))
     _add_protocol_args(sp)
     sp.add_argument("--runs", type=int, default=5)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_adjust)
 

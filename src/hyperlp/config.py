@@ -20,10 +20,25 @@ after clique expansion. ``r1``/``phi1`` keys are ignored the same way.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .latent import DEFAULT_HOFF_ALPHA, DEFAULT_MAX_POTENTIAL, PHI_PRESETS, _checked_percentiles
+import numpy as np
+
+from .latent import (
+    DEFAULT_HOFF_ALPHA,
+    DEFAULT_MAX_POTENTIAL,
+    PHI_PRESETS,
+    HoffParams,
+    _checked_percentiles,
+    build_potential,
+    default_hoff_params,
+    pairwise_distances,
+    phi_preset,
+    radii_from_percentiles,
+    sample_latents,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -51,6 +66,34 @@ class ModelConfig:
     @property
     def k_max(self) -> int:
         return len(self.percentiles) + 1
+
+    def points(self) -> list[ModelConfig]:
+        """One single-model config per (n, d) of the grid, n outer."""
+        return [
+            replace(self, n=n, d=d, n_list=(), d_list=())
+            for n in self.n_list or (self.n,)
+            for d in self.d_list or (self.d,)
+        ]
+
+
+def resolve_model(cfg: ModelConfig, seed: int):
+    """The model every command draws from: sample positions; derive radii,
+    candidates and offset from one distance pass; resolve phi. Returns
+    ``(radii, pot, phi, hoff)``."""
+    dist = pairwise_distances(sample_latents(cfg.n, cfg.d, seed))
+    radii = radii_from_percentiles(dist, cfg.percentiles)
+    pot = build_potential(dist, radii, max_potential=cfg.max_potential)
+    if cfg.gamma is None:
+        hoff = default_hoff_params(dist, cfg.alpha)
+    else:
+        hoff = HoffParams(cfg.alpha, cfg.gamma)
+    if isinstance(cfg.phi, str):
+        phi = phi_preset(
+            cfg.phi, k_max=cfg.k_max, radii=radii, alpha=hoff.alpha, gamma=hoff.gamma, pot=pot
+        )
+    else:
+        phi = np.asarray(cfg.phi, dtype=np.float64)
+    return radii, pot, phi, hoff
 
 
 def _parse_number(raw: str, key: str, lineno: int, kind=float):
@@ -98,14 +141,19 @@ def _parse(text: str) -> tuple[ModelConfig, dict[str, int]]:
                 values[key + "_list"] = ints
         elif key in ("seed", "max_potential", "replicates"):
             values[key] = _parse_number(raw, key, lineno, int)
+            if values[key] < 0:
+                raise ConfigError(f"line {lineno}: {key} must be >= 0, got {values[key]}")
         elif key == "percentiles" or (key == "phi" and raw not in PHI_PRESETS):
             values[key] = tuple(_parse_number(t, key, lineno) for t in raw.split())
         elif key == "phi":
             values[key] = raw
-        elif key == "alpha":
-            values[key] = _parse_number(raw, key, lineno)
-        elif key == "gamma":
-            values[key] = None if raw == "median" else _parse_number(raw, key, lineno)
+        elif key == "gamma" and raw == "median":
+            values[key] = None
+        elif key in ("alpha", "gamma"):
+            value = values[key] = _parse_number(raw, key, lineno)
+            if not math.isfinite(value) or (key == "alpha" and value <= 0):
+                rule = "positive and finite" if key == "alpha" else "finite"
+                raise ConfigError(f"line {lineno}: {key} must be {rule}, got {value}")
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
 
@@ -131,12 +179,6 @@ def _parse(text: str) -> tuple[ModelConfig, dict[str, int]]:
             )
         if any(not (0 <= x <= 1) for x in cfg.phi):
             raise ConfigError(f"line {phi_line}: phi values must lie in [0, 1]")
-    if cfg.replicates < 0:
-        raise ConfigError(f"line {lines.get('replicates', 0)}: replicates must be >= 0")
-    if cfg.max_potential < 0:
-        raise ConfigError(f"line {lines.get('max_potential', 0)}: max_potential must be >= 0")
-    if not cfg.alpha > 0:
-        raise ConfigError(f"line {lines.get('alpha', 0)}: alpha must be positive, got {cfg.alpha}")
     return cfg, lines
 
 

@@ -50,24 +50,15 @@ the full graph, -1 train edge, left out of the count).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
+from .config import ModelConfig, resolve_model
 from .heuristics import _unwrap, condensed, score_pairs_many, simrank_without_each_edge
 from .hypergraph import SimpleGraph, clique_expand, condensed_pairs, reach_keys
-from .latent import (
-    DEFAULT_MAX_POTENTIAL,
-    PotentialIndex,
-    build_potential,
-    link_probability_map,
-    pairwise_distances,
-    radii_from_percentiles,
-    sample_hypergraph,
-    sample_latents,
-    spawn_seeds,
-)
+from .latent import PotentialIndex, link_probability_map, sample_hypergraph, spawn_seeds
 
 
 @dataclass
@@ -350,22 +341,11 @@ def model_auc(pot: PotentialIndex, phi: Sequence[float], g: SimpleGraph) -> floa
 
 
 @dataclass
-class ScanPoint:
-    """One generator configuration for the overestimation scan."""
-
-    n: int
-    d: int
-    percentiles: tuple[float, ...]
-    phi: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.percentiles) != len(self.phi):
-            raise ValueError("percentiles and phi must have equal length")
-
-
-@dataclass
 class ScanRow:
-    point: ScanPoint
+    """One scorer on one scan replicate, whose config ``point`` has its
+    seed and its resolved phi (the preset if the model failed first)."""
+
+    point: ModelConfig
     scorer: str
     seed: int
     model_auc: float | None = None
@@ -374,32 +354,29 @@ class ScanRow:
     error: str | None = None
 
 
-def overestimation_scan(
-    grid: Sequence[ScanPoint],
-    scorers: Sequence[str],
-    seed: int = 0,
-    replicates: int = 1,
-    max_potential: int = DEFAULT_MAX_POTENTIAL,
-) -> list[ScanRow]:
+def overestimation_scan(cfg: ModelConfig, scorers: Sequence[str]) -> list[ScanRow]:
     """Compare heuristic leave-one-out AUC with the exact-probability AUC
-    across generator configurations.
+    across the grid points of ``cfg`` (:meth:`~hyperlp.config.ModelConfig.points`).
 
-    Each grid point is drawn ``replicates`` times, with its run of seeds
-    from one :func:`~hyperlp.latent.spawn_seeds` draw for the grid; rows
-    where the heuristic exceeds the model ceiling are flagged. Failures
-    (e.g. degenerate samples) are recorded per row and do not stop the
-    scan.
+    Each point is drawn ``cfg.replicates`` times, with its run of seeds
+    from one :func:`~hyperlp.latent.spawn_seeds` draw of ``cfg.seed`` for
+    the grid; each replicate resolves its model as ``generate`` does
+    (:func:`~hyperlp.config.resolve_model`). Rows where the heuristic
+    exceeds the model ceiling are flagged. Failures (e.g. the candidate
+    cap, degenerate samples) are recorded per row and do not stop the
+    scan; an explicit phi without one value per size is refused first.
     """
+    if not isinstance(cfg.phi, str) and len(cfg.phi) != cfg.k_max - 1:
+        raise ValueError(f"phi has {len(cfg.phi)} values for {cfg.k_max - 1} percentiles")
+    points = cfg.points()
     rows: list[ScanRow] = []
-    for at, rep_seed in enumerate(spawn_seeds(seed, len(grid) * replicates)):
-        point = grid[at // replicates]
+    for at, rep_seed in enumerate(spawn_seeds(cfg.seed, len(points) * cfg.replicates)):
+        point = replace(points[at // cfg.replicates], seed=rep_seed)
         try:
-            dist = pairwise_distances(sample_latents(point.n, point.d, rep_seed))
-            radii = radii_from_percentiles(dist, point.percentiles)
-            pot = build_potential(dist, radii, max_potential)
-            h = sample_hypergraph(pot, point.phi, rep_seed)
-            g = clique_expand(h)
-            truth = model_auc(pot, point.phi, g)
+            _, pot, phi, _ = resolve_model(point, rep_seed)
+            point.phi = tuple(phi.tolist())
+            g = clique_expand(sample_hypergraph(pot, phi, rep_seed))
+            truth = model_auc(pot, phi, g)
             results = evaluate_protocol(g, scorers, "loo")
         except Exception as exc:
             truth, results = None, dict.fromkeys(scorers, exc)

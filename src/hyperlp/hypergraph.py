@@ -212,7 +212,7 @@ class SimpleGraph:
 
     def edge_keys(self) -> np.ndarray:
         """Ascending condensed keys of the edges."""
-        return condensed_keys(self.n, *self.edge_array().T)
+        return _keys(self.n, *self.edge_array().T)
 
     def without_edge(self, u: int, v: int) -> "SimpleGraph":
         """Copy of the graph with edge ``{u, v}``, its two CSR entries,
@@ -273,8 +273,16 @@ def _row_base(n: int) -> np.ndarray:
 def condensed_keys(n: int, u: ArrayLike, v: ArrayLike) -> np.ndarray:
     """Condensed key ``r*n - r*(r+1)/2 + c - r - 1`` of each pair, with
     ``r = min(u, v)`` and ``c = max(u, v)``: its index in
-    ``np.triu_indices(n, 1)`` order."""
+    ``np.triu_indices(n, 1)`` order. Refuses a self-pair or an id outside
+    ``0..n-1``, whose key would be another pair's (``ValueError``)."""
     u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    if np.any((u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n)):
+        raise ValueError(f"pairs must be of distinct vertices in 0..{n - 1}")
+    return _keys(n, u, v)
+
+
+def _keys(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """:func:`condensed_keys`, unchecked: for a graph's own pairs."""
     return _row_base(n)[np.minimum(u, v)] + np.maximum(u, v)
 
 
@@ -510,7 +518,7 @@ def _extensions(g: SimpleGraph, keys: np.ndarray) -> Iterator[np.ndarray]:
         near = _neighbor_lists(g, moved)
         kept = np.repeat(kept, deg[moved])
         other = near != kept
-        yield condensed_keys(g.n, kept[other], near[other])
+        yield _keys(g.n, kept[other], near[other])
 
 
 def group_pair_keys(n: int, groups: Hypergraph | np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from conftest import oracle_relocate, random_hypergraph
 from hyperlp import cli, heuristics, latent, relocation
 from hyperlp.datasets import load_benson, load_plain, save_plain
 from hyperlp.cli import main
-from hyperlp.config import ConfigError, parse_model_config
+from hyperlp.config import ConfigError, parse_model_config, resolve_model
 
 MODEL_CFG = """\
 n = 25
@@ -276,7 +276,8 @@ class TestGenerate:
     @pytest.mark.parametrize(
         "entry",
         ["alpha = abc", "gamma = x1", "alpha = 0", "alpha = -2", "percentiles = 50 150",
-         "percentiles = 0 5", "max_potential = -5", "seed = 1.5"],
+         "percentiles = 0 5", "max_potential = -5", "seed = 1.5", "seed = -1",
+         "alpha = inf", "alpha = nan", "gamma = inf", "gamma = -inf", "gamma = nan"],
     )
     def test_config_value_error_names_its_line(self, tmp_path, capsys, entry):
         # each was "could not convert string to float" with no line, or a
@@ -397,10 +398,40 @@ class TestScan:
         assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
         assert len(read_csv(out.with_suffix(".csv"))) == 1
 
-    def test_geometry_dependent_preset_rejected(self, tmp_path):
+    def test_geometry_dependent_presets_resolve_per_replicate(self, tmp_path):
+        # both presets were refused (exit 2); each replicate now resolves
+        # its own phi from its own geometry, as generate does, alpha included
+        for preset in ("hoff_sigmoid", "empirical"):
+            cfg = tmp_path / f"{preset}.cfg"
+            cfg.write_text(
+                f"n = 18\nseed = 2\npercentiles = 6 14\nphi = {preset}\nalpha = 4\n"
+                "replicates = 3\n"
+            )
+            out = tmp_path / preset
+            argv = ["scan", "--config", str(cfg), "--algorithms", "cn", "--out", str(out)]
+            assert main(argv) == 0
+            rows = read_csv(out.with_suffix(".csv"))[1:]
+            model = parse_model_config(cfg.read_text())
+            for row in rows:
+                phi = resolve_model(model, int(row[5]))[2]
+                assert row[3] == " ".join(str(x) for x in phi.tolist()) and not row[9]
+            assert len({row[3] for row in rows}) == 3, preset
+
+    def test_failed_model_rows_name_the_preset(self, tmp_path):
+        # the candidate cap stops the model before phi is resolved
         cfg = tmp_path / "scan.cfg"
-        cfg.write_text("n = 18\npercentiles = 6 14\nphi = empirical\n")
+        cfg.write_text("n = 18\npercentiles = 6 14\nmax_potential = 3\nreplicates = 2\n")
+        out = tmp_path / "scan"
+        assert main(["scan", "--config", str(cfg), "--algorithms", "cn", "--out", str(out)]) == 0
+        rows = read_csv(out.with_suffix(".csv"))[1:]
+        assert [row[3] for row in rows] == ["power_law"] * 2
+        assert all("cap of 3" in row[9] for row in rows)
+
+    def test_explicit_phi_per_percentile_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("n = 18\npercentiles = 6 14\nphi = 0.1 0.2 0.3 0.4\n")
         assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err.startswith("error: line 3: phi needs 2 values")
 
 
 class TestVerify:
@@ -726,6 +757,37 @@ def test_one_model_commands_refuse_grids(tmp_path, capsys, command, entry, messa
     out = tmp_path / "out" / "g"
     assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["generate", "--config", "{cfg}"], "--seed"),
+    (["scan", "--config", "{cfg}"], "--seed"),
+    (["evaluate", "--data", "{data}"], "--seed"),
+    (["evaluate", "--data", "{data}", "--protocol", "split"], "--split-seed"),
+    (["adjust", "--data", "{data}"], "--seed"),
+    (["adjust", "--data", "{data}", "--protocol", "split"], "--split-seed"),
+    (["verify", "--claim", "cc"], "--seed"),
+])
+def test_negative_seed_flag_named(tmp_path, capsys, argv, flag):
+    # numpy's "expected non-negative integer" named no flag
+    argv = [a.format(cfg=tmp_path / "m.cfg", data=tmp_path / "d.hyg") for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, "-3", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be an integer >= 0, got '-3'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [
+    ["generate"], ["scan"], ["verify", "--claim", "cn-lift", "--trials", "10"],
+])
+def test_negative_config_seed_named(tmp_path, capsys, command):
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text("n = 20\nseed = -4\n")
+    out = tmp_path / "out" / "m"
+    assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: line 2: seed must be >= 0, got -4\n"
     assert not out.parent.exists()
 
 

@@ -1,7 +1,10 @@
 """Every demo script, the README quickstart and the README command-line
-examples run to completion."""
+examples run to completion, and every name the demos and tools import
+from hyperlp exists."""
 
+import ast
 import hashlib
+import importlib
 import os
 import re
 import shlex
@@ -81,3 +84,34 @@ def test_readme_commands_run(tmp_path, monkeypatch):
     for argv in commands:
         argv = [toy if arg in ("mydata.hyg", "data/toy_five_vertex.hyg") else arg for arg in argv]
         assert main(argv) == 0, argv
+
+
+def _hyperlp_imports(path: Path) -> list[tuple[str, str | None]]:
+    """(module, name) of each ``from hyperlp... import name`` in a file,
+    and (module, None) of each ``import hyperlp...``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hyperlp":
+            found += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            found += [(a.name, None) for a in node.names if a.name.split(".")[0] == "hyperlp"]
+    return found
+
+
+@pytest.mark.parametrize("script", sorted(
+    str(p.relative_to(ROOT)) for folder in ("tools", "demos") for p in (ROOT / folder).glob("*.py")
+))
+def test_script_imports_exist(script):
+    # tools/paper_scale.py takes a minute and no test runs it, so a name
+    # moved in src/ would otherwise break it unseen; the files are parsed,
+    # not run
+    imports = _hyperlp_imports(ROOT / script)
+    assert imports, f"{script} imports nothing from hyperlp"
+    for module, name in imports:
+        owner = importlib.import_module(module)
+        if name is None or hasattr(owner, name):
+            continue
+        try:  # a submodule not yet imported
+            importlib.import_module(f"{module}.{name}")
+        except ImportError:
+            pytest.fail(f"{script} imports {name} from {module}, which has no such name")

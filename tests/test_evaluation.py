@@ -23,7 +23,7 @@ from conftest import (
 from hyperlp import (
     SCORER_IDS,
     Hypergraph,
-    ScanPoint,
+    ModelConfig,
     SimpleGraph,
     SplitSpec,
     auc,
@@ -35,6 +35,8 @@ from hyperlp import (
     overestimation_scan,
     potential_from_candidates,
     protocol_scores,
+    resolve_model,
+    sample_hypergraph,
 )
 import hyperlp
 from hyperlp import evaluation, heuristics, hypergraph, latent
@@ -815,33 +817,67 @@ class TestModelAuc:
 
 class TestOverestimationScan:
     def test_empty_grid(self):
-        assert overestimation_scan([], ["cn"], seed=0) == []
+        # no replicates: no draw and no row
+        assert overestimation_scan(ModelConfig(n=20, replicates=0), ["cn"]) == []
 
     def test_row_errors_recorded_scan_continues(self):
-        grid = [
-            ScanPoint(n=20, d=2, percentiles=(5.0, 15.0), phi=(0.3, 0.3)),
-            ScanPoint(n=20, d=2, percentiles=(5.0, 15.0), phi=(0.3, 0.3)),
-        ]
-        rows = overestimation_scan(grid, ["cn"], seed=1, max_potential=2)
+        cfg = ModelConfig(
+            n=20, seed=1, percentiles=(5.0, 15.0), phi=(0.3, 0.3), max_potential=2, replicates=2
+        )
+        rows = overestimation_scan(cfg, ["cn"])
         assert len(rows) == 2
         assert all(r.error is not None for r in rows)
 
     def test_simrank_budget_fails_only_sr_rows(self, monkeypatch):
-        grid = [ScanPoint(n=20, d=2, percentiles=(5.0, 15.0), phi=(0.3, 0.3))]
-        clean = overestimation_scan(grid, ["cn"], seed=1, replicates=2)
+        cfg = ModelConfig(n=20, seed=1, percentiles=(5.0, 15.0), phi=(0.3, 0.3), replicates=2)
+        clean = overestimation_scan(cfg, ["cn"])
         monkeypatch.setattr(heuristics, "SIMRANK_LOO_BUDGET", 10)
-        rows = overestimation_scan(grid, ["cn", "sr"], seed=1, replicates=2)
+        rows = overestimation_scan(cfg, ["cn", "sr"])
         cn = [r for r in rows if r.scorer == "cn"]
         sr = [r for r in rows if r.scorer == "sr"]
         assert cn == clean and all(r.error is None for r in cn)
         assert all(r.heuristic_auc is None and "cap of 10" in r.error for r in sr)
         assert [r.model_auc for r in sr] == [r.model_auc for r in cn]
 
+    @pytest.mark.parametrize("phi", [(0.3,), (0.3, 0.3, 0.3)])
+    def test_phi_length_refused_before_any_draw(self, monkeypatch, phi):
+        # a hand-built config is not parsed, so the scan checks phi itself;
+        # otherwise every row would carry the same error
+        def no_draw(*args):
+            raise AssertionError("a model was resolved")
+
+        monkeypatch.setattr(evaluation, "resolve_model", no_draw)
+        cfg = ModelConfig(n=20, percentiles=(5.0, 15.0), phi=phi, replicates=3)
+        with pytest.raises(ValueError, match="phi has .* values for 2 percentiles"):
+            overestimation_scan(cfg, ["cn"])
+
+    @pytest.mark.parametrize("phi", ["hoff_sigmoid", "empirical", (0.2, 0.1)])
+    def test_rows_are_the_resolved_model(self, phi):
+        # each replicate resolves its model as generate does: its row
+        # rebuilds bit for bit from resolve_model at the row's seed
+        cfg = ModelConfig(n=24, seed=5, percentiles=(4.0, 12.0), phi=phi, alpha=6.0, replicates=3)
+        rows = overestimation_scan(cfg, ["cn"])
+        assert len({r.seed for r in rows}) == 3
+        for row in rows:
+            _, pot, want_phi, _ = resolve_model(row.point, row.seed)
+            g = clique_expand(sample_hypergraph(pot, want_phi, row.seed))
+            assert row.point.phi == tuple(want_phi.tolist())
+            assert row.model_auc == model_auc(pot, want_phi, g)
+            assert (row.point.n, row.point.seed, row.point.alpha) == (24, row.seed, 6.0)
+
+    def test_grid_points_n_outer(self):
+        cfg = ModelConfig(n=20, n_list=(20, 24), d_list=(1, 2), replicates=1)
+        assert [(p.n, p.d, p.n_list, p.d_list) for p in cfg.points()] == [
+            (20, 1, (), ()), (20, 2, (), ()), (24, 1, (), ()), (24, 2, (), ()),
+        ]
+        rows = overestimation_scan(cfg, ["cn"])
+        assert [(r.point.n, r.point.d) for r in rows] == [(20, 1), (20, 2), (24, 1), (24, 2)]
+
     def test_higher_order_regime_flags_majority(self):
         # sparse triples with low selection probability: the heuristic
         # reads realized structure the probabilities cannot see
-        grid = [ScanPoint(n=60, d=2, percentiles=(0.1, 0.6), phi=(0.0, 0.3))]
-        rows = overestimation_scan(grid, ["cn"], seed=9, replicates=30)
+        cfg = ModelConfig(n=60, seed=9, percentiles=(0.1, 0.6), phi=(0.0, 0.3), replicates=30)
+        rows = overestimation_scan(cfg, ["cn"])
         ok = [r for r in rows if r.error is None]
         assert len(ok) >= 20
         flagged = sum(1 for r in ok if r.overestimated)
@@ -850,10 +886,12 @@ class TestOverestimationScan:
     def test_pairs_only_regime_flags_are_noise(self):
         # without higher-order candidates the flag rate is sampling noise:
         # two independent batches must agree within 3 sigma
-        grid = [ScanPoint(n=25, d=2, percentiles=(5.0, 10.0), phi=(0.4, 0.0))]
         rates = []
         for seed in (101, 202):
-            rows = overestimation_scan(grid, ["cn"], seed=seed, replicates=40)
+            cfg = ModelConfig(
+                n=25, seed=seed, percentiles=(5.0, 10.0), phi=(0.4, 0.0), replicates=40
+            )
+            rows = overestimation_scan(cfg, ["cn"])
             ok = [r for r in rows if r.error is None]
             rates.append(sum(1 for r in ok if r.overestimated) / len(ok))
         pooled = 0.5 * (rates[0] + rates[1])

@@ -341,6 +341,13 @@ class TestPairKeys:
         assert np.array_equal(keys, np.arange(len(iu)))
         assert np.array_equal(condensed_pairs(n, keys), np.column_stack((iu, iv)))
 
+    @pytest.mark.parametrize("u, v", [(1, 1), (0, 3), (-1, 2), (2, -1), ([0, 2], [1, 2])])
+    def test_condensed_keys_refuse_other_pairs_keys(self, u, v):
+        # each read another pair's key: (1, 1) the key of (0, 2), and (0, 3)
+        # and (-1, 2) the key of (1, 2)
+        with pytest.raises(ValueError, match=r"distinct vertices in 0\.\.2"):
+            condensed_keys(3, u, v)
+
     @pytest.mark.parametrize("block", [1, 7, 40])
     def test_wedge_blocks_split_one_wedge_list(self, block, monkeypatch):
         # one wedge per common neighbor of each pair, with that centre;

@@ -509,6 +509,19 @@ class TestHoffModel:
         with pytest.raises(ValueError):
             HoffParams(0.0, 1.0)
 
+    @pytest.mark.parametrize("alpha, gamma, message", [
+        (math.inf, 1.0, "alpha must be positive and finite"),
+        (math.nan, 1.0, "alpha must be positive and finite"),
+        (2.0, math.inf, "gamma must be finite"),
+        (2.0, -math.inf, "gamma must be finite"),
+        (2.0, math.nan, "gamma must be finite"),
+    ])
+    def test_non_finite_refused(self, alpha, gamma, message):
+        # an infinite alpha or gamma read phi = 1.0 at every size, and a
+        # NaN gamma failed later as a phi outside [0, 1]
+        with pytest.raises(ValueError, match=message):
+            HoffParams(alpha, gamma)
+
     def test_default_gamma_is_median_distance(self):
         pts = sample_latents(30, 2, 11)
         params = default_hoff_params(pairwise_distances(pts))

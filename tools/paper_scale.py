@@ -8,7 +8,8 @@ The first rows are the models ``generate`` resolves from configs in d=2
 with ``power_law`` phi, seed 0 and the default (median) sigmoid offset:
 n=2,000 points at percentiles 0.1 0.2 0.3, and n=5,000 at percentiles
 0.05 0.1 0.15. Each row gives the best wall time of 3 calls (of 1 at
-n=5,000) of ``cli._resolve_model`` (positions, distances, radii,
+n=5,000) of ``hyperlp.config.resolve_model``, the resolver ``generate``
+and every ``scan`` replicate call (positions, distances, radii,
 candidates, offset), then the ``tracemalloc`` peak of one more, then that
 call's candidate count per size and the first 16 hex digits of the
 sha256 of its candidate arrays, concatenated in size order, so two
@@ -58,8 +59,7 @@ import tracemalloc
 import numpy as np
 
 from hyperlp import evaluation
-from hyperlp.cli import _resolve_model
-from hyperlp.config import ModelConfig
+from hyperlp.config import ModelConfig, resolve_model
 from hyperlp.evaluation import SplitSpec, evaluate_protocol, protocol_scores
 from hyperlp.heuristics import score_pairs_many
 from hyperlp.hypergraph import Hypergraph, clique_expand, wedge_count
@@ -114,7 +114,7 @@ def timed(label: str, call, repeat: int = 1):
 
 def main() -> None:
     for cfg, repeat in MODELS:
-        pot = timed(f"model resolution, n={cfg.n}", lambda: _resolve_model(cfg, cfg.seed), repeat)[1]
+        pot = timed(f"model resolution, n={cfg.n}", lambda: resolve_model(cfg, cfg.seed), repeat)[1]
         digest = hashlib.sha256(b"".join(pot.by_size[s].tobytes() for s in pot.sizes))
         print(f"  candidates per size {pot.size_counts().tolist()}, sha256 {digest.hexdigest()[:16]}")
 
