@@ -188,25 +188,16 @@ def _load_bundle(args) -> DatasetBundle:
     return load_plain(args.data)
 
 
-def _protocol_from_args(args):
-    if args.protocol == "loo":
-        return "loo"
-    return SplitSpec(
-        rho=args.rho,
-        d_hop=args.d_hop,
-        negative_ratio=None if args.negatives == "all" else args.negative_ratio,
-        seed=args.split_seed if args.split_seed is not None else args.seed,
-    )
-
-
-def _scoring_manifest(args, bundle: DatasetBundle) -> dict:
-    """``evaluate``'s and ``adjust``'s manifest: every flag their CSV
-    depends on, with the split seed resolved as :func:`_protocol_from_args`
-    resolves it."""
-    flags = ("algorithms", "protocol", "runs", "rho", "d_hop", "negatives", "negative_ratio")
-    params = {"dataset": bundle.name, **{flag: getattr(args, flag) for flag in flags}}
-    params["split_seed"] = args.split_seed if args.split_seed is not None else args.seed
-    return _manifest(args.subcommand, params, [args.seed], _checksums(bundle))
+def _split_spec(args) -> SplitSpec:
+    """The split the scoring flags give. Built for ``--protocol loo`` too,
+    so a bad value is refused whatever the protocol, by its flag's name."""
+    seed = args.split_seed if args.split_seed is not None else args.seed
+    try:
+        spec = SplitSpec(args.rho, args.d_hop, args.negative_ratio, seed)
+    except ValueError as exc:  # the message starts with the field's name
+        key, rule = str(exc).split(" ", 1)
+        raise ConfigError(f"--{key.replace('_', '-')} {rule}") from None
+    return replace(spec, negative_ratio=None) if args.negatives == "all" else spec
 
 
 def cmd_generate(args) -> Output:
@@ -333,23 +324,18 @@ def _entry_lines(dataset: str, entries: list[dict], reversals) -> list[str]:
 
 
 def _scored(args, relocate: bool):
-    """``evaluate``'s and ``adjust``'s scoring: the bundle, each scorer's
-    report (``args.runs`` relocations if ``relocate``) or AUC count, the
-    failed scorers' errors, and the reversals. Raises a resource limit
-    any scorer hit (exit 2, not a result without that scorer), and the
-    first scorer's error when every scorer failed. A bad flag value is
-    refused first, by the flag's name."""
-    least, ratio = int(relocate), args.negative_ratio  # evaluate --runs 0 relocates none
-    for flag, value, ok, rule in (
-        ("--runs", args.runs, args.runs >= least, f">= {least}"),
-        ("--rho", args.rho, 0 < args.rho < 1, "in (0, 1)"),
-        ("--d-hop", args.d_hop, args.d_hop >= 2, ">= 2"),
-        ("--negative-ratio", ratio, 0 < ratio < math.inf, "finite and > 0"),
-    ):
-        if not ok:
-            raise ConfigError(f"{flag} must be {rule}, got {value}")
+    """``evaluate``'s and ``adjust``'s scoring: the bundle, the manifest
+    (every flag the CSV depends on), each scorer's report (``args.runs``
+    relocations if ``relocate``) or AUC count, the failed scorers' errors,
+    and the reversals. Raises a resource limit any scorer hit (exit 2, not
+    a result without that scorer), and the first scorer's error when every
+    scorer failed. A bad flag value is refused first, by the flag's name."""
+    least = int(relocate)  # evaluate --runs 0 relocates none
+    if args.runs < least:
+        raise ConfigError(f"--runs must be >= {least}, got {args.runs}")
+    spec = _split_spec(args)
     bundle = _load_bundle(args)
-    protocol = _protocol_from_args(args)
+    protocol = "loo" if args.protocol == "loo" else spec
     if relocate:
         outcome = adjusted_auc(
             bundle.hypergraph, args.algorithms, protocol, n_runs=args.runs, seed=args.seed
@@ -364,13 +350,16 @@ def _scored(args, relocate: bool):
         raise outcome[args.algorithms[0]]
     errors = {s: str(r) for s, r in outcome.items() if s not in done}
     reversals = performance_reversal_check(done) if relocate else []
-    return bundle, done, errors, reversals
+    flags = ("algorithms", "protocol", "runs", "rho", "d_hop", "negatives", "negative_ratio")
+    params = {"dataset": bundle.name, **{flag: getattr(args, flag) for flag in flags}}
+    params["split_seed"] = spec.seed
+    manifest = _manifest(args.subcommand, params, [args.seed], _checksums(bundle))
+    return bundle, manifest, done, errors, reversals
 
 
 def cmd_evaluate(args) -> Output:
-    bundle, done, errors, reversals = _scored(args, relocate=args.runs > 0)
+    bundle, manifest, done, errors, reversals = _scored(args, relocate=args.runs > 0)
     results = [_evaluate_entry(s, r) for s, r in done.items()]
-    manifest = _scoring_manifest(args, bundle)
     header = [
         "dataset", "scorer", "protocol", "auc", "auc_conditional", "n_pos", "n_neg",
         "auc_rel_mean", "auc_rel_std", "af", "auc_adjusted", "n_runs", "seed",
@@ -506,8 +495,7 @@ def cmd_verify(args) -> Output:
 
 
 def cmd_adjust(args) -> Output:
-    bundle, reports, errors, reversals = _scored(args, relocate=True)
-    manifest = _scoring_manifest(args, bundle)
+    bundle, manifest, reports, errors, reversals = _scored(args, relocate=True)
     header = ["dataset"]
     row = [bundle.name]
     for scorer in args.algorithms:
@@ -657,13 +645,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _write(args.func(args), args.out)
-    except (ConfigError, ResourceLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DataFormatError, FileNotFoundError) as exc:
+    except (DataFormatError, FileNotFoundError) as exc:  # before ValueError: a subclass
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, ResourceLimitError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal failure

@@ -20,7 +20,6 @@ after clique expansion. ``r1``/``phi1`` keys are ignored the same way.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -32,6 +31,7 @@ from .latent import (
     PHI_PRESETS,
     HoffParams,
     _checked_percentiles,
+    _checked_phi,
     build_potential,
     default_hoff_params,
     pairwise_distances,
@@ -62,6 +62,24 @@ class ModelConfig:
     replicates: int = 1
     n_list: tuple[int, ...] = field(default_factory=tuple)  # scan grids only
     d_list: tuple[int, ...] = field(default_factory=tuple)
+
+    def __post_init__(self):
+        """Refuse a bad value by its field's name (``ValueError``), so a
+        hand-built config and a parsed one meet the same rules."""
+        for key, low in (("n", 2), ("d", 1)):
+            least = min((getattr(self, key), *getattr(self, key + "_list")))
+            if least < low:
+                raise ValueError(f"{key} must be >= {low}, got {least}")
+        for key in ("seed", "max_potential", "replicates"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
+        _checked_percentiles(self.percentiles)
+        if isinstance(self.phi, str):
+            if self.phi not in PHI_PRESETS:
+                raise ValueError(f"phi must be one of {', '.join(PHI_PRESETS)}, got {self.phi!r}")
+        else:
+            _checked_phi(self.phi, self.k_max)
+        HoffParams(self.alpha, 0.0 if self.gamma is None else self.gamma)  # None: the median
 
     @property
     def k_max(self) -> int:
@@ -111,7 +129,9 @@ def parse_model_config(text: str) -> ModelConfig:
 
 
 def _parse(text: str) -> tuple[ModelConfig, dict[str, int]]:
-    """The config and the line of each key it gives."""
+    """The config and the line of each key it gives. The values are
+    checked by :class:`ModelConfig`; a refusal is given the line of the
+    field it names."""
     values: dict = {}
     lines: dict[str, int] = {}
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -133,16 +153,11 @@ def _parse(text: str) -> tuple[ModelConfig, dict[str, int]]:
             if not tokens:
                 raise ConfigError(f"line {lineno}: {key} needs at least one value")
             ints = tuple(_parse_number(t, key, lineno, int) for t in tokens)
-            low = 2 if key == "n" else 1
-            if min(ints) < low:
-                raise ConfigError(f"line {lineno}: {key} must be >= {low}, got {min(ints)}")
             values[key] = ints[0]
             if len(ints) > 1:
                 values[key + "_list"] = ints
         elif key in ("seed", "max_potential", "replicates"):
             values[key] = _parse_number(raw, key, lineno, int)
-            if values[key] < 0:
-                raise ConfigError(f"line {lineno}: {key} must be >= 0, got {values[key]}")
         elif key == "percentiles" or (key == "phi" and raw not in PHI_PRESETS):
             values[key] = tuple(_parse_number(t, key, lineno) for t in raw.split())
         elif key == "phi":
@@ -150,36 +165,20 @@ def _parse(text: str) -> tuple[ModelConfig, dict[str, int]]:
         elif key == "gamma" and raw == "median":
             values[key] = None
         elif key in ("alpha", "gamma"):
-            value = values[key] = _parse_number(raw, key, lineno)
-            if not math.isfinite(value) or (key == "alpha" and value <= 0):
-                rule = "positive and finite" if key == "alpha" else "finite"
-                raise ConfigError(f"line {lineno}: {key} must be {rule}, got {value}")
+            values[key] = _parse_number(raw, key, lineno)
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
 
     if "n" not in values:
         raise ConfigError("missing required key 'n'")
-    cfg = ModelConfig(**values)
-
-    try:  # the rule radii_from_percentiles applies, with the line
-        _checked_percentiles(cfg.percentiles)
-    except ValueError as exc:
-        raise ConfigError(f"line {lines.get('percentiles', 0)}: {exc}") from None
-    if isinstance(cfg.phi, tuple):
-        phi_line = lines.get("phi", 0)
-        if len(cfg.phi) == cfg.k_max:
-            logger.warning(
-                "line %d: phi has a size-1 entry; dropping it", phi_line
-            )
-            cfg.phi = cfg.phi[1:]
-        if len(cfg.phi) != cfg.k_max - 1:
-            raise ConfigError(
-                f"line {phi_line}: phi needs {cfg.k_max - 1} values for sizes "
-                f"2..{cfg.k_max}, got {len(cfg.phi)}"
-            )
-        if any(not (0 <= x <= 1) for x in cfg.phi):
-            raise ConfigError(f"line {phi_line}: phi values must lie in [0, 1]")
-    return cfg, lines
+    phi, sizes = values.get("phi"), len(values.get("percentiles", ModelConfig.percentiles))
+    if isinstance(phi, tuple) and len(phi) == sizes + 1:
+        logger.warning("line %d: phi has a size-1 entry; dropping it", lines["phi"])
+        values["phi"] = phi[1:]
+    try:
+        return ModelConfig(**values), lines
+    except ValueError as exc:  # the message starts with the field's name
+        raise ConfigError(f"line {lines.get(str(exc).split()[0], 0)}: {exc}") from None
 
 
 def load_model_config(path) -> ModelConfig:

@@ -73,12 +73,16 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 < self.rho < 1):
-            raise ValueError(f"rho must be in (0, 1), got {self.rho}")
-        if self.d_hop < 2:
-            raise ValueError(f"d_hop must be >= 2, got {self.d_hop}")
-        if self.negative_ratio is not None and self.negative_ratio <= 0:
-            raise ValueError("negative_ratio must be positive or None")
+        """Refuse a bad value by its field's name (``ValueError``)."""
+        ratio = self.negative_ratio
+        for key, value, ok, rule in (
+            ("rho", self.rho, 0 < self.rho < 1, "in (0, 1)"),
+            ("d_hop", self.d_hop, self.d_hop >= 2, ">= 2"),
+            ("negative_ratio", ratio, ratio is None or 0 < ratio < math.inf, "finite and > 0"),
+            ("seed", self.seed, self.seed >= 0, ">= 0"),
+        ):
+            if not ok:
+                raise ValueError(f"{key} must be {rule}, got {value}")
 
 
 def _cross_class_counts(scores, labels, weights=None) -> tuple[float, float, float, float]:
@@ -332,10 +336,13 @@ def model_auc(pot: PotentialIndex, phi: Sequence[float], g: SimpleGraph) -> floa
     """
     if g.n != pot.n:
         raise ValueError(f"graph has {g.n} vertices; the candidate index has {pot.n}")
-    prob = link_probability_map(pot, phi)
-    labels = _pair_labels(g)
-    n_pos = int(labels.sum())
-    if n_pos == 0 or n_pos == len(labels):
+    return _ceiling_auc(link_probability_map(pot, phi), _pair_labels(g))
+
+
+def _ceiling_auc(prob: np.ndarray, labels: np.ndarray) -> float:
+    """:func:`auc` of the link probabilities ``prob`` against ``labels``;
+    0.5 when one class is empty."""
+    if labels.all() or not labels.any():
         return 0.5
     return auc(prob, labels)
 
@@ -364,10 +371,8 @@ def overestimation_scan(cfg: ModelConfig, scorers: Sequence[str]) -> list[ScanRo
     (:func:`~hyperlp.config.resolve_model`). Rows where the heuristic
     exceeds the model ceiling are flagged. Failures (e.g. the candidate
     cap, degenerate samples) are recorded per row and do not stop the
-    scan; an explicit phi without one value per size is refused first.
+    scan.
     """
-    if not isinstance(cfg.phi, str) and len(cfg.phi) != cfg.k_max - 1:
-        raise ValueError(f"phi has {len(cfg.phi)} values for {cfg.k_max - 1} percentiles")
     points = cfg.points()
     rows: list[ScanRow] = []
     for at, rep_seed in enumerate(spawn_seeds(cfg.seed, len(points) * cfg.replicates)):

@@ -62,7 +62,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .hypergraph import SimpleGraph, common_neighbor_hits
+from .hypergraph import SimpleGraph, _invalid_pairs, common_neighbor_hits
 from .latent import ResourceLimitError
 
 SCORER_IDS: tuple[str, ...] = ("cn", "aa", "pa", "jc", "ra", "sr")
@@ -291,7 +291,7 @@ def score_pairs_many(
         v = np.asarray(v, dtype=np.int64)
         if u.shape != v.shape or u.ndim != 1:
             raise ValueError("u and v must be 1-d arrays of equal length")
-        bad = np.flatnonzero((u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= g.n))
+        bad = np.flatnonzero(_invalid_pairs(g.n, u, v))
         if len(bad):
             a, b = int(u[bad[0]]), int(v[bad[0]])
             if a == b:

@@ -169,7 +169,7 @@ class SimpleGraph:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         pairs = edges if isinstance(edges, np.ndarray) else list(edges)
         u, v = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2).T
-        bad = np.flatnonzero((u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n))
+        bad = np.flatnonzero(_invalid_pairs(n, u, v))
         if len(bad):
             a, b = int(u[bad[0]]), int(v[bad[0]])
             if a == b:
@@ -276,9 +276,14 @@ def condensed_keys(n: int, u: ArrayLike, v: ArrayLike) -> np.ndarray:
     ``np.triu_indices(n, 1)`` order. Refuses a self-pair or an id outside
     ``0..n-1``, whose key would be another pair's (``ValueError``)."""
     u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
-    if np.any((u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n)):
+    if np.any(_invalid_pairs(n, u, v)):
         raise ValueError(f"pairs must be of distinct vertices in 0..{n - 1}")
     return _keys(n, u, v)
+
+
+def _invalid_pairs(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Whether each pair is not two distinct vertices in ``0..n-1``."""
+    return (u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n)
 
 
 def _keys(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:

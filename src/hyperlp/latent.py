@@ -143,10 +143,10 @@ def _checked_percentiles(percentiles: Sequence[float]) -> np.ndarray:
     pct = np.asarray(percentiles, dtype=np.float64)
     if pct.ndim != 1 or len(pct) == 0:
         raise ValueError("percentiles must be a nonempty 1-d sequence")
+    if not np.all((pct > 0) & (pct <= 100)):  # NaN too, before a difference of infinities
+        raise ValueError("percentiles must lie in (0, 100]")
     if np.any(np.diff(pct) <= 0):
         raise ValueError(f"percentiles must be strictly increasing, got {pct.tolist()}")
-    if not np.all((pct > 0) & (pct <= 100)):  # NaN too
-        raise ValueError("percentiles must lie in (0, 100]")
     return pct
 
 
@@ -229,15 +229,13 @@ def potential_from_candidates(
     return PotentialIndex(n=n, k_max=k_max, by_size=by_size)
 
 
-def _checked_phi(pot: PotentialIndex, phi: Sequence[float]) -> np.ndarray:
-    """``phi`` as an array, one probability in [0, 1] per size of ``pot``."""
+def _checked_phi(phi: Sequence[float], k_max: int) -> np.ndarray:
+    """``phi`` as an array, one probability in [0, 1] for each size ``2..k_max``."""
     phi = np.asarray(phi, dtype=np.float64)
-    if phi.shape != (pot.k_max - 1,):
-        raise ValueError(
-            f"phi has {phi.size} entries; expected {pot.k_max - 1} for sizes 2..{pot.k_max}"
-        )
+    if phi.shape != (k_max - 1,):
+        raise ValueError(f"phi needs {k_max - 1} values for sizes 2..{k_max}, got {phi.size}")
     if not np.all((phi >= 0) & (phi <= 1)):
-        raise ValueError(f"phi entries must lie in [0, 1], got {phi.tolist()}")
+        raise ValueError(f"phi values must lie in [0, 1], got {phi.tolist()}")
     return phi
 
 
@@ -245,7 +243,7 @@ def _kept_blocks(pot: PotentialIndex, phi: Sequence[float], seed: int) -> list[n
     """The candidates kept by one draw, one (m_s, s) array per size of
     ``pot.sizes``: each is kept independently with its size's
     probability."""
-    phi = _checked_phi(pot, phi)
+    phi = _checked_phi(phi, pot.k_max)
     rng = np.random.default_rng(seed)
     return [pot.by_size[s][rng.random(len(pot.by_size[s])) < phi[s - 2]] for s in pot.sizes]
 
@@ -307,7 +305,7 @@ def link_probability_map(pot: PotentialIndex, phi: Sequence[float]) -> np.ndarra
     probabilities multiply, size by size in order, each raised to the
     number of the size's candidates that hold the pair.
     """
-    miss = 1.0 - _checked_phi(pot, phi)
+    miss = 1.0 - _checked_phi(phi, pot.k_max)
     pairs = pot.n * (pot.n - 1) // 2
     missed = np.ones(pairs)
     for m, s in zip(miss, pot.sizes):  # one size's counts alive at a time

@@ -39,6 +39,7 @@ import numpy as np
 
 from .evaluation import (
     AucCount,
+    _ceiling_auc,
     _cross_class_counts,
     _pair_labels,
     _unwrap,
@@ -296,7 +297,7 @@ def verify_higher_order_auc_lift(
     they exist: leaving an edge out moves no common-neighbor count, so
     they are counts of the same scores and labels.
     """
-    phi = _checked_phi(pot, phi)
+    phi = _checked_phi(phi, pot.k_max)
     if phi[0] != 0:
         raise ValueError("this check needs the size-2 selection probability to be 0")
     if not pot.size_counts()[1:].any():
@@ -312,9 +313,8 @@ def verify_higher_order_auc_lift(
         g = clique_expand(sample_hypergraph(pot, phi, ts))
         scores, labels = score_pairs("cn", g), _pair_labels(g)
         draws.append((scores, labels))
-        both = labels.any() and not labels.all()
-        model_values.append(auc(prob, labels) if both else 0.5)  # as model_auc reads it
-        if both:
+        model_values.append(_ceiling_auc(prob, labels))  # as model_auc reads it
+        if labels.any() and not labels.all():
             loo_values.append(AucCount.of(scores, labels).auc)
 
     batch_aucs = []
@@ -359,7 +359,7 @@ def exact_ensemble_auc(
     m = len(cands)
     if m > max_candidates:
         raise ValueError(f"{m} candidates exceed the enumeration cap {max_candidates}")
-    phi = _checked_phi(pot, phi)
+    phi = _checked_phi(phi, pot.k_max)
     probs = np.array([phi[len(c) - 2] for c in cands])
 
     scores, labels, weights = [], [], []

@@ -1,9 +1,12 @@
 """End-to-end subcommand behavior, exit codes, and output determinism."""
 
+import contextlib
 import csv
 import hashlib
 import importlib.util
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,12 +14,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import oracle_relocate, random_hypergraph
 from hyperlp import cli, heuristics, latent, relocation
 from hyperlp.datasets import load_benson, load_plain, save_plain
 from hyperlp.cli import main
-from hyperlp.config import ConfigError, parse_model_config, resolve_model
+from hyperlp.config import ConfigError, ModelConfig, parse_model_config, resolve_model
+from hyperlp.evaluation import SplitSpec
 
 MODEL_CFG = """\
 n = 25
@@ -44,6 +50,47 @@ def cfg_file(tmp_path):
 def read_csv(path):
     with open(path) as fh:
         return list(csv.reader(fh))
+
+
+def _cfg_text(value) -> str:
+    """A config value as its line writes it; ``repr`` of a float reads back exactly."""
+    return " ".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+
+
+def _refused(check) -> bool:
+    try:
+        check()
+    except ValueError:
+        return True
+    return False
+
+
+# (key, a value its rule refuses); phi is for percentiles 5 15, and never of
+# three values, which the parser would read as a size-1 entry and drop
+_FLOATS = st.floats(-10, 200) | st.sampled_from([math.nan, math.inf, -math.inf])
+BAD_CONFIG_VALUES = st.one_of(
+    st.tuples(st.just("n"), st.integers(-5, 1)),
+    st.tuples(
+        st.just("n"),
+        st.lists(st.integers(-5, 40), min_size=2, max_size=4).map(tuple).filter(lambda g: min(g) < 2),
+    ),
+    st.tuples(st.just("d"), st.integers(-5, 0)),
+    st.tuples(st.sampled_from(["seed", "max_potential", "replicates"]), st.integers(-10**6, -1)),
+    st.tuples(st.just("alpha"), st.floats(max_value=0) | st.sampled_from([math.inf, math.nan])),
+    st.tuples(st.just("gamma"), st.sampled_from([math.inf, -math.inf, math.nan])),
+    st.tuples(
+        st.just("percentiles"),
+        st.lists(_FLOATS, max_size=4).map(tuple).filter(
+            lambda p: _refused(lambda: ModelConfig(n=10, percentiles=p))
+        ),
+    ),
+    st.tuples(
+        st.just("phi"),
+        st.lists(_FLOATS, min_size=1, max_size=4).map(tuple).filter(
+            lambda p: len(p) != 3 and (len(p) != 2 or not all(0 <= x <= 1 for x in p))
+        ),
+    ),
+)
 
 
 class TestConfigParsing:
@@ -85,6 +132,31 @@ class TestConfigParsing:
     def test_grid_value_out_of_range(self, text, message):
         with pytest.raises(ConfigError, match=f"^{message}$"):
             parse_model_config(text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=BAD_CONFIG_VALUES)
+    def test_record_rule_with_the_line(self, case):
+        # the record refuses by the field's name; the parser only adds the line
+        key, value = case
+        if key == "n":
+            grid = value if isinstance(value, tuple) else (value,)
+            fields = {"n": grid[0], "n_list": grid if len(grid) > 1 else ()}
+            text, line = f"n = {_cfg_text(value)}\n", 1
+        else:
+            fields = {"n": 10, "percentiles": (5.0, 15.0), key: value}
+            text = "".join(f"{k} = {_cfg_text(v)}\n" for k, v in fields.items())
+            line = list(fields).index(key) + 1
+        with pytest.raises(ValueError) as built:
+            ModelConfig(**fields)
+        message = str(built.value)
+        assert message.startswith(f"{key} ")
+        with pytest.raises(ConfigError) as parsed:
+            parse_model_config(text)
+        assert str(parsed.value) == f"line {line}: {message}"
+
+    def test_unknown_phi_preset_refused_when_built(self):
+        with pytest.raises(ValueError, match="^phi must be one of power_law, .*, got 'zipf'$"):
+            ModelConfig(n=10, phi="zipf")
 
 
 class TestEvaluate:
@@ -146,6 +218,33 @@ class TestEvaluate:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        command=st.sampled_from(["evaluate", "adjust"]),
+        protocol=st.sampled_from(["loo", "split"]),
+        case=st.one_of(
+            st.tuples(st.just("rho"), st.floats(max_value=0) | st.floats(min_value=1)
+                      | st.just(math.nan)),
+            st.tuples(st.just("d_hop"), st.integers(-5, 1)),
+            st.tuples(st.just("negative_ratio"), st.floats(max_value=0)
+                      | st.sampled_from([math.inf, math.nan])),
+        ),
+    )
+    def test_spec_rule_with_the_flag(self, command, protocol, case):
+        # the record refuses by the field's name; the CLI only renames it to
+        # the flag, for either protocol, before the (missing) data is read
+        key, value = case
+        with pytest.raises(ValueError) as built:
+            SplitSpec(**{key: value})
+        field, rule = str(built.value).split(" ", 1)
+        assert field == key
+        flag = "--" + key.replace("_", "-")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--data", "missing.hyg", "--protocol", protocol,
+                         f"{flag}={value!r}"])
+        assert (code, err.getvalue()) == (2, f"error: {flag} {rule}\n")
 
     def test_unknown_algorithm_usage_error(self, toy_file):
         with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,7 @@ exact-probability ceiling."""
 
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
@@ -26,6 +27,7 @@ from hyperlp import (
     ModelConfig,
     SimpleGraph,
     SplitSpec,
+    adjusted_auc,
     auc,
     auc_conditional,
     clique_expand,
@@ -754,6 +756,22 @@ class TestSplitEvaluate:
         with pytest.raises(ValueError):
             SplitSpec(d_hop=1)
 
+    @pytest.mark.parametrize("reader", [
+        lambda spec: evaluate_protocol(SimpleGraph(4, [(0, 1), (1, 2)]), ["cn"], spec()),
+        lambda spec: adjusted_auc(Hypergraph(4, [(0, 1), (1, 2)]), ["cn"], spec(), n_runs=1),
+    ], ids=["evaluate_protocol", "adjusted_auc"])
+    @pytest.mark.parametrize("field, value, message", [
+        ("negative_ratio", math.nan, "negative_ratio must be finite and > 0, got nan"),
+        ("negative_ratio", math.inf, "negative_ratio must be finite and > 0, got inf"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+    ])
+    def test_bad_spec_refused_when_built(self, reader, field, value, message):
+        # a NaN ratio filled every scorer's slot with "cannot convert float
+        # NaN to integer", an infinite one with an OverflowError, and a
+        # negative seed failed inside numpy
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            reader(lambda: SplitSpec(**{field: value}))
+
 
 class TestModelAuc:
     def test_three_vertex_pairs_only(self):
@@ -786,7 +804,7 @@ class TestModelAuc:
 
     def test_wrong_phi_length_rejected(self):
         pot = potential_from_candidates(4, [(0, 1), (1, 2, 3)], k_max=3)
-        with pytest.raises(ValueError, match="expected 2 for sizes 2..3"):
+        with pytest.raises(ValueError, match="phi needs 2 values for sizes 2..3, got 1"):
             model_auc(pot, [0.9], SimpleGraph(4, [(0, 1)]))
 
     def test_vertex_count_mismatch_rejected(self):
@@ -840,16 +858,21 @@ class TestOverestimationScan:
         assert [r.model_auc for r in sr] == [r.model_auc for r in cn]
 
     @pytest.mark.parametrize("phi", [(0.3,), (0.3, 0.3, 0.3)])
-    def test_phi_length_refused_before_any_draw(self, monkeypatch, phi):
-        # a hand-built config is not parsed, so the scan checks phi itself;
-        # otherwise every row would carry the same error
-        def no_draw(*args):
-            raise AssertionError("a model was resolved")
+    def test_phi_length_refused_when_built(self, phi):
+        # the config refuses it, so no scan can start on it
+        with pytest.raises(ValueError, match="^phi needs 2 values for sizes 2..3, got "):
+            ModelConfig(n=20, percentiles=(5.0, 15.0), phi=phi, replicates=3)
 
-        monkeypatch.setattr(evaluation, "resolve_model", no_draw)
-        cfg = ModelConfig(n=20, percentiles=(5.0, 15.0), phi=phi, replicates=3)
-        with pytest.raises(ValueError, match="phi has .* values for 2 percentiles"):
-            overestimation_scan(cfg, ["cn"])
+    @pytest.mark.parametrize("field, value, message", [
+        ("alpha", math.inf, "alpha must be positive and finite, got inf"),
+        ("replicates", -1, "replicates must be >= 0, got -1"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+    ])
+    def test_bad_value_refused_when_built(self, field, value, message):
+        # each was built and scanned: alpha = inf gave two rows carrying
+        # its error, and the other two failed in numpy, naming no field
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ModelConfig(**{"n": 20, "replicates": 2, field: value})
 
     @pytest.mark.parametrize("phi", ["hoff_sigmoid", "empirical", (0.2, 0.1)])
     def test_rows_are_the_resolved_model(self, phi):

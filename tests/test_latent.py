@@ -436,7 +436,7 @@ class TestLinkProbability:
     def test_wrong_phi_length_rejected(self):
         pot = potential_from_candidates(5, [(0, 1, 2, 3)])  # k_max = 4
         for phi in ([0.5], [0.5] * 4, 0.5):
-            with pytest.raises(ValueError, match="expected 3 for sizes 2..4"):
+            with pytest.raises(ValueError, match="phi needs 3 values for sizes 2..4"):
                 link_probability_map(pot, phi)
 
     @settings(max_examples=60, deadline=None)
@@ -564,7 +564,7 @@ class TestEdgeDistanceProfile:
     def test_wrong_phi_length_rejected(self):
         pot = build_potential(TEN_DIST, [0.5, 0.8])
         for phi in ([0.5], [0.5, 0.5, 0.5]):
-            with pytest.raises(ValueError, match="phi has"):
+            with pytest.raises(ValueError, match="phi needs"):
                 edge_distance_profile(pot, phi, TEN_DIST, n_trials=2)
 
     def test_mismatched_index_rejected(self):
@@ -572,7 +572,7 @@ class TestEdgeDistanceProfile:
         with pytest.raises(ValueError, match="candidate index"):
             edge_distance_profile(pot, [0.5, 0.5], TEN_DIST)
         # an index of another k_max meets phi as a vector of the wrong length
-        with pytest.raises(ValueError, match="phi has"):
+        with pytest.raises(ValueError, match="phi needs"):
             edge_distance_profile(build_potential(TEN_DIST, [0.5]), [0.5, 0.5], TEN_DIST)
 
     def test_generator_exceeds_sigmoid_in_mid_range(self):
@@ -614,7 +614,7 @@ PHI_READERS = {
 def test_phi_outside_unit_interval_or_of_wrong_length_rejected(reader, phi):
     # a phi of 1.5 read 1.25 as a link probability, and -0.2 read 0.4
     # where 0.5 is right, before the range check
-    with pytest.raises(ValueError, match="phi (entries must lie in|has 3 entries)"):
+    with pytest.raises(ValueError, match="phi (values must lie in|needs 2 values for sizes 2..3, got 3)"):
         PHI_READERS[reader](phi)
 
 
