@@ -30,6 +30,7 @@ from .latent import (
     DEFAULT_MAX_POTENTIAL,
     PHI_PRESETS,
     HoffParams,
+    _at_least,
     _checked_percentiles,
     _checked_phi,
     build_potential,
@@ -67,12 +68,9 @@ class ModelConfig:
         """Refuse a bad value by its field's name (``ValueError``), so a
         hand-built config and a parsed one meet the same rules."""
         for key, low in (("n", 2), ("d", 1)):
-            least = min((getattr(self, key), *getattr(self, key + "_list")))
-            if least < low:
-                raise ValueError(f"{key} must be >= {low}, got {least}")
+            _at_least(key, min((getattr(self, key), *getattr(self, key + "_list"))), low)
         for key in ("seed", "max_potential", "replicates"):
-            if getattr(self, key) < 0:
-                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
+            _at_least(key, getattr(self, key), 0)
         _checked_percentiles(self.percentiles)
         if isinstance(self.phi, str):
             if self.phi not in PHI_PRESETS:

@@ -14,7 +14,7 @@ and :func:`group_pair_keys` lists the pairs inside vertex groups, each
 once per group holding it, so a pair's count is its entry of ``H.T @ H``
 for the group-by-vertex incidence ``H`` (Zhou, Huang & Schölkopf, NIPS
 2006): clique expansion is the distinct keys, and the latent generator's
-coverage counts are their ``bincount``. Where a graph's pairs are few
+coverage counts are their multiplicities. Where a graph's pairs are few
 beside its wedges (:func:`packs`), its rows are packed into bits instead
 (:func:`packed_rows`): the OR of a vertex's neighbor rows is its two-hop
 reach (:func:`reach_mark`), and the bits set in ANDed rows
@@ -39,7 +39,8 @@ from numpy.typing import ArrayLike
 WEDGE_BLOCK = 1 << 21
 # Bytes of packed rows gathered, ANDed or unpacked at a time: 1 MB chunks
 # stay in a core's 2 MB L2 cache; at n=5,000 on a 2-vCPU Xeon they reduce
-# the neighbor rows in a third of the time 16 MB chunks take
+# the neighbor rows in a third of the time 16 MB chunks take. Also the most
+# pair keys the latent generator's coverage counts take at a time.
 ROW_BLOCK = 1 << 20
 
 

@@ -19,8 +19,8 @@ the size-``s`` candidates containing both ``i`` and ``j``,
 
 :func:`link_probability_map` computes it for every pair at once, as one
 array in condensed order (:func:`~hyperlp.hypergraph.condensed_keys`):
-``S_s`` is a ``bincount`` of the size's
-:func:`~hyperlp.hypergraph.group_pair_keys`.
+``S_s`` counts the size's :func:`~hyperlp.hypergraph.group_pair_keys`.
+:func:`edge_distance_profile` bins that map by distance.
 
 The sigmoid pairwise model (Hoff, Raftery & Handcock, JASA 2002) is the
 comparison baseline: :func:`hoff_edge_probability` evaluates it, and
@@ -35,10 +35,10 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import hypergraph
 from .hypergraph import (
     Hypergraph,
     condensed_pairs,
-    distinct_keys,
     group_pair_keys,
     packed_rows,
     row_hits,
@@ -100,10 +100,16 @@ class HoffParams:
             raise ValueError(f"gamma must be finite, got {self.gamma}")
 
 
+def _at_least(name: str, value: int, low: int) -> None:
+    """Refuse ``value`` below ``low`` by its ``name`` (``ValueError``)."""
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 def sample_latents(n: int, d: int, seed: int) -> np.ndarray:
     """Draw ``n`` i.i.d. standard-normal points in ``R^d``."""
-    if n < 2 or d < 1:
-        raise ValueError(f"need n >= 2 and d >= 1, got n={n}, d={d}")
+    _at_least("n", n, 2)
+    _at_least("d", d, 1)
     return np.random.default_rng(seed).standard_normal((n, d))
 
 
@@ -239,19 +245,12 @@ def _checked_phi(phi: Sequence[float], k_max: int) -> np.ndarray:
     return phi
 
 
-def _kept_blocks(pot: PotentialIndex, phi: Sequence[float], seed: int) -> list[np.ndarray]:
-    """The candidates kept by one draw, one (m_s, s) array per size of
-    ``pot.sizes``: each is kept independently with its size's
-    probability."""
-    phi = _checked_phi(phi, pot.k_max)
-    rng = np.random.default_rng(seed)
-    return [pot.by_size[s][rng.random(len(pot.by_size[s])) < phi[s - 2]] for s in pot.sizes]
-
-
 def sample_hypergraph(pot: PotentialIndex, phi: Sequence[float], seed: int) -> Hypergraph:
     """Keep each candidate hyperedge independently with its per-size
     probability. Deterministic for a fixed seed."""
-    kept = _kept_blocks(pot, phi, seed)
+    phi = _checked_phi(phi, pot.k_max)
+    rng = np.random.default_rng(seed)
+    kept = [pot.by_size[s][rng.random(len(pot.by_size[s])) < phi[s - 2]] for s in pot.sizes]
     sizes = np.repeat(pot.sizes, [len(block) for block in kept])
     return Hypergraph.from_arrays(pot.n, sizes, np.concatenate([b.ravel() for b in kept]))
 
@@ -303,13 +302,22 @@ def link_probability_map(pot: PotentialIndex, phi: Sequence[float]) -> np.ndarra
     One minus the probability that every candidate covering the pair is
     rejected; candidate selections are independent, so the miss
     probabilities multiply, size by size in order, each raised to the
-    number of the size's candidates that hold the pair.
+    number of the size's candidates that hold the pair. Those counts are
+    added in row chunks of at most ``hypergraph.ROW_BLOCK`` pair keys, so
+    the key temporaries stay bounded (``np.add.at`` scatters a chunk
+    without a pair-sized ``bincount``); integer sums are exact, so every
+    chunking gives the same map.
     """
     miss = 1.0 - _checked_phi(phi, pot.k_max)
     pairs = pot.n * (pot.n - 1) // 2
     missed = np.ones(pairs)
     for m, s in zip(miss, pot.sizes):  # one size's counts alive at a time
-        missed *= m ** np.bincount(group_pair_keys(pot.n, pot.by_size[s]), minlength=pairs)
+        rows = pot.by_size[s]
+        per = max(hypergraph.ROW_BLOCK // (s * (s - 1) // 2), 1)  # rows per chunk
+        counts = np.zeros(pairs, dtype=np.int64)
+        for lo in range(0, len(rows), per):
+            np.add.at(counts, group_pair_keys(pot.n, rows[lo : lo + per]), 1)
+        missed *= m**counts
     return 1.0 - missed
 
 
@@ -342,7 +350,7 @@ def default_hoff_params(dist: np.ndarray, alpha: float = DEFAULT_HOFF_ALPHA) -> 
 
 @dataclass
 class DistanceProfile:
-    """Edge frequency by pairwise distance, for the generator and for the
+    """Link probability by pairwise distance, for the generator and for the
     sigmoid baseline at the same distances."""
 
     bin_edges: np.ndarray
@@ -351,48 +359,36 @@ class DistanceProfile:
     model_freq: np.ndarray
     hoff_prob: np.ndarray
     hoff_params: HoffParams
-    n_trials: int
 
 
 def edge_distance_profile(
     pot: PotentialIndex,
     phi: Sequence[float],
     dist: np.ndarray,
-    seed: int = 0,
-    n_trials: int = 100,
     bins: int = 20,
     hoff: HoffParams | None = None,
 ) -> DistanceProfile:
-    """Empirical probability that a pair at a given distance becomes an
-    edge, binned by distance, against the sigmoid baseline at bin centers.
+    """Exact probability that a pair at a given distance becomes an edge,
+    binned by distance, against the sigmoid baseline at bin centers.
 
     ``pot`` is the candidate index built from the condensed distances
-    ``dist`` (see :func:`build_potential`), ``phi`` its per-size keep
-    rates, and the ``n_trials`` draws take their seeds from ``seed``;
-    ``hoff`` defaults to :func:`default_hoff_params` of ``dist``. Pairs
-    farther apart than twice the largest radius can never be covered, so
-    their frequency is exactly zero by construction.
+    ``dist`` (see :func:`build_potential`) and ``phi`` its per-size keep
+    rates; ``model_freq`` is the mean of :func:`link_probability_map` over
+    each bin's pairs. ``hoff`` defaults to :func:`default_hoff_params` of
+    ``dist``. Pairs farther apart than twice the largest radius can never
+    be covered, so their probability is exactly zero by construction.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
     n = pot.n
     if len(dist) != n * (n - 1) // 2:
         raise ValueError(f"the candidate index has n={n}; {len(dist)} distances are not its pairs")
     hoff = hoff or default_hoff_params(dist)
-
-    hits = np.zeros(len(dist), dtype=np.int64)
-    for ts in spawn_seeds(seed, n_trials):  # each draw's covered pairs, no Hypergraph
-        keys = [group_pair_keys(n, block) for block in _kept_blocks(pot, phi, ts)]
-        hits[distinct_keys(np.concatenate(keys))] += 1
-    freq = hits / n_trials
+    prob = link_probability_map(pot, phi)
 
     edges = np.histogram_bin_edges(dist, bins=bins)
     which = np.clip(np.digitize(dist, edges) - 1, 0, len(edges) - 2)
     counts = np.bincount(which, minlength=len(edges) - 1)
-    sums = np.bincount(which, weights=freq, minlength=len(edges) - 1)
-    model_freq = np.divide(
-        sums, counts, out=np.zeros(len(edges) - 1), where=counts > 0
-    )
+    sums = np.bincount(which, weights=prob, minlength=len(edges) - 1)
+    model_freq = np.divide(sums, counts, out=np.zeros(len(edges) - 1), where=counts > 0)
     centers = 0.5 * (edges[:-1] + edges[1:])
     return DistanceProfile(
         bin_edges=edges,
@@ -401,5 +397,4 @@ def edge_distance_profile(
         model_freq=model_freq,
         hoff_prob=np.asarray(hoff_edge_probability(hoff, centers)),
         hoff_params=hoff,
-        n_trials=n_trials,
     )

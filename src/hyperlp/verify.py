@@ -50,6 +50,7 @@ from .heuristics import score_pairs
 from .hypergraph import Hypergraph, SimpleGraph, clique_expand, width
 from .latent import (
     PotentialIndex,
+    _at_least,
     _checked_phi,
     link_probability_map,
     sample_hypergraph,
@@ -109,8 +110,7 @@ def _mean_ci(values: Sequence[float]) -> tuple[float, float, float, float]:
 def er_sample(n: int, p: float, seed: int) -> SimpleGraph:
     """Erdos-Renyi graph: each pair is an edge independently with
     probability p."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    _at_least("n", n, 2)
     if not (0 <= p <= 1):
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
     rng = np.random.default_rng(seed)

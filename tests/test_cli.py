@@ -935,7 +935,7 @@ class TestOneDistancePass:
         dist = latent.pairwise_distances(latent.sample_latents(30, 2, 5))
         radii = latent.radii_from_percentiles(dist, [4, 10])
         pot = latent.build_potential(dist, radii)
-        prof = latent.edge_distance_profile(pot, [0.5, 0.3], dist, n_trials=3, hoff=None)
+        prof = latent.edge_distance_profile(pot, [0.5, 0.3], dist, hoff=None)
         assert prof.hoff_params == latent.default_hoff_params(dist)
         assert distance_passes == [30]
 

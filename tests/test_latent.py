@@ -15,11 +15,13 @@ from scipy.spatial.distance import pdist, squareform
 from hyperlp import (
     HoffParams,
     Hypergraph,
+    ModelConfig,
     ResourceLimitError,
     build_potential,
     clique_expand,
     default_hoff_params,
     edge_distance_profile,
+    er_sample,
     exact_ensemble_auc,
     hoff_clique_probability,
     hoff_edge_probability,
@@ -99,6 +101,23 @@ class TestSampleLatents:
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
             sample_latents(1, 2, 0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ModelConfig(n=1), "n must be >= 2, got 1"),
+        (lambda: ModelConfig(n=5, d=0), "d must be >= 1, got 0"),
+        (lambda: sample_latents(1, 2, 0), "n must be >= 2, got 1"),
+        (lambda: sample_latents(5, 0, 0), "d must be >= 1, got 0"),
+        (lambda: er_sample(1, 0.5, 0), "n must be >= 2, got 1"),
+    ],
+    ids=["config-n", "config-d", "latents-n", "latents-d", "er-n"],
+)
+def test_vertex_count_rule_has_one_wording(call, message):
+    # each public entry point keeps its own check, in the config's words
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 class TestSpawnSeeds:
@@ -397,6 +416,18 @@ class TestPhiPresets:
             phi_preset("bogus", k_max=3)
 
 
+def draw_small_model(data):
+    """``(n, pot, phi)``: up to 10 candidates of sizes 2..4 on 2..6
+    vertices, ``k_max`` up to 5, and phi entries of 0, 1 or in between."""
+    n = data.draw(st.integers(2, 6))
+    candidate = st.lists(st.integers(0, n - 1), min_size=2, max_size=min(n, 4), unique=True)
+    candidates = data.draw(st.lists(candidate, max_size=10))
+    k_max = data.draw(st.integers(max([2] + [len(c) for c in candidates]), 5))
+    entry = st.sampled_from([0.0, 1.0]) | st.floats(0, 1)
+    phi = data.draw(st.lists(entry, min_size=k_max - 1, max_size=k_max - 1))
+    return n, potential_from_candidates(n, candidates, k_max=k_max), phi
+
+
 class TestLinkProbability:
     # a pair's probability is the map's entry at its condensed key
 
@@ -445,13 +476,7 @@ class TestLinkProbability:
         # every one of the 2^m selections of up to 10 candidates, weighed,
         # at every pair: pairs no candidate covers, and sizes always or
         # never kept, included
-        n = data.draw(st.integers(2, 6))
-        candidate = st.lists(st.integers(0, n - 1), min_size=2, max_size=min(n, 4), unique=True)
-        candidates = data.draw(st.lists(candidate, max_size=10))
-        k_max = data.draw(st.integers(max([2] + [len(c) for c in candidates]), 5))
-        entry = st.sampled_from([0.0, 1.0]) | st.floats(0, 1)
-        phi = data.draw(st.lists(entry, min_size=k_max - 1, max_size=k_max - 1))
-        pot = potential_from_candidates(n, candidates, k_max=k_max)
+        n, pot, phi = draw_small_model(data)
         kept = pot.all_candidates()
         prob = link_probability_map(pot, phi)
         assert prob.dtype == np.float64 and prob.shape == (n * (n - 1) // 2,)
@@ -463,6 +488,17 @@ class TestLinkProbability:
                 assert prob[key] == float(any(phi[s - 2] == 1.0 for s in sizes))
             # either orientation keys the pair's entry
             assert condensed_keys(n, i, j) == condensed_keys(n, j, i) == key
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 4))
+    def test_chunked_counts_equal_one_chunk(self, data, block):
+        # a ROW_BLOCK of 1..4 keys counts a size in chunks of one row, or
+        # of a few; the counts are exact integers, so the map is bit-equal
+        _, pot, phi = draw_small_model(data)
+        whole = link_probability_map(pot, phi)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hyperlp.hypergraph, "ROW_BLOCK", block)
+            assert np.array_equal(link_probability_map(pot, phi), whole)
 
 
 class TestHoffModel:
@@ -528,44 +564,64 @@ class TestHoffModel:
         assert params.gamma == pytest.approx(float(np.median(pdist(pts))))
 
 
+def profile_model(n, seed, percentiles):
+    """``(dist, pot, phi)``: ``n`` points in d=2 from ``seed``, candidates at
+    the radii of ``percentiles``, and the ``power_law`` phi."""
+    dist = pairwise_distances(sample_latents(n, 2, seed))
+    pot = build_potential(dist, radii_from_percentiles(dist, percentiles))
+    return dist, pot, phi_preset("power_law", k_max=len(percentiles) + 1)
+
+
 class TestEdgeDistanceProfile:
     def test_phi_zero_gives_zero_profile(self):
         pot = build_potential(TEN_DIST, [0.5, 0.8])
-        prof = edge_distance_profile(pot, [0.0, 0.0], TEN_DIST, n_trials=10, bins=5)
+        prof = edge_distance_profile(pot, [0.0, 0.0], TEN_DIST, bins=5)
         assert np.all(prof.model_freq == 0)
         assert prof.hoff_params == default_hoff_params(TEN_DIST)
 
     def test_pairs_beyond_reach_never_link(self):
         pot = build_potential(TEN_DIST, [0.5, 0.8])
-        prof = edge_distance_profile(pot, [1.0, 1.0], TEN_DIST, n_trials=5, bins=30)
+        prof = edge_distance_profile(pot, [1.0, 1.0], TEN_DIST, bins=30)
         reach = 2 * 0.8
         beyond = prof.bin_edges[:-1] > reach
         assert np.all(prof.model_freq[beyond] == 0)
 
-    def test_hits_are_expansions_of_sampled_hypergraphs(self):
-        # each trial counts the edges of clique_expand(sample_hypergraph)
-        # on its trial seed; with many bins, the per-bin means pin the
-        # per-pair hit counts
-        pts = sample_latents(30, 2, 5)
-        dist = pairwise_distances(pts)
-        radii = radii_from_percentiles(dist, [4, 10, 16])
-        phi = phi_preset("power_law", k_max=4)
-        pot = build_potential(dist, radii)
-        prof = edge_distance_profile(pot, phi, dist, seed=5, n_trials=8, bins=300)
-        hits = np.zeros(30 * 29 // 2, dtype=np.int64)
-        for ts in np.random.default_rng(5).integers(0, 2**63 - 1, size=8):
-            hits[clique_expand(sample_hypergraph(pot, phi, int(ts))).edge_keys()] += 1
-        assert hits.any() and not (hits == 8).all()
-        which = np.clip(np.digitize(pdist(pts), prof.bin_edges) - 1, 0, 299)
-        sums = np.bincount(which, weights=hits / 8, minlength=300)
-        want = np.divide(sums, prof.pair_counts, out=np.zeros(300), where=prof.pair_counts > 0)
-        assert np.array_equal(prof.model_freq, want)
+    def test_model_freq_is_bin_means_of_link_map(self):
+        # with many bins, each bin's mean is the left-to-right sum of the
+        # map over its pairs (edges[b] <= d < edges[b + 1], the top bin
+        # closed), over its pair count
+        dist, pot, phi = profile_model(30, 5, [4, 10, 16])
+        prof = edge_distance_profile(pot, phi, dist, bins=300)
+        prob = link_probability_map(pot, phi)
+        assert 0 < prob.max() and prob.min() < 1
+        edges = prof.bin_edges
+        for b in range(300):
+            inside = (dist >= edges[b]) & ((dist < edges[b + 1]) | (b == 299))
+            assert prof.pair_counts[b] == inside.sum()
+            want = np.cumsum(prob[inside])[-1] / inside.sum() if inside.any() else 0.0
+            assert prof.model_freq[b] == want
+
+    def test_sampled_hit_frequency_agrees_with_map(self):
+        # the estimator the profile used to be: over 200 draws, each pair's
+        # share of clique expansions holding it lies within five binomial
+        # standard deviations, plus one draw, of its exact probability
+        dist, pot, phi = profile_model(30, 5, [4, 10, 16])
+        trials = 200
+        hits = np.zeros(len(dist), dtype=np.int64)
+        for ts in spawn_seeds(5, trials):
+            hits[clique_expand(sample_hypergraph(pot, phi, ts)).edge_keys()] += 1
+        prob = link_probability_map(pot, phi)
+        freq = hits / trials
+        assert ((0 < prob) & (prob < 1)).sum() > 50
+        bound = 5 * np.sqrt(prob * (1 - prob) / trials) + 1 / trials
+        assert np.all(np.abs(freq - prob) <= bound)
+        assert np.array_equal(freq[prob == 0], prob[prob == 0])  # never covered, never hit
 
     def test_wrong_phi_length_rejected(self):
         pot = build_potential(TEN_DIST, [0.5, 0.8])
         for phi in ([0.5], [0.5, 0.5, 0.5]):
             with pytest.raises(ValueError, match="phi needs"):
-                edge_distance_profile(pot, phi, TEN_DIST, n_trials=2)
+                edge_distance_profile(pot, phi, TEN_DIST)
 
     def test_mismatched_index_rejected(self):
         pot = build_potential(pdist(TEN_POINTS[:9]), [0.5, 0.8])
@@ -576,14 +632,11 @@ class TestEdgeDistanceProfile:
             edge_distance_profile(build_potential(TEN_DIST, [0.5]), [0.5, 0.5], TEN_DIST)
 
     def test_generator_exceeds_sigmoid_in_mid_range(self):
-        # statistical comparison in the band between the pair and top reach
-        rng_pts = sample_latents(120, 2, 33)
-        dist = pairwise_distances(rng_pts)
-        radii = radii_from_percentiles(dist, [1, 5, 9, 13])
-        pot = build_potential(dist, radii)
-        phi = phi_preset("power_law", k_max=5)
+        # the band between the pair reach and the top reach
+        dist, pot, phi = profile_model(120, 33, [1, 5, 9, 13])
         hoff = default_hoff_params(dist)
-        prof = edge_distance_profile(pot, phi, dist, seed=33, n_trials=30, bins=25, hoff=hoff)
+        prof = edge_distance_profile(pot, phi, dist, bins=25, hoff=hoff)
+        radii = radii_from_percentiles(dist, [1, 5, 9, 13])
         band = (prof.bin_centers >= 2 * radii[0]) & (prof.bin_centers <= 2 * radii[-1])
         assert band.any()
         assert prof.model_freq[band].mean() >= prof.hoff_prob[band].mean()

@@ -13,7 +13,10 @@ and every ``scan`` replicate call (positions, distances, radii,
 candidates, offset), then the ``tracemalloc`` peak of one more, then that
 call's candidate count per size and the first 16 hex digits of the
 sha256 of its candidate arrays, concatenated in size order, so two
-builds can be checked for identical candidates.
+builds can be checked for identical candidates. Two more lines give the
+same best time and peak for the model's exact link probabilities,
+``link_probability_map(pot, phi)``, and for its distance profile,
+``edge_distance_profile(pot, phi, dist, hoff=hoff)``.
 
 The NDC-sized input is drawn from ``numpy.random.default_rng(0)``:
 n=5,556 vertices and 112,919 hyperedges of sizes 2..12 with P(k) ∝
@@ -63,6 +66,12 @@ from hyperlp.config import ModelConfig, resolve_model
 from hyperlp.evaluation import SplitSpec, evaluate_protocol, protocol_scores
 from hyperlp.heuristics import score_pairs_many
 from hyperlp.hypergraph import Hypergraph, clique_expand, wedge_count
+from hyperlp.latent import (
+    edge_distance_profile,
+    link_probability_map,
+    pairwise_distances,
+    sample_latents,
+)
 
 N, M = 5556, 112919
 SCORERS = ("cn", "aa", "pa")
@@ -114,9 +123,18 @@ def timed(label: str, call, repeat: int = 1):
 
 def main() -> None:
     for cfg, repeat in MODELS:
-        pot = timed(f"model resolution, n={cfg.n}", lambda: resolve_model(cfg, cfg.seed), repeat)[1]
+        _, pot, phi, hoff = timed(
+            f"model resolution, n={cfg.n}", lambda: resolve_model(cfg, cfg.seed), repeat
+        )
         digest = hashlib.sha256(b"".join(pot.by_size[s].tobytes() for s in pot.sizes))
         print(f"  candidates per size {pot.size_counts().tolist()}, sha256 {digest.hexdigest()[:16]}")
+        dist = pairwise_distances(sample_latents(cfg.n, cfg.d, cfg.seed))
+        timed("  link_probability_map", lambda: link_probability_map(pot, phi), repeat)
+        timed(
+            "  edge_distance_profile",
+            lambda: edge_distance_profile(pot, phi, dist, hoff=hoff),
+            repeat,
+        )
 
     g = clique_expand(ndc_sized())
     print(f"n={g.n} edges={g.edge_count} wedges={wedge_count(g):.3g}")
