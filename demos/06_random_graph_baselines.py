@@ -10,10 +10,9 @@ licenses relocation as a baseline.
 Run:  python3 demos/06_random_graph_baselines.py
 """
 
-import numpy as np
-
 from hyperlp import (
     Hypergraph,
+    relocate,
     verify_er_auc_baseline,
     verify_er_clustering,
     verify_er_common_neighbors,
@@ -35,9 +34,6 @@ for scorer, ts in verify_er_auc_baseline(100, 0.1, trials=60, seed=3).items():
     print(f"  {scorer}: {ts.statistic:.4f} -> {ts.verdict}")
 
 print("\nrelocated AUC on a random pair-only hypergraph (200 pairs, 100 vertices):")
-rng = np.random.default_rng(4)
-edges = [[int(a), int(b)] for a, b in (rng.choice(100, 2, replace=False) for _ in range(200))]
-for scorer, ts in verify_relocation_baseline(
-    Hypergraph(100, edges), scorers=("cn", "aa"), runs=30, seed=5
-).items():
+pairs = relocate(Hypergraph(100, [[0, 1]] * 200), seed=4)  # 200 uniform random pairs
+for scorer, ts in verify_relocation_baseline(pairs, scorers=("cn", "aa"), runs=30, seed=5).items():
     print(f"  {scorer}: {ts.statistic:.4f} -> {ts.verdict}")

@@ -63,7 +63,7 @@ from .evaluation import AucCount, SplitSpec, evaluate_protocol, overestimation_s
 from .heuristics import SCORER_IDS
 from .hypergraph import Hypergraph, clique_expand, size_distribution
 from .latent import ResourceLimitError, sample_hypergraph
-from .relocation import AdjustmentReport, adjusted_auc, performance_reversal_check
+from .relocation import AdjustmentReport, adjusted_auc, performance_reversal_check, relocate
 from .verify import (
     verify_er_auc_baseline,
     verify_er_clustering,
@@ -88,6 +88,8 @@ _VERIFY_DEFAULTS = {
     "config": None, "data": None, "trials": 100, "n": 100, "p": 0.1, "chi_square": False,
     "algorithms": ["cn", "aa", "pa", "jc", "ra"], "edges": 200, "runs": 50,
 }
+# The least value of each count flag: below it, there is nothing to draw.
+_VERIFY_LEAST = {"n": 2, "edges": 1, "runs": 1}
 
 
 @dataclass
@@ -429,7 +431,8 @@ def cmd_scan(args) -> Output:
 
 def _verify_params(args) -> dict:
     """Every flag ``args.claim`` reads, given or default. A flag given to
-    a claim that does not read it is refused before any trial runs."""
+    a claim that does not read it, or a count below its least value, is
+    refused before any trial runs."""
     reads = _VERIFY_FLAGS[args.claim]
     if "data" in reads and args.data is not None:
         reads = tuple(f for f in reads if f not in ("n", "edges"))
@@ -440,10 +443,14 @@ def _verify_params(args) -> dict:
             if args.claim in readers:
                 raise ConfigError(f"{name} is not read by {args.claim} with --data")
             raise ConfigError(f"{name} is read by {', '.join(readers)} only, not by {args.claim}")
-    return {
+    params = {
         flag: _VERIFY_DEFAULTS[flag] if getattr(args, flag) is None else getattr(args, flag)
         for flag in reads
     }
+    for flag, least in _VERIFY_LEAST.items():
+        if params.get(flag, least) < least:
+            raise ConfigError(f"--{flag} must be >= {least}, got {params[flag]}")
+    return params
 
 
 def cmd_verify(args) -> Output:
@@ -472,13 +479,8 @@ def cmd_verify(args) -> Output:
             bundle = load_plain(args.data)
             h = bundle.hypergraph
             checksums = _checksums(bundle)
-        else:
-            rng = np.random.default_rng(args.seed)
-            pairs = [
-                [int(a), int(b)]
-                for a, b in (rng.choice(n, size=2, replace=False) for _ in range(params["edges"]))
-            ]
-            h = Hypergraph(n, pairs)
+        else:  # each pair is choice(n, 2, replace=False) on the seed's stream
+            h = relocate(Hypergraph(n, [[0, 1]] * params["edges"]), args.seed)
         summaries = verify_relocation_baseline(h, algorithms, params["runs"], args.seed)
 
     manifest = _manifest("verify", {"claim": args.claim, **params}, [args.seed], checksums)

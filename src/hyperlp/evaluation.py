@@ -228,6 +228,11 @@ def _split_pair_set(g: SimpleGraph, spec: SplitSpec):
         raise ValueError(
             f"split leaves an empty class: {m} edges, {n_test} test positives"
         )
+    wanted = None if spec.negative_ratio is None else round(spec.negative_ratio * n_test)
+    if wanted == 0:
+        raise ValueError(
+            f"negative_ratio {spec.negative_ratio} of {n_test} test positives rounds to 0 negatives"
+        )
     rng = np.random.default_rng(spec.seed)
     test = np.zeros(m, dtype=bool)
     test[rng.choice(m, size=n_test, replace=False)] = True
@@ -237,10 +242,7 @@ def _split_pair_set(g: SimpleGraph, spec: SplitSpec):
             raise ValueError("no negatives available for the split")
         classes = np.where(test, np.int8(1), np.int8(-1))  # of the edges
         return g_train, None, condensed(g.n, g.edge_keys(), classes)
-    wanted = round(spec.negative_ratio * n_test)
     negatives = _sample_distance_limited_non_links(g, g_train, spec.d_hop, wanted, rng)
-    if len(negatives) == 0:
-        raise ValueError("no negatives available for the split")
     pairs = np.concatenate([edges[test], negatives])
     return g_train, pairs, np.arange(len(pairs)) < n_test
 

@@ -160,22 +160,20 @@ def adjusted_auc(
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     outcome = evaluate_protocol(clique_expand(h), scorers, protocol)
-    live = [s for s in scorers if not isinstance(outcome[s], Exception)]
-    # AUCs, kept seeds, failures (message, is a ValueError): a kept
-    # exception's traceback would hold the run's arrays
-    runs = {s: ([], [], []) for s in live}
+    # per scorer still running: AUCs, kept seeds, failures (message, is a
+    # ValueError); a kept exception's traceback would hold the run's arrays
+    runs = {s: ([], [], []) for s in scorers if not isinstance(outcome[s], Exception)}
     for run_seed in spawn_seeds(seed, n_runs):
-        if not live:
+        if not runs:
             break
         try:
-            results = evaluate_protocol(clique_expand(relocate(h, run_seed)), live, protocol)
+            results = evaluate_protocol(clique_expand(relocate(h, run_seed)), list(runs), protocol)
         except Exception as exc:
-            results = dict.fromkeys(live, exc)
+            results = dict.fromkeys(runs, exc)
         for scorer, count in results.items():
             rel_aucs, kept_seeds, failures = runs[scorer]
             if isinstance(count, ResourceLimitError):  # runs no further
                 outcome[scorer] = count
-                live.remove(scorer)
                 del runs[scorer]
             elif isinstance(count, Exception):
                 failures.append((f"seed {run_seed}: {count}", isinstance(count, ValueError)))

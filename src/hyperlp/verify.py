@@ -21,7 +21,9 @@ Claims covered:
   on, the common-neighbors AUC rises strictly above 0.5 even though the
   exact-probability ceiling stays at 0.5.
 * ``relocation-baseline`` - on hypergraphs of width 2, relocation keeps
-  every scorer's AUC near 0.5.
+  every scorer's AUC near 0.5, in the runs of ``relocation.adjusted_auc``,
+  the loop ``adjust`` and ``evaluate`` run. The CLI refuses its
+  ``--runs`` below 1, ``--n`` below 2 and ``--edges`` below 1.
 
 The ensemble AUC here pools (score, label) observations across trials
 before ranking, matching the two-conditional-distributions definition the
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -56,7 +58,7 @@ from .latent import (
     sample_hypergraph,
     spawn_seeds,
 )
-from .relocation import relocate
+from .relocation import adjusted_auc
 
 Z95 = 1.959963984540054
 # Trials of the cn-lift check pool their scores in this many batches.
@@ -72,7 +74,7 @@ class TrialSummary:
     statistic: float
     ci_low: float
     ci_high: float
-    verdict: str  # "pass", "fail", or "degenerate"
+    verdict: str  # "pass", "fail", "degenerate", or "indeterminate" (one run)
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -86,18 +88,6 @@ def _degenerate(claim_id: str, n_trials: int, **details) -> TrialSummary:
     """A check with nothing to estimate: NaN statistic and interval."""
     nan = float("nan")
     return TrialSummary(claim_id, n_trials, nan, nan, nan, verdict="degenerate", details=details)
-
-
-def _loo_aucs(graphs: Iterable[SimpleGraph], scorers: Sequence[str]) -> dict[str, list[float]]:
-    """Each scorer's leave-one-out AUC on each graph where it could be
-    evaluated; a graph that fails with a ``ValueError`` (no edge, or no
-    non-edge) is skipped, and any other error raises."""
-    values: dict[str, list[float]] = {s: [] for s in scorers}
-    for g in graphs:
-        for s, count in evaluate_protocol(g, scorers, "loo").items():
-            if not isinstance(count, ValueError):
-                values[s].append(_unwrap(count).auc)
-    return values
 
 
 def _mean_ci(values: Sequence[float]) -> tuple[float, float, float, float]:
@@ -262,10 +252,15 @@ def verify_er_auc_baseline(
     seed: int = 0,
 ) -> dict[str, TrialSummary]:
     """Check that every scorer's mean leave-one-out AUC on G(n, p) sits at
-    0.5 within three standard errors."""
+    0.5 within three standard errors. A trial whose scorer fails with a
+    ``ValueError`` (no edge, or no non-edge) is skipped."""
     if n < 10 or trials < 30:
         raise ValueError("need n >= 10 and trials >= 30 for a stable check")
-    per_scorer = _loo_aucs((er_sample(n, p, ts) for ts in spawn_seeds(seed, trials)), scorers)
+    per_scorer: dict[str, list[float]] = {s: [] for s in scorers}
+    for ts in spawn_seeds(seed, trials):
+        for s, count in evaluate_protocol(er_sample(n, p, ts), scorers, "loo").items():
+            if not isinstance(count, ValueError):
+                per_scorer[s].append(_unwrap(count).auc)
     out = {}
     for s in scorers:
         values = per_scorer[s]
@@ -390,22 +385,23 @@ def verify_relocation_baseline(
     seed: int = 0,
 ) -> dict[str, TrialSummary]:
     """Check that relocating a width-2 hypergraph leaves every scorer's
-    leave-one-out AUC within 0.05 of 0.5."""
+    leave-one-out AUC within 0.05 of 0.5, over the relocated runs of
+    ``adjusted_auc(h, scorers, "loo", runs, seed)``. A ``ValueError`` in a
+    scorer's slot gives a degenerate summary; any other error raises."""
     if width(h) != 2:
         raise ValueError(f"baseline check requires width 2, got {width(h)}")
-    relocated = (clique_expand(relocate(h, ts)) for ts in spawn_seeds(seed, runs))
-    per_scorer = _loo_aucs(relocated, scorers)
     out = {}
-    for s in scorers:
-        values = per_scorer[s]
-        if not values:
+    for s, report in adjusted_auc(h, scorers, "loo", runs, seed).items():
+        if isinstance(report, ValueError):
             out[s] = _degenerate("relocation-baseline", runs, scorer=s)
             continue
-        mean, se, lo, hi = _mean_ci(values)
-        if len(values) == 1:
+        if isinstance(report, Exception):
+            raise report
+        mean, se, lo, hi = _mean_ci(report.auc_rel_runs)
+        if report.n_runs == 1:
             verdict = "indeterminate"
         else:
             verdict = "pass" if abs(mean - 0.5) <= 0.05 else "fail"
-        details = {"scorer": s, "se": se, "runs_used": len(values)}
+        details = {"scorer": s, "se": se, "runs_used": report.n_runs}
         out[s] = TrialSummary("relocation-baseline", runs, mean, lo, hi, verdict, details)
     return out

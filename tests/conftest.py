@@ -86,6 +86,19 @@ def oracle_relocate(h: Hypergraph, seed: int) -> Hypergraph:
     return Hypergraph(h.n, moved)
 
 
+def counting(monkeypatch, module, name):
+    """Wrap ``module.name`` so that its calls are counted."""
+    calls = []
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 def oracle_simrank_iterate(w: np.ndarray, decay: float, tol: float, max_iter: int) -> np.ndarray:
     """Reference SimRank iteration, one slice of the (B, n, n) stack ``w``
     at a time and allocating every iterate: the loop

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_relocate, random_hypergraph
-from hyperlp import cli, heuristics, latent, relocation
+from hyperlp import Hypergraph, clique_expand, cli, heuristics, latent, relocation
 from hyperlp.datasets import load_benson, load_plain, save_plain
 from hyperlp.cli import main
 from hyperlp.config import ConfigError, ModelConfig, parse_model_config, resolve_model
@@ -263,6 +263,19 @@ class TestEvaluate:
             "--protocol", "loo", "--runs", "0",
         ]) == 2
         assert capsys.readouterr().err == "error: leave-one-out needs at least one non-edge\n"
+
+    def test_negative_ratio_asking_for_no_negative_exit_2(self, tmp_path, capsys):
+        # 11 edges, so the split holds out 3 and 0.1 * 3 rounds to 0, though
+        # two-hop non-links exist
+        data = tmp_path / "split.hyg"
+        data.write_text("a b c\nc d\nd e f\nf g\ng h a\n")
+        assert main([
+            "evaluate", "--data", str(data), "--protocol", "split",
+            "--negative-ratio", "0.1", "--runs", "0", "--algorithms", "cn",
+        ]) == 2
+        assert capsys.readouterr().err == (
+            "error: negative_ratio 0.1 of 3 test positives rounds to 0 negatives\n"
+        )
 
     @pytest.mark.parametrize("command", ["evaluate", "adjust"])
     def test_every_relocation_complete_exit_2(self, tmp_path, capsys, command):
@@ -596,6 +609,38 @@ class TestVerify:
         assert manifest["input_checksums"] == {"data": load_plain(data).provenance["sha256"]}
         assert manifest["input_checksums"]["data"] == hashlib.sha256(data.read_bytes()).hexdigest()
 
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 40), edges=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+    def test_relocation_baseline_random_input_is_the_choice_loop(self, n, edges, seed):
+        # the input drawn without --data is the hypergraph of one
+        # choice(n, 2, replace=False) call per pair on the seed's stream
+        rng = np.random.default_rng(seed)
+        draws = (rng.choice(n, size=2, replace=False) for _ in range(edges))
+        pairs = [[int(a), int(b)] for a, b in draws]
+        seen = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "verify_relocation_baseline", lambda h, *args: seen.append(h) or {})
+            assert main([
+                "verify", "--claim", "relocation-baseline", "--n", str(n),
+                "--edges", str(edges), "--seed", str(seed),
+            ]) == 0
+        assert seen == [Hypergraph(n, pairs)]
+
+    def test_relocation_baseline_simrank_budget_exit_2(self, tmp_path, monkeypatch, capsys):
+        # the budget names the solves of the input's own expansion, the
+        # first graph adjusted_auc scores
+        data = tmp_path / "pairs.hyg"
+        data.write_text("".join(f"v{i} v{(i * 7 + 3) % 30}\n" for i in range(30)))
+        monkeypatch.setattr(heuristics, "SIMRANK_LOO_BUDGET", 999)
+        assert main([
+            "verify", "--claim", "relocation-baseline", "--data", str(data),
+            "--runs", "3", "--algorithms", "cn,sr",
+        ]) == 2
+        solves = clique_expand(load_plain(data).hypergraph).edge_count
+        assert capsys.readouterr().err.startswith(
+            f"error: leave-one-out SimRank needs {solves} solves on n=30 vertices"
+        )
+
     def test_lift_claim_needs_config(self):
         assert main(["verify", "--claim", "cn-lift"]) == 2
 
@@ -631,6 +676,14 @@ class TestVerify:
          "--trials is read by cc, cn-dist, cn-lift, er-auc only, not by relocation-baseline"),
         ("relocation-baseline", ["--data", "{data}", "--edges", "9"], "verify_relocation_baseline",
          "--edges is not read by relocation-baseline with --data"),
+        ("relocation-baseline", ["--runs", "0"], "verify_relocation_baseline",
+         "error: --runs must be >= 1, got 0\n"),
+        ("relocation-baseline", ["--runs", "-1"], "verify_relocation_baseline",
+         "error: --runs must be >= 1, got -1\n"),
+        ("relocation-baseline", ["--n", "1"], "verify_relocation_baseline",
+         "error: --n must be >= 2, got 1\n"),
+        ("relocation-baseline", ["--edges", "0"], "verify_relocation_baseline",
+         "error: --edges must be >= 1, got 0\n"),
     ])
     def test_unread_value_flag_exit_2_before_any_trial(
         self, tmp_path, monkeypatch, capsys, claim, given, check, message
@@ -639,6 +692,7 @@ class TestVerify:
             raise AssertionError(f"{check} ran")
 
         monkeypatch.setattr(cli, check, no_trial)
+        monkeypatch.setattr(cli, "relocate", no_trial)  # no random input drawn
         data = tmp_path / "in" / "pairs.hyg"
         data.parent.mkdir()
         data.write_text("v0 v1\n")

@@ -581,6 +581,17 @@ class TestSplitEvaluate:
         with pytest.raises(ValueError, match="short by"):
             scored_pairs(g, "cn", SplitSpec(rho=0.5, d_hop=2, seed=0))
 
+    def test_ratio_asking_for_no_negative_refused(self):
+        # 11 edges: the split holds out 3, and 0.1 * 3 rounds to 0; at 0.2
+        # the same split draws its one negative, so non-links exist
+        g = clique_expand(Hypergraph(8, [[0, 1, 2], [2, 3], [3, 4, 5], [5, 6], [6, 7, 0]]))
+        refused = evaluate_protocol(g, ["cn", "aa"], SplitSpec(negative_ratio=0.1))
+        for scorer, error in refused.items():
+            assert isinstance(error, ValueError), scorer
+            assert str(error) == "negative_ratio 0.1 of 3 test positives rounds to 0 negatives"
+        count = evaluate_protocol(g, ["cn"], SplitSpec(negative_ratio=0.2))["cn"]
+        assert (count.n_pos, count.n_neg) == (3, 1)
+
     def test_negatives_all_uses_every_non_link(self):
         g = self.ring_graph(12)
         pairs, labels, _ = scored_pairs(g, "cn", SplitSpec(seed=5, negative_ratio=None))

@@ -22,7 +22,7 @@ from hyperlp import (
 )
 from hyperlp import evaluation, relocation
 from hyperlp.latent import ResourceLimitError
-from conftest import oracle_relocate, random_hypergraph
+from conftest import counting, oracle_relocate, random_hypergraph
 
 
 class TestRelocate:
@@ -201,19 +201,6 @@ class TestAdjustedAuc:
             report = adjusted_auc(h_rel, ["cn"], "loo", n_runs=3, seed=k)["cn"]
             values.append(report.auc_adjusted)
         assert abs(float(np.mean(values)) - 0.5) <= 0.05
-
-
-def counting(monkeypatch, module, name):
-    """Wrap ``module.name`` so that its calls are counted."""
-    calls = []
-    fn = getattr(module, name)
-
-    def wrapper(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, wrapper)
-    return calls
 
 
 class TestSharedPairSet:

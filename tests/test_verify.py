@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import all_pairs, oracle_clique_expand, oracle_score, unique_counts
+from conftest import all_pairs, counting, oracle_clique_expand, oracle_score, unique_counts
 from hyperlp import (
     Hypergraph,
+    adjusted_auc,
     clustering_coefficient,
     er_sample,
     exact_ensemble_auc,
@@ -20,7 +23,7 @@ from hyperlp import (
     verify_higher_order_auc_lift,
     verify_relocation_baseline,
 )
-from hyperlp import verify
+from hyperlp import relocation, verify
 from hyperlp.verify import TrialSummary
 
 
@@ -280,7 +283,74 @@ class TestExactEnsemble:
                 assert got[1] == pytest.approx(want[1], rel=1e-12, abs=0.0)
 
 
+@st.composite
+def pair_hypergraphs(draw):
+    """A hypergraph of width 2 on 2..10 vertices, with 1..15 pairs, some
+    of them repeated."""
+    n = draw(st.integers(2, 10))
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    return Hypergraph(n, draw(st.lists(pair, min_size=1, max_size=15)))
+
+
 class TestRelocationBaseline:
+    @settings(max_examples=60, deadline=None)
+    @given(h=pair_hypergraphs(), runs=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_summarizes_the_runs_of_adjusted_auc(self, h, runs, seed):
+        scorers = ("cn", "pa")
+        reports = adjusted_auc(h, scorers, "loo", runs, seed)
+        out = verify_relocation_baseline(h, scorers, runs, seed)
+        assert list(out) == list(scorers)
+        for s, summary in out.items():
+            assert summary.n_trials == runs
+            if isinstance(reports[s], ValueError):
+                assert summary.verdict == "degenerate"
+                continue
+            mean, se, lo, hi = verify._mean_ci(reports[s].auc_rel_runs)
+            assert (summary.statistic, summary.ci_low, summary.ci_high) == (mean, lo, hi)
+            assert summary.details == {"scorer": s, "se": se, "runs_used": reports[s].n_runs}
+
+    def test_relocates_once_per_run(self, monkeypatch):
+        relocations = counting(monkeypatch, relocation, "relocate")
+        h = Hypergraph(20, [[i, (3 * i + 1) % 20] for i in range(20)])
+        out = verify_relocation_baseline(h, ("cn", "aa", "pa"), runs=7, seed=3)
+        assert len(relocations) == 7
+        assert all(ts.details["runs_used"] == 7 for ts in out.values())
+
+    def test_run_failing_otherwise_is_skipped(self, monkeypatch):
+        # a run that fails with an error other than ValueError is left out
+        # of runs_used, as adjust leaves it out, rather than ending the check
+        h = Hypergraph(20, [[i, (3 * i + 1) % 20] for i in range(20)])
+        clean = adjusted_auc(h, ["cn"], "loo", 4, 2)["cn"].auc_rel_runs
+        relocate, seeds = relocation.relocate, []
+
+        def second_run_breaks(graph, seed):
+            seeds.append(seed)
+            if len(seeds) == 2:
+                raise RuntimeError("relocation broke")
+            return relocate(graph, seed)
+
+        monkeypatch.setattr(relocation, "relocate", second_run_breaks)
+        out = verify_relocation_baseline(h, ("cn",), runs=4, seed=2)["cn"]
+        assert out.details["runs_used"] == 3
+        assert out.statistic == verify._mean_ci(clean[:1] + clean[2:])[0]
+
+    def test_every_run_failing_otherwise_raises(self, monkeypatch):
+        def broken(graph, seed):
+            raise RuntimeError("relocation broke")
+
+        monkeypatch.setattr(relocation, "relocate", broken)
+        h = Hypergraph(10, [[0, 1], [2, 3], [4, 5]])
+        with pytest.raises(RuntimeError, match="every relocation run failed"):
+            verify_relocation_baseline(h, ("cn",), runs=3, seed=0)
+
+    def test_input_without_non_edge_is_degenerate(self):
+        # the triangle's own expansion is complete, so adjusted_auc has no
+        # original AUC, whatever its relocations give
+        h = Hypergraph(3, [[0, 1], [1, 2], [0, 2]])
+        assert isinstance(adjusted_auc(h, ["cn"], "loo", 6, 0)["cn"], ValueError)
+        out = verify_relocation_baseline(h, ("cn",), runs=6, seed=0)["cn"]
+        assert out.verdict == "degenerate" and math.isnan(out.statistic)
+
     def test_trivial_hypergraph_passes(self):
         rng = np.random.default_rng(15)
         edges = [
