@@ -72,26 +72,6 @@ from .verify import (
     verify_relocation_baseline,
 )
 
-VERIFY_CLAIMS = ("cc", "cn-dist", "cn-lift", "er-auc", "relocation-baseline")
-# The flags each claim reads, in manifest order; relocation-baseline reads
-# --n and --edges only without --data. The parser leaves each of them None
-# when not given, so that a flag the claim does not read can be refused;
-# they are checked in _VERIFY_DEFAULTS order, the files first.
-_VERIFY_FLAGS = {
-    "cc": ("trials", "n", "p"),
-    "cn-dist": ("trials", "n", "p", "chi_square"),
-    "cn-lift": ("config", "trials"),
-    "er-auc": ("trials", "n", "p", "algorithms"),
-    "relocation-baseline": ("data", "n", "edges", "algorithms", "runs"),
-}
-_VERIFY_DEFAULTS = {
-    "config": None, "data": None, "trials": 100, "n": 100, "p": 0.1, "chi_square": False,
-    "algorithms": ["cn", "aa", "pa", "jc", "ra"], "edges": 200, "runs": 50,
-}
-# The least value of each count flag: below it, there is nothing to draw.
-_VERIFY_LEAST = {"n": 2, "edges": 1, "runs": 1}
-
-
 @dataclass
 class Output:
     """What a command produced, for :func:`main` to write: the JSON
@@ -129,7 +109,7 @@ def _write(result: Output, out: str | None) -> None:
         with open(out.with_suffix(".csv"), "w", newline="") as fh:
             writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
             writer.writerow(result.header)
-            writer.writerows(result.rows)
+            writer.writerows(result.rows)  # a None cell is written empty
     for suffix, write in result.files.items():
         write(out.with_suffix(suffix))
     out.with_suffix(result.json_suffix).write_text(text + "\n")
@@ -156,6 +136,42 @@ def _seed(raw: str) -> int:
     if not raw.isdecimal():
         raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {raw!r}")
     return int(raw)
+
+
+# Each verify claim: the flags it reads, in manifest order (relocation-baseline
+# reads --n and --edges only without --data), and the id its summaries report.
+VERIFY_CLAIMS = {
+    "cc": (("trials", "n", "p"), "er-clustering"),
+    "cn-dist": (("trials", "n", "p", "chi_square"), "er-cn"),
+    "cn-lift": (("config", "trials"), "cn-lift"),
+    "er-auc": (("trials", "n", "p", "algorithms"), "er-auc"),
+    "relocation-baseline": (("data", "n", "edges", "algorithms", "runs"), "relocation-baseline"),
+}
+# Each verify flag: its type (None: a switch), default, least value (below it
+# there is nothing to draw) and help. The parser leaves each None when not
+# given, so that a flag the claim does not read is refused, in this order
+# (the files first).
+_VERIFY_FLAGS = {
+    "config": (str, None, None, "generator config"),
+    "data": (str, None, None, "hypergraph file of width 2"),
+    "trials": (int, 100, None, "Monte-Carlo trials"),
+    "n": (int, 100, 2, "vertices"),
+    "p": (float, 0.1, None, "edge probability"),
+    "chi_square": (None, False, None, "add a chi-square test of the binomial law"),
+    "algorithms": (_algorithms, ["cn", "aa", "pa", "jc", "ra"], None, "scorers"),
+    "edges": (int, 200, 1, "random pairs when no --data"),
+    "runs": (int, 50, 1, "relocation runs"),
+}
+
+
+def _verify_epilog() -> str:
+    """``verify --help``'s list of each claim's flags, with their defaults."""
+    lines = ["claim (summary id): the flags it reads besides --seed, with their defaults"]
+    for claim, (flags, summary_id) in VERIFY_CLAIMS.items():
+        shown = ((f.replace("_", "-"), _VERIFY_FLAGS[f][1]) for f in flags)
+        shown = (f"--{f} {','.join(v) if isinstance(v, list) else v}" for f, v in shown)
+        lines.append(f"  {claim} ({summary_id}): {', '.join(shown)}")
+    return "\n".join(lines + ["relocation-baseline reads --n and --edges only without --data"])
 
 
 def _manifest(subcommand: str, params: dict, seeds: list[int], checksums: dict) -> dict:
@@ -368,7 +384,7 @@ def cmd_evaluate(args) -> Output:
     ]
     rows = [
         [bundle.name, r["scorer"], args.protocol]
-        + ["" if r.get(key) is None else r[key] for key in header[3:-1]]
+        + [r.get(key) for key in header[3:-1]]
         + [args.seed]
         for r in results
     ]
@@ -410,11 +426,7 @@ def cmd_scan(args) -> Output:
             r.point.n, r.point.d,
             " ".join(str(x) for x in r.point.percentiles),
             r.point.phi if isinstance(r.point.phi, str) else " ".join(str(x) for x in r.point.phi),
-            r.scorer, r.seed,
-            "" if r.model_auc is None else r.model_auc,
-            "" if r.heuristic_auc is None else r.heuristic_auc,
-            "" if r.overestimated is None else r.overestimated,
-            r.error or "",
+            r.scorer, r.seed, r.model_auc, r.heuristic_auc, r.overestimated, r.error,
         ]
         for r in rows
     ]
@@ -433,22 +445,21 @@ def _verify_params(args) -> dict:
     """Every flag ``args.claim`` reads, given or default. A flag given to
     a claim that does not read it, or a count below its least value, is
     refused before any trial runs."""
-    reads = _VERIFY_FLAGS[args.claim]
+    reads = VERIFY_CLAIMS[args.claim][0]
     if "data" in reads and args.data is not None:
         reads = tuple(f for f in reads if f not in ("n", "edges"))
-    for flag in _VERIFY_DEFAULTS:
+    for flag in _VERIFY_FLAGS:
         if getattr(args, flag) is not None and flag not in reads:
             name = "--" + flag.replace("_", "-")
-            readers = [claim for claim, flags in _VERIFY_FLAGS.items() if flag in flags]
+            readers = [claim for claim, (flags, _) in VERIFY_CLAIMS.items() if flag in flags]
             if args.claim in readers:
                 raise ConfigError(f"{name} is not read by {args.claim} with --data")
             raise ConfigError(f"{name} is read by {', '.join(readers)} only, not by {args.claim}")
-    params = {
-        flag: _VERIFY_DEFAULTS[flag] if getattr(args, flag) is None else getattr(args, flag)
-        for flag in reads
-    }
-    for flag, least in _VERIFY_LEAST.items():
-        if params.get(flag, least) < least:
+    params = {}
+    for flag in reads:
+        _, default, least, _ = _VERIFY_FLAGS[flag]
+        params[flag] = default if getattr(args, flag) is None else getattr(args, flag)
+        if least is not None and params[flag] < least:
             raise ConfigError(f"--{flag} must be >= {least}, got {params[flag]}")
     return params
 
@@ -458,13 +469,9 @@ def cmd_verify(args) -> Output:
     n, p, trials, algorithms = (params.get(k) for k in ("n", "p", "trials", "algorithms"))
     checksums = {}
     if args.claim == "cc":
-        summaries = {"cc": verify_er_clustering(n, p, trials, args.seed)}
+        summaries = {"cc": verify_er_clustering(**params, seed=args.seed)}
     elif args.claim == "cn-dist":
-        summaries = {
-            "cn-dist": verify_er_common_neighbors(
-                n, p, trials, args.seed, chi_square=params["chi_square"]
-            )
-        }
+        summaries = {"cn-dist": verify_er_common_neighbors(**params, seed=args.seed)}
     elif args.claim == "er-auc":
         summaries = verify_er_auc_baseline(n, p, algorithms, trials, args.seed)
     elif args.claim == "cn-lift":
@@ -587,19 +594,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_scan)
 
-    sp = sub.add_parser("verify", help="Monte-Carlo claim checks")
-    sp.add_argument("--claim", required=True, choices=VERIFY_CLAIMS)
-    # None when not given (see _VERIFY_FLAGS)
-    sp.add_argument("--trials", type=int, help="trials (default 100)")
+    sp = sub.add_parser(
+        "verify", help="Monte-Carlo claim checks", epilog=_verify_epilog(),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    sp.add_argument("--claim", required=True, choices=list(VERIFY_CLAIMS))
     sp.add_argument("--seed", type=_seed, default=0)
-    sp.add_argument("--n", type=int, help="vertices (default 100)")
-    sp.add_argument("--p", type=float, help="edge probability (default 0.1)")
-    sp.add_argument("--chi-square", action="store_true", default=None, dest="chi_square")
-    sp.add_argument("--algorithms", type=_algorithms, help="default cn,aa,pa,jc,ra")
-    sp.add_argument("--config", help="generator config (cn-lift only)")
-    sp.add_argument("--data", help="hypergraph file (relocation-baseline only)")
-    sp.add_argument("--edges", type=int, help="random 2-edges when no --data (default 200)")
-    sp.add_argument("--runs", type=int, help="relocation-baseline runs (default 50)")
+    for flag, (kind, _, least, text) in _VERIFY_FLAGS.items():
+        kind = {"action": "store_true", "default": None} if kind is None else {"type": kind}
+        text += f" (at least {least})" if least else ""
+        sp.add_argument("--" + flag.replace("_", "-"), **kind, help=text)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_verify)
 

@@ -305,20 +305,23 @@ def link_probability_map(pot: PotentialIndex, phi: Sequence[float]) -> np.ndarra
     number of the size's candidates that hold the pair. Those counts are
     added in row chunks of at most ``hypergraph.ROW_BLOCK`` pair keys, so
     the key temporaries stay bounded (``np.add.at`` scatters a chunk
-    without a pair-sized ``bincount``); integer sums are exact, so every
-    chunking gives the same map.
+    without a pair-sized ``bincount``); the sums are of whole numbers far
+    below 2^53, exact in float64, so every chunking gives the same map.
+    Two pair-sized arrays are alive: ``missed``, and ``counts``, refilled
+    for each size and raised to the power in place.
     """
     miss = 1.0 - _checked_phi(phi, pot.k_max)
     pairs = pot.n * (pot.n - 1) // 2
     missed = np.ones(pairs)
-    for m, s in zip(miss, pot.sizes):  # one size's counts alive at a time
+    counts = np.empty(pairs)
+    for m, s in zip(miss, pot.sizes):
         rows = pot.by_size[s]
         per = max(hypergraph.ROW_BLOCK // (s * (s - 1) // 2), 1)  # rows per chunk
-        counts = np.zeros(pairs, dtype=np.int64)
-        for lo in range(0, len(rows), per):
-            np.add.at(counts, group_pair_keys(pot.n, rows[lo : lo + per]), 1)
-        missed *= m**counts
-    return 1.0 - missed
+        counts.fill(0.0)
+        for lo in range(0, len(rows), per):  # an int 1 would leave ufunc.at's fast path
+            np.add.at(counts, group_pair_keys(pot.n, rows[lo : lo + per]), 1.0)
+        missed *= np.power(m, counts, out=counts)
+    return np.subtract(1.0, missed, out=missed)
 
 
 def hoff_edge_probability(params: HoffParams, dist) -> np.ndarray | float:

@@ -7,15 +7,15 @@ against the claim's predicate. Summaries are reproducible bit-for-bit for
 a fixed (parameters, seed) combination, and every harness scores with the
 same production scorers the evaluation pipeline uses.
 
-Claims covered:
+Claims covered, by the id their summaries report:
 
-* ``er-clustering`` - the global clustering coefficient of G(n, p)
-  concentrates on p.
-* ``er-cn`` - common-neighbor counts on G(n, p) have mean (n-2) p^2 and
-  are independent of the pair's own edge indicator; optionally, a
-  Pearson χ² test against the Binomial(n-2, p^2) law, computed with
-  ``math`` (lgamma for the pmf, the integer-df closed forms for the
-  tail).
+* ``er-clustering`` (CLI ``cc``) - the global clustering coefficient of
+  G(n, p) concentrates on p.
+* ``er-cn`` (CLI ``cn-dist``) - common-neighbor counts on G(n, p) have
+  mean (n-2) p^2 and are independent of the pair's own edge indicator;
+  optionally, a Pearson χ² test against the Binomial(n-2, p^2) law,
+  computed with ``math`` (lgamma for the pmf, the integer-df closed forms
+  for the tail).
 * ``er-auc`` - no scorer beats AUC 0.5 on G(n, p) under leave-one-out.
 * ``cn-lift`` - with pair selection off and at least one size-3 candidate
   on, the common-neighbors AUC rises strictly above 0.5 even though the
@@ -24,6 +24,10 @@ Claims covered:
   every scorer's AUC near 0.5, in the runs of ``relocation.adjusted_auc``,
   the loop ``adjust`` and ``evaluate`` run. The CLI refuses its
   ``--runs`` below 1, ``--n`` below 2 and ``--edges`` below 1.
+
+Two library defaults differ from the CLI's: ``verify_higher_order_auc_lift``
+takes 200 trials (``verify``: 100), and ``verify_relocation_baseline``
+scores cn and aa (``verify``: cn, aa, pa, jc and ra).
 
 The ensemble AUC here pools (score, label) observations across trials
 before ranking, matching the two-conditional-distributions definition the
@@ -74,7 +78,7 @@ class TrialSummary:
     statistic: float
     ci_low: float
     ci_high: float
-    verdict: str  # "pass", "fail", "degenerate", or "indeterminate" (one run)
+    verdict: str  # "pass", "fail", "degenerate", or "indeterminate"
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -84,17 +88,35 @@ class TrialSummary:
             raise ValueError("confidence interval must bracket the statistic")
 
 
-def _degenerate(claim_id: str, n_trials: int, **details) -> TrialSummary:
-    """A check with nothing to estimate: NaN statistic and interval."""
-    nan = float("nan")
-    return TrialSummary(claim_id, n_trials, nan, nan, nan, verdict="degenerate", details=details)
-
-
 def _mean_ci(values: Sequence[float]) -> tuple[float, float, float, float]:
     arr = np.asarray(values, dtype=np.float64)
     mean = float(arr.mean())
     se = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
     return mean, se, mean - Z95 * se, mean + Z95 * se
+
+
+def _summary(claim_id: str, n_trials: int, values, rule, **details) -> TrialSummary:
+    """The mean of ``values``, its standard error ``se`` and 95% CI, judged
+    by ``rule(mean, se, ci_low, ci_high)``: True passes, False fails, a
+    string is the verdict. No values: NaN statistic and CI, ``degenerate``."""
+    if not len(values):
+        return TrialSummary(claim_id, n_trials, math.nan, math.nan, math.nan, "degenerate", details)
+    mean, se, lo, hi = _mean_ci(values)
+    verdict = rule(mean, se, lo, hi)
+    verdict = {True: "pass", False: "fail"}.get(verdict, verdict)
+    return TrialSummary(claim_id, n_trials, mean, lo, hi, verdict, {"se": se, **details})
+
+
+def _near(mean: float, target: float, se: float) -> bool:
+    """Within three standard errors of ``target``; equal to it if se is 0."""
+    return abs(mean - target) <= 3 * se if se > 0 else mean == target
+
+
+def _in_band(mean, se, lo: float, hi: float) -> str:
+    """Pass when the CI lies inside [0.45, 0.55], fail when it misses it."""
+    if 0.45 <= lo and hi <= 0.55:
+        return "pass"
+    return "fail" if hi < 0.45 or lo > 0.55 else "indeterminate"
 
 
 def er_sample(n: int, p: float, seed: int) -> SimpleGraph:
@@ -125,20 +147,12 @@ def verify_er_clustering(n: int, p: float, trials: int = 100, seed: int = 0) -> 
     """Check that G(n, p)'s mean clustering coefficient matches p."""
     if n < 10 or trials < 30:
         raise ValueError("need n >= 10 and trials >= 30 for a stable check")
-    values = []
-    degenerate = 0
-    for ts in spawn_seeds(seed, trials):
-        cc = clustering_coefficient(er_sample(n, p, ts))
-        if np.isnan(cc):
-            degenerate += 1
-        else:
-            values.append(cc)
-    if not values:
-        return _degenerate("er-clustering", trials, degenerate_trials=degenerate, target=p)
-    mean, se, lo, hi = _mean_ci(values)
-    verdict = "pass" if lo <= p <= hi else "fail"
-    details = {"target": p, "se": se, "degenerate_trials": degenerate}
-    return TrialSummary("er-clustering", trials, mean, lo, hi, verdict, details)
+    ccs = [clustering_coefficient(er_sample(n, p, ts)) for ts in spawn_seeds(seed, trials)]
+    values = [cc for cc in ccs if not np.isnan(cc)]
+    return _summary(
+        "er-clustering", trials, values, lambda mean, se, lo, hi: lo <= p <= hi,
+        target=p, degenerate_trials=trials - len(values),
+    )
 
 
 def verify_er_common_neighbors(
@@ -177,20 +191,13 @@ def verify_er_common_neighbors(
             matched_counts.append(score_pairs("cn", g, order[0::2][:half], order[1::2][:half]))
 
     target = (n - 2) * p * p
-    mean, se, lo, hi = _mean_ci(trial_means)
-    mean_ok = abs(mean - target) <= 3 * se if se > 0 else mean == target
-
-    details: dict = {"target": target, "se": se}
+    details: dict = {"target": target}
     independent_ok = True
     if trial_diffs:
         diff_mean, se_diff, _, _ = _mean_ci(trial_diffs)
-        independent_ok = abs(diff_mean) <= 3 * se_diff if se_diff > 0 else diff_mean == 0
+        independent_ok = _near(diff_mean, 0, se_diff)
         details.update(
-            {
-                "edge_vs_non_edge_diff": diff_mean,
-                "se_diff": se_diff,
-                "diff_trials": len(trial_diffs),
-            }
+            edge_vs_non_edge_diff=diff_mean, se_diff=se_diff, diff_trials=len(trial_diffs)
         )
     if chi_square:
         cn = np.concatenate(matched_counts).astype(int)
@@ -201,10 +208,11 @@ def verify_er_common_neighbors(
         obs = np.append(observed[keep], observed[~keep].sum())
         exp = np.append(expected[keep], expected[~keep].sum())
         chi2, pval = _chi_square(obs, exp * obs.sum() / exp.sum())
-        details.update({"chi2": chi2, "chi2_pvalue": pval})
-
-    verdict = "pass" if (mean_ok and independent_ok) else "fail"
-    return TrialSummary("er-cn", trials, mean, lo, hi, verdict, details)
+        details.update(chi2=chi2, chi2_pvalue=pval)
+    return _summary(
+        "er-cn", trials, trial_means,
+        lambda mean, se, lo, hi: _near(mean, target, se) and independent_ok, **details,
+    )
 
 
 def _binomial_pmf(k: np.ndarray, trials: int, p: float) -> np.ndarray:
@@ -261,17 +269,13 @@ def verify_er_auc_baseline(
         for s, count in evaluate_protocol(er_sample(n, p, ts), scorers, "loo").items():
             if not isinstance(count, ValueError):
                 per_scorer[s].append(_unwrap(count).auc)
-    out = {}
-    for s in scorers:
-        values = per_scorer[s]
-        if not values:
-            out[s] = _degenerate("er-auc", trials, scorer=s, skipped_trials=trials)
-            continue
-        mean, se, lo, hi = _mean_ci(values)
-        ok = abs(mean - 0.5) <= 3 * se if se > 0 else mean == 0.5
-        details = {"scorer": s, "se": se, "skipped_trials": trials - len(values)}
-        out[s] = TrialSummary("er-auc", trials, mean, lo, hi, "pass" if ok else "fail", details)
-    return out
+    return {
+        s: _summary(
+            "er-auc", trials, values, lambda mean, se, lo, hi: _near(mean, 0.5, se),
+            scorer=s, skipped_trials=trials - len(values),
+        )
+        for s, values in per_scorer.items()
+    }
 
 
 def verify_higher_order_auc_lift(
@@ -318,22 +322,18 @@ def verify_higher_order_auc_lift(
         if labels.any() and not labels.all():
             batch_aucs.append(auc(scores, labels))
     if not batch_aucs:
-        return _degenerate("cn-lift", trials, scorer="cn")
-    mean, se, lo, hi = _mean_ci(batch_aucs)
+        return _summary("cn-lift", trials, batch_aucs, None, scorer="cn")
     pooled = AucCount.of(*(np.concatenate(x) for x in zip(*draws)))
-
-    verdict = "pass" if mean - 0.5 > 3 * se else "fail"
-    details = {
-        "scorer": "cn",
-        "se": se,
-        "batches_used": len(batch_aucs),
-        "pooled_auc": pooled.auc,
-        "pooled_auc_conditional": pooled.auc_conditional,
-        "model_auc_mean": float(np.mean(model_values)),
-        "loo_mean": float(np.mean(loo_values)) if loo_values else None,
-        "loo_trials": len(loo_values),
-    }
-    return TrialSummary("cn-lift", trials, mean, lo, hi, verdict, details)
+    return _summary(
+        "cn-lift", trials, batch_aucs, lambda mean, se, lo, hi: mean - 0.5 > 3 * se,
+        scorer="cn",
+        batches_used=len(batch_aucs),
+        pooled_auc=pooled.auc,
+        pooled_auc_conditional=pooled.auc_conditional,
+        model_auc_mean=float(np.mean(model_values)),
+        loo_mean=float(np.mean(loo_values)) if loo_values else None,
+        loo_trials=len(loo_values),
+    )
 
 
 def exact_ensemble_auc(
@@ -384,24 +384,25 @@ def verify_relocation_baseline(
     runs: int = 50,
     seed: int = 0,
 ) -> dict[str, TrialSummary]:
-    """Check that relocating a width-2 hypergraph leaves every scorer's
+    """Check that relocating a width-2 hypergraph keeps every scorer's
     leave-one-out AUC within 0.05 of 0.5, over the relocated runs of
-    ``adjusted_auc(h, scorers, "loo", runs, seed)``. A ``ValueError`` in a
-    scorer's slot gives a degenerate summary; any other error raises."""
+    ``adjusted_auc(h, scorers, "loo", runs, seed)``: the verdict passes
+    when the runs' 95% CI lies inside [0.45, 0.55], fails when it misses
+    that band, and is indeterminate otherwise or on one run. A
+    ``ValueError`` in a scorer's slot gives a degenerate summary; any
+    other error raises."""
     if width(h) != 2:
         raise ValueError(f"baseline check requires width 2, got {width(h)}")
     out = {}
     for s, report in adjusted_auc(h, scorers, "loo", runs, seed).items():
         if isinstance(report, ValueError):
-            out[s] = _degenerate("relocation-baseline", runs, scorer=s)
-            continue
-        if isinstance(report, Exception):
+            out[s] = _summary("relocation-baseline", runs, [], None, scorer=s)
+        elif isinstance(report, Exception):
             raise report
-        mean, se, lo, hi = _mean_ci(report.auc_rel_runs)
-        if report.n_runs == 1:
-            verdict = "indeterminate"
         else:
-            verdict = "pass" if abs(mean - 0.5) <= 0.05 else "fail"
-        details = {"scorer": s, "se": se, "runs_used": report.n_runs}
-        out[s] = TrialSummary("relocation-baseline", runs, mean, lo, hi, verdict, details)
+            rule = _in_band if report.n_runs > 1 else lambda *ci: "indeterminate"
+            out[s] = _summary(
+                "relocation-baseline", runs, report.auc_rel_runs, rule,
+                scorer=s, runs_used=report.n_runs,
+            )
     return out

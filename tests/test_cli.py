@@ -720,6 +720,70 @@ class TestVerify:
         assert manifest["params"] == params
         assert json.loads(out.with_suffix(".json").read_text())["manifest"]["params"] == params
 
+    @pytest.mark.parametrize("claim, flag", [
+        (claim, flag)
+        for claim, (reads, _) in cli.VERIFY_CLAIMS.items()
+        for flag in cli._VERIFY_FLAGS
+        if flag not in reads
+    ] + [("relocation-baseline", "n"), ("relocation-baseline", "edges")])
+    def test_every_unread_flag_exit_2(self, tmp_path, monkeypatch, capsys, claim, flag):
+        # the last two are read by relocation-baseline, but not with --data
+        for check in ("verify_er_clustering", "verify_er_common_neighbors",
+                      "verify_er_auc_baseline", "verify_higher_order_auc_lift",
+                      "verify_relocation_baseline", "relocate"):
+            monkeypatch.setattr(cli, check, lambda *a, **k: pytest.fail(f"{check} ran"))
+        values = {"config": str(tmp_path / "x.cfg"), "data": str(tmp_path / "x.hyg"),
+                  "trials": "30", "n": "40", "p": "0.2", "algorithms": "cn",
+                  "edges": "9", "runs": "3"}
+        name = "--" + flag.replace("_", "-")
+        given = [name] if flag == "chi_square" else [name, values[flag]]
+        reads = cli.VERIFY_CLAIMS[claim][0]
+        if flag in reads:
+            given += ["--data", values["data"]]
+        assert main(["verify", "--claim", claim, *given]) == 2
+        err = capsys.readouterr().err
+        if flag in reads:
+            assert f"error: {name} is not read by {claim} with --data\n" == err
+        else:
+            readers = [c for c, (r, _) in cli.VERIFY_CLAIMS.items() if flag in r]
+            assert f"error: {name} is read by {', '.join(readers)} only, not by {claim}\n" == err
+
+    @pytest.mark.parametrize("claim", list(cli.VERIFY_CLAIMS))
+    def test_manifest_params_are_the_table_row(self, tmp_path, claim):
+        # each flag of the claim's row given, small; the summaries report
+        # the row's id
+        cfg = tmp_path / "lift.cfg"
+        cfg.write_text("n = 25\nd = 2\nseed = 11\npercentiles = 10 20\nphi = 0 0.5\n")
+        values = {"config": [str(cfg)], "trials": ["30"], "n": ["20"], "p": ["0.2"],
+                  "chi_square": [], "algorithms": ["cn"], "edges": ["30"], "runs": ["2"]}
+        reads, summary_id = cli.VERIFY_CLAIMS[claim]
+        given = [arg for f in reads if f != "data" for arg in ["--" + f.replace("_", "-"),
+                                                               *values[f]]]
+        out = tmp_path / "v"
+        assert main(["verify", "--claim", claim, *given, "--out", str(out)]) == 0
+        payload = json.loads(out.with_suffix(".json").read_text())
+        assert list(payload["manifest"]["params"]) == ["claim", *reads]
+        assert {s["claim_id"] for s in payload["summaries"].values()} == {summary_id}
+
+    def test_help_lists_each_claims_flags_and_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        out = capsys.readouterr().out
+        assert "  cc (er-clustering): --trials 100, --n 100, --p 0.1\n" in out
+        assert ("  relocation-baseline (relocation-baseline): --data None, --n 100, "
+                "--edges 200, --algorithms cn,aa,pa,jc,ra, --runs 50\n") in out
+
+    def test_relocation_baseline_wide_ci_is_indeterminate(self, capsys):
+        # the mean is within 0.05 of 0.5, but the CI [0.435, 0.607] leaves
+        # the band [0.45, 0.55]
+        assert main([
+            "verify", "--claim", "relocation-baseline", "--n", "30",
+            "--edges", "60", "--runs", "5", "--algorithms", "cn",
+        ]) == 0
+        cn = json.loads(capsys.readouterr().out)["summaries"]["cn"]
+        assert (round(cn["ci_low"], 3), round(cn["ci_high"], 3)) == (0.435, 0.607)
+        assert cn["verdict"] == "indeterminate"
+
     def test_lift_manifest_carries_config_checksum(self, tmp_path):
         cfg = tmp_path / "lift.cfg"
         cfg.write_text("n = 25\nd = 2\nseed = 11\npercentiles = 10 20\nphi = 0 0.5\n")

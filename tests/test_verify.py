@@ -378,6 +378,13 @@ class TestRelocationBaseline:
         for s, ts in out.items():
             assert abs(ts.statistic - 0.5) <= 0.05, (s, ts.statistic)
 
+    @pytest.mark.parametrize("ci, verdict", [
+        ((0.45, 0.55), "pass"), ((0.47, 0.52), "pass"), ((0.44, 0.52), "indeterminate"),
+        ((0.48, 0.56), "indeterminate"), ((0.30, 0.449), "fail"), ((0.551, 0.7), "fail"),
+    ])
+    def test_verdict_reads_the_ci(self, ci, verdict):
+        assert verify._in_band(sum(ci) / 2, 0.01, *ci) == verdict
+
     def test_single_run_indeterminate(self):
         h = Hypergraph(10, [[0, 1], [2, 3], [4, 5]])
         out = verify_relocation_baseline(h, scorers=("cn",), runs=1, seed=1)
