@@ -72,7 +72,6 @@ from .latent import (
 from .relocation import (
     AdjustmentReport,
     adjusted_auc,
-    assemble_report,
     performance_reversal_check,
     relocate,
 )

@@ -21,8 +21,9 @@ first scorer's error is raised, so a property of the data (a
 reason.
 
 Exit codes: 0 success, 2 validation error, resource limit (the
-candidate enumeration cap, ``max_potential``) or a graph no protocol can
-be evaluated on, 3 data error, 4 internal error.
+candidate enumeration cap, ``max_potential``, or a failed allocation, a
+``MemoryError``) or a graph no protocol can be evaluated on, 3 data
+error, 4 internal error.
 
 Allocator policy: on glibc, :func:`main` first pins malloc's mmap and
 trim thresholds (:func:`_keep_freed_pages`), so freed numpy temporaries
@@ -65,6 +66,8 @@ from .hypergraph import Hypergraph, clique_expand, size_distribution
 from .latent import ResourceLimitError, sample_hypergraph
 from .relocation import AdjustmentReport, adjusted_auc, performance_reversal_check, relocate
 from .verify import (
+    STABLE_N,
+    STABLE_TRIALS,
     verify_er_auc_baseline,
     verify_er_clustering,
     verify_er_common_neighbors,
@@ -165,13 +168,24 @@ _VERIFY_FLAGS = {
 
 
 def _verify_epilog() -> str:
-    """``verify --help``'s list of each claim's flags, with their defaults."""
+    """``verify --help``'s list of each claim's flags, with their defaults:
+    a switch as the bare flag, a file flag as ``FILE``, bracketed when the
+    claim also reads --n (it draws its input without the file)."""
     lines = ["claim (summary id): the flags it reads besides --seed, with their defaults"]
     for claim, (flags, summary_id) in VERIFY_CLAIMS.items():
-        shown = ((f.replace("_", "-"), _VERIFY_FLAGS[f][1]) for f in flags)
-        shown = (f"--{f} {','.join(v) if isinstance(v, list) else v}" for f, v in shown)
+        shown = []
+        for flag in flags:
+            kind, default = _VERIFY_FLAGS[flag][:2]
+            name = "--" + flag.replace("_", "-")
+            if kind is str:
+                name = f"[{name} FILE]" if "n" in flags else f"{name} FILE"
+            elif kind is not None:
+                name += f" {','.join(default) if isinstance(default, list) else default}"
+            shown.append(name)
         lines.append(f"  {claim} ({summary_id}): {', '.join(shown)}")
-    return "\n".join(lines + ["relocation-baseline reads --n and --edges only without --data"])
+    lines.append("relocation-baseline reads --n and --edges only without --data")
+    lines.append(f"cc, cn-dist and er-auc need --n >= {STABLE_N} and --trials >= {STABLE_TRIALS}")
+    return "\n".join(lines)
 
 
 def _manifest(subcommand: str, params: dict, seeds: list[int], checksums: dict) -> dict:
@@ -654,7 +668,7 @@ def main(argv=None) -> int:
     except (DataFormatError, FileNotFoundError) as exc:  # before ValueError: a subclass
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, ResourceLimitError) as exc:  # ConfigError is a ValueError
+    except (ValueError, ResourceLimitError, MemoryError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal failure

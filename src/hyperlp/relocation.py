@@ -21,13 +21,13 @@ report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field
 from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
-from .evaluation import SplitSpec, _scorer_ids, evaluate_protocol
+from .evaluation import AucCount, SplitSpec, _scorer_ids, evaluate_protocol
 from .hypergraph import Hypergraph, clique_expand
 from .latent import ResourceLimitError, spawn_seeds
 
@@ -113,26 +113,43 @@ def _tail_of_shuffle(n: int, k: int, values: list[int]) -> list[int]:
 
 @dataclass
 class AdjustmentReport:
-    """Raw AUC, relocated-run AUCs, and the derived adjustment.
+    """Raw AUC, relocated-run AUCs, and the derived adjustment, all read
+    off the scorer's intact-graph ``AucCount`` and its relocated-run AUCs.
 
-    Identities maintained exactly: ``af == auc_rel_mean / 0.5`` and
-    ``auc_adjusted == auc_original / af``. ``n_pos``, ``n_neg`` and
-    ``auc_conditional`` describe the original evaluation (0, 0 and None
-    when the report is assembled from bare AUCs).
+    Identities hold by construction: ``af == auc_rel_mean / 0.5`` (the
+    mean relocated AUC over the 0.5 chance baseline; per-run factors are
+    never averaged) and ``auc_adjusted == auc_original / af``.
     """
 
-    auc_original: float
+    count: InitVar[AucCount]
+    auc_original: float = field(init=False)
     auc_rel_runs: list[float]
-    auc_rel_mean: float
-    auc_rel_std: float
-    af: float
-    auc_adjusted: float
-    n_runs: int
+    auc_rel_mean: float = field(init=False)
+    auc_rel_std: float = field(init=False)
+    af: float = field(init=False)
+    auc_adjusted: float = field(init=False)
+    n_runs: int = field(init=False)
     seeds: list[int]
-    failures: list[str] = field(default_factory=list)
-    n_pos: int = 0
-    n_neg: int = 0
-    auc_conditional: float | None = None
+    failures: list[str] = ()
+    n_pos: int = field(init=False)
+    n_neg: int = field(init=False)
+    auc_conditional: float | None = field(init=False)
+
+    def __post_init__(self, count: AucCount):
+        if not self.auc_rel_runs:
+            raise ValueError("need at least one relocated AUC")
+        self.auc_original = count.auc
+        self.auc_rel_runs = list(self.auc_rel_runs)
+        self.n_runs = len(self.auc_rel_runs)
+        self.auc_rel_mean = float(np.mean(self.auc_rel_runs))
+        self.auc_rel_std = float(np.std(self.auc_rel_runs, ddof=1)) if self.n_runs > 1 else 0.0
+        self.af = self.auc_rel_mean / 0.5
+        self.auc_adjusted = self.auc_original / self.af if self.af != 0 else float("inf")
+        self.seeds = list(self.seeds)
+        self.failures = list(self.failures)
+        self.n_pos = count.n_pos
+        self.n_neg = count.n_neg
+        self.auc_conditional = count.auc_conditional
 
 
 def adjusted_auc(
@@ -182,47 +199,13 @@ def adjusted_auc(
                 kept_seeds.append(run_seed)
 
     for scorer, (rel_aucs, kept_seeds, failures) in runs.items():
-        count = outcome[scorer]
         failed = [message for message, _ in failures]
-        if not rel_aucs:
+        if rel_aucs:  # outcome[scorer] is still the intact graph's count
+            outcome[scorer] = AdjustmentReport(outcome[scorer], rel_aucs, kept_seeds, failed)
+        else:
             error = ValueError if all(data for _, data in failures) else RuntimeError
             outcome[scorer] = error("every relocation run failed: " + "; ".join(failed))
-            continue
-        report = assemble_report(count.auc, rel_aucs, kept_seeds, failed)
-        outcome[scorer] = replace(
-            report, n_pos=count.n_pos, n_neg=count.n_neg, auc_conditional=count.auc_conditional
-        )
     return outcome
-
-
-def assemble_report(
-    auc_original: float,
-    rel_aucs: list[float],
-    seeds: list[int],
-    failures: list[str] | None = None,
-) -> AdjustmentReport:
-    """Fold relocated-run AUCs into the adjustment identities.
-
-    The factor divides the mean relocated AUC by the 0.5 chance baseline;
-    per-run factors are never averaged.
-    """
-    if not rel_aucs:
-        raise ValueError("need at least one relocated AUC")
-    rel_mean = float(np.mean(rel_aucs))
-    rel_std = float(np.std(rel_aucs, ddof=1)) if len(rel_aucs) > 1 else 0.0
-    af = rel_mean / 0.5
-    adjusted = auc_original / af if af != 0 else float("inf")
-    return AdjustmentReport(
-        auc_original=auc_original,
-        auc_rel_runs=list(rel_aucs),
-        auc_rel_mean=rel_mean,
-        auc_rel_std=rel_std,
-        af=af,
-        auc_adjusted=adjusted,
-        n_runs=len(rel_aucs),
-        seeds=list(seeds),
-        failures=list(failures or []),
-    )
 
 
 def performance_reversal_check(

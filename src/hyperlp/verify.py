@@ -67,6 +67,8 @@ from .relocation import adjusted_auc
 Z95 = 1.959963984540054
 # Trials of the cn-lift check pool their scores in this many batches.
 _LIFT_BATCHES = 10
+# The least n and trials of the G(n, p) checks (er-clustering, er-cn, er-auc).
+STABLE_N, STABLE_TRIALS = 10, 30
 
 
 @dataclass
@@ -145,8 +147,8 @@ def clustering_coefficient(g: SimpleGraph) -> float:
 
 def verify_er_clustering(n: int, p: float, trials: int = 100, seed: int = 0) -> TrialSummary:
     """Check that G(n, p)'s mean clustering coefficient matches p."""
-    if n < 10 or trials < 30:
-        raise ValueError("need n >= 10 and trials >= 30 for a stable check")
+    _at_least("n", n, STABLE_N)
+    _at_least("trials", trials, STABLE_TRIALS)
     ccs = [clustering_coefficient(er_sample(n, p, ts)) for ts in spawn_seeds(seed, trials)]
     values = [cc for cc in ccs if not np.isnan(cc)]
     return _summary(
@@ -172,8 +174,8 @@ def verify_er_common_neighbors(
     law with n-2 slots of probability p^2 uses one vertex-disjoint random
     matching per trial to keep its samples effectively independent.
     """
-    if n < 10 or trials < 30:
-        raise ValueError("need n >= 10 and trials >= 30 for a stable check")
+    _at_least("n", n, STABLE_N)
+    _at_least("trials", trials, STABLE_TRIALS)
     rng = np.random.default_rng(seed)
     trial_means = []
     trial_diffs = []
@@ -262,8 +264,8 @@ def verify_er_auc_baseline(
     """Check that every scorer's mean leave-one-out AUC on G(n, p) sits at
     0.5 within three standard errors. A trial whose scorer fails with a
     ``ValueError`` (no edge, or no non-edge) is skipped."""
-    if n < 10 or trials < 30:
-        raise ValueError("need n >= 10 and trials >= 30 for a stable check")
+    _at_least("n", n, STABLE_N)
+    _at_least("trials", trials, STABLE_TRIALS)
     per_scorer: dict[str, list[float]] = {s: [] for s in scorers}
     for ts in spawn_seeds(seed, trials):
         for s, count in evaluate_protocol(er_sample(n, p, ts), scorers, "loo").items():

@@ -299,6 +299,16 @@ class TestEvaluate:
         ]) == 4
         assert "internal error: " in capsys.readouterr().err
 
+    def test_failed_allocation_is_a_resource_limit_exit_2(self, toy_file, monkeypatch, capsys):
+        def allocate(*args):
+            raise MemoryError("Unable to allocate 1.35 GiB for an array")
+
+        monkeypatch.setattr(cli, "evaluate_protocol", allocate)
+        assert main([
+            "evaluate", "--data", str(toy_file), "--algorithms", "cn", "--runs", "0",
+        ]) == 2
+        assert capsys.readouterr().err == "error: Unable to allocate 1.35 GiB for an array\n"
+
     def test_simrank_budget_exit_2_before_any_solve(self, toy_file, monkeypatch, capsys):
         # the toy expansion has 4 edges on 5 vertices: 4 * 5**3 = 500 units
         monkeypatch.setattr(heuristics, "SIMRANK_LOO_BUDGET", 499)
@@ -770,8 +780,19 @@ class TestVerify:
             main(["verify", "--help"])
         out = capsys.readouterr().out
         assert "  cc (er-clustering): --trials 100, --n 100, --p 0.1\n" in out
-        assert ("  relocation-baseline (relocation-baseline): --data None, --n 100, "
+        assert ("  relocation-baseline (relocation-baseline): [--data FILE], --n 100, "
                 "--edges 200, --algorithms cn,aa,pa,jc,ra, --runs 50\n") in out
+        assert "  cn-lift (cn-lift): --config FILE, --trials 100\n" in out
+        assert "  cn-dist (er-cn): --trials 100, --n 100, --p 0.1, --chi-square\n" in out
+        assert "cc, cn-dist and er-auc need --n >= 10 and --trials >= 30\n" in out
+        assert "None" not in out and "False" not in out
+
+    @pytest.mark.parametrize("claim", ["cc", "cn-dist", "er-auc"])
+    @pytest.mark.parametrize("flag, value, least", [("n", "9", 10), ("trials", "29", 30)])
+    def test_stable_check_bound_names_one_value(self, capsys, claim, flag, value, least):
+        # the other value keeps its (valid) default
+        assert main(["verify", "--claim", claim, f"--{flag}", value]) == 2
+        assert capsys.readouterr().err == f"error: {flag} must be >= {least}, got {value}\n"
 
     def test_relocation_baseline_wide_ci_is_indeterminate(self, capsys):
         # the mean is within 0.05 of 0.5, but the CI [0.435, 0.607] leaves

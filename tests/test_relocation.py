@@ -1,6 +1,7 @@
 """Relocation null model and the adjustment arithmetic."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,11 +10,11 @@ from hypothesis import strategies as st
 
 from hyperlp import (
     SCORER_IDS,
+    AdjustmentReport,
+    AucCount,
     Hypergraph,
     SplitSpec,
     adjusted_auc,
-    assemble_report,
-    auc,
     clique_expand,
     performance_reversal_check,
     protocol_scores,
@@ -129,33 +130,68 @@ class TestRelocateDraw:
         assert str(got.value) == str(want.value)
 
 
+def report_of(auc_original, runs, seeds):
+    """A report whose intact-graph count reads ``auc_original`` (to 0.01)."""
+    return AdjustmentReport(AucCount(round(auc_original * 100), 0, 10, 10), runs, seeds)
+
+
+REPORT_KEYS = [
+    "auc_original", "auc_rel_runs", "auc_rel_mean", "auc_rel_std", "af", "auc_adjusted",
+    "n_runs", "seeds", "failures", "n_pos", "n_neg", "auc_conditional",
+]
+
+
+@st.composite
+def counts(draw):
+    """A valid ``AucCount``: both classes present, greater + ties <= P*N."""
+    n_pos, n_neg = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    greater = draw(st.integers(0, n_pos * n_neg))
+    ties = draw(st.integers(0, n_pos * n_neg - greater))
+    return AucCount(greater, ties, n_pos, n_neg)
+
+
 class TestAssembleReport:
+    @settings(max_examples=200, deadline=None)
+    @given(counts(), st.lists(st.floats(0, 1), min_size=1, max_size=8))
+    def test_identities_hold_for_every_count(self, count, runs):
+        report = AdjustmentReport(count, runs, seeds=list(range(len(runs))))
+        assert report.af == report.auc_rel_mean / 0.5
+        if report.af:
+            assert report.auc_adjusted == report.auc_original / report.af
+        else:
+            assert report.auc_adjusted == math.inf
+        assert report.n_runs == len(runs)
+        assert (report.auc_original, report.n_pos, report.n_neg, report.auc_conditional) == (
+            count.auc, count.n_pos, count.n_neg, count.auc_conditional
+        )
+        assert list(asdict(report)) == REPORT_KEYS
+
     def test_identities(self):
-        report = assemble_report(0.99, [0.9] * 5, seeds=list(range(5)))
+        report = report_of(0.99, [0.9] * 5, seeds=list(range(5)))
         assert report.af == pytest.approx(1.8, abs=1e-15)
         assert report.auc_adjusted == pytest.approx(0.55, abs=1e-15)
         assert report.af == report.auc_rel_mean / 0.5
         assert report.auc_adjusted == report.auc_original / report.af
 
     def test_baseline_exactly_half_is_identity(self):
-        report = assemble_report(0.8, [0.5, 0.5, 0.5], seeds=[1, 2, 3])
+        report = report_of(0.8, [0.5, 0.5, 0.5], seeds=[1, 2, 3])
         assert report.af == 1.0
         assert report.auc_adjusted == 0.8
 
     def test_below_half_not_clamped(self):
-        report = assemble_report(0.6, [0.4, 0.4], seeds=[1, 2])
+        report = report_of(0.6, [0.4, 0.4], seeds=[1, 2])
         assert report.af == pytest.approx(0.8)
         assert report.auc_adjusted == pytest.approx(0.75)
 
     def test_std_and_counts(self):
         runs = [0.5, 0.6, 0.7]
-        report = assemble_report(0.9, runs, seeds=[1, 2, 3])
+        report = report_of(0.9, runs, seeds=[1, 2, 3])
         assert report.auc_rel_std == pytest.approx(np.std(runs, ddof=1))
         assert report.n_runs == len(report.auc_rel_runs) == len(report.seeds) == 3
 
     def test_empty_runs_rejected(self):
         with pytest.raises(ValueError):
-            assemble_report(0.9, [], seeds=[])
+            report_of(0.9, [], seeds=[])
 
 
 class TestAdjustedAuc:
@@ -223,17 +259,17 @@ class TestSharedPairSet:
         h = self.hypergraph()
         scorers = [s for s in SCORER_IDS if s != "sr"] if protocol == "loo" else SCORER_IDS
 
-        def one_auc(graph, scorer):
+        def one_count(graph, scorer):
             _, labels, scores = protocol_scores(graph, [scorer], protocol)
-            return auc(scores[scorer], labels), labels
+            return AucCount.of(scores[scorer], labels), labels
 
         out = adjusted_auc(h, scorers, protocol, n_runs=3, seed=5)
         assert list(out) == list(scorers)
         run_seeds = [int(s) for s in np.random.default_rng(5).integers(0, 2**63 - 1, size=3)]
         for scorer in scorers:
-            original, labels = one_auc(clique_expand(h), scorer)
-            runs = [one_auc(clique_expand(relocate(h, s)), scorer)[0] for s in run_seeds]
-            expected = assemble_report(original, runs, run_seeds)
+            original, labels = one_count(clique_expand(h), scorer)
+            runs = [one_count(clique_expand(relocate(h, s)), scorer)[0].auc for s in run_seeds]
+            expected = AdjustmentReport(original, runs, run_seeds)
             report = out[scorer]
             assert report.auc_original == expected.auc_original
             assert report.auc_rel_runs == expected.auc_rel_runs
@@ -279,8 +315,8 @@ class TestSharedPairSet:
 class TestPerformanceReversal:
     def test_flagged_pair(self):
         reports = {
-            "a": assemble_report(0.95, [0.913461538], seeds=[1]),
-            "b": assemble_report(0.83, [0.51875], seeds=[1]),
+            "a": report_of(0.95, [0.913461538], seeds=[1]),
+            "b": report_of(0.83, [0.51875], seeds=[1]),
         }
         # a outranks b raw (0.95 > 0.83) but not adjusted (0.52 < 0.80)
         assert reports["a"].auc_adjusted < reports["b"].auc_adjusted
@@ -288,17 +324,17 @@ class TestPerformanceReversal:
 
     def test_identical_reports_not_flagged(self):
         reports = {
-            "a": assemble_report(0.9, [0.6], seeds=[1]),
-            "b": assemble_report(0.9, [0.6], seeds=[1]),
+            "a": report_of(0.9, [0.6], seeds=[1]),
+            "b": report_of(0.9, [0.6], seeds=[1]),
         }
         assert performance_reversal_check(reports) == []
 
     def test_single_scorer_empty(self):
-        assert performance_reversal_check({"a": assemble_report(0.9, [0.6], [1])}) == []
+        assert performance_reversal_check({"a": report_of(0.9, [0.6], [1])}) == []
 
     def test_consistent_ordering_not_flagged(self):
         reports = {
-            "a": assemble_report(0.9, [0.6], seeds=[1]),
-            "b": assemble_report(0.8, [0.6], seeds=[1]),
+            "a": report_of(0.9, [0.6], seeds=[1]),
+            "b": report_of(0.8, [0.6], seeds=[1]),
         }
         assert performance_reversal_check(reports) == []
